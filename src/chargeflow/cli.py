@@ -23,7 +23,14 @@ import numpy as np
 
 from . import equilibria
 from .conserved import detect_period
-from .dynamics import FlowSpec, Trajectory, integrate, phi_identity_i1, phi_identity_i2
+from .dynamics import (
+    FlowKind,
+    FlowSpec,
+    Trajectory,
+    integrate,
+    phi_identity_i1,
+    phi_identity_i2,
+)
 from .errors import (
     CertificationFailure,
     ChargeflowError,
@@ -33,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import ChargeConfiguration, Species, SystemCoefficients
+from .polynomials import _distance, pair_matrix
 
 __all__ = ["main", "run", "plot_svg", "validate_config"]
 
@@ -110,61 +118,96 @@ def validate_config(doc: dict) -> dict:
     return doc
 
 
+_REQUIRED = object()
+
+
+def _field(system: dict, key: str, convert, default=_REQUIRED):
+    """``convert(system[key])``, or ``default`` when the key is missing or
+    null; a missing required key or a value that does not convert is a
+    validation error."""
+    if system.get(key) is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"system block needs {key!r}")
+        return default
+    try:
+        return convert(system[key])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"system {key!r} is malformed: {system[key]!r}") from exc
+
+
+def _size(value) -> int:
+    size = int(value)
+    if size < 0:
+        raise ValueError("negative size")
+    return size
+
+
+def _coeff(value) -> complex:
+    return complex(value[0], value[1]) if isinstance(value, list) else complex(value)
+
+
+def _coeffs(values) -> list:
+    return [_coeff(c) for c in values]
+
+
 def _build_flow(system: dict) -> FlowSpec:
     kind = system.get("kind", "rational_omega")
     if kind == "rational_omega":
-        omega = float(system.get("omega", 1.0))
-        Lambda = float(system.get("Lambda", 1.0))
-        n = int(system["n"])
-        m = int(system["m"])
-        return FlowSpec.rational_omega(omega, Lambda, n, m)
+        return FlowSpec.rational_omega(
+            _field(system, "omega", float, 1.0),
+            _field(system, "Lambda", float, 1.0),
+            _field(system, "n", _size),
+            _field(system, "m", _size),
+        )
     if kind == "angular":
-        return FlowSpec.angular(int(system["n"]), int(system["m"]))
-    P = [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in system["P"]]
-    U = [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in system["U"]]
-    lam = system.get("lambda")
-    if lam is not None:
-        lam = complex(lam[0], lam[1]) if isinstance(lam, list) else complex(lam)
+        return FlowSpec.angular(_field(system, "n", _size), _field(system, "m", _size))
+    if kind not in ("linear", "bilinear", "polylinear"):
+        raise ValidationError(f"unknown system kind {kind!r}")
+    P = _field(system, "P", _coeffs)
+    U = _field(system, "U", _coeffs)
+    lam = _field(system, "lambda", _coeff, None)
     if kind == "linear":
         sys_c = SystemCoefficients.linear(P, U, exact=False)
-        return FlowSpec.linear(sys_c, int(system["n"]))
+        return FlowSpec.linear(sys_c, _field(system, "n", _size))
     if kind == "bilinear":
         sys_c = SystemCoefficients.bilinear(
-            P, U, Lambda=float(system.get("Lambda", 1.0)), lam=lam, exact=False
+            P, U, Lambda=_field(system, "Lambda", float, 1.0), lam=lam, exact=False
         )
-        return FlowSpec.bilinear(sys_c, int(system["n"]), int(system["m"]))
-    if kind == "polylinear":
-        charges = [float(q) for q in system["charges"]]
-        sizes = [int(s) for s in system["sizes"]]
-        sys_c = SystemCoefficients.polylinear(P, U, charges, lam=lam, exact=False)
-        return FlowSpec.polylinear(sys_c, sizes)
-    raise ValidationError(f"unknown system kind {kind!r}")
+        return FlowSpec.bilinear(sys_c, _field(system, "n", _size), _field(system, "m", _size))
+    charges = _field(system, "charges", lambda qs: [float(q) for q in qs])
+    sizes = _field(system, "sizes", lambda ns: [_size(n) for n in ns])
+    sys_c = SystemCoefficients.polylinear(P, U, charges, lam=lam, exact=False)
+    return FlowSpec.polylinear(sys_c, sizes)
 
 
 def system_to_config(flow: FlowSpec) -> dict:
     """Serialize a flow back into the config schema's system block."""
-    kind = flow.kind.value
-    doc = {"kind": kind}
-    if kind == "angular":
-        doc["n"], doc["m"] = flow.sizes
-        return doc
+    if flow.kind is FlowKind.ANGULAR:
+        n, m = flow.sizes
+        return {"kind": "angular", "n": n, "m": m}
     sys = flow.sys
-    if kind == "rational_omega":
-        doc["omega"] = sys.omega
-        doc["Lambda"] = float(-complex(sys.charges[1]).real)
-        doc["n"], doc["m"] = flow.sizes
-        return doc
-    P = sys.P.to_float() if sys.P.exact else sys.P
-    U = sys.U.to_float() if sys.U.exact else sys.U
-    doc["P"] = [[c.real, c.imag] for c in P.coeffs]
-    doc["U"] = [[c.real, c.imag] for c in U.coeffs]
-    if kind == "linear":
+    if sys.omega is not None:
+        n, m = flow.sizes
+        return {
+            "kind": "rational_omega",
+            "omega": sys.omega,
+            "Lambda": -flow.charges[1],
+            "n": n,
+            "m": m,
+        }
+    doc = {
+        "kind": sys.mode,
+        "P": [[c.real, c.imag] for c in flow.P.coeffs],
+        "U": [[c.real, c.imag] for c in flow.U.coeffs],
+    }
+    if sys.mode == "linear":
         doc["n"] = flow.sizes[0]
-    elif kind == "bilinear":
-        doc["Lambda"] = float(-complex(sys.charges[1]).real)
+    elif sys.mode == "bilinear" and flow.charges[0] == 1.0:  # charges {+1, -Lambda}
+        doc["Lambda"] = -flow.charges[1]
         doc["n"], doc["m"] = flow.sizes
     else:
-        doc["charges"] = [float(complex(q).real) for q in sys.charges]
+        doc["kind"] = "polylinear"
+        doc["charges"] = list(flow.charges)
         doc["sizes"] = list(flow.sizes)
     return doc
 
@@ -177,12 +220,7 @@ def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
     total = sum(flow.sizes)
     for _ in range(1000):
         pts = rng.normal(size=total) * scale + 1j * rng.normal(size=total) * scale
-        ok = all(
-            abs(pts[i] - pts[j]) > min_sep
-            for i in range(total)
-            for j in range(i + 1, total)
-        )
-        if ok:
+        if np.all(pair_matrix(pts, _distance, diagonal=np.inf) > min_sep):
             break
     else:
         raise ValidationError("could not draw separated initial conditions")
@@ -538,6 +576,14 @@ def run(doc: dict) -> int:
         return EXIT_VALIDATION
 
 
+def _pool_size(jobs: int, n_seeds: int) -> int:
+    """Worker processes for a seed sweep: at most one per seed and per CPU.
+
+    Under the fork start method the pool starts all of its workers at the
+    first submit, so an unclamped ``--jobs`` is a process count."""
+    return max(1, min(jobs, n_seeds, os.cpu_count() or 1))
+
+
 def _run_worker(args):
     doc, seed = args
     doc = json.loads(json.dumps(doc))
@@ -616,7 +662,7 @@ def main(argv=None) -> int:
 
     if args.mode == "period" and getattr(args, "seeds", None):
         seeds = [int(v) for v in args.seeds.split(",")]
-        jobs = max(1, args.jobs)
+        jobs = _pool_size(args.jobs, len(seeds))
         results = []
         if jobs == 1:
             results = [_run_worker((doc, s)) for s in seeds]

@@ -12,7 +12,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import CoincidentPositions, NoReturnFound, PZero, ValidationError
 from .operators import ChargeConfiguration, SystemCoefficients
-from .dynamics import FlowKind, FlowSpec, Trajectory, rhs_flat, _flatten
+from .dynamics import FlowSpec, Trajectory, rhs_flat, _flatten
+from .polynomials import _distance, pair_matrix
 
 __all__ = [
     "LaxPair",
@@ -70,10 +71,17 @@ def _species_arrays(state: ChargeConfiguration):
 
 
 def _pairwise_check(z: np.ndarray, scale: float):
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            if abs(z[i] - z[j]) < 1e-13 * scale:
-                raise CoincidentPositions("coincident positions")
+    if np.any(pair_matrix(z, _distance, diagonal=np.inf) < 1e-13 * scale):
+        raise CoincidentPositions("coincident positions")
+
+
+def _field_pairs(z: np.ndarray, pz: np.ndarray) -> np.ndarray:
+    """(P_i + P_j) / (z_i - z_j)^2 on the pairs i < j, zero elsewhere."""
+    return np.triu((pz[:, None] + pz[None, :]) * pair_matrix(z, _inverse_square), 1)
+
+
+def _inverse_square(d):
+    return 1.0 / (d * d)
 
 
 def hamiltonians(
@@ -99,63 +107,39 @@ def hamiltonians(
     """
     if sys.charges is None:
         raise ValidationError("hamiltonians needs a charged (two-species+) system")
-    P = sys.P.to_float() if sys.P.exact else sys.P
-    U = sys.U.to_float() if sys.U.exact else sys.U
+    P, U = sys.P.to_float(), sys.U.to_float()
     dP = P.derivative()
 
-    sites = []
-    vel = list(velocities)
-    at = 0
-    for sp in state.species:
-        q = complex(sp.charge) if not hasattr(sp.charge, "to_complex") else sp.charge.to_complex()
-        for z in sp.positions:
-            sites.append((complex(z), q, complex(vel[at])))
-            at += 1
-    scale = state.scale()
-    zs = np.array([s[0] for s in sites])
-    _pairwise_check(zs, scale)
-
-    total = 0j
-    for z, q, v in sites:
-        pz = P(z)
-        if abs(pz) < 1e-14:
-            raise PZero(f"P vanishes at {z}")
-        uq = U(z) + q * dP(z) / 2.0
-        total += q / (2.0 * pz) * v * v - q * uq * uq / (2.0 * pz)
-    for a in range(len(sites)):
-        for b in range(a + 1, len(sites)):
-            za, qa, _ = sites[a]
-            zb, qb, _ = sites[b]
-            w = (P(za) + P(zb)) / (za - zb) ** 2
-            total -= qa * qb * (qa + qb) * w
+    z = np.array(state.all_positions(), dtype=complex)
+    q = np.array([site[1] for site in state.flat()], dtype=complex)
+    v = np.array(velocities, dtype=complex)
+    _pairwise_check(z, state.scale())
+    pz = P(z)
+    zero = np.abs(pz) < 1e-14
+    if zero.any():
+        raise PZero(f"P vanishes at {z[np.argmax(zero)]}")
+    uq = U(z) + q * dP(z) / 2.0
+    total = np.sum(q / (2.0 * pz) * v * v - q * uq * uq / (2.0 * pz))
+    total -= np.sum(np.outer(q, q) * (q[:, None] + q[None, :]) * _field_pairs(z, pz))
 
     is_trap = sys.omega is not None
-    h_total = 1j * total if is_trap else total
+    h_total = complex(1j * total if is_trap else total)
 
     h_plus = h_minus = None
     if len(sys.charges) == 2 and len(state.species) == 2:
         lam_val = -complex(sys.charges[1]) / complex(sys.charges[0])
         if abs(lam_val - 1.0) < 1e-12:
             n = len(state.species[0].positions)
-            xs = [s for s in sites[:n]]
-            ys = [s for s in sites[n:]]
 
-            def split_part(group, sign):
-                kin = 0j
-                pot = 0j
-                for z, _, v in group:
-                    pz = P(z)
-                    upm = U(z) + sign * dP(z) / 2.0
-                    kin += v * v / (2.0 * pz)
-                    pot += 0.5 * upm * upm / pz
-                for a in range(len(group)):
-                    for b in range(a + 1, len(group)):
-                        za, zb = group[a][0], group[b][0]
-                        pot += 2.0 * (P(za) + P(zb)) / (za - zb) ** 2
-                return kin, pot
+            def split_part(part, sign):
+                zz, vv, pp = z[part], v[part], pz[part]
+                upm = U(zz) + sign * dP(zz) / 2.0
+                kin = np.sum(vv * vv / (2.0 * pp))
+                pot = np.sum(0.5 * upm * upm / pp) + 2.0 * np.sum(_field_pairs(zz, pp))
+                return complex(kin), complex(pot)
 
-            kx, vx = split_part(xs, +1.0)
-            ky, vy = split_part(ys, -1.0)
+            kx, vx = split_part(slice(None, n), +1.0)
+            ky, vy = split_part(slice(n, None), -1.0)
             h_plus = kx - vx
             h_minus = -ky + vy
     return HamiltonianValues(h_plus, h_minus, h_total)
@@ -164,17 +148,11 @@ def hamiltonians(
 def split_potential(positions: Sequence[complex], sys: SystemCoefficients, sign: float) -> complex:
     """V_pm for one species: 2 sum_{i<j} (P_i+P_j)/(z_i-z_j)^2
     + 1/2 sum U_pm^2 / P with U_pm = U + sign * P'/2."""
-    P = sys.P.to_float() if sys.P.exact else sys.P
-    U = sys.U.to_float() if sys.U.exact else sys.U
-    dP = P.derivative()
-    zs = [complex(z) for z in positions]
-    tot = 0j
-    for i in range(len(zs)):
-        upm = U(zs[i]) + sign * dP(zs[i]) / 2.0
-        tot += 0.5 * upm * upm / P(zs[i])
-        for j in range(i + 1, len(zs)):
-            tot += 2.0 * (P(zs[i]) + P(zs[j])) / (zs[i] - zs[j]) ** 2
-    return tot
+    P, U = sys.P.to_float(), sys.U.to_float()
+    z = np.array(positions, dtype=complex)
+    pz = P(z)
+    upm = U(z) + sign * P.derivative()(z) / 2.0
+    return complex(np.sum(0.5 * upm * upm / pz) + 2.0 * np.sum(_field_pairs(z, pz)))
 
 
 def linear_potential(positions: Sequence[complex], sys: SystemCoefficients) -> complex:
@@ -186,30 +164,26 @@ def linear_potential(positions: Sequence[complex], sys: SystemCoefficients) -> c
     The Newton form it closes is  d2z/dt2 / P - P' (dz/dt)^2 / (2 P^2)
     = dV/dz (note the single power of P on the acceleration term).
     """
-    P = sys.P.to_float() if sys.P.exact else sys.P
-    U = sys.U.to_float() if sys.U.exact else sys.U
+    P, U = sys.P.to_float(), sys.U.to_float()
     D = complex(P.coeff(3))
     E = complex(P.coeff(4))
-    zs = [complex(z) for z in positions]
-    n = len(zs)
-    tot = 0j
-    for i in range(n):
-        tot += 0.5 * U(zs[i]) ** 2 / P(zs[i])
-        for j in range(i + 1, n):
-            dz = zs[i] - zs[j]
-            tot += 2.0 * (
-                (P(zs[i]) + P(zs[j])) / dz**2
-                + (n - 2) * (E * (zs[i] + zs[j]) ** 2 + D * (zs[i] + zs[j]))
-                + (U(zs[i]) - U(zs[j])) / dz
-            )
-    return tot
+    z = np.array(positions, dtype=complex)
+    n = len(z)
+    pz, uz = P(z), U(z)
+    zsum = z[:, None] + z[None, :]
+    pair = (
+        _field_pairs(z, pz)
+        + (n - 2) * (E * zsum * zsum + D * zsum)
+        + (uz[:, None] - uz[None, :]) * pair_matrix(z)
+    )
+    return complex(np.sum(0.5 * uz * uz / pz) + 2.0 * np.sum(np.triu(pair, 1)))
 
 
 def lax(state: ChargeConfiguration, flow: FlowSpec) -> LaxPair:
     """Lax blocks with velocities eliminated through the flow, so entries
     are rational in the coordinates only: diagonal (i v_j + omega z_j)/2,
     off-diagonal 1/(z_j - z_k) within each species."""
-    if flow.kind is not FlowKind.RATIONAL_OMEGA:
+    if flow.sys is None or flow.sys.omega is None:
         raise ValidationError("lax applies to the harmonic-trap flow")
     Lam = -complex(flow.charges[1]).real
     if abs(Lam - 1.0) > 1e-12:
@@ -223,14 +197,7 @@ def lax(state: ChargeConfiguration, flow: FlowSpec) -> LaxPair:
     vx, vy = vel[:n], vel[n:]
 
     def build(zz, vv):
-        k = len(zz)
-        L = np.zeros((k, k), dtype=complex)
-        for j in range(k):
-            L[j, j] = 0.5 * (1j * vv[j] + omega * zz[j])
-            for kk in range(k):
-                if kk != j:
-                    L[j, kk] = 1.0 / (zz[j] - zz[kk])
-        return L
+        return pair_matrix(zz, diagonal=0.5 * (1j * vv + omega * zz))
 
     return LaxPair(build(xs, vx), build(ys, vy))
 

@@ -1,6 +1,13 @@
-"""Root-dynamics right-hand sides and the adaptive integrator.
+"""Root-dynamics right-hand side and the adaptive integrator.
 
-All flows evolve labeled complex positions grouped by species.  The
+All flows evolve labeled complex positions grouped by species, and all
+share one right-hand side
+
+    v_i = -2 P(z_i) sum_{j != i} q_j K(z_i - z_j) - U(z_i) - w_i P'(z_i)
+
+with K = 1/dz for the planar flows and cot dz for the angular flow, q the
+per-particle charges and w_i = q_i/2 for charged flows (0 otherwise).
+The float data it needs is derived once per ``FlowSpec``.  The
 integrator is an embedded Dormand-Prince 5(4) pair with step control,
 fourth-order dense output on a fixed sample grid, collision detection
 with event localization, and per-sample monitors (bilinear consistency
@@ -24,7 +31,7 @@ import numpy as np
 
 from .errors import Collision, NonConvergence, SymmetryViolation, ValidationError
 from .operators import ChargeConfiguration, Species, SystemCoefficients
-from .polynomials import Polynomial, from_roots
+from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
 
 __all__ = [
     "FlowKind",
@@ -42,19 +49,66 @@ __all__ = [
 
 class FlowKind(enum.Enum):
     LINEAR = "linear"
-    BILINEAR = "bilinear"
-    POLYLINEAR = "polylinear"
-    RATIONAL_OMEGA = "rational_omega"
+    CHARGED = "charged"
     ANGULAR = "angular"
+
+
+def _cot(d):
+    return 1.0 / np.tan(d)
+
+
+def _real_charge(q):
+    return q.to_complex().real if hasattr(q, "to_complex") else complex(q).real
 
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which evolution to integrate, its coefficients, and species sizes."""
+    """Which evolution to integrate, its coefficients, and species sizes.
+
+    The remaining fields are derived once from these three: the species
+    charges, the per-particle charge vector ``q``, the float polynomials
+    ``P``, ``U``, ``dP`` (angular: P = 1, U = 0), the P' weight ``w``
+    (q/2 for charged flows, 0 otherwise) and the pair ``kernel``.
+    """
 
     kind: FlowKind
     sys: Optional[SystemCoefficients]
     sizes: Tuple[int, ...]
+    charges: Tuple[float, ...] = field(init=False, compare=False, repr=False)
+    q: np.ndarray = field(init=False, compare=False, repr=False)
+    P: Polynomial = field(init=False, compare=False, repr=False)
+    U: Polynomial = field(init=False, compare=False, repr=False)
+    dP: Polynomial = field(init=False, compare=False, repr=False)
+    w: np.ndarray = field(init=False, compare=False, repr=False)
+    kernel: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind is FlowKind.ANGULAR:
+            charges = (1.0, -1.0)
+            P, U = Polynomial.one(exact=False), Polynomial.zero(exact=False)
+        else:
+            charges = (
+                (1.0,)
+                if self.kind is FlowKind.LINEAR
+                else tuple(_real_charge(q) for q in self.sys.charges)
+            )
+            P, U = self.sys.P.to_float(), self.sys.U.to_float()
+        if len(charges) != len(self.sizes):
+            raise ValidationError(
+                f"{len(self.sizes)} species sizes for {len(charges)} charges"
+            )
+        q = np.repeat(np.array(charges, dtype=complex), self.sizes)
+        derived = {
+            "charges": charges,
+            "q": q,
+            "P": P,
+            "U": U,
+            "dP": P.derivative(),
+            "w": 0.5 * q if self.kind is FlowKind.CHARGED else np.zeros_like(q),
+            "kernel": _cot if self.kind is FlowKind.ANGULAR else _inverse,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def linear(sys: SystemCoefficients, n: int):
@@ -62,28 +116,20 @@ class FlowSpec:
 
     @staticmethod
     def bilinear(sys: SystemCoefficients, n: int, m: int):
-        return FlowSpec(FlowKind.BILINEAR, sys, (n, m))
+        return FlowSpec(FlowKind.CHARGED, sys, (n, m))
 
     @staticmethod
     def polylinear(sys: SystemCoefficients, sizes: Sequence[int]):
-        return FlowSpec(FlowKind.POLYLINEAR, sys, tuple(sizes))
+        return FlowSpec(FlowKind.CHARGED, sys, tuple(sizes))
 
     @staticmethod
     def rational_omega(omega: float, Lambda: float, n: int, m: int):
         sys = SystemCoefficients.rational_omega(omega, Lambda)
-        return FlowSpec(FlowKind.RATIONAL_OMEGA, sys, (n, m))
+        return FlowSpec(FlowKind.CHARGED, sys, (n, m))
 
     @staticmethod
     def angular(n: int, m: int):
         return FlowSpec(FlowKind.ANGULAR, None, (n, m))
-
-    @property
-    def charges(self):
-        if self.kind is FlowKind.LINEAR:
-            return (1.0,)
-        if self.kind is FlowKind.ANGULAR:
-            return (1.0, -1.0)
-        return tuple(complex(q).real if not hasattr(q, "to_complex") else q.to_complex().real for q in self.sys.charges)
 
 
 @dataclass
@@ -120,60 +166,11 @@ def _unflatten(z: np.ndarray, flow: FlowSpec, t: float) -> ChargeConfiguration:
     return ChargeConfiguration(tuple(species), time=t)
 
 
-def _pair_sums(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] / (z_i - z_j) over j != i."""
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    return inv @ weights
-
-
 def rhs_flat(flow: FlowSpec, z: np.ndarray) -> np.ndarray:
-    """Velocities for the flattened position vector."""
-    kind = flow.kind
-    if kind is FlowKind.ANGULAR:
-        n, m = flow.sizes
-        phi, theta = z[:n], z[n:]
-        out = np.empty_like(z)
-        for i in range(n):
-            acc = 0j
-            for j in range(n):
-                if j != i:
-                    acc -= 2.0 / np.tan(phi[i] - phi[j])
-            for j in range(m):
-                acc += 2.0 / np.tan(phi[i] - theta[j])
-            out[i] = acc
-        for i in range(m):
-            acc = 0j
-            for j in range(m):
-                if j != i:
-                    acc += 2.0 / np.tan(theta[i] - theta[j])
-            for j in range(n):
-                acc -= 2.0 / np.tan(theta[i] - phi[j])
-            out[n + i] = acc
-        return out
-
-    sys = flow.sys
-    P = sys.P.to_float() if sys.P.exact else sys.P
-    U = sys.U.to_float() if sys.U.exact else sys.U
-    dP = P.derivative()
-    Pz = np.array([P(v) for v in z])
-    Uz = np.array([U(v) for v in z])
-    dPz = np.array([dP(v) for v in z])
-
-    if kind is FlowKind.LINEAR:
-        s = _pair_sums(z, np.ones(len(z)))
-        return -2.0 * Pz * s - Uz
-
-    charges = np.concatenate(
-        [np.full(size, q) for q, size in zip(flow.charges, flow.sizes)]
-    ).astype(complex)
-    weighted = _pair_sums(z, charges)
-    vel = -2.0 * Pz * weighted - Uz - 0.5 * charges * dPz
-    if kind is FlowKind.RATIONAL_OMEGA:
-        return vel  # P = i, U = i*omega*z already encode the factor i
-    return vel
+    """Velocities for the flattened position vector, by the shared formula
+    in the module docstring."""
+    pairs = pair_matrix(z, flow.kernel) @ flow.q
+    return -2.0 * flow.P(z) * pairs - flow.U(z) - flow.w * flow.dP(z)
 
 
 def rhs(flow: FlowSpec, state: ChargeConfiguration):
@@ -185,20 +182,14 @@ def rhs(flow: FlowSpec, state: ChargeConfiguration):
 # -- separation measure ---------------------------------------------------------
 
 
+def _sine_distance(d):
+    return np.abs(np.sin(d.real))
+
+
 def _min_separation(flow: FlowSpec, z: np.ndarray) -> float:
-    n = len(z)
-    if n < 2:
-        return math.inf
-    best = math.inf
-    if flow.kind is FlowKind.ANGULAR:
-        for i in range(n):
-            for j in range(i + 1, n):
-                best = min(best, abs(math.sin((z[i] - z[j]).real)))
-        return best
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, abs(z[i] - z[j]))
-    return best
+    """Smallest pair distance: |sin(Re dz)| for angles, |dz| otherwise."""
+    metric = _sine_distance if flow.kind is FlowKind.ANGULAR else _distance
+    return float(pair_matrix(z, metric, diagonal=np.inf).min(initial=np.inf))
 
 
 # -- Dormand-Prince 5(4) ----------------------------------------------------------
@@ -379,21 +370,15 @@ def _localize_collision(flow, interp, t0, t1, delta):
 def _sample_monitors(flow: FlowSpec, state: ChargeConfiguration) -> dict:
     from . import conserved as _conserved  # local import to avoid a cycle
 
-    mon = {"min_separation": _min_separation(flow, _flatten(state))}
-    if flow.kind in (FlowKind.BILINEAR, FlowKind.POLYLINEAR, FlowKind.RATIONAL_OMEGA):
+    z = _flatten(state)
+    mon = {"min_separation": _min_separation(flow, z)}
+    if flow.kind is FlowKind.CHARGED:
         mon["bilinear_residual"] = state_residual(flow, state)
-        charges = flow.charges
-        moment = 0j
-        for q, s in zip(charges, state.species):
-            moment += q * sum(s.positions)
-        mon["charge_moment"] = moment
-    if flow.kind is FlowKind.RATIONAL_OMEGA and abs(flow.sys.Lambda - 1.0) < 1e-12:
-        vals = _conserved.integrals(state, flow).values
-        mon["conserved"] = vals
-    if flow.kind is FlowKind.ANGULAR:
-        n = flow.sizes[0]
-        z = _flatten(state)
-        mon["charge_moment"] = complex(np.sum(z[:n]) - np.sum(z[n:]))
+    if flow.kind is not FlowKind.LINEAR:
+        mon["charge_moment"] = complex(flow.q @ z)
+    trap = flow.sys is not None and flow.sys.omega is not None
+    if trap and abs(flow.sys.Lambda - 1.0) < 1e-12:  # where the Lax pair exists
+        mon["conserved"] = _conserved.integrals(state, flow).values
     return mon
 
 
@@ -433,7 +418,6 @@ def state_residual(flow: FlowSpec, state: ChargeConfiguration) -> float:
     from .operators import SystemCoefficients as _SC
     from .operators import lambda_poly, polylinear_H
 
-    sys = flow.sys
     z = _flatten(state)
     vel = rhs_flat(flow, z)
     polys, dpolys = [], []
@@ -444,12 +428,7 @@ def state_residual(flow: FlowSpec, state: ChargeConfiguration) -> float:
         dpolys.append(dp)
         at += size
     charges = flow.charges
-    sysf = _SC.polylinear(
-        sys.P.to_float() if sys.P.exact else sys.P,
-        sys.U.to_float() if sys.U.exact else sys.U,
-        charges,
-        exact=False,
-    )
+    sysf = _SC.polylinear(flow.P, flow.U, charges, exact=False)
     lam = lambda_poly([p.degree for p in polys], sysf)
     H = polylinear_H(sysf, polys, lam=lam)
     lhs = Polynomial.zero(exact=False)
@@ -516,27 +495,22 @@ def reduced_velocity_residual(flow: FlowSpec, state: ChargeConfiguration) -> flo
 
     along a symmetric harmonic-trap trajectory; returns the max deviation.
     """
-    if flow.kind is not FlowKind.RATIONAL_OMEGA:
+    if flow.sys is None or flow.sys.omega is None:
         raise ValidationError("reduction applies to the harmonic-trap flow")
-    Lambda = -complex(flow.charges[1]).real
+    Lambda = -flow.charges[1]
     omega = flow.sys.omega
     xs = np.array(state.species[0].positions)
-    n = flow.sizes[0]
-    l = n // 2
-    zpairs = symmetric_reduce(state)
-    vel = rhs_flat(flow, _flatten(state))[:n]
-    # match each reported pair coordinate back to one representative x
-    worst = 0.0
-    for j, zj in enumerate(zpairs):
-        # representative root: the x with x^2 closest to zj
-        idx = int(np.argmin(np.abs(xs * xs - zj)))
-        dz_dt = 2.0 * xs[idx] * vel[idx]
-        expected = 2.0 * (1.0 - 2.0 * Lambda) + 2.0 * omega * zj
-        for kk, zk in enumerate(zpairs):
-            if kk != j:
-                expected += 8.0 * zj / (zj - zk)
-        worst = max(worst, abs(1j * dz_dt - expected))
-    return worst
+    zs = np.array(symmetric_reduce(state))
+    vel = rhs_flat(flow, _flatten(state))[: len(xs)]
+    # representative root per pair coordinate: the x with x^2 closest to it
+    idx = np.argmin(np.abs((xs * xs)[None, :] - zs[:, None]), axis=1)
+    dz_dt = 2.0 * xs[idx] * vel[idx]
+    expected = (
+        2.0 * (1.0 - 2.0 * Lambda)
+        + 8.0 * zs * pair_matrix(zs).sum(axis=1)
+        + 2.0 * omega * zs
+    )
+    return float(np.max(np.abs(1j * dz_dt - expected), initial=0.0))
 
 
 # -- functional-identity sums -------------------------------------------------
@@ -552,10 +526,6 @@ def phi_identity_i1(xs: Sequence[float], phi: Callable[[float], float]) -> Tuple
         for i in range(n):
             if i != c:
                 acc += phi(xs[c] - xs[i])
-        inner = 0.0
-        for i in range(n):
-            if i != c:
-                inner += phi(xs[c] - xs[i]) ** 2
         total += acc * acc  # (sum phi)^2 = sum_i sum_j phi phi including i=j
     pair = 0.0
     for i in range(n):

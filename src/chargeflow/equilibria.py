@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import _trig
 from .errors import (
     BadK,
@@ -32,7 +34,7 @@ from .operators import (
     equilibrium_gradient,
     lambda_nm,
 )
-from .polynomials import Polynomial, laguerre, reduce_pair, wronskian
+from .polynomials import Polynomial, laguerre, pair_matrix, reduce_pair, wronskian
 from .scalars import GaussianRational, exactify
 
 __all__ = [
@@ -467,7 +469,7 @@ def certify(cert: EquilibriumCertificate, sys: Optional[SystemCoefficients] = No
     scale = max((abs(z) for z, _ in inventory), default=1.0) or 1.0
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
-    Pf = sys.P.to_float() if sys.P.exact else sys.P
+    Pf = sys.P.to_float()
     worst = 0.0
     for (z, _), g in zip(inventory, grad):
         if abs(Pf(z)) > 1e-10 * max(1.0, scale):
@@ -511,16 +513,8 @@ def _certify_cylinder(cert: EquilibriumCertificate) -> EquilibriumCertificate:
 
 def _cylinder_gradient_max(cert: EquilibriumCertificate) -> float:
     """Max cotangent-sum gradient over the reduced root angles."""
-    inventory = cert.inventory
-    if not inventory:
-        return 0.0
-    worst = 0.0
-    for i, (zi, _) in enumerate(inventory):
-        acc = 0j
-        for j, (zj, cj) in enumerate(inventory):
-            if j == i:
-                continue
-            # cot(phi_i - phi_j) = i (w_i + w_j) / (w_i - w_j)
-            acc += cj * 1j * (zi + zj) / (zi - zj)
-        worst = max(worst, abs(acc))
-    return worst
+    z = np.array([zi for zi, _ in cert.inventory], dtype=complex)
+    c = np.array([ci for _, ci in cert.inventory], dtype=float)
+    # cot(phi_i - phi_j) = i (w_i + w_j) / (w_i - w_j)
+    cot = 1j * (z[:, None] + z[None, :]) * pair_matrix(z)
+    return float(np.max(np.abs((cot * c).sum(axis=1)), initial=0.0))

@@ -10,10 +10,11 @@ for multiplicity-weighted charge configurations.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -22,7 +23,7 @@ from .errors import (
     PZero,
     ValidationError,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _distance, pair_matrix
 from .scalars import GaussianRational, exactify
 
 __all__ = [
@@ -185,14 +186,6 @@ class ChargeConfiguration:
             for z, m in zip(s.positions, s.mults):
                 out.append((z, complex(s.charge) if not isinstance(s.charge, GaussianRational) else s.charge.to_complex(), m))
         return out
-
-    def min_separation(self):
-        pts = self.all_positions()
-        best = math.inf
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                best = min(best, abs(pts[i] - pts[j]))
-        return best
 
     def scale(self):
         pts = self.all_positions()
@@ -397,13 +390,13 @@ def eigenvalue_of(sys: SystemCoefficients, n: int):
 
 
 def _weighted_sites(cfg: ChargeConfiguration):
-    """(position, species charge, multiplicity, weighted charge) per site."""
-    sites = []
-    for s in cfg.species:
-        qc = s.charge.to_complex() if isinstance(s.charge, GaussianRational) else complex(s.charge)
-        for z, m in zip(s.positions, s.mults):
-            sites.append((z, qc, m, qc * m))
-    return sites
+    """Positions, species charges and multiplicity-weighted charges, one
+    entry per site."""
+    sites = cfg.flat()
+    z = np.array([site[0] for site in sites], dtype=complex)
+    q = np.array([site[1] for site in sites], dtype=complex)
+    c = q * np.array([site[2] for site in sites], dtype=int)
+    return z, q, c
 
 
 def equilibrium_gradient(cfg: ChargeConfiguration, sys: SystemCoefficients):
@@ -417,24 +410,16 @@ def equilibrium_gradient(cfg: ChargeConfiguration, sys: SystemCoefficients):
     All-zero output is equivalent to the configuration being a fixed point
     (residue criterion of the governing bilinear identity).
     """
-    sites = _weighted_sites(cfg)
-    P = sys.P.to_float() if sys.P.exact else sys.P
-    U = sys.U.to_float() if sys.U.exact else sys.U
-    dP = P.derivative()
-    scale = cfg.scale()
-    out = []
-    for r, (zr, qr, mr, cr) in enumerate(sites):
-        pair = 0j
-        for s, (zs, _, _, cs) in enumerate(sites):
-            if s == r:
-                continue
-            dz = zr - zs
-            if abs(dz) < 1e-14 * scale:
-                raise CoincidentPositions(f"positions {r} and {s} coincide")
-            pair += cs / dz
-        g = -2.0 * P(zr) * pair - U(zr) - (cr - qr / 2.0) * dP(zr)
-        out.append(g)
-    return out
+    z, q, c = _weighted_sites(cfg)
+    P, U = sys.P.to_float(), sys.U.to_float()
+    close = pair_matrix(z, _distance, diagonal=np.inf) < 1e-14 * cfg.scale()
+    if close.any():
+        r, s = np.argwhere(close)[0]
+        raise CoincidentPositions(f"positions {r} and {s} coincide")
+    # a row sum rather than ``@``: BLAS starts threads for n >= 64 or so
+    pairs = (pair_matrix(z) * c).sum(axis=1)
+    g = -2.0 * P(z) * pairs - U(z) - (c - q / 2.0) * P.derivative()(z)
+    return g.tolist()
 
 
 def _external_term(P: Polynomial, U: Polynomial, kappa: complex, z: complex):
@@ -482,25 +467,18 @@ def energy(cfg: ChargeConfiguration, sys: SystemCoefficients) -> complex:
     gradient relation d H / d z_r = -c_r g_r / P(z_r) ties it to
     ``equilibrium_gradient``.
     """
-    sites = _weighted_sites(cfg)
-    P = sys.P.to_float() if sys.P.exact else sys.P
-    U = sys.U.to_float() if sys.U.exact else sys.U
-    scale = cfg.scale()
-    total = 0j
-    ctot = sum(c for (_, _, _, c) in sites)
-    for r in range(len(sites)):
-        zr, qr, _, cr = sites[r]
-        pr = P(zr)
-        if abs(pr) < 1e-14:
-            raise PZero(f"P vanishes at position {zr}")
-        for s in range(r + 1, len(sites)):
-            zs, _, _, cs = sites[s]
-            dz = zr - zs
-            if abs(dz) < 1e-14 * scale:
-                raise CoincidentPositions("coincident positions in energy")
-            ps = P(zs)
-            if abs(ps) < 1e-14:
-                raise PZero(f"P vanishes at position {zs}")
-            total += cr * cs * cmath.log(dz * dz / (pr * ps))
+    z, q, c = _weighted_sites(cfg)
+    P, U = sys.P.to_float(), sys.U.to_float()
+    pz = P(z)
+    zero = np.abs(pz) < 1e-14
+    if zero.any():
+        raise PZero(f"P vanishes at position {z[np.argmax(zero)]}")
+    if np.any(pair_matrix(z, _distance, diagonal=np.inf) < 1e-14 * cfg.scale()):
+        raise CoincidentPositions("coincident positions in energy")
+    # the diagonal (1 / P_r^2) is finite and dropped by triu
+    ratio = pair_matrix(z, np.square, diagonal=1.0) / np.outer(pz, pz)
+    total = np.sum(np.triu(np.outer(c, c) * np.log(ratio), 1))
+    ctot = np.sum(c)
+    for zr, qr, cr in zip(z, q, c):
         total += cr * _external_term(P, U, ctot - qr / 2.0, zr)
-    return total
+    return complex(total)

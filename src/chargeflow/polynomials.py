@@ -33,6 +33,7 @@ __all__ = [
     "monomial",
     "reduce_pair",
     "cluster_points",
+    "pair_matrix",
 ]
 
 
@@ -214,7 +215,8 @@ class Polynomial:
 
         Exact polynomial at exact point stays exact; any float operand
         converts the whole evaluation to complex (an explicit branch, not
-        silent coefficient mixing).
+        silent coefficient mixing).  A numpy array is evaluated
+        elementwise.
         """
         if self.exact and isinstance(z, (int, Fraction, GaussianRational)):
             acc = GaussianRational(0)
@@ -222,7 +224,12 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 acc = acc * zz + c
             return acc
-        zz = complex(z) if not isinstance(z, GaussianRational) else z.to_complex()
+        if isinstance(z, GaussianRational):
+            zz = z.to_complex()
+        elif isinstance(z, np.ndarray):
+            zz = z  # Horner is elementwise on arrays
+        else:
+            zz = complex(z)
         acc = 0j
         if self.exact:
             for c in reversed(self.coeffs):
@@ -289,12 +296,40 @@ class Polynomial:
 
 def evaluate(p: Polynomial, z) -> complex:
     """Horner evaluation at a complex point."""
-    value = p(z)
-    return value if not isinstance(value, GaussianRational) else value
+    return p(z)
 
 
 def derivative(p: Polynomial) -> Polynomial:
     return p.derivative()
+
+
+def _inverse(d):
+    return 1.0 / d  # np.reciprocal rounds complex quotients differently
+
+
+def _distance(d):
+    # |d|, rounded exactly as abs() rounds one complex scalar; np.abs on a
+    # complex array can differ in the last bit, which would move threshold
+    # decisions and the recorded min_sep monitor
+    return np.hypot(d.real, d.imag)
+
+
+def pair_matrix(z, kernel=_inverse, diagonal=0.0) -> np.ndarray:
+    """(n, n) array of kernel(z_i - z_j) over the ordered pairs i != j.
+
+    The kernel (default 1/d) acts elementwise on the complex differences.
+    It never sees the zero differences on the diagonal: they read 1 while
+    it runs, and the result's diagonal is set to ``diagonal`` afterwards.
+    With the default 0 a row sum is a sum over j != i; with ``np.inf`` a
+    minimum over the array is a minimum over distinct pairs.
+    """
+    z = np.asarray(z, dtype=complex)
+    step = len(z) + 1  # flat stride of the diagonal
+    diff = z[:, None] - z[None, :]
+    diff.flat[::step] = 1.0
+    out = kernel(diff)
+    out.flat[::step] = diagonal
+    return out
 
 
 class RootList:
@@ -339,11 +374,7 @@ def _aberth_once(coeffs, z):
     der = (np.arange(1, d + 1) * coeffs[1:])[::-1]
     dp = np.polyval(der, z)
     ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1), 0.0)
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    s = inv.sum(axis=1)
+    s = pair_matrix(z).sum(axis=1)
     denom = 1.0 - ratio * s
     w = np.where(denom != 0, ratio / np.where(denom != 0, denom, 1), ratio)
     # stalled points with dp == 0 get a deterministic nudge off the saddle
@@ -468,41 +499,14 @@ def _bareiss_det(matrix):
     return det if sign == 1 else -det
 
 
-def _laplace_det(matrix):
-    """Division-free determinant (memoized Laplace) for float entries."""
-    n = len(matrix)
-    cache = {}
-
-    def minor(rows, cols):
-        key = (rows, cols)
-        if key in cache:
-            return cache[key]
-        if len(rows) == 1:
-            result = matrix[rows[0]][cols[0]]
-        else:
-            r = rows[0]
-            rest = rows[1:]
-            result = Polynomial.zero(exact=False)
-            for idx, c in enumerate(cols):
-                sub = minor(rest, cols[:idx] + cols[idx + 1 :])
-                term = matrix[r][c] * sub
-                result = result + term if idx % 2 == 0 else result - term
-        cache[key] = result
-        return result
-
-    return minor(tuple(range(n)), tuple(range(n)))
-
-
 def wronskian(fs) -> Polynomial:
     """Determinant of the derivative matrix: row i holds the j-th
     derivatives (j = 0..k-1) of the i-th function."""
     fs = list(fs)
+    if not all(f.exact for f in fs):
+        raise TypeError("wronskian requires exact polynomials")
     if not fs:
         return Polynomial.one()
-    exact = fs[0].exact
-    for f in fs:
-        if f.exact != exact:
-            raise TypeError("wronskian inputs must share exactness")
     k = len(fs)
     rows = []
     for f in fs:
@@ -510,9 +514,7 @@ def wronskian(fs) -> Polynomial:
         for _ in range(k - 1):
             row.append(row[-1].derivative())
         rows.append(row)
-    if exact:
-        return _bareiss_det(rows)
-    return _laplace_det(rows)
+    return _bareiss_det(rows)
 
 
 # -- classical families ----------------------------------------------------
@@ -626,12 +628,11 @@ def cluster_points(points, tol):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    near = np.triu(pair_matrix(points, _distance, diagonal=np.inf) <= tol)
+    for i, j in zip(*np.nonzero(near)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -254,3 +255,94 @@ def test_jobs_seed_sweep(tmp_path):
     assert rc == cli.EXIT_OK
     assert (tmp_path / "seed1_period.json").exists()
     assert (tmp_path / "seed2_period.json").exists()
+
+
+def _simulate_doc(tmp_path, system):
+    return {
+        "mode": "simulate",
+        "system": system,
+        "initial": {"random": {"seed": 1}},
+        "integration": {"t_end": 0.1, "samples": 5},
+        "output": {"dir": str(tmp_path)},
+    }
+
+
+_QUAD = {"P": [1.0, 0.0, 0.5], "U": [0.0, -2.0]}
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"kind": "rational_omega", "n": 2},
+        {"kind": "rational_omega", "m": 1},
+        {"kind": "rational_omega", "n": 2, "m": 1, "omega": "abc"},
+        {"kind": "rational_omega", "n": 2, "m": 1, "Lambda": [1, 2]},
+        {"kind": "rational_omega", "n": "two", "m": 1},
+        {"kind": "rational_omega", "n": -1, "m": 1},
+        {"kind": "angular", "n": 2},
+        {"kind": "linear", "n": 2, "U": [0.0, -2.0]},
+        {"kind": "linear", "n": 2, "P": "abc", "U": [0.0, -2.0]},
+        {"kind": "linear", "n": 2, "P": [[1.0]], "U": [0.0, -2.0]},
+        {"kind": "linear", "n": 2, "P": [1.0]},
+        {"kind": "bilinear", "n": 2, **_QUAD},
+        {"kind": "bilinear", "n": 2, "m": 1, "Lambda": "abc", **_QUAD},
+        {"kind": "polylinear", "sizes": [1, 1], **_QUAD},
+        {"kind": "polylinear", "charges": [1.0, -2.0], **_QUAD},
+        {"kind": "polylinear", "charges": [1.0, "x"], "sizes": [1, 1], **_QUAD},
+        {"kind": "polylinear", "charges": [1.0, -2.0], "sizes": 3, **_QUAD},
+        {"kind": "polylinear", "charges": [1.0, -2.0], "sizes": [1, 1, 1], **_QUAD},
+    ],
+    ids=[
+        "missing_m", "missing_n", "omega_text", "Lambda_list", "n_text", "n_negative",
+        "angular_missing_m", "missing_P", "P_text", "P_short_pair", "missing_U",
+        "bilinear_missing_m", "bilinear_Lambda_text", "missing_charges", "missing_sizes",
+        "charge_text", "sizes_scalar", "sizes_charges_mismatch",
+    ],
+)
+def test_malformed_system_block_exits_validation(tmp_path, system):
+    with pytest.raises(ValidationError):
+        cli._build_flow(system)
+    assert cli.run(_simulate_doc(tmp_path, system)) == cli.EXIT_VALIDATION
+
+
+def test_pool_size_clamped():
+    cpus = os.cpu_count() or 1
+    assert cli._pool_size(10_000, 8) == min(8, cpus)
+    assert cli._pool_size(10_000, 1) == 1
+    assert cli._pool_size(0, 8) == 1
+    assert cli._pool_size(-3, 8) == 1
+    assert cli._pool_size(2, 8) == min(2, cpus)
+
+
+def test_seed_sweep_uses_clamped_pool(tmp_path, monkeypatch):
+    # a stand-in pool records its size and runs the seeds in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = write_config(
+        tmp_path,
+        {
+            "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 1, "m": 0},
+            "initial": {"random": {"scale": 1.0}},
+            "integration": {"periods": 1, "samples_per_period": 16},
+        },
+    )
+    rc = cli.main(
+        ["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2,3", "--jobs", "10000"]
+    )
+    assert rc == cli.EXIT_OK
+    assert sizes == [2]

@@ -97,6 +97,87 @@ def test_split_potential_value():
     assert abs(split_potential(xs, sysb, +1.0) - 4.0) < 1e-14
 
 
+def naive_hamiltonians(state, sys, vel):
+    """Site-by-site double loops of the total and split Hamiltonians."""
+    P, U = sys.P.to_float(), sys.U.to_float()
+    dP = P.derivative()
+    sites = [
+        (complex(z), complex(sp.charge)) for sp in state.species for z in sp.positions
+    ]
+    total = 0j
+    for (z, q), v in zip(sites, vel):
+        uq = U(z) + q * dP(z) / 2.0
+        total += q / (2.0 * P(z)) * v * v - q * uq * uq / (2.0 * P(z))
+    for a in range(len(sites)):
+        for b in range(a + 1, len(sites)):
+            (za, qa), (zb, qb) = sites[a], sites[b]
+            total -= qa * qb * (qa + qb) * (P(za) + P(zb)) / (za - zb) ** 2
+    h_total = 1j * total if sys.omega is not None else total
+
+    def split_part(zs, vs, sign):
+        kin = sum(v * v / (2.0 * P(z)) for z, v in zip(zs, vs))
+        pot = sum(0.5 * (U(z) + sign * dP(z) / 2.0) ** 2 / P(z) for z in zs)
+        for a in range(len(zs)):
+            for b in range(a + 1, len(zs)):
+                pot += 2.0 * (P(zs[a]) + P(zs[b])) / (zs[a] - zs[b]) ** 2
+        return kin, pot
+
+    n = len(state.species[0].positions)
+    z = [s[0] for s in sites]
+    kx, vx = split_part(z[:n], vel[:n], +1.0)
+    ky, vy = split_part(z[n:], vel[n:], -1.0)
+    return h_total, kx - vx, -ky + vy
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize(
+    "flow",
+    [
+        FlowSpec.rational_omega(1.0, 1.0, 3, 2),
+        FlowSpec.rational_omega(1.5, 1.0, 1, 0),
+        FlowSpec.rational_omega(1.2, 1.0, 2, 0),
+        FlowSpec.rational_omega(1.0, 1.0, 20, 10),
+        FlowSpec.bilinear(
+            SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.0, exact=False), 4, 3
+        ),
+        FlowSpec.bilinear(
+            SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.7, exact=False), 4, 3
+        ),
+    ],
+    ids=["trap", "trap_single", "trap_empty_species", "trap_n30", "quadratic_P", "ratio_1.7"],
+)
+def test_hamiltonians_match_double_loops(flow):
+    rng = np.random.default_rng(sum(flow.sizes))
+    n, m = flow.sizes
+    pts = rng.normal(size=n + m) * 2.0 + 1j * rng.normal(size=n + m)
+    state = two_species(pts[:n], pts[n:], q2=flow.charges[1])
+    vel = velocities(flow, state)
+    H = hamiltonians(state, flow.sys, vel)
+    h_total, h_plus, h_minus = naive_hamiltonians(state, flow.sys, vel)
+    assert _close(H.h_total, h_total)
+    if flow.charges[1] == -1.0:
+        assert _close(H.h_plus, h_plus) and _close(H.h_minus, h_minus)
+    else:
+        assert H.h_plus is None and H.h_minus is None
+
+
+def test_split_potential_matches_double_loop():
+    rng = np.random.default_rng(9)
+    sysb = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.0, exact=False)
+    P, U = sysb.P, sysb.U
+    dP = P.derivative()
+    for size in (0, 1, 5, 30):
+        zs = list(rng.normal(size=size) * 2.0 + 1j * rng.normal(size=size))
+        ref = sum(0.5 * (U(z) - dP(z) / 2.0) ** 2 / P(z) for z in zs)
+        for i in range(size):
+            for j in range(i + 1, size):
+                ref += 2.0 * (P(zs[i]) + P(zs[j])) / (zs[i] - zs[j]) ** 2
+        assert _close(split_potential(zs, sysb, -1.0), ref)
+
+
 # -- Lax matrices ----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from chargeflow.conserved import multiset_distance
 from chargeflow.dynamics import (
     FlowSpec,
+    _min_separation,
     integrate,
     phi_identity_i1,
     phi_identity_i2,
@@ -91,6 +93,119 @@ def test_rhs_rational_omega_agrees_with_polylinear():
     va = rhs_flat(flow, z)
     vb = rhs_flat(FlowSpec.polylinear(sysp, (3, 2)), z)
     assert np.max(np.abs(va - vb)) == 0.0
+
+
+# -- reference double loops for the shared pair kernel ---------------------------
+
+
+def naive_rhs(flow, z):
+    """Per-kind double loops: the angular flow's four cotangent sums, and
+    -2 P sum_j Q_j/(z_i - z_j) - U - (Q_i/2) P' for the planar flows (no
+    P' term for the linear flow)."""
+    z = [complex(v) for v in z]
+    if flow.sys is None:
+        n, m = flow.sizes
+        phi, theta = z[:n], z[n:]
+        out = []
+        for i in range(n):
+            acc = sum(-2.0 / cmath.tan(phi[i] - phi[j]) for j in range(n) if j != i)
+            out.append(acc + sum(2.0 / cmath.tan(phi[i] - t) for t in theta))
+        for i in range(m):
+            acc = sum(2.0 / cmath.tan(theta[i] - theta[j]) for j in range(m) if j != i)
+            out.append(acc - sum(2.0 / cmath.tan(theta[i] - p) for p in phi))
+        return np.array(out)
+    P, U = flow.sys.P.to_float(), flow.sys.U.to_float()
+    dP = P.derivative()
+    charged = flow.sys.charges is not None
+    species_q = [complex(q).real for q in flow.sys.charges] if charged else [1.0]
+    q = [qs for qs, size in zip(species_q, flow.sizes) for _ in range(size)]
+    out = []
+    for i, zi in enumerate(z):
+        pair = sum(q[j] / (zi - z[j]) for j in range(len(z)) if j != i)
+        v = -2.0 * P(zi) * pair - U(zi)
+        if charged:
+            v -= 0.5 * q[i] * dP(zi)
+        out.append(v)
+    return np.array(out)
+
+
+def assert_rel_close(a, b, rtol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= rtol * max(1.0, np.max(np.abs(b), initial=0.0))
+
+
+_QUARTIC = SystemCoefficients.linear(
+    [1.0, 0.3, 0.2, 0.1, 0.05], [0.1, -1.0, 0.2, -0.3], exact=False
+)
+_BILINEAR = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.7, exact=False)
+_POLY3 = SystemCoefficients.polylinear(
+    [1.0, 0.3, 0.2], [0.2, -1.0], [1.0, 2.5, -0.7], exact=False
+)
+
+KERNEL_FLOWS = {
+    "linear_quartic": FlowSpec.linear(_QUARTIC, 5),
+    "linear_single": FlowSpec.linear(_QUARTIC, 1),
+    "bilinear": FlowSpec.bilinear(_BILINEAR, 4, 2),
+    "polylinear_3species": FlowSpec.polylinear(_POLY3, (3, 2, 2)),
+    "polylinear_n30": FlowSpec.polylinear(_POLY3, (12, 10, 8)),
+    "rational_omega": FlowSpec.rational_omega(1.3, 0.8, 3, 2),
+    "rational_omega_single": FlowSpec.rational_omega(1.0, 1.0, 1, 0),
+    "rational_omega_empty_species": FlowSpec.rational_omega(1.2, 0.7, 2, 0),
+    "rational_omega_n30": FlowSpec.rational_omega(1.0, 1.0, 20, 10),
+    "angular": FlowSpec.angular(3, 2),
+    "angular_single": FlowSpec.angular(1, 0),
+    "angular_n30": FlowSpec.angular(16, 14),
+}
+
+
+def kernel_points(flow, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(flow.sizes)
+    if flow.sys is None:  # angles, slightly off the real line
+        return rng.uniform(0, math.pi, size=n) + 0.05j * rng.normal(size=n)
+    return rng.normal(size=n) * 1.4 + 1j * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FLOWS))
+def test_rhs_matches_double_loops(name):
+    flow = KERNEL_FLOWS[name]
+    for seed in range(3):
+        z = kernel_points(flow, seed)
+        assert_rel_close(rhs_flat(flow, z), naive_rhs(flow, z))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FLOWS))
+def test_min_separation_matches_double_loop(name):
+    flow = KERNEL_FLOWS[name]
+    z = kernel_points(flow, 11)
+    angular = flow.sys is None
+    best = math.inf
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            d = abs(math.sin((z[i] - z[j]).real)) if angular else abs(z[i] - z[j])
+            best = min(best, d)
+    got = _min_separation(flow, z)
+    if best == math.inf:  # fewer than two particles
+        assert got == math.inf
+    else:
+        assert abs(got - best) <= 1e-12 * best
+
+
+def test_min_separation_no_particles():
+    flow = FlowSpec.rational_omega(1.0, 1.0, 0, 0)
+    assert _min_separation(flow, np.zeros(0, dtype=complex)) == math.inf
+
+
+def test_flowspec_derived_data_outside_equality():
+    a = FlowSpec.rational_omega(1.3, 0.8, 3, 2)
+    b = FlowSpec.rational_omega(1.3, 0.8, 3, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a.charges == (1.0, -0.8)
+    assert np.array_equal(a.q, [1, 1, 1, -0.8, -0.8])
+    assert np.array_equal(a.w, 0.5 * a.q)
+    assert FlowSpec.angular(2, 1).charges == (1.0, -1.0)
+    assert not np.any(FlowSpec.linear(_QUARTIC, 3).w)
 
 
 def test_rhs_collision_guard():

@@ -241,6 +241,50 @@ def test_gradient_coincident_positions():
         equilibrium_gradient(cfg, sys)
 
 
+def naive_gradient(cfg, sys):
+    """Site-by-site double loop of the multiplicity-weighted gradient."""
+    sites = [
+        (z, complex(sp.charge), complex(sp.charge) * m)
+        for sp in cfg.species
+        for z, m in zip(sp.positions, sp.mults)
+    ]
+    P, U = sys.P.to_float(), sys.U.to_float()
+    dP = P.derivative()
+    out = []
+    for r, (zr, qr, cr) in enumerate(sites):
+        pair = sum(cs / (zr - zs) for s, (zs, _, cs) in enumerate(sites) if s != r)
+        out.append(-2.0 * P(zr) * pair - U(zr) - (cr - qr / 2.0) * dP(zr))
+    return out
+
+
+def _random_species(rng, charge, size, max_mult):
+    pts = rng.normal(size=size) * 1.5 + 1j * rng.normal(size=size)
+    mults = rng.integers(1, max_mult + 1, size=size)
+    return Species(charge, tuple(pts), tuple(mults))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(3, 2), (1, 0), (4, 0), (0, 3), (18, 12)], ids=str
+)
+def test_gradient_matches_double_loop_with_multiplicities(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    sys = SystemCoefficients.bilinear([0.4, -0.2, 1.0], [0.3, -2.0], Lambda=1.5, exact=False)
+    cfg = ChargeConfiguration(
+        (_random_species(rng, 1.0, sizes[0], 3), _random_species(rng, -1.5, sizes[1], 3))
+    )
+    got = np.array(equilibrium_gradient(cfg, sys), dtype=complex)
+    ref = np.array(naive_gradient(cfg, sys), dtype=complex)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
+
+
+def test_gradient_coincidence_names_first_pair():
+    cfg = ChargeConfiguration((_single(1.0, 0.1, 0.5, 0.9), _single(-1.0, 0.5)))
+    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0, exact=False)
+    with pytest.raises(CoincidentPositions, match="positions 1 and 3 coincide"):
+        equilibrium_gradient(cfg, sys)
+
+
 def test_energy_two_charges():
     cfg = ChargeConfiguration((_single(1.0, 1.0, -1.0),))
     sys = SystemCoefficients.polylinear([1.0], [0.0], [1.0], exact=False)

@@ -16,6 +16,7 @@ from chargeflow.polynomials import (
     jacobi,
     laguerre,
     monomial,
+    pair_matrix,
     poly_gcd,
     reduce_pair,
     wronskian,
@@ -136,6 +137,32 @@ def test_wronskian_hermite_triple():
     assert W == target
 
 
+def test_wronskian_rejects_float_inputs():
+    with pytest.raises(TypeError):
+        wronskian([P(0, 1).to_float(), hermite(2).to_float()])
+    with pytest.raises(TypeError):
+        wronskian([P(0, 1), hermite(2).to_float()])
+
+
+def test_eval_float_polynomial_on_array():
+    p = Polynomial([1.0, -0.5j, 0.25, 2.0], exact=False)
+    z = np.array([0.3 + 0.1j, -1.2, 2.0j])
+    ref = np.array([p(complex(v)) for v in z])
+    assert np.max(np.abs(p(z) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_pair_matrix_kernel_never_sees_diagonal():
+    z = np.array([0.5, -1.0 + 1j, 2.0j])
+    K = pair_matrix(z)
+    for i in range(3):
+        for j in range(3):
+            assert K[i, j] == (0.0 if i == j else 1.0 / (z[i] - z[j]))
+    seen = []
+    pair_matrix(z, lambda d: seen.append(d.copy()) or d)
+    assert np.all(seen[0] != 0)
+    assert np.all(np.diag(pair_matrix(z, np.abs, diagonal=np.inf)) == np.inf)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2), st.integers(-6, 6))
 def test_wronskian_alternating_and_scaling(swap_pos, c):
@@ -245,6 +272,42 @@ def test_cluster_points():
     groups = cluster_points([0j, 1e-12 + 0j, 1.0 + 0j], 1e-6)
     sizes = sorted(len(g) for g in groups)
     assert sizes == [1, 2]
+
+
+def naive_clusters(points, tol):
+    """Union-find over every pair with |p_i - p_j| <= tol, groups keyed by
+    their first index."""
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if abs(points[i] - points[j]) <= tol:
+                parent[find(j)] = find(i)
+    groups = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 30])
+def test_cluster_points_matches_double_loop(size):
+    rng = np.random.default_rng(size)
+    centers = rng.normal(size=max(1, size // 3)) + 1j * rng.normal(size=max(1, size // 3))
+    pts = list(centers[rng.integers(len(centers), size=size)] + 1e-4 * rng.normal(size=size))
+    for tol in (0.0, 1e-6, 1e-3, 0.5, 10.0):
+        assert cluster_points(pts, tol) == naive_clusters(pts, tol)
+
+
+def test_cluster_points_threshold_inclusive():
+    pts = [0j, 1 + 0j, 2 + 0j, 3.5 + 0j]
+    assert cluster_points(pts, 1.0) == [[0, 1, 2], [3]]
+    assert cluster_points(pts, 0.999) == [[0], [1], [2], [3]]
+    assert cluster_points([2 + 0j, 5 + 0j, 0j, 3 + 0j], 1.0) == [[0, 3], [1], [2]]
 
 
 def test_json_roundtrip_exact():
