@@ -22,12 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import equilibria
-from .conserved import detect_period
+from .conserved import detect_period, has_lax_pair, integrals
 from .dynamics import (
     FlowKind,
     FlowSpec,
     Trajectory,
     integrate,
+    monitors,
     phi_identity_i1,
     phi_identity_i2,
 )
@@ -40,6 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import ChargeConfiguration, Species, SystemCoefficients
+from .scalars import to_complex
 from .polynomials import _distance, pair_matrix
 
 __all__ = ["main", "run", "plot_svg", "validate_config"]
@@ -66,7 +68,7 @@ _TOP_KEYS = {
 }
 _MODES = {"simulate", "equilibrium", "conserved", "period", "verify-identities"}
 _SYSTEM_KEYS = {"kind", "P", "U", "Lambda", "charges", "omega", "lambda", "n", "m", "sizes"}
-_INITIAL_KEYS = {"species", "random", "certificate"}
+_INITIAL_KEYS = {"species", "random"}
 _INTEGRATION_KEYS = {"t_end", "periods", "rtol", "atol", "samples_per_period", "samples"}
 _EQ_KEYS = {"recipe", "indices", "b", "ts", "k"}
 _ID_KEYS = {"phi", "trials", "n", "m", "scale"}
@@ -121,18 +123,26 @@ def validate_config(doc: dict) -> dict:
 _REQUIRED = object()
 
 
-def _field(system: dict, key: str, convert, default=_REQUIRED):
-    """``convert(system[key])``, or ``default`` when the key is missing or
+def _field(block: dict, key: str, convert, default=_REQUIRED, where="system"):
+    """``convert(block[key])``, or ``default`` when the key is missing or
     null; a missing required key or a value that does not convert is a
-    validation error."""
-    if system.get(key) is None:
+    validation error that names ``where`` the block sits."""
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} must be an object: {block!r}")
+    if block.get(key) is None:
         if default is _REQUIRED:
-            raise ValidationError(f"system block needs {key!r}")
+            raise ValidationError(f"{where} block needs {key!r}")
         return default
     try:
-        return convert(system[key])
+        return convert(block[key])
     except (TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"system {key!r} is malformed: {system[key]!r}") from exc
+        raise ValidationError(f"{where} {key!r} is malformed: {block[key]!r}") from exc
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
 
 
 def _size(value) -> int:
@@ -148,6 +158,11 @@ def _coeff(value) -> complex:
 
 def _coeffs(values) -> list:
     return [_coeff(c) for c in values]
+
+
+def _points(values) -> list:
+    """[[re, im], ...] position pairs as complex numbers."""
+    return [complex(re, im) for re, im in _list(values)]
 
 
 def _build_flow(system: dict) -> FlowSpec:
@@ -200,6 +215,9 @@ def system_to_config(flow: FlowSpec) -> dict:
         "P": [[c.real, c.imag] for c in flow.P.coeffs],
         "U": [[c.real, c.imag] for c in flow.U.coeffs],
     }
+    if sys.lam is not None:
+        lam = to_complex(sys.lam)
+        doc["lambda"] = [lam.real, lam.imag]
     if sys.mode == "linear":
         doc["n"] = flow.sizes[0]
     elif sys.mode == "bilinear" and flow.charges[0] == 1.0:  # charges {+1, -Lambda}
@@ -213,9 +231,10 @@ def system_to_config(flow: FlowSpec) -> dict:
 
 
 def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
-    seed = int(options.get("seed", 0))
-    scale = float(options.get("scale", 1.0))
-    min_sep = float(options.get("min_separation", 0.25)) * scale
+    where = "initial random"
+    seed = _field(options, "seed", _size, 0, where)
+    scale = _field(options, "scale", float, 1.0, where)
+    min_sep = _field(options, "min_separation", float, 0.25, where) * scale
     rng = np.random.default_rng(seed)
     total = sum(flow.sizes)
     for _ in range(1000):
@@ -224,32 +243,33 @@ def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
             break
     else:
         raise ValidationError("could not draw separated initial conditions")
-    species = []
-    at = 0
-    for q, size in zip(flow.charges, flow.sizes):
-        species.append(Species(q, tuple(pts[at : at + size])))
-        at += size
+    parts = np.split(pts, np.cumsum(flow.sizes)[:-1])
+    species = (Species(q, tuple(p)) for q, p in zip(flow.charges, parts))
     return ChargeConfiguration(tuple(species))
 
 
 def _build_initial(flow: FlowSpec, initial: dict) -> ChargeConfiguration:
     if "random" in initial:
         return _random_initial(flow, initial["random"])
-    species_doc = initial["species"]
+    species_doc = _field(initial, "species", _list, where="initial")
     if len(species_doc) != len(flow.sizes):
         raise ValidationError(
             f"initial conditions have {len(species_doc)} species, "
             f"flow expects {len(flow.sizes)}"
         )
     species = []
-    for sp_doc, q, size in zip(species_doc, flow.charges, flow.sizes):
-        pts = [complex(p[0], p[1]) for p in sp_doc["positions"]]
+    for idx, (sp_doc, q, size) in enumerate(zip(species_doc, flow.charges, flow.sizes)):
+        where = f"initial species {idx}"
+        pts = _field(sp_doc, "positions", _points, where=where)
         if len(pts) != size:
             raise ValidationError(
                 f"species size {len(pts)} does not match flow size {size}"
             )
-        charge = float(sp_doc.get("charge", q))
-        species.append(Species(charge, tuple(pts)))
+        if _field(sp_doc, "charge", float, q, where) != q:
+            raise ValidationError(
+                f"{where} charge {sp_doc['charge']!r} differs from the flow's {q}"
+            )
+        species.append(Species(q, tuple(pts)))
     return ChargeConfiguration(tuple(species))
 
 
@@ -269,49 +289,39 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def trajectory_csv(traj: Trajectory, mon: dict) -> str:
+    """Times, (re, im) column pairs per particle, then the columns of ``mon``."""
     header = ["t"]
-    for s_idx, sp in enumerate(traj.states[0].species):
-        for p_idx in range(len(sp.positions)):
+    for s_idx, size in enumerate(traj.flow.sizes):
+        for p_idx in range(size):
             header.append(f"s{s_idx}_p{p_idx}_re")
             header.append(f"s{s_idx}_p{p_idx}_im")
-    monitor_keys = []
-    if traj.monitors:
-        first = traj.monitors[0]
-        if "bilinear_residual" in first:
-            monitor_keys.append("residual")
-        monitor_keys.append("min_sep")
-        if "conserved" in first:
-            monitor_keys.extend(
-                f"I{k+1}" for k in range(len(first["conserved"]))
-            )
-    lines = [",".join(header + monitor_keys)]
-    for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-        row = [f"{t:.17g}"]
-        for sp in state.species:
-            for z in sp.positions:
-                row.append(f"{z.real:.17g}")
-                row.append(f"{z.imag:.17g}")
-        if traj.monitors:
-            mon = traj.monitors[idx]
-            if "bilinear_residual" in mon:
-                row.append(f"{mon['bilinear_residual']:.17g}")
-            row.append(f"{mon['min_separation']:.17g}")
-            if "conserved" in mon:
-                row.extend(f"{v:.17g}" for v in mon["conserved"])
-        lines.append(",".join(row))
+    Z = traj.positions
+    columns = [traj.times, np.stack([Z.real, Z.imag], axis=2).reshape(len(Z), -1)]
+    if "bilinear_residual" in mon:
+        header.append("residual")
+        columns.append(mon["bilinear_residual"])
+    header.append("min_sep")
+    columns.append(mon["min_separation"])
+    if "conserved" in mon:
+        header.extend(f"I{k+1}" for k in range(mon["conserved"].shape[1]))
+        columns.append(mon["conserved"])
+    lines = [",".join(header)]
+    for row in np.column_stack(columns).tolist():
+        lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
-def conserved_report(traj: Trajectory, flow: FlowSpec, period_info=None) -> dict:
+def conserved_report(times: np.ndarray, traces, period_info=None) -> dict:
+    """Per-sample Lax traces ``traces`` (S, K), or None where the flow has
+    no Lax pair, with their drift relative to the first sample."""
     rows = []
     drift = []
-    if traj.monitors and "conserved" in traj.monitors[0]:
-        vals = np.array([m["conserved"] for m in traj.monitors])
-        for t, v in zip(traj.times, vals):
+    if traces is not None:
+        for t, v in zip(times, traces):
             rows.append([float(t)] + [float(x) for x in v])
-        base = np.maximum(np.abs(vals[0]), 1e-300)
-        drift = [float(d) for d in np.max(np.abs(vals - vals[0]), axis=0) / base]
+        base = np.maximum(np.abs(traces[0]), 1e-300)
+        drift = [float(d) for d in np.max(np.abs(traces - traces[0]), axis=0) / base]
     doc = {"integrals": rows, "drift": drift}
     if period_info is not None:
         doc["period"] = {"k": period_info[0], "mismatch": period_info[1]}
@@ -321,7 +331,7 @@ def conserved_report(traj: Trajectory, flow: FlowSpec, period_info=None) -> dict
 def plot_svg(traj: Trajectory, width: int = 640, height: int = 640) -> str:
     """One polyline per particle in its own (Re, Im) plane; the second
     species is drawn as a gray solid curve, further species dashed."""
-    Z = traj.positions_array()
+    Z = traj.positions
     all_re = Z.real.ravel()
     all_im = Z.imag.ravel()
     lo_x, hi_x = float(all_re.min()), float(all_re.max())
@@ -347,9 +357,9 @@ def plot_svg(traj: Trajectory, width: int = 640, height: int = 640) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
     col = 0
-    for s_idx, sp in enumerate(traj.states[0].species):
+    for s_idx, size in enumerate(traj.flow.sizes):
         style = styles[min(s_idx, len(styles) - 1)]
-        for p_idx in range(len(sp.positions)):
+        for _ in range(size):
             zs = Z[:, col]
             col += 1
             if len(zs) == 1 or np.max(np.abs(zs - zs[0])) < 1e-12:
@@ -395,39 +405,43 @@ def _out_path(doc, name):
     return os.path.join(out.get("dir", "."), prefix + name)
 
 
-def _run_simulate(doc: dict) -> int:
+def _integrate_doc(doc: dict) -> Trajectory:
+    """The flow, initial state and integration settings of a config, run."""
     flow = _build_flow(doc["system"])
     init = _build_initial(flow, doc["initial"])
     t_end, rtol, atol, n_samples = _integration_params(doc, flow)
-    traj = integrate(flow, init, t_end, rtol=rtol, atol=atol, n_samples=n_samples)
+    return integrate(flow, init, t_end, rtol=rtol, atol=atol, n_samples=n_samples)
+
+
+def _run_simulate(doc: dict) -> int:
+    traj = _integrate_doc(doc)
+    mon = monitors(traj)
     formats = doc.get("output", {}).get("formats", ["csv", "json"])
     if "csv" in formats:
         path = _out_path(doc, "trajectory.csv")
-        _atomic_write(path, trajectory_csv(traj))
+        _atomic_write(path, trajectory_csv(traj, mon))
         print(f"wrote {path}")
-    if "json" in formats and traj.monitors and "conserved" in traj.monitors[0]:
+    if "json" in formats and "conserved" in mon:
         path = _out_path(doc, "conserved.json")
-        _atomic_write(path, json.dumps(conserved_report(traj, flow), indent=1))
+        report = conserved_report(traj.times, mon["conserved"])
+        _atomic_write(path, json.dumps(report, indent=1))
         print(f"wrote {path}")
     if doc.get("output", {}).get("svg"):
         path = _out_path(doc, "trajectory.svg")
         _atomic_write(path, plot_svg(traj))
         print(f"wrote {path}")
-    if traj.monitors:
-        res = [m.get("bilinear_residual") for m in traj.monitors]
-        res = [r for r in res if r is not None]
-        if res:
-            print(f"monitor residual: max {max(res):.3e}")
-        seps = [m["min_separation"] for m in traj.monitors]
-        print(f"monitor min_separation: {min(seps):.6g}")
+    if "bilinear_residual" in mon:
+        print(f"monitor residual: max {max(mon['bilinear_residual']):.3e}")
+    print(f"monitor min_separation: {min(mon['min_separation']):.6g}")
     return EXIT_OK
 
 
 def _run_conserved(doc: dict) -> int:
-    flow = _build_flow(doc["system"])
-    init = _build_initial(flow, doc["initial"])
-    t_end, rtol, atol, n_samples = _integration_params(doc, flow)
-    traj = integrate(flow, init, t_end, rtol=rtol, atol=atol, n_samples=n_samples)
+    traj = _integrate_doc(doc)
+    flow = traj.flow
+    traces = None
+    if has_lax_pair(flow):
+        traces = np.array([integrals(z, flow).values for z in traj.positions])
     period_info = None
     if flow.sys is not None and flow.sys.omega:
         base = 2 * math.pi / flow.sys.omega
@@ -436,7 +450,7 @@ def _run_conserved(doc: dict) -> int:
             period_info = detect_period(traj, base, tol)
         except NoReturnFound:
             period_info = None
-    report = conserved_report(traj, flow, period_info)
+    report = conserved_report(traj.times, traces, period_info)
     path = _out_path(doc, "conserved.json")
     _atomic_write(path, json.dumps(report, indent=1))
     print(f"wrote {path}")
@@ -448,10 +462,8 @@ def _run_conserved(doc: dict) -> int:
 
 
 def _run_period(doc: dict) -> int:
-    flow = _build_flow(doc["system"])
-    init = _build_initial(flow, doc["initial"])
-    t_end, rtol, atol, n_samples = _integration_params(doc, flow)
-    traj = integrate(flow, init, t_end, rtol=rtol, atol=atol, n_samples=n_samples)
+    traj = _integrate_doc(doc)
+    flow = traj.flow
     base = doc.get("period", {}).get("base_period")
     if base is None:
         if flow.sys is None or not flow.sys.omega:
@@ -641,18 +653,25 @@ def main(argv=None) -> int:
         doc.setdefault("output", {})["svg"] = True
     if args.seed is not None:
         doc["seed"] = args.seed
-    if args.mode == "equilibrium":
-        blk = doc.setdefault("equilibrium", {})
-        if args.recipe:
-            blk["recipe"] = args.recipe
-        if args.indices:
-            blk["indices"] = [int(v) for v in args.indices.split(",")]
-        if args.b is not None:
-            blk["b"] = args.b
-        if args.ts:
-            blk["ts"] = [float(v) for v in args.ts.split(",")]
-        if args.k is not None:
-            blk["k"] = args.k
+    try:
+        if args.mode == "equilibrium":
+            blk = doc.setdefault("equilibrium", {})
+            if args.recipe:
+                blk["recipe"] = args.recipe
+            if args.indices:
+                blk["indices"] = [int(v) for v in args.indices.split(",")]
+            if args.b is not None:
+                blk["b"] = args.b
+            if args.ts:
+                blk["ts"] = [float(v) for v in args.ts.split(",")]
+            if args.k is not None:
+                blk["k"] = args.k
+        seeds = None
+        if args.mode == "period" and args.seeds:
+            seeds = [int(v) for v in args.seeds.split(",")]
+    except ValueError as exc:  # only the comma-list conversions can raise it
+        print(f"validation error: malformed comma-separated flag: {exc}", file=_sys.stderr)
+        return EXIT_VALIDATION
     if args.mode == "verify-identities":
         blk = doc.setdefault("identities", {})
         if args.phi:
@@ -660,8 +679,7 @@ def main(argv=None) -> int:
         if args.trials:
             blk["trials"] = args.trials
 
-    if args.mode == "period" and getattr(args, "seeds", None):
-        seeds = [int(v) for v in args.seeds.split(",")]
+    if seeds:
         jobs = _pool_size(args.jobs, len(seeds))
         results = []
         if jobs == 1:

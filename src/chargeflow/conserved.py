@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import CoincidentPositions, NoReturnFound, PZero, ValidationError
 from .operators import ChargeConfiguration, SystemCoefficients
-from .dynamics import FlowSpec, Trajectory, rhs_flat, _flatten
+from .dynamics import FlowSpec, Trajectory, rhs_flat
 from .polynomials import _distance, pair_matrix
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "hamiltonians",
     "split_potential",
     "linear_potential",
+    "has_lax_pair",
     "lax",
     "integrals",
     "detect_period",
@@ -60,14 +61,9 @@ class HamiltonianValues:
     h_total: complex
 
 
-def _species_arrays(state: ChargeConfiguration):
-    xs = np.array(state.species[0].positions, dtype=complex)
-    ys = (
-        np.array(state.species[1].positions, dtype=complex)
-        if len(state.species) > 1
-        else np.zeros(0, dtype=complex)
-    )
-    return xs, ys
+def _scale(z: np.ndarray) -> float:
+    """Largest |z_i| (1 when all vanish), rounded as ChargeConfiguration.scale()."""
+    return float(np.max(_distance(z), initial=0.0)) or 1.0
 
 
 def _pairwise_check(z: np.ndarray, scale: float):
@@ -179,21 +175,25 @@ def linear_potential(positions: Sequence[complex], sys: SystemCoefficients) -> c
     return complex(np.sum(0.5 * uz * uz / pz) + 2.0 * np.sum(np.triu(pair, 1)))
 
 
-def lax(state: ChargeConfiguration, flow: FlowSpec) -> LaxPair:
-    """Lax blocks with velocities eliminated through the flow, so entries
-    are rational in the coordinates only: diagonal (i v_j + omega z_j)/2,
-    off-diagonal 1/(z_j - z_k) within each species."""
-    if flow.sys is None or flow.sys.omega is None:
-        raise ValidationError("lax applies to the harmonic-trap flow")
-    Lam = -complex(flow.charges[1]).real
-    if abs(Lam - 1.0) > 1e-12:
-        raise ValidationError("lax requires charge ratio 1")
+def has_lax_pair(flow: FlowSpec) -> bool:
+    """The coordinate-only Lax pair exists for the harmonic trap at
+    charge ratio 1."""
+    trap = flow.sys is not None and flow.sys.omega is not None
+    return trap and abs(flow.sys.Lambda - 1.0) < 1e-12
+
+
+def lax(z: np.ndarray, flow: FlowSpec) -> LaxPair:
+    """Lax blocks at one flattened state, with velocities eliminated
+    through the flow, so entries are rational in the coordinates only:
+    diagonal (i v_j + omega z_j)/2, off-diagonal 1/(z_j - z_k) within
+    each species."""
+    if not has_lax_pair(flow):
+        raise ValidationError("lax applies to the harmonic-trap flow at charge ratio 1")
     omega = flow.sys.omega
-    xs, ys = _species_arrays(state)
-    scale = state.scale()
-    _pairwise_check(np.concatenate([xs, ys]), scale)
-    vel = rhs_flat(flow, _flatten(state))
-    n = len(xs)
+    _pairwise_check(z, _scale(z))
+    vel = rhs_flat(flow, z)
+    n = flow.sizes[0]
+    xs, ys = z[:n], z[n:]
     vx, vy = vel[:n], vel[n:]
 
     def build(zz, vv):
@@ -202,9 +202,10 @@ def lax(state: ChargeConfiguration, flow: FlowSpec) -> LaxPair:
     return LaxPair(build(xs, vx), build(ys, vy))
 
 
-def integrals(state: ChargeConfiguration, flow: FlowSpec) -> IntegralSet:
-    """|Tr L^k|^2, k = 1 .. 2(n+m)-1, from the block Lax matrix."""
-    pair = lax(state, flow)
+def integrals(z: np.ndarray, flow: FlowSpec) -> IntegralSet:
+    """|Tr L^k|^2, k = 1 .. 2(n+m)-1, from the block Lax matrix at one
+    flattened state."""
+    pair = lax(z, flow)
     L = pair.block()
     size = L.shape[0]
     kmax = 2 * size - 1
@@ -222,7 +223,7 @@ def multiset_distance(a: Sequence[complex], b: Sequence[complex]) -> float:
     total-|difference|-minimizing pairing (Hungarian algorithm)."""
     if len(a) != len(b):
         raise ValidationError("multisets must have equal size")
-    if not a:
+    if len(a) == 0:
         return 0.0
     A = np.array(a, dtype=complex)
     B = np.array(b, dtype=complex)
@@ -241,8 +242,9 @@ def detect_period(
     """
     times = traj.times
     t_end = float(times[-1])
-    init = traj.states[0]
-    scale = init.scale()
+    split = np.cumsum(traj.flow.sizes)[:-1]
+    init = np.split(traj.positions[0], split)
+    scale = _scale(traj.positions[0])
     j_max = int(math.floor(t_end / base_period + 1e-9))
     if j_max < 1:
         raise NoReturnFound("trajectory shorter than one base period")
@@ -250,15 +252,10 @@ def detect_period(
     for j in range(1, j_max + 1):
         target = j * base_period
         idx = int(np.argmin(np.abs(times - target)))
-        state = traj.states[idx]
         mismatch = 0.0
-        for sp0, sp1 in zip(init.species, state.species):
-            if len(sp0.positions) != len(sp1.positions):
-                raise ValidationError("species sizes changed along trajectory")
-            if sp0.positions:
-                mismatch = max(
-                    mismatch, multiset_distance(sp0.positions, sp1.positions)
-                )
+        for sp0, sp1 in zip(init, np.split(traj.positions[idx], split)):
+            if len(sp0):
+                mismatch = max(mismatch, multiset_distance(sp0, sp1))
         best_mismatch = min(best_mismatch, mismatch)
         if mismatch < tol * scale:
             return j, mismatch

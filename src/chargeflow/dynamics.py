@@ -9,9 +9,11 @@ with K = 1/dz for the planar flows and cot dz for the angular flow, q the
 per-particle charges and w_i = q_i/2 for charged flows (0 otherwise).
 The float data it needs is derived once per ``FlowSpec``.  The
 integrator is an embedded Dormand-Prince 5(4) pair with step control,
-fourth-order dense output on a fixed sample grid, collision detection
-with event localization, and per-sample monitors (bilinear consistency
-residual, minimum separation, conserved traces).
+fourth-order dense output on a fixed sample grid and collision
+detection with event localization.  A trajectory is a times vector and
+an (S, N) position array; its per-sample monitors (bilinear consistency
+residual, minimum separation, conserved traces) are computed as columns
+in a separate step, ``monitors``, by the callers that read them.
 
 The holomorphic equations are integrated exactly as written: velocities,
 not conjugated velocities, appear on the left-hand side.  Off the real
@@ -25,12 +27,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import Collision, NonConvergence, SymmetryViolation, ValidationError
-from .operators import ChargeConfiguration, Species, SystemCoefficients
+from .operators import ChargeConfiguration, SystemCoefficients
 from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "Trajectory",
     "rhs",
     "integrate",
+    "monitors",
     "bilinear_residual",
     "symmetric_reduce",
     "reduced_velocity_residual",
@@ -134,20 +137,13 @@ class FlowSpec:
 
 @dataclass
 class Trajectory:
-    """Sampled solution: strictly increasing times, one configuration and
-    one monitor map per sample."""
+    """Sampled solution: strictly increasing ``times`` (S,) and the complex
+    ``positions`` (S, N) at those times, species concatenated in
+    ``flow.sizes`` order."""
 
     times: np.ndarray
-    states: List[ChargeConfiguration]
-    monitors: List[dict] = field(default_factory=list)
-    flow: Optional[FlowSpec] = None
-
-    def positions_array(self):
-        """(n_samples, n_particles) complex array, species concatenated."""
-        return np.array([s.all_positions() for s in self.states])
-
-    def monitor(self, key):
-        return np.array([m.get(key) for m in self.monitors], dtype=float)
+    positions: np.ndarray
+    flow: FlowSpec
 
 
 # -- right-hand sides ----------------------------------------------------------
@@ -155,15 +151,6 @@ class Trajectory:
 
 def _flatten(config: ChargeConfiguration):
     return np.array(config.all_positions(), dtype=complex)
-
-
-def _unflatten(z: np.ndarray, flow: FlowSpec, t: float) -> ChargeConfiguration:
-    species = []
-    at = 0
-    for q, size in zip(flow.charges, flow.sizes):
-        species.append(Species(q, tuple(z[at : at + size])))
-        at += size
-    return ChargeConfiguration(tuple(species), time=t)
 
 
 def rhs_flat(flow: FlowSpec, z: np.ndarray) -> np.ndarray:
@@ -253,7 +240,6 @@ def integrate(
     collision_delta: Optional[float] = None,
     max_step: Optional[float] = None,
     fixed_step: Optional[float] = None,
-    monitors: bool = True,
 ) -> Trajectory:
     """Integrate a flow and sample it on a uniform output grid.
 
@@ -277,10 +263,7 @@ def integrate(
     t_grid = np.linspace(0.0, t_end, max(2, n_samples)) if t_end > 0 else np.array([0.0])
     samples = [z.copy()]
     if t_end == 0:
-        traj = Trajectory(np.array([0.0]), [_unflatten(z, flow, 0.0)], [], flow)
-        if monitors:
-            traj.monitors = [_sample_monitors(flow, traj.states[0])]
-        return traj
+        return Trajectory(t_grid, np.array(samples), flow)
 
     t = 0.0
     f = rhs_flat(flow, z)
@@ -344,11 +327,7 @@ def integrate(
         samples.append(z.copy())
         next_idx += 1
 
-    states = [_unflatten(s, flow, ts) for s, ts in zip(samples, t_grid)]
-    traj = Trajectory(t_grid, states, [], flow)
-    if monitors:
-        traj.monitors = [_sample_monitors(flow, st) for st in states]
-    return traj
+    return Trajectory(t_grid, np.array(samples), flow)
 
 
 def _localize_collision(flow, interp, t0, t1, delta):
@@ -367,18 +346,24 @@ def _localize_collision(flow, interp, t0, t1, delta):
 # -- monitors -------------------------------------------------------------------
 
 
-def _sample_monitors(flow: FlowSpec, state: ChargeConfiguration) -> dict:
+def monitors(traj: Trajectory) -> dict:
+    """Per-sample monitor columns: ``min_separation`` (S,), and where the
+    flow defines them ``bilinear_residual`` (S,), ``charge_moment`` (S,)
+    and the Lax traces ``conserved`` (S, K)."""
+    rows = [_sample_monitors(traj.flow, z) for z in traj.positions]
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+
+def _sample_monitors(flow: FlowSpec, z: np.ndarray) -> dict:
     from . import conserved as _conserved  # local import to avoid a cycle
 
-    z = _flatten(state)
     mon = {"min_separation": _min_separation(flow, z)}
     if flow.kind is FlowKind.CHARGED:
-        mon["bilinear_residual"] = state_residual(flow, state)
+        mon["bilinear_residual"] = state_residual(flow, z)
     if flow.kind is not FlowKind.LINEAR:
         mon["charge_moment"] = complex(flow.q @ z)
-    trap = flow.sys is not None and flow.sys.omega is not None
-    if trap and abs(flow.sys.Lambda - 1.0) < 1e-12:  # where the Lax pair exists
-        mon["conserved"] = _conserved.integrals(state, flow).values
+    if _conserved.has_lax_pair(flow):
+        mon["conserved"] = _conserved.integrals(z, flow).values
     return mon
 
 
@@ -408,25 +393,23 @@ def _deflate(p: Polynomial, root: complex):
     return Polynomial(out, exact=False), acc
 
 
-def state_residual(flow: FlowSpec, state: ChargeConfiguration) -> float:
+def state_residual(flow: FlowSpec, z: np.ndarray) -> float:
     """Normalized coefficient residual of the evolution identity
 
         sum_i Q_i (dq_i/dt) prod_{n != i} q_n = H[q_1, .., q_l]
 
-    at one state, with the polynomials reconstructed from the roots and
-    their coefficient velocities from the flow."""
+    at one flattened state, with the polynomials reconstructed from the
+    roots and their coefficient velocities from the flow."""
     from .operators import SystemCoefficients as _SC
     from .operators import lambda_poly, polylinear_H
 
-    z = _flatten(state)
     vel = rhs_flat(flow, z)
+    split = np.cumsum(flow.sizes)[:-1]
     polys, dpolys = [], []
-    at = 0
-    for size in flow.sizes:
-        p, dp = _coeff_velocity(list(z[at : at + size]), list(vel[at : at + size]))
+    for zs, vs in zip(np.split(z, split), np.split(vel, split)):
+        p, dp = _coeff_velocity(list(zs), list(vs))
         polys.append(p)
         dpolys.append(dp)
-        at += size
     charges = flow.charges
     sysf = _SC.polylinear(flow.P, flow.U, charges, exact=False)
     lam = lambda_poly([p.degree for p in polys], sysf)
@@ -449,23 +432,24 @@ def state_residual(flow: FlowSpec, state: ChargeConfiguration) -> float:
 
 def bilinear_residual(flow: FlowSpec, traj: Trajectory, k: int) -> float:
     """Residual monitor at sample k of a trajectory."""
-    return state_residual(flow, traj.states[k])
+    return state_residual(flow, traj.positions[k])
 
 
 # -- symmetric reduction ----------------------------------------------------------
 
 
-def symmetric_reduce(state: ChargeConfiguration, rtol: float = 1e-10):
+def symmetric_reduce(z: np.ndarray, flow: FlowSpec, rtol: float = 1e-10):
     """Fold a negation-symmetric two-species state into squared coordinates.
 
     Requires n = 2l first-species positions forming +-pairs (within the
     relative tolerance) and a single second-species charge at the origin.
     Returns the l squared pair positions z_j = x_j**2.
     """
-    if len(state.species) != 2:
+    if len(flow.sizes) != 2:
         raise SymmetryViolation("need exactly two species")
-    xs = list(state.species[0].positions)
-    ys = list(state.species[1].positions)
+    n = flow.sizes[0]
+    xs = z[:n].tolist()
+    ys = z[n:].tolist()
     if len(ys) != 1 or abs(ys[0]) > rtol * max(1.0, max(abs(x) for x in xs)):
         raise SymmetryViolation("second species must be a single charge at 0")
     if len(xs) % 2:
@@ -487,7 +471,7 @@ def symmetric_reduce(state: ChargeConfiguration, rtol: float = 1e-10):
     return [x * x for x in pairs]
 
 
-def reduced_velocity_residual(flow: FlowSpec, state: ChargeConfiguration) -> float:
+def reduced_velocity_residual(flow: FlowSpec, z: np.ndarray) -> float:
     """Check that the squared pair coordinates obey the folded rational flow
 
         i dz_j/dt = 2(1 - 2 Lambda) + 8 sum_{k != j} z_j/(z_j - z_k)
@@ -499,9 +483,9 @@ def reduced_velocity_residual(flow: FlowSpec, state: ChargeConfiguration) -> flo
         raise ValidationError("reduction applies to the harmonic-trap flow")
     Lambda = -flow.charges[1]
     omega = flow.sys.omega
-    xs = np.array(state.species[0].positions)
-    zs = np.array(symmetric_reduce(state))
-    vel = rhs_flat(flow, _flatten(state))[: len(xs)]
+    xs = z[: flow.sizes[0]]
+    zs = np.array(symmetric_reduce(z, flow))
+    vel = rhs_flat(flow, z)[: len(xs)]
     # representative root per pair coordinate: the x with x^2 closest to it
     idx = np.argmin(np.abs((xs * xs)[None, :] - zs[:, None]), axis=1)
     dz_dt = 2.0 * xs[idx] * vel[idx]

@@ -167,14 +167,9 @@ class ChargeConfiguration:
     """Labeled complex positions grouped by species."""
 
     species: Tuple[Species, ...]
-    time: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "species", tuple(self.species))
-
-    @property
-    def sizes(self):
-        return tuple(len(s.positions) for s in self.species)
 
     def all_positions(self):
         return [z for s in self.species for z in s.positions]

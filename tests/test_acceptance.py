@@ -19,6 +19,7 @@ from chargeflow.conserved import (
 from chargeflow.dynamics import (
     FlowSpec,
     integrate,
+    monitors,
     phi_identity_i1,
     phi_identity_i2,
     reduced_velocity_residual,
@@ -37,6 +38,14 @@ from chargeflow.operators import (
 from chargeflow.polynomials import Polynomial, hermite, jacobi, laguerre
 
 BASE = 2 * math.pi
+
+
+def config(flow, z):
+    """The configuration of one trajectory row, for ``hamiltonians``."""
+    parts = np.split(z, np.cumsum(flow.sizes)[:-1])
+    return ChargeConfiguration(
+        tuple(Species(q, tuple(p)) for q, p in zip(flow.charges, parts))
+    )
 
 
 def report(num, ok, detail):
@@ -240,7 +249,7 @@ def test_criterion_07_residual_monitor(Lam):
     flow = FlowSpec.rational_omega(1.0, Lam, 6, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-10, atol=1e-12,
                      n_samples=2 * 128 + 1)
-    worst = max(m["bilinear_residual"] for m in traj.monitors)
+    worst = max(monitors(traj)["bilinear_residual"])
     ok = worst < 1e-8
     report(7, ok, f"Lambda={Lam}: max residual {worst:.2e} over 2 periods")
 
@@ -252,12 +261,12 @@ def test_criterion_08_conservation_ratio_one():
     init = two_species(pts[:3], pts[3:])
     flow = FlowSpec.rational_omega(1.0, 1.0, 3, 2)
     traj = integrate(flow, init, 3 * BASE, rtol=rtol, atol=1e-12,
-                     n_samples=3 * 64 + 1, monitors=False)
+                     n_samples=3 * 64 + 1)
     iks, hps, hms = [], [], []
-    for st in traj.states:
-        v = rhs_flat(flow, np.array(st.all_positions(), dtype=complex))
-        iks.append(integrals(st, flow).values)
-        H = hamiltonians(st, flow.sys, v)
+    for z in traj.positions:
+        v = rhs_flat(flow, z)
+        iks.append(integrals(z, flow).values)
+        H = hamiltonians(config(flow, z), flow.sys, v)
         hps.append(H.h_plus)
         hms.append(H.h_minus)
     iks = np.array(iks)
@@ -284,9 +293,8 @@ def test_criterion_09_hamiltonian_embedding_fd():
     flow = FlowSpec.bilinear(sysb, 3, 2)
     pts = np.array([1.5 + 0.2j, -1.3 + 0.5j, 0.1 - 1.2j, 2.2 - 0.8j, -1.9 - 1.1j])
     init = two_species(pts[:3], pts[3:])
-    traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11,
-                     monitors=False)
-    Z = traj.positions_array()
+    traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
+    Z = traj.positions
     mid = 5
     xdd = (Z[mid + 1] - 2 * Z[mid] + Z[mid - 1]) / h**2
 
@@ -314,9 +322,8 @@ def test_criterion_09_hamiltonian_embedding_fd():
     flowl = FlowSpec.linear(sysl, n)
     ptsl = np.array([1.1 + 0.3j, -0.9 + 0.6j, 0.2 - 1.0j, -0.3 + 1.4j])
     initl = ChargeConfiguration((Species(1.0, tuple(ptsl)),))
-    trajl = integrate(flowl, initl, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11,
-                      monitors=False)
-    Z = trajl.positions_array()
+    trajl = integrate(flowl, initl, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
+    Z = trajl.positions
     xdd = (Z[mid + 1] - 2 * Z[mid] + Z[mid - 1]) / h**2
     xd = (Z[mid + 1] - Z[mid - 1]) / (2 * h)
     zs = Z[mid]
@@ -346,7 +353,7 @@ def test_criterion_10_periodicity_figure_parameters():
         init = two_species(pts[:6], pts[6:], q2=-1.213579)
         t0 = time.perf_counter()
         traj = integrate(flow, init, 4 * BASE, rtol=1e-10, atol=1e-12,
-                         n_samples=4 * 128 + 1, monitors=False)
+                         n_samples=4 * 128 + 1)
         k, mismatch = detect_period(traj, BASE, tol=1e-5)
         elapsed = time.perf_counter() - t0
         good = k <= 4 and mismatch < 1e-5 * init.scale() and elapsed < 60.0
@@ -364,14 +371,14 @@ def test_criterion_11_symmetric_reduction():
     )
     flow = FlowSpec.rational_omega(1.0, Lam, 4, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-11, atol=1e-13,
-                     n_samples=2 * 64 + 1, monitors=False)
+                     n_samples=2 * 64 + 1)
     sym_dev = 0.0
     vel_dev = 0.0
-    for st in traj.states:
-        xs_t = list(st.species[0].positions)
+    for z in traj.positions:
+        xs_t = list(z[:4])
         sym_dev = max(sym_dev, multiset_distance(xs_t, [-x for x in xs_t]))
-        symmetric_reduce(st, rtol=1e-6)
-        vel_dev = max(vel_dev, reduced_velocity_residual(flow, st))
+        symmetric_reduce(z, flow, rtol=1e-6)
+        vel_dev = max(vel_dev, reduced_velocity_residual(flow, z))
     ok = sym_dev < 1e-7 and vel_dev < 1e-8
     report(11, ok, f"symmetry dev {sym_dev:.2e}, reduced-velocity dev {vel_dev:.2e}")
 
@@ -379,19 +386,17 @@ def test_criterion_11_symmetric_reduction():
 def test_criterion_12_single_particle_closed_form():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     init = two_species([1.0], [])
-    traj = integrate(flow, init, BASE, rtol=1e-10, atol=1e-12, n_samples=65,
-                     monitors=False)
-    endpoint = abs(traj.states[-1].species[0].positions[0] - 1.0)
+    traj = integrate(flow, init, BASE, rtol=1e-10, atol=1e-12, n_samples=65)
+    endpoint = abs(traj.positions[-1, 0] - 1.0)
     errs = []
     for hs in (0.1, 0.05, 0.025):
-        t = integrate(flow, init, BASE, fixed_step=hs, n_samples=2, monitors=False)
-        errs.append(abs(t.states[-1].species[0].positions[0] - 1.0))
+        t = integrate(flow, init, BASE, fixed_step=hs, n_samples=2)
+        errs.append(abs(t.positions[-1, 0] - 1.0))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     tol_errs = []
     for rtol in (1e-6, 5e-7, 2.5e-7):
-        t = integrate(flow, init, BASE, rtol=rtol, atol=rtol * 1e-2, n_samples=2,
-                      monitors=False)
-        tol_errs.append(abs(t.states[-1].species[0].positions[0] - 1.0))
+        t = integrate(flow, init, BASE, rtol=rtol, atol=rtol * 1e-2, n_samples=2)
+        tol_errs.append(abs(t.positions[-1, 0] - 1.0))
     ok = (
         endpoint < 1e-8
         and all(20 < r < 45 for r in ratios)

@@ -79,8 +79,7 @@ def test_svg_species_styles_and_point_markers(tmp_path):
     init = ChargeConfiguration(
         (Species(1.0, (1.2 + 0j, -0.9 + 0.4j)), Species(-1.213579, (0.1 - 1.1j,)))
     )
-    traj = integrate(flow, init, 3.0, rtol=1e-9, atol=1e-11, n_samples=33,
-                     monitors=False)
+    traj = integrate(flow, init, 3.0, rtol=1e-9, atol=1e-11, n_samples=33)
     svg = plot_svg(traj)
     assert svg.count("<polyline") == 3
     assert 'stroke="gray"' in svg
@@ -90,8 +89,7 @@ def test_svg_species_styles_and_point_markers(tmp_path):
     floweq = FlowSpec.bilinear(sysb, 4, 0)
     roots = list(find_roots(hermite(4)))
     initeq = ChargeConfiguration((Species(1.0, tuple(roots)), Species(-1.0, ())))
-    trajeq = integrate(floweq, initeq, 0.5, rtol=1e-12, atol=1e-14, n_samples=9,
-                       monitors=False)
+    trajeq = integrate(floweq, initeq, 0.5, rtol=1e-12, atol=1e-14, n_samples=9)
     svgeq = plot_svg(trajeq)
     assert svgeq.count("<circle") == 4
 
@@ -346,3 +344,88 @@ def test_seed_sweep_uses_clamped_pool(tmp_path, monkeypatch):
     )
     assert rc == cli.EXIT_OK
     assert sizes == [2]
+
+
+def _trap_doc(tmp_path, mode, initial):
+    return {
+        "mode": mode,
+        "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 2, "m": 1},
+        "initial": initial,
+        "integration": {"periods": 1, "samples_per_period": 32},
+        "output": {"dir": str(tmp_path)},
+    }
+
+
+_SPECIES_OK = [{"positions": [[1.0, 0.0], [-1.0, 0.5]]}, {"positions": [[0.0, -1.0]]}]
+
+
+@pytest.mark.parametrize(
+    "initial,message",
+    [
+        ({"species": [{"positions": "ab"}, _SPECIES_OK[1]]}, "'positions' is malformed"),
+        ({"species": [{"positions": [[1]]}, _SPECIES_OK[1]]}, "'positions' is malformed"),
+        ({"random": {"seed": "x"}}, "'seed' is malformed"),
+        ({"certificate": {}}, "unknown keys in initial"),
+        (
+            {"species": [{**_SPECIES_OK[0], "charge": 7.0}, {**_SPECIES_OK[1], "charge": 3.0}]},
+            "differs from the flow's",
+        ),
+        ({"species": "x"}, "'species' is malformed"),
+    ],
+    ids=["positions_text", "positions_short_pair", "seed_text", "certificate",
+         "charge_mismatch", "species_text"],
+)
+def test_malformed_initial_block_exits_validation(tmp_path, capsys, initial, message):
+    assert cli.run(_trap_doc(tmp_path, "simulate", initial)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["period", "--seeds", "1,x", "--jobs", "2"],
+        ["equilibrium", "--recipe", "hermite", "--indices", "1,y"],
+        ["equilibrium", "--recipe", "adler_moser", "--k", "2", "--ts", "a"],
+    ],
+    ids=["seeds", "indices", "ts"],
+)
+def test_malformed_comma_list_flag_exits_validation(tmp_path, monkeypatch, capsys, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker pool may start")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_system_config_roundtrip_keeps_lambda():
+    from chargeflow.dynamics import FlowSpec
+    from chargeflow.operators import SystemCoefficients
+
+    flows = [
+        FlowSpec.bilinear(
+            SystemCoefficients.bilinear([1.0], [0, -2.0], Lambda=1.0, lam=3.0, exact=False), 2, 1
+        ),
+        FlowSpec.polylinear(
+            SystemCoefficients.polylinear(
+                [1.0], [0.0, 1.0], [1.0, 2.0, -1.0], lam=-1.5 + 0.5j, exact=False
+            ),
+            (1, 2, 2),
+        ),
+    ]
+    for flow in flows:
+        back = cli._build_flow(cli.system_to_config(flow))
+        assert back.sys.lam == flow.sys.lam
+
+
+@pytest.mark.parametrize("mode", ["period", "conserved"])
+def test_period_and_conserved_skip_residual_monitor(tmp_path, monkeypatch, mode):
+    from chargeflow import dynamics
+
+    def forbidden(*args):
+        raise AssertionError("state_residual must not run")
+
+    monkeypatch.setattr(dynamics, "state_residual", forbidden)
+    doc = _trap_doc(tmp_path, mode, {"species": _SPECIES_OK})
+    assert cli.run(doc) == cli.EXIT_OK

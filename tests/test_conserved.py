@@ -33,8 +33,20 @@ def rand_state(rng, n, m, q2=-1.0, scale=1.2):
             return two_species(pts[:n], pts[n:], q2)
 
 
+def flat(state):
+    return np.array(state.all_positions(), dtype=complex)
+
+
+def config(flow, z):
+    """The configuration of one trajectory row, for ``hamiltonians``."""
+    parts = np.split(z, np.cumsum(flow.sizes)[:-1])
+    return ChargeConfiguration(
+        tuple(Species(q, tuple(p)) for q, p in zip(flow.charges, parts))
+    )
+
+
 def velocities(flow, state):
-    return rhs_flat(flow, np.array(state.all_positions(), dtype=complex))
+    return rhs_flat(flow, flat(state))
 
 
 # -- hamiltonians ----------------------------------------------------------------
@@ -53,10 +65,10 @@ def test_hamiltonian_single_particle_constant():
     flow = FlowSpec.rational_omega(1.5, 1.0, 1, 0)
     for x0 in (1.0 + 0j, 0.3 - 0.8j):
         traj = integrate(flow, two_species([x0], []), BASE / 1.5,
-                         rtol=1e-11, atol=1e-13, n_samples=17, monitors=False)
+                         rtol=1e-11, atol=1e-13, n_samples=17)
         vals = []
-        for st in traj.states:
-            H = hamiltonians(st, flow.sys, velocities(flow, st))
+        for z in traj.positions:
+            H = hamiltonians(config(flow, z), flow.sys, rhs_flat(flow, z))
             vals.append(H.h_total)
         assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
@@ -66,10 +78,10 @@ def test_split_hamiltonians_conserved():
     flow = FlowSpec.rational_omega(1.0, 1.0, 3, 2)
     init = rand_state(rng, 3, 2)
     traj = integrate(flow, init, 3 * BASE, rtol=1e-10, atol=1e-12,
-                     n_samples=61, monitors=False)
+                     n_samples=61)
     hp, hm = [], []
-    for st in traj.states:
-        H = hamiltonians(st, flow.sys, velocities(flow, st))
+    for z in traj.positions:
+        H = hamiltonians(config(flow, z), flow.sys, rhs_flat(flow, z))
         hp.append(H.h_plus)
         hm.append(H.h_minus)
     assert max(abs(v - hp[0]) for v in hp) / abs(hp[0]) < 1e-7
@@ -81,11 +93,11 @@ def test_free_pair_hamiltonian_conserved():
     sysb = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0, exact=False)
     flow = FlowSpec.bilinear(sysb, 2, 0)
     init = two_species([0.9 + 0.2j, -1.1 - 0.4j], [])
-    traj = integrate(flow, init, 1.0, rtol=1e-11, atol=1e-13, n_samples=21, monitors=False)
+    traj = integrate(flow, init, 1.0, rtol=1e-11, atol=1e-13, n_samples=21)
     vals = []
-    for st in traj.states:
-        v = velocities(flow, st)
-        xs = st.species[0].positions
+    for z in traj.positions:
+        v = rhs_flat(flow, z)
+        xs = z[:2]
         h = 0.5 * (v[0] ** 2 + v[1] ** 2) - 4.0 / (xs[0] - xs[1]) ** 2
         vals.append(h)
     assert max(abs(v - vals[0]) for v in vals) < 1e-7
@@ -184,7 +196,7 @@ def test_split_potential_matches_double_loop():
 def test_lax_single_particle():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     state = two_species([0.7 + 0.3j], [])
-    pair = lax(state, flow)
+    pair = lax(flat(state), flow)
     assert pair.Lx.shape == (1, 1)
     assert abs(pair.Lx[0, 0] - 1.0 * (0.7 + 0.3j)) < 1e-14
 
@@ -192,7 +204,7 @@ def test_lax_single_particle():
 def test_lax_symmetric_pair_trace_zero():
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 0)
     state = two_species([0.8, -0.8], [])
-    pair = lax(state, flow)
+    pair = lax(flat(state), flow)
     assert abs(np.trace(pair.Lx)) < 1e-14
 
 
@@ -202,7 +214,7 @@ def test_lax_generic_trace_oracle():
     rng = np.random.default_rng(5)
     state = rand_state(rng, 2, 1)
     v = velocities(flow, state)
-    pair = lax(state, flow)
+    pair = lax(flat(state), flow)
     zs = state.all_positions()
     expected = sum(0.5 * (1j * v[k] + 1.3 * zs[k]) for k in range(3))
     assert abs(np.trace(pair.block()) - expected) < 1e-12
@@ -213,7 +225,7 @@ def test_lax_requires_ratio_one():
     rng = np.random.default_rng(6)
     state = rand_state(rng, 2, 1, q2=-1.25)
     with pytest.raises(ValidationError):
-        lax(state, flow)
+        lax(flat(state), flow)
 
 
 # -- trace integrals ----------------------------------------------------------------
@@ -222,13 +234,13 @@ def test_lax_requires_ratio_one():
 def test_integrals_single_particle():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     x0 = 0.9 - 0.4j
-    vals = integrals(two_species([x0], []), flow)
+    vals = integrals(np.array([x0]), flow)
     assert len(vals.values) == 1
     assert abs(vals.values[0] - abs(x0) ** 2) < 1e-13
     traj = integrate(flow, two_species([x0], []), BASE, rtol=1e-11, atol=1e-13,
-                     n_samples=17, monitors=False)
+                     n_samples=17)
     drift = max(
-        abs(integrals(st, flow).values[0] - vals.values[0]) for st in traj.states
+        abs(integrals(z, flow).values[0] - vals.values[0]) for z in traj.positions
     )
     assert drift < 1e-9
 
@@ -238,11 +250,11 @@ def test_integrals_conserved_n2_m1():
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 1)
     init = rand_state(rng, 2, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-10, atol=1e-12,
-                     n_samples=33, monitors=False)
-    base = np.array(integrals(traj.states[0], flow).values)
+                     n_samples=33)
+    base = np.array(integrals(traj.positions[0], flow).values)
     worst = 0.0
-    for st in traj.states:
-        vals = np.array(integrals(st, flow).values)
+    for z in traj.positions:
+        vals = np.array(integrals(z, flow).values)
         worst = max(worst, np.max(np.abs(vals - base) / np.maximum(np.abs(base), 1e-30)))
     assert worst < 1e-6
 
@@ -252,7 +264,7 @@ def test_integrals_highest_symbol_limit():
     state = rand_state(rng, 2, 1, scale=2.0)
     omega = 1e6
     flow = FlowSpec.rational_omega(omega, 1.0, 2, 1)
-    vals = integrals(state, flow).values
+    vals = integrals(flat(state), flow).values
     xs = state.species[0].positions
     ys = state.species[1].positions
     for k in (1, 2, 3):
@@ -271,8 +283,7 @@ def test_integrals_jacobian_full_rank():
     kmax = 2 * 4 - 1
 
     def ivals(z):
-        st = two_species(z[:2], z[2:])
-        return np.array(integrals(st, flow).values)
+        return np.array(integrals(z, flow).values)
 
     eps = 1e-6
     J = np.zeros((kmax, 8))
@@ -301,7 +312,7 @@ def test_detect_period_single_particle():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     init = two_species([1.0], [])
     traj = integrate(flow, init, 3 * BASE, rtol=1e-10, atol=1e-12,
-                     n_samples=3 * 64 + 1, monitors=False)
+                     n_samples=3 * 64 + 1)
     k, mismatch = detect_period(traj, BASE)
     assert k == 1
     assert mismatch < 1e-8
@@ -315,7 +326,7 @@ def test_detect_period_equilibrium_trivial():
     scale = 1j * math.sqrt(2.0 / omega)
     init = two_species([scale * r for r in h_roots], [])
     traj = integrate(flow, init, 2 * BASE / omega, rtol=1e-11, atol=1e-13,
-                     n_samples=2 * 64 + 1, monitors=False)
+                     n_samples=2 * 64 + 1)
     k, mismatch = detect_period(traj, BASE / omega)
     assert k == 1
     assert mismatch < 1e-8
@@ -326,7 +337,7 @@ def test_detect_period_no_return():
     rng = np.random.default_rng(3)
     init = rand_state(rng, 3, 1, q2=-1.213579, scale=0.8)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-9, atol=1e-11,
-                     n_samples=2 * 64 + 1, monitors=False)
+                     n_samples=2 * 64 + 1)
     with pytest.raises(NoReturnFound):
         detect_period(traj, BASE, tol=1e-8)
 
@@ -344,7 +355,7 @@ def test_detect_period_other_charge_ratios(Lam, n, m, seed):
         flow, {"seed": seed, "scale": 1.9, "min_separation": 0.85}
     )
     traj = integrate(flow, init, 6 * BASE, rtol=1e-10, atol=1e-12,
-                     n_samples=6 * 64 + 1, monitors=False)
+                     n_samples=6 * 64 + 1)
     k, mismatch = detect_period(traj, BASE, tol=1e-5)
     assert k <= 6
     assert mismatch < 1e-5 * init.scale()
@@ -361,7 +372,7 @@ def test_detect_period_multiset_return_generic_ratio():
             break
     init = two_species(pts[:4], pts[4:], q2=-1.213579)
     traj = integrate(flow, init, 4 * BASE, rtol=1e-10, atol=1e-12,
-                     n_samples=4 * 128 + 1, monitors=False)
+                     n_samples=4 * 128 + 1)
     k, mismatch = detect_period(traj, BASE, tol=1e-5)
     assert k <= 4
     assert mismatch < 1e-5 * init.scale()

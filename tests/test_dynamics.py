@@ -8,7 +8,9 @@ from chargeflow.conserved import multiset_distance
 from chargeflow.dynamics import (
     FlowSpec,
     _min_separation,
+    _sample_monitors,
     integrate,
+    monitors,
     phi_identity_i1,
     phi_identity_i2,
     reduced_velocity_residual,
@@ -26,6 +28,10 @@ BASE = 2 * math.pi
 
 def two_species(xs, ys, q2=-1.0):
     return ChargeConfiguration((Species(1.0, tuple(xs)), Species(q2, tuple(ys))))
+
+
+def flat(state):
+    return np.array(state.all_positions(), dtype=complex)
 
 
 def rand_state(rng, n, m, q2=-1.0, scale=1.0):
@@ -222,10 +228,10 @@ def test_integrate_single_particle_period():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     init = two_species([1.0], [])
     traj = integrate(flow, init, BASE, rtol=1e-10, atol=1e-12, n_samples=65)
-    final = traj.states[-1].species[0].positions[0]
+    final = traj.positions[-1, 0]
     assert abs(final - 1.0) < 1e-8
     # quarter period: x = e^{-i pi/2} = -i
-    quarter = traj.states[16].species[0].positions[0]
+    quarter = traj.positions[16, 0]
     assert abs(quarter - (-1j)) < 1e-8
 
 
@@ -233,8 +239,17 @@ def test_integrate_zero_time():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     init = two_species([0.3 + 0.4j], [])
     traj = integrate(flow, init, 0.0)
-    assert len(traj.states) == 1
-    assert traj.states[0].species[0].positions[0] == 0.3 + 0.4j
+    assert len(traj.positions) == 1
+    assert traj.positions[0, 0] == 0.3 + 0.4j
+
+
+def test_integrate_zero_time_shape():
+    flow = FlowSpec.rational_omega(1.0, 1.0, 3, 2)
+    init = rand_state(np.random.default_rng(5), 3, 2)
+    traj = integrate(flow, init, 0.0)
+    assert traj.positions.shape == (1, 5)
+    assert np.array_equal(traj.times, [0.0])
+    assert np.array_equal(traj.positions[0], flat(init))
 
 
 def test_integrate_hermite_equilibrium_stationary():
@@ -245,8 +260,8 @@ def test_integrate_hermite_equilibrium_stationary():
     init = two_species(roots, [])
     traj = integrate(flow, init, 1.0, rtol=1e-12, atol=1e-14, n_samples=9)
     drift = max(
-        multiset_distance(init.species[0].positions, st.species[0].positions)
-        for st in traj.states
+        multiset_distance(init.species[0].positions, z[:6])
+        for z in traj.positions
     )
     assert drift < 1e-9
 
@@ -256,8 +271,8 @@ def test_integrate_convergence_order():
     init = two_species([1.0], [])
     errs = []
     for h in (0.1, 0.05, 0.025):
-        traj = integrate(flow, init, BASE, fixed_step=h, n_samples=2, monitors=False)
-        errs.append(abs(traj.states[-1].species[0].positions[0] - 1.0))
+        traj = integrate(flow, init, BASE, fixed_step=h, n_samples=2)
+        errs.append(abs(traj.positions[-1, 0] - 1.0))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     assert all(20 < r < 45 for r in ratios)
 
@@ -268,8 +283,8 @@ def test_integrate_tolerance_halving_monotone():
     errs = []
     for rtol in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
         traj = integrate(flow, init, BASE, rtol=rtol, atol=rtol * 1e-2,
-                         n_samples=2, monitors=False)
-        errs.append(abs(traj.states[-1].species[0].positions[0] - 1.0))
+                         n_samples=2)
+        errs.append(abs(traj.positions[-1, 0] - 1.0))
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
@@ -293,7 +308,7 @@ def test_residual_random_states(Lam):
     flow = FlowSpec.rational_omega(1.0, Lam, 3, 2)
     for _ in range(3):
         state = rand_state(rng, 3, 2, q2=-Lam)
-        assert state_residual(flow, state) < 1e-10
+        assert state_residual(flow, flat(state)) < 1e-10
 
 
 def test_residual_hermite_field_random_state():
@@ -301,7 +316,7 @@ def test_residual_hermite_field_random_state():
     sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
     flow = FlowSpec.bilinear(sysb, 3, 2)
     state = rand_state(rng, 3, 2)
-    assert state_residual(flow, state) < 1e-10
+    assert state_residual(flow, flat(state)) < 1e-10
 
 
 def test_residual_along_trajectory_monitor():
@@ -309,7 +324,7 @@ def test_residual_along_trajectory_monitor():
     rng = np.random.default_rng(2)
     init = rand_state(rng, 6, 1, q2=-1.213579)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-10, atol=1e-12, n_samples=2 * 128 + 1)
-    worst = max(m["bilinear_residual"] for m in traj.monitors)
+    worst = max(monitors(traj)["bilinear_residual"])
     assert worst < 1e-8
 
 
@@ -320,7 +335,7 @@ def test_residual_zero_at_equilibrium_state():
     flow = FlowSpec.bilinear(sysb, 6, 0)
     roots = sorted(find_roots(hermite(6)), key=lambda z: z.real)
     state = two_species(roots, [])
-    assert state_residual(flow, state) < 1e-12
+    assert state_residual(flow, flat(state)) < 1e-12
 
 
 def test_bilinear_residual_sample_api():
@@ -330,10 +345,28 @@ def test_bilinear_residual_sample_api():
     rng = np.random.default_rng(19)
     init = rand_state(rng, 2, 1)
     traj = integrate(flow, init, 1.0, rtol=1e-10, atol=1e-12, n_samples=5)
-    for k in range(len(traj.states)):
+    residuals = monitors(traj)["bilinear_residual"]
+    for k in range(len(traj.positions)):
         val = bilinear_residual(flow, traj, k)
-        assert val == traj.monitors[k]["bilinear_residual"]
+        assert val == residuals[k]
         assert val < 1e-10
+
+
+def test_monitor_columns_match_per_sample_monitors():
+    flow = FlowSpec.rational_omega(1.0, 1.0, 3, 2)
+    init = rand_state(np.random.default_rng(9), 3, 2)
+    traj = integrate(flow, init, 1.0, rtol=1e-10, atol=1e-12, n_samples=9)
+    mon = monitors(traj)
+    S, K = 9, 2 * 5 - 1
+    assert set(mon) == {"min_separation", "bilinear_residual", "charge_moment", "conserved"}
+    for key in ("min_separation", "bilinear_residual", "charge_moment"):
+        assert mon[key].shape == (S,)
+    assert mon["conserved"].shape == (S, K)
+    for k, z in enumerate(traj.positions):
+        row = _sample_monitors(flow, z)
+        for key in ("min_separation", "bilinear_residual", "charge_moment"):
+            assert mon[key][k] == row[key]
+        assert np.array_equal(mon["conserved"][k], row["conserved"])
 
 
 def test_charge_moment_oscillates_with_base_frequency():
@@ -342,10 +375,11 @@ def test_charge_moment_oscillates_with_base_frequency():
     rng = np.random.default_rng(14)
     init = rand_state(rng, 3, 2, q2=-0.75)
     traj = integrate(flow, init, BASE, rtol=1e-11, atol=1e-13, n_samples=33)
-    m0 = traj.monitors[0]["charge_moment"]
-    for t, mon in zip(traj.times, traj.monitors):
+    moments = monitors(traj)["charge_moment"]
+    m0 = moments[0]
+    for t, moment in zip(traj.times, moments):
         expected = m0 * np.exp(-1j * t)
-        assert abs(mon["charge_moment"] - expected) < 1e-7
+        assert abs(moment - expected) < 1e-7
 
 
 def test_angular_center_of_mass_conserved():
@@ -353,7 +387,7 @@ def test_angular_center_of_mass_conserved():
     angs = np.array([0.2, 0.9, 1.6, 2.6, 3.9])
     init = two_species(angs[:3], angs[3:])
     traj = integrate(flow, init, 0.02, rtol=1e-11, atol=1e-13, n_samples=11)
-    moms = [m["charge_moment"] for m in traj.monitors]
+    moms = monitors(traj)["charge_moment"]
     assert max(abs(m - moms[0]) for m in moms) < 1e-9
 
 
@@ -372,11 +406,11 @@ def test_symmetric_reduce_single_pair():
     state = ChargeConfiguration(
         (Species(1.0, (0.8 + 0.1j, -0.8 - 0.1j)), Species(-0.7, (0j,)))
     )
-    (z,) = symmetric_reduce(state)
+    flow = FlowSpec.rational_omega(1.0, 0.7, 2, 1)
+    (z,) = symmetric_reduce(flat(state), flow)
     assert abs(z - (0.8 + 0.1j) ** 2) < 1e-14
     # single pair: i dz/dt = 2(1 - 2 Lambda) + 2 omega z exactly
-    flow = FlowSpec.rational_omega(1.0, 0.7, 2, 1)
-    assert reduced_velocity_residual(flow, state) < 1e-12
+    assert reduced_velocity_residual(flow, flat(state)) < 1e-12
 
 
 def test_symmetric_reduce_asymmetric_rejected():
@@ -384,7 +418,7 @@ def test_symmetric_reduce_asymmetric_rejected():
         (Species(1.0, (0.8, -0.7)), Species(-1.0, (0j,)))
     )
     with pytest.raises(SymmetryViolation):
-        symmetric_reduce(state)
+        symmetric_reduce(flat(state), FlowSpec.rational_omega(1.0, 1.0, 2, 1))
 
 
 def test_symmetric_reduce_offset_second_species_rejected():
@@ -392,7 +426,7 @@ def test_symmetric_reduce_offset_second_species_rejected():
         (Species(1.0, (0.8, -0.8)), Species(-1.0, (0.5 + 0j,)))
     )
     with pytest.raises(SymmetryViolation):
-        symmetric_reduce(state)
+        symmetric_reduce(flat(state), FlowSpec.rational_omega(1.0, 1.0, 2, 1))
 
 
 def test_symmetry_preserved_and_reduction_matches():
@@ -401,12 +435,12 @@ def test_symmetry_preserved_and_reduction_matches():
     init = symmetric_init(rng, 2, Lam)
     flow = FlowSpec.rational_omega(1.0, Lam, 4, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-11, atol=1e-13, n_samples=65)
-    for st in traj.states:
-        xs = list(st.species[0].positions)
+    for z in traj.positions:
+        xs = list(z[:4])
         neg = [-x for x in xs]
         assert multiset_distance(xs, neg) < 1e-7
-        assert abs(st.species[1].positions[0]) < 1e-7
-        assert reduced_velocity_residual(flow, st) < 1e-8
+        assert abs(z[4]) < 1e-7
+        assert reduced_velocity_residual(flow, z) < 1e-8
 
 
 def test_symmetry_persists_five_periods():
@@ -416,10 +450,8 @@ def test_symmetry_persists_five_periods():
     flow = FlowSpec.rational_omega(1.0, Lam, 4, 1)
     traj = integrate(flow, init, 5 * BASE, rtol=1e-11, atol=1e-13, n_samples=5 * 32 + 1)
     worst = max(
-        multiset_distance(
-            st.species[0].positions, [-x for x in st.species[0].positions]
-        )
-        for st in traj.states
+        multiset_distance(z[:4], [-x for x in z[:4]])
+        for z in traj.positions
     )
     assert worst < 1e-7
 
@@ -467,8 +499,8 @@ def test_embedding_constant_field_newton():
     pts = np.array([1.5 + 0.2j, -1.3 + 0.5j, 0.1 - 1.2j, 2.2 - 0.8j, -1.9 - 1.1j])
     init = two_species(pts[:3], pts[3:])
     h = 1e-3
-    traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11, monitors=False)
-    Z = traj.positions_array()
+    traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
+    Z = traj.positions
     mid = 5
     xdd = (Z[mid + 1] - 2 * Z[mid] + Z[mid - 1]) / h**2
 
@@ -501,8 +533,8 @@ def test_embedding_quartic_linear_newton():
     pts = np.array([1.1 + 0.3j, -0.9 + 0.6j, 0.2 - 1.0j, -0.3 + 1.4j])
     init = ChargeConfiguration((Species(1.0, tuple(pts)),))
     h = 1e-3
-    traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11, monitors=False)
-    Z = traj.positions_array()
+    traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
+    Z = traj.positions
     mid = 5
     xdd = (Z[mid + 1] - 2 * Z[mid] + Z[mid - 1]) / h**2
     xd = (Z[mid + 1] - Z[mid - 1]) / (2 * h)
