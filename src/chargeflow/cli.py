@@ -145,11 +145,28 @@ def _list(value) -> list:
     return value
 
 
-def _size(value) -> int:
-    size = int(value)
-    if size < 0:
-        raise ValueError("negative size")
-    return size
+def _at_least(low: int):
+    """Converter to an integer no smaller than ``low``."""
+
+    def convert(value) -> int:
+        out = int(value)
+        if out < low:
+            raise ValueError(f"{out} < {low}")
+        return out
+
+    return convert
+
+
+_size = _at_least(0)
+
+
+def _list_of(convert):
+    """Converter of a JSON list, entry by entry."""
+    return lambda values: [convert(v) for v in _list(values)]
+
+
+def _rational(value) -> Fraction:
+    return Fraction(str(value))
 
 
 def _coeff(value) -> complex:
@@ -189,8 +206,8 @@ def _build_flow(system: dict) -> FlowSpec:
             P, U, Lambda=_field(system, "Lambda", float, 1.0), lam=lam, exact=False
         )
         return FlowSpec.bilinear(sys_c, _field(system, "n", _size), _field(system, "m", _size))
-    charges = _field(system, "charges", lambda qs: [float(q) for q in qs])
-    sizes = _field(system, "sizes", lambda ns: [_size(n) for n in ns])
+    charges = _field(system, "charges", _list_of(float))
+    sizes = _field(system, "sizes", _list_of(_size))
     sys_c = SystemCoefficients.polylinear(P, U, charges, lam=lam, exact=False)
     return FlowSpec.polylinear(sys_c, sizes)
 
@@ -381,22 +398,27 @@ def plot_svg(traj: Trajectory, width: int = 640, height: int = 640) -> str:
 
 
 def _integration_params(doc: dict, flow: FlowSpec):
-    block = doc.get("integration", {})
-    rtol = float(block.get("rtol", _DEFAULTS["rtol"]))
-    atol = float(block.get("atol", _DEFAULTS["atol"]))
-    spp = int(block.get("samples_per_period", _DEFAULTS["samples_per_period"]))
-    if "t_end" in block:
-        t_end = float(block["t_end"])
-    elif "periods" in block and flow.sys is not None and flow.sys.omega:
-        t_end = float(block["periods"]) * 2 * math.pi / flow.sys.omega
-    else:
-        raise ValidationError("integration block needs t_end or periods")
-    if flow.sys is not None and flow.sys.omega:
-        base = 2 * math.pi / flow.sys.omega
+    block, where = doc.get("integration", {}), "integration"
+    rtol = _field(block, "rtol", float, _DEFAULTS["rtol"], where)
+    atol = _field(block, "atol", float, _DEFAULTS["atol"], where)
+    spp = _field(block, "samples_per_period", int, _DEFAULTS["samples_per_period"], where)
+    t_end = _field(block, "t_end", float, None, where)
+    periods = _field(block, "periods", float, None, where)
+    omega = flow.sys.omega if flow.sys is not None else None
+    if t_end is None:
+        if periods is None or not omega:
+            raise ValidationError("integration block needs t_end or periods")
+        t_end = periods * 2 * math.pi / omega
+    if omega:
+        base = 2 * math.pi / omega
         n_samples = max(2, int(round(t_end / base * spp)) + 1)
     else:
-        n_samples = int(block.get("samples", 257))
+        n_samples = _field(block, "samples", int, 257, where)
     return t_end, rtol, atol, n_samples
+
+
+def _period_tol(doc: dict) -> float:
+    return _field(doc.get("period", {}), "tol", float, _DEFAULTS["period_tol"], "period")
 
 
 def _out_path(doc, name):
@@ -445,7 +467,7 @@ def _run_conserved(doc: dict) -> int:
     period_info = None
     if flow.sys is not None and flow.sys.omega:
         base = 2 * math.pi / flow.sys.omega
-        tol = float(doc.get("period", {}).get("tol", _DEFAULTS["period_tol"]))
+        tol = _period_tol(doc)
         try:
             period_info = detect_period(traj, base, tol)
         except NoReturnFound:
@@ -464,13 +486,12 @@ def _run_conserved(doc: dict) -> int:
 def _run_period(doc: dict) -> int:
     traj = _integrate_doc(doc)
     flow = traj.flow
-    base = doc.get("period", {}).get("base_period")
+    base = _field(doc.get("period", {}), "base_period", float, None, "period")
     if base is None:
         if flow.sys is None or not flow.sys.omega:
             raise ValidationError("period mode needs omega or base_period")
         base = 2 * math.pi / flow.sys.omega
-    tol = float(doc.get("period", {}).get("tol", _DEFAULTS["period_tol"]))
-    k, mismatch = detect_period(traj, float(base), tol)
+    k, mismatch = detect_period(traj, base, _period_tol(doc))
     path = _out_path(doc, "period.json")
     _atomic_write(path, json.dumps({"k": k, "mismatch": mismatch}, indent=1))
     print(f"wrote {path}")
@@ -478,21 +499,29 @@ def _run_period(doc: dict) -> int:
     return EXIT_OK
 
 
+def _eq_field(blk: dict, key: str, convert, default=_REQUIRED):
+    return _field(blk, key, convert, default, "equilibrium")
+
+
+def _indices(blk: dict) -> list:
+    return _eq_field(blk, "indices", _list_of(int))
+
+
 _RECIPES = {
     "hermite": lambda blk: equilibria.hermite_pair(
-        blk["indices"], Fraction(str(blk.get("b", -2)))
+        _indices(blk), _eq_field(blk, "b", _rational, Fraction(-2))
     ),
     "laguerre": lambda blk: equilibria.laguerre_pair(
-        blk["indices"], Fraction(str(blk.get("b", 1)))
+        _indices(blk), _eq_field(blk, "b", _rational, Fraction(1))
     ),
     "monomial": lambda blk: equilibria.monomial_pair(
-        blk["indices"], Fraction(str(blk.get("b", 1)))
+        _indices(blk), _eq_field(blk, "b", _rational, Fraction(1))
     ),
     "adler_moser": lambda blk: equilibria.adler_moser(
-        int(blk["k"]), [Fraction(str(t)) for t in blk.get("ts", [])]
+        _eq_field(blk, "k", int), _eq_field(blk, "ts", _list_of(_rational), [])
     ),
     "cylinder": lambda blk: equilibria.cylinder_pair(
-        blk["indices"], [float(t) for t in blk.get("ts", [])]
+        _indices(blk), _eq_field(blk, "ts", _list_of(float), [])
     ),
 }
 
@@ -515,12 +544,12 @@ def _run_equilibrium(doc: dict) -> int:
 
 
 def _run_identities(doc: dict) -> int:
-    blk = doc.get("identities", {})
+    blk, where = doc.get("identities", {}), "identities"
     phi_name = blk.get("phi", "inverse")
-    trials = int(blk.get("trials", 100))
-    nmax = int(blk.get("n", 6))
-    mmax = int(blk.get("m", 6))
-    seed = int(doc.get("seed", 0))
+    trials = _field(blk, "trials", _size, 100, where)
+    nmax = _field(blk, "n", _at_least(2), 6, where)
+    mmax = _field(blk, "m", _at_least(1), 6, where)
+    seed = _field(doc, "seed", _size, 0, "config")
     rng = np.random.default_rng(seed)
     if phi_name == "inverse":
         phi = lambda x: 1.0 / x
@@ -597,15 +626,26 @@ def _pool_size(jobs: int, n_seeds: int) -> int:
 
 
 def _run_worker(args):
+    """Run one seed of a sweep; blocks that are not objects are left for
+    ``run`` to reject."""
     doc, seed = args
     doc = json.loads(json.dumps(doc))
     doc["seed"] = seed
-    init = doc.setdefault("initial", {})
-    if "random" in init:
+    init = doc.get("initial")
+    if isinstance(init, dict) and isinstance(init.get("random"), dict):
         init["random"]["seed"] = seed
     out = doc.setdefault("output", {})
-    out["prefix"] = f"{out.get('prefix', '')}seed{seed}_"
+    if isinstance(out, dict):
+        out["prefix"] = f"{out.get('prefix', '')}seed{seed}_"
     return seed, run(doc)
+
+
+def _block(doc: dict, key: str) -> dict:
+    """``doc[key]``, created empty when missing; flags write into it."""
+    blk = doc.setdefault(key, {})
+    if not isinstance(blk, dict):
+        raise ValidationError(f"{key} block must be an object")
+    return blk
 
 
 def main(argv=None) -> int:
@@ -644,18 +684,20 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"validation error: cannot read config: {exc}", file=_sys.stderr)
             return EXIT_VALIDATION
-    doc["mode"] = args.mode
-    if args.out:
-        doc.setdefault("output", {})["dir"] = args.out
-    if args.format:
-        doc.setdefault("output", {})["formats"] = args.format
-    if args.svg:
-        doc.setdefault("output", {})["svg"] = True
-    if args.seed is not None:
-        doc["seed"] = args.seed
     try:
+        if not isinstance(doc, dict):
+            raise ValidationError("config must be a JSON object")
+        doc["mode"] = args.mode
+        if args.out:
+            _block(doc, "output")["dir"] = args.out
+        if args.format:
+            _block(doc, "output")["formats"] = args.format
+        if args.svg:
+            _block(doc, "output")["svg"] = True
+        if args.seed is not None:
+            doc["seed"] = args.seed
         if args.mode == "equilibrium":
-            blk = doc.setdefault("equilibrium", {})
+            blk = _block(doc, "equilibrium")
             if args.recipe:
                 blk["recipe"] = args.recipe
             if args.indices:
@@ -669,15 +711,18 @@ def main(argv=None) -> int:
         seeds = None
         if args.mode == "period" and args.seeds:
             seeds = [int(v) for v in args.seeds.split(",")]
+        if args.mode == "verify-identities":
+            blk = _block(doc, "identities")
+            if args.phi:
+                blk["phi"] = args.phi
+            if args.trials:
+                blk["trials"] = args.trials
+    except ValidationError as exc:
+        print(f"validation error: {exc}", file=_sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as exc:  # only the comma-list conversions can raise it
         print(f"validation error: malformed comma-separated flag: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    if args.mode == "verify-identities":
-        blk = doc.setdefault("identities", {})
-        if args.phi:
-            blk["phi"] = args.phi
-        if args.trials:
-            blk["trials"] = args.trials
 
     if seeds:
         jobs = _pool_size(args.jobs, len(seeds))

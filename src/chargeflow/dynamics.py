@@ -34,6 +34,7 @@ import numpy as np
 from .errors import Collision, NonConvergence, SymmetryViolation, ValidationError
 from .operators import ChargeConfiguration, SystemCoefficients
 from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
+from .scalars import to_complex
 
 __all__ = [
     "FlowKind",
@@ -58,10 +59,6 @@ class FlowKind(enum.Enum):
 
 def _cot(d):
     return 1.0 / np.tan(d)
-
-
-def _real_charge(q):
-    return q.to_complex().real if hasattr(q, "to_complex") else complex(q).real
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class FlowSpec:
             charges = (
                 (1.0,)
                 if self.kind is FlowKind.LINEAR
-                else tuple(_real_charge(q) for q in self.sys.charges)
+                else tuple(to_complex(q).real for q in self.sys.charges)
             )
             P, U = self.sys.P.to_float(), self.sys.U.to_float()
         if len(charges) != len(self.sizes):

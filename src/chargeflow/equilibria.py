@@ -29,10 +29,10 @@ from .operators import (
     ChargeConfiguration,
     Species,
     SystemCoefficients,
-    bilinear_H,
     eigenpoly,
     equilibrium_gradient,
-    lambda_nm,
+    lambda_poly,
+    polylinear_H,
 )
 from .polynomials import Polynomial, laguerre, pair_matrix, reduce_pair, wronskian
 from .scalars import GaussianRational, exactify
@@ -168,7 +168,7 @@ def _scalar_from_json(doc):
 
 
 def _exact_residual(sys, p, q, lam):
-    resid = bilinear_H(sys, p, q, lam=lam)
+    resid = polylinear_H(sys, [p, q], lam=lam)
     if resid.is_zero:
         return True, 0.0, None
     # first offending coefficient index and a float norm for reporting
@@ -241,7 +241,7 @@ def hermite_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
             f"degree drop: got {(p.degree, q.degree)}, "
             f"expected {(n_expect, m_expect)}"
         )
-    lam = lambda_nm(p.degree, q.degree, sys)
+    lam = lambda_poly([p.degree, q.degree], sys)
     return _finish_planar(
         "hermite_wronskian", {"indices": indices, "b": b}, p, q, sys, lam
     )
@@ -283,7 +283,7 @@ def laguerre_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     p = wp.shift(ep)
     q = wq.shift(eq)
     sys = SystemCoefficients.bilinear([0, 1], [Fraction(-1, 2), b], Lambda=1)
-    lam = lambda_nm(p.degree, q.degree, sys)
+    lam = lambda_poly([p.degree, q.degree], sys)
     return _finish_planar(
         "laguerre_wronskian", {"indices": indices, "b": b}, p, q, sys, lam,
         notes={"field_offset": "U = b z - 1/2"},
@@ -322,7 +322,7 @@ def monomial_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     p = wp.shift(tp).scale(_I_POWERS[tp % 4])
     q = wq.shift(tq).scale(_I_POWERS[tq % 4])
     sys = SystemCoefficients.bilinear([0, 0, -1], [0, b], Lambda=1)
-    lam = lambda_nm(p.degree, q.degree, sys)
+    lam = lambda_poly([p.degree, q.degree], sys)
     n_expect, m_expect = sum(indices), sum(indices[:k])
     if (p.degree, q.degree) != (n_expect, m_expect):
         raise DegenerateWronskian("monomial pair degree mismatch")

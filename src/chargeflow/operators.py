@@ -1,10 +1,11 @@
 """Second-order operators driving the root flows.
 
 Covers the single-polynomial linear operator (quartic P), the
-two-polynomial bilinear operator with charge ratio Lambda, the general
-multi-species polylinear operator, the eigenconstant formulas tied to
-polynomial degrees, and the equilibrium gradient / energy diagnostics
-for multiplicity-weighted charge configurations.
+multi-species polylinear operator and its eigenconstant (the paper's
+bilinear operator with charge ratio Lambda is its two-species case,
+charges (+1, -Lambda)), and the equilibrium gradient / energy
+diagnostics for multiplicity-weighted charge configurations.  Each
+formula is written once: exact and float scalars share its arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .polynomials import Polynomial, _distance, pair_matrix
-from .scalars import GaussianRational, exactify
+from .scalars import GaussianRational, exactify, to_complex
 
 __all__ = [
     "SystemCoefficients",
@@ -32,8 +33,6 @@ __all__ = [
     "ChargeConfiguration",
     "linear_L",
     "hypergeometric_L",
-    "bilinear_H",
-    "lambda_nm",
     "lambda_poly",
     "polylinear_H",
     "eigenpoly",
@@ -76,20 +75,12 @@ class SystemCoefficients:
         else:
             if len(self.charges) < 1:
                 raise ValidationError("need at least one species charge")
-            if len(set(map(self._charge_key, self.charges))) != len(self.charges):
+            if len(set(self.charges)) != len(self.charges):
                 raise ValidationError("species charges must be pairwise distinct")
             if self.P.degree > 2:
                 raise ValidationError("bilinear/polylinear mode allows deg(P) <= 2")
             if self.U.degree > 1:
                 raise ValidationError("bilinear/polylinear mode allows deg(U) <= 1")
-
-    @staticmethod
-    def _charge_key(c):
-        if isinstance(c, GaussianRational):
-            return ("g", c.re, c.im)
-        if isinstance(c, Fraction):
-            return ("f", c)
-        return ("x", complex(c))
 
     # -- constructors -------------------------------------------------
 
@@ -179,7 +170,7 @@ class ChargeConfiguration:
         out = []
         for s in self.species:
             for z, m in zip(s.positions, s.mults):
-                out.append((z, complex(s.charge) if not isinstance(s.charge, GaussianRational) else s.charge.to_complex(), m))
+                out.append((z, to_complex(s.charge), m))
         return out
 
     def scale(self):
@@ -192,10 +183,7 @@ class ChargeConfiguration:
 
 def _forced_cubic(sys: SystemCoefficients, n: int):
     """Cubic coefficient of U required by the quartic-P evolution: -2(n-1)E."""
-    E = sys.P.coeff(4)
-    if sys.exact:
-        return exactify(-2 * (n - 1)) * E
-    return -2.0 * (n - 1) * E
+    return -2 * (n - 1) * sys.P.coeff(4)
 
 
 def linear_L(sys: SystemCoefficients, n: int, p: Polynomial) -> Polynomial:
@@ -216,10 +204,9 @@ def linear_L(sys: SystemCoefficients, n: int, p: Polynomial) -> Polynomial:
         raise ValidationError("U cubic coefficient must equal -2(n-1)E")
     Pp = sys.P * p.derivative().derivative()
     Up = sys.U * p.derivative()
-    half = Fraction(1, 2) if sys.exact else 0.5
-    sixth = Fraction(n * (n - 1), 6) if sys.exact else n * (n - 1) / 6.0
-    shift = sys.U.derivative().scale(n).scale(half) + sys.P.derivative().derivative().scale(sixth)
-    return Pp + Up - shift * p
+    half_nU = sys.U.derivative().scale(n).scale(Fraction(1, 2))
+    sixth_P = sys.P.derivative().derivative().scale(Fraction(n * (n - 1), 6))
+    return Pp + Up - (half_nU + sixth_P) * p
 
 
 def hypergeometric_L(sys: SystemCoefficients, p: Polynomial) -> Polynomial:
@@ -229,67 +216,36 @@ def hypergeometric_L(sys: SystemCoefficients, p: Polynomial) -> Polynomial:
     return sys.P * p.derivative().derivative() + sys.U * p.derivative()
 
 
-# -- eigenconstants -----------------------------------------------------------
-
-
-def lambda_nm(n: int, m: int, sys: SystemCoefficients):
-    """(Lambda*m - n) * (U' + (n - Lambda*m) * P''/2) for the two-species case."""
-    lam_charge = sys.Lambda
-    uprime = sys.U.coeff(1)
-    pdd = sys.P.coeff(2)
-    if sys.exact:
-        lm = exactify(m) * lam_charge
-        nn = exactify(n)
-        return (lm - nn) * (uprime + (nn - lm) * pdd)
-    lm = complex(m) * complex(lam_charge)
-    return (lm - n) * (uprime + (n - lm) * pdd)
+# -- multi-species operator ---------------------------------------------------
 
 
 def lambda_poly(sizes: Sequence[int], sys: SystemCoefficients):
-    """-(U' + P''/2 * sum(Q_i n_i)) * sum(Q_i n_i) for l species."""
+    """-(U' + P''/2 * sum(Q_i n_i)) * sum(Q_i n_i) for l species; with
+    charges (+1, -Lambda) this is (Lambda m - n)(U' + (n - Lambda m) P''/2)."""
     if sys.charges is None:
         raise ValidationError("lambda_poly needs species charges")
     if len(sizes) != len(sys.charges):
         raise ArityMismatch("sizes and charges length differ")
-    uprime = sys.U.coeff(1)
-    pdd = sys.P.coeff(2)
-    if sys.exact:
-        total = GaussianRational(0)
-        for q, nn in zip(sys.charges, sizes):
-            total = total + exactify(nn) * q
-        return -(uprime + pdd * total) * total
-    total = sum(complex(q) * nn for q, nn in zip(sys.charges, sizes))
-    return -(uprime + pdd * total) * total
+    total = sum(q * nn for q, nn in zip(sys.charges, sizes))
+    return -(sys.U.coeff(1) + sys.P.coeff(2) * total) * total
 
 
-# -- bilinear / polylinear actions -------------------------------------------
-
-
-def bilinear_H(sys: SystemCoefficients, f: Polynomial, g: Polynomial, lam=None) -> Polynomial:
-    """(f''g - 2L f'g' + L^2 g''f) P + (f'g + L^2 g'f) P'/2
-    + (f'g - L g'f) U + lam f g, with L the charge ratio."""
-    if sys.mode == "linear":
-        raise ValidationError("bilinear_H needs a two-species system")
-    if f.exact != sys.exact or g.exact != sys.exact:
-        raise TypeError("polynomial/system exactness mismatch")
-    L = sys.Lambda
-    if lam is None:
-        lam = sys.lam
-    if lam is None:
-        lam = lambda_nm(f.degree, g.degree, sys)
-    fp, gp = f.derivative(), g.derivative()
-    fpp, gpp = fp.derivative(), gp.derivative()
-    L2 = L * L
-    half = Fraction(1, 2) if sys.exact else 0.5
-    second = fpp * g - (fp * gp).scale(2 * L if not sys.exact else exactify(2) * L) + (gpp * f).scale(L2)
-    first_sym = (fp * g + (gp * f).scale(L2)).scale(half)
-    first_anti = fp * g - (gp * f).scale(L)
-    return second * sys.P + first_sym * sys.P.derivative() + first_anti * sys.U + (f * g).scale(lam)
+def _product(polys: Sequence[Polynomial], exact: bool) -> Polynomial:
+    """prod(polys) from the first factor on; the empty product is one."""
+    if not polys:
+        return Polynomial.one(exact)
+    out = polys[0]
+    for q in polys[1:]:
+        out = out * q
+    return out
 
 
 def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) -> Polynomial:
     """Multi-species operator: P (sum Q_i^2 q_i'' prod + 2 sum_{i<j} Q_iQ_j q_i'q_j' prod)
-    + P'/2 sum Q_i^2 q_i' prod + U sum Q_i q_i' prod + lam prod."""
+    + P'/2 sum Q_i^2 q_i' prod + U sum Q_i q_i' prod + lam prod, each prod
+    over the q_n not differentiated.  With two species and charges
+    (+1, -Lambda) it is the bilinear operator
+    (f''g - 2L f'g' + L^2 g''f) P + (f'g + L^2 g'f) P'/2 + (f'g - L g'f) U + lam f g."""
     if sys.charges is None:
         raise ValidationError("polylinear_H needs species charges")
     qs = list(qs)
@@ -306,54 +262,51 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
         lam = lambda_poly([q.degree for q in qs], sys)
     l = len(qs)
     Q = sys.charges
-    half = Fraction(1, 2) if sys.exact else 0.5
-
-    def prod_except(skip):
-        out = Polynomial.one(sys.exact)
-        for idx, q in enumerate(qs):
-            if idx not in skip:
-                out = out * q
-        return out
-
     dqs = [q.derivative() for q in qs]
-    ddqs = [d.derivative() for d in dqs]
+    rests = [_product(qs[:i] + qs[i + 1 :], sys.exact) for i in range(l)]
 
     second = Polynomial.zero(sys.exact)
     for i in range(l):
-        second = second + (ddqs[i] * prod_except({i})).scale(Q[i] * Q[i])
+        second = second + (dqs[i].derivative() * rests[i]).scale(Q[i] * Q[i])
     for i in range(l):
         for j in range(i + 1, l):
-            term = dqs[i] * dqs[j] * prod_except({i, j})
+            others = [q for k, q in enumerate(qs) if k != i and k != j]
+            term = dqs[i] * dqs[j] * _product(others, sys.exact)
             second = second + term.scale(Q[i] * Q[j]).scale(2)
 
     sym = Polynomial.zero(sys.exact)
     anti = Polynomial.zero(sys.exact)
     for i in range(l):
-        rest = prod_except({i})
-        sym = sym + (dqs[i] * rest).scale(Q[i] * Q[i])
-        anti = anti + (dqs[i] * rest).scale(Q[i])
+        slope = dqs[i] * rests[i]  # q_i' prod_{n != i} q_n
+        sym = sym + slope.scale(Q[i] * Q[i])
+        anti = anti + slope.scale(Q[i])
 
-    full = prod_except(set())
     return (
         second * sys.P
-        + sym.scale(half) * sys.P.derivative()
+        + sym.scale(Fraction(1, 2)) * sys.P.derivative()
         + anti * sys.U
-        + full.scale(lam)
+        + _product(qs, sys.exact).scale(lam)
     )
 
 
 # -- eigenpolynomials of P d^2 + U d ------------------------------------------
 
 
+def eigenvalue_of(sys: SystemCoefficients, n: int):
+    """Eigenconstant -n((n-1)C + b) of P d^2 + U d on a degree-n
+    polynomial, with C the z^2 coefficient of P and b the z coefficient of U."""
+    return -(n * (n - 1) * sys.P.coeff(2) + n * sys.U.coeff(1))
+
+
 def eigenpoly(sys: SystemCoefficients, n: int, leading=1) -> Polynomial:
     """Degree-n polynomial eigenfunction of L = P d^2 + U d, built by the
-    downward coefficient recurrence; eigenvalue -n((n-1)C + b) is derived
-    from the leading power.  Exact systems give exact coefficients."""
+    downward coefficient recurrence for the eigenvalue ``eigenvalue_of``
+    derived from the leading power.  Exact systems give exact coefficients."""
     if not sys.exact:
         raise ValidationError("eigenpoly requires an exact system")
     A, B, C = sys.P.coeff(0), sys.P.coeff(1), sys.P.coeff(2)
     a, b = sys.U.coeff(0), sys.U.coeff(1)
-    lam = -(exactify(n * (n - 1)) * C + exactify(n) * b)
+    lam = eigenvalue_of(sys, n)
     coeffs = [GaussianRational(0)] * (n + 1)
     coeffs[n] = exactify(leading)
     for j in range(n - 1, -1, -1):
@@ -370,15 +323,6 @@ def eigenpoly(sys: SystemCoefficients, n: int, leading=1) -> Polynomial:
             )
         coeffs[j] = -(rhs / denom)
     return Polynomial(coeffs)
-
-
-def eigenvalue_of(sys: SystemCoefficients, n: int):
-    """Eigenconstant of P d^2 + U d on a degree-n polynomial."""
-    C = sys.P.coeff(2)
-    b = sys.U.coeff(1)
-    if sys.exact:
-        return -(exactify(n * (n - 1)) * C + exactify(n) * b)
-    return -(n * (n - 1) * C + n * b)
 
 
 # -- equilibrium gradient and energy ------------------------------------------

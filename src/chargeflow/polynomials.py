@@ -21,8 +21,6 @@ from .scalars import GaussianRational, exactify
 __all__ = [
     "Polynomial",
     "RootList",
-    "evaluate",
-    "derivative",
     "from_roots",
     "find_roots",
     "wronskian",
@@ -74,10 +72,6 @@ class Polynomial:
     @staticmethod
     def one(exact=True):
         return Polynomial((1,), exact=exact)
-
-    @staticmethod
-    def x(exact=True):
-        return Polynomial((0, 1), exact=exact)
 
     # -- basic queries ---------------------------------------------------
 
@@ -291,16 +285,7 @@ class Polynomial:
         return Polynomial.from_json(json.loads(text))
 
 
-# -- module-level operation aliases ------------------------------------------
-
-
-def evaluate(p: Polynomial, z) -> complex:
-    """Horner evaluation at a complex point."""
-    return p(z)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
+# -- pairwise kernels --------------------------------------------------------
 
 
 def _inverse(d):

@@ -47,9 +47,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return not self.im
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -109,11 +106,6 @@ class GaussianRational:
 
     def __bool__(self):
         return not self.is_zero
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
 
 
 def exactify(value) -> GaussianRational:

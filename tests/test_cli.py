@@ -312,8 +312,9 @@ def test_pool_size_clamped():
     assert cli._pool_size(2, 8) == min(2, cpus)
 
 
-def test_seed_sweep_uses_clamped_pool(tmp_path, monkeypatch):
-    # a stand-in pool records its size and runs the seeds in-process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """A stand-in pool that records its size and runs the seeds in-process."""
     sizes = []
 
     class RecordingPool:
@@ -331,6 +332,10 @@ def test_seed_sweep_uses_clamped_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return sizes
+
+
+def test_seed_sweep_uses_clamped_pool(tmp_path, pool_sizes):
     cfg = write_config(
         tmp_path,
         {
@@ -343,7 +348,37 @@ def test_seed_sweep_uses_clamped_pool(tmp_path, monkeypatch):
         ["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2,3", "--jobs", "10000"]
     )
     assert rc == cli.EXIT_OK
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_seed_sweep_over_non_object_random_exits_validation(tmp_path, pool_sizes, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 1, "m": 0},
+            "initial": {"random": 5},
+            "integration": {"periods": 1, "samples_per_period": 16},
+        },
+    )
+    rc = cli.main(["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2", "--jobs", "2"])
+    assert rc == cli.EXIT_VALIDATION
+    assert pool_sizes == [2]
+    captured = capsys.readouterr()
+    assert "seed 1: exit 3" in captured.out
+    assert "random must be an object" in captured.err
+
+
+@pytest.mark.parametrize("top", [[1], 5, "x"], ids=["list", "number", "string"])
+def test_config_not_an_object_exits_validation(tmp_path, capsys, top):
+    cfg = write_config(tmp_path, top)
+    assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_VALIDATION
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_flag_into_non_object_block_exits_validation(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"output": 5})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert "output block must be an object" in capsys.readouterr().err
 
 
 def _trap_doc(tmp_path, mode, initial):
@@ -429,3 +464,92 @@ def test_period_and_conserved_skip_residual_monitor(tmp_path, monkeypatch, mode)
     monkeypatch.setattr(dynamics, "state_residual", forbidden)
     doc = _trap_doc(tmp_path, mode, {"species": _SPECIES_OK})
     assert cli.run(doc) == cli.EXIT_OK
+
+
+def _assert_validation_exit(doc, capsys, message):
+    assert cli.run(doc) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and message in err
+
+
+@pytest.mark.parametrize(
+    "block,message",
+    [
+        ({"recipe": "hermite", "indices": "x"}, "equilibrium 'indices' is malformed"),
+        ({"recipe": "hermite", "indices": [0, 1], "b": "q"}, "equilibrium 'b' is malformed"),
+        ({"recipe": "adler_moser", "k": "x"}, "equilibrium 'k' is malformed"),
+        ({"recipe": "adler_moser", "k": 1, "ts": ["a"]}, "equilibrium 'ts' is malformed"),
+        ({"recipe": "cylinder", "indices": [1, 2], "ts": "z"}, "equilibrium 'ts' is malformed"),
+        ({"recipe": "laguerre"}, "equilibrium block needs 'indices'"),
+    ],
+    ids=["indices_text", "b_text", "k_text", "ts_entry_text", "cylinder_ts_text", "indices_missing"],
+)
+def test_malformed_equilibrium_block_exits_validation(tmp_path, capsys, block, message):
+    doc = {"mode": "equilibrium", "equilibrium": block, "output": {"dir": str(tmp_path)}}
+    _assert_validation_exit(doc, capsys, message)
+
+
+def test_malformed_b_flag_exits_validation(tmp_path, capsys):
+    argv = ["equilibrium", "--recipe", "hermite", "--indices", "0,1", "--b", "q"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert "equilibrium 'b' is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "integration,message",
+    [
+        ({"periods": "x"}, "integration 'periods' is malformed"),
+        ({"periods": 1, "rtol": "y"}, "integration 'rtol' is malformed"),
+        ({"periods": 1, "atol": [1]}, "integration 'atol' is malformed"),
+        ({"t_end": "x"}, "integration 't_end' is malformed"),
+        ({"periods": 1, "samples_per_period": "x"}, "integration 'samples_per_period' is malformed"),
+    ],
+    ids=["periods", "rtol", "atol", "t_end", "samples_per_period"],
+)
+def test_malformed_integration_block_exits_validation(tmp_path, capsys, integration, message):
+    doc = _trap_doc(tmp_path, "simulate", {"species": _SPECIES_OK})
+    doc["integration"] = integration
+    _assert_validation_exit(doc, capsys, message)
+
+
+def test_malformed_samples_exits_validation(tmp_path, capsys):
+    doc = _simulate_doc(tmp_path, {"kind": "bilinear", **_QUAD, "n": 2, "m": 1})
+    doc["integration"]["samples"] = "x"
+    _assert_validation_exit(doc, capsys, "integration 'samples' is malformed")
+
+
+@pytest.mark.parametrize(
+    "mode,period,message",
+    [
+        ("period", {"tol": "x"}, "period 'tol' is malformed"),
+        ("period", {"base_period": "x"}, "period 'base_period' is malformed"),
+        ("conserved", {"tol": "x"}, "period 'tol' is malformed"),
+    ],
+    ids=["period_tol", "base_period", "conserved_tol"],
+)
+def test_malformed_period_block_exits_validation(tmp_path, capsys, mode, period, message):
+    doc = _trap_doc(tmp_path, mode, {"species": _SPECIES_OK})
+    doc["period"] = period
+    _assert_validation_exit(doc, capsys, message)
+
+
+@pytest.mark.parametrize(
+    "identities,seed,message",
+    [
+        ({"trials": "x"}, 0, "identities 'trials' is malformed"),
+        ({"n": "x"}, 0, "identities 'n' is malformed"),
+        ({"n": 1}, 0, "identities 'n' is malformed"),
+        ({"m": 0}, 0, "identities 'm' is malformed"),
+        ({}, "x", "config 'seed' is malformed"),
+        ({}, -1, "config 'seed' is malformed"),
+    ],
+    ids=["trials_text", "n_text", "n_below_two", "m_zero", "seed_text", "seed_negative"],
+)
+def test_malformed_identities_block_exits_validation(tmp_path, capsys, identities, seed, message):
+    doc = {
+        "mode": "verify-identities",
+        "identities": {"trials": 2, **identities},
+        "seed": seed,
+        "output": {"dir": str(tmp_path)},
+    }
+    _assert_validation_exit(doc, capsys, message)

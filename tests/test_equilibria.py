@@ -14,7 +14,7 @@ from chargeflow.equilibria import (
     monomial_pair,
 )
 from chargeflow.errors import BadK, CertificationFailure, ValidationError
-from chargeflow.operators import bilinear_H, lambda_nm
+from chargeflow.operators import lambda_poly, polylinear_H
 from chargeflow.polynomials import Polynomial, hermite
 
 
@@ -169,7 +169,8 @@ def test_adler_moser_consecutive_only():
     c1 = adler_moser(1, ts[:1])
     theta3, theta2, theta1 = c2.p, c2.q, c1.q
     sys = c2.sys
-    resid = bilinear_H(sys, theta3, theta1, lam=lambda_nm(theta3.degree, theta1.degree, sys))
+    lam = lambda_poly([theta3.degree, theta1.degree], sys)
+    resid = polylinear_H(sys, [theta3, theta1], lam=lam)
     assert not resid.is_zero
 
 

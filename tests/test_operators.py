@@ -15,13 +15,11 @@ from chargeflow.operators import (
     ChargeConfiguration,
     Species,
     SystemCoefficients,
-    bilinear_H,
     eigenpoly,
     eigenvalue_of,
     energy,
     equilibrium_gradient,
     hypergeometric_L,
-    lambda_nm,
     lambda_poly,
     linear_L,
     polylinear_H,
@@ -111,7 +109,7 @@ def test_bilinear_reduces_to_gauss_form():
     # g = 1: P f'' + (U + P'/2) f' + lam f
     sys = SystemCoefficients.bilinear([0, 1], [1, 2], Lambda=1, lam=Fraction(3))
     f = P(1, -2, 1)
-    out = bilinear_H(sys, f, P(1))
+    out = polylinear_H(sys, [f, P(1)])
     expected = (
         sys.P * f.derivative().derivative()
         + (sys.U + sys.P.derivative().scale(Fraction(1, 2))) * f.derivative()
@@ -124,19 +122,19 @@ def test_bilinear_free_chain_pair():
     sys = SystemCoefficients.bilinear([1], [0], Lambda=1, lam=0)
     for tau in (Fraction(0), Fraction(2, 3), Fraction(-5)):
         f = Polynomial([tau, 0, 0, 1])
-        assert bilinear_H(sys, f, P(0, 1)).is_zero
+        assert polylinear_H(sys, [f, P(0, 1)]).is_zero
 
 
 def test_bilinear_hermite_eigen():
-    lam = lambda_nm(2, 0, HERMITE_SYS)
+    lam = lambda_poly([2, 0], HERMITE_SYS)
     assert lam == GaussianRational(4)
-    assert bilinear_H(HERMITE_SYS, hermite(2), P(1), lam=lam).is_zero
+    assert polylinear_H(HERMITE_SYS, [hermite(2), P(1)], lam=lam).is_zero
 
 
 def test_bilinear_symmetric_when_u_zero():
     sys = SystemCoefficients.bilinear([1, 2, -1], [0], Lambda=1, lam=Fraction(1))
     f, g = P(1, 2, 3), P(-1, 0, 0, 2)
-    assert bilinear_H(sys, f, g) == bilinear_H(sys, g, f)
+    assert polylinear_H(sys, [f, g]) == polylinear_H(sys, [g, f])
 
 
 # -- lambda formulas ----------------------------------------------------------
@@ -144,34 +142,77 @@ def test_bilinear_symmetric_when_u_zero():
 
 def test_lambda_nm_examples():
     sys = SystemCoefficients.bilinear([1], [5, 7], Lambda=1)
-    assert lambda_nm(1, 0, sys) == GaussianRational(-7)
-    assert lambda_nm(2, 0, HERMITE_SYS) == GaussianRational(4)
+    assert lambda_poly([1, 0], sys) == GaussianRational(-7)
+    assert lambda_poly([2, 0], HERMITE_SYS) == GaussianRational(4)
     sys2 = SystemCoefficients.bilinear([3, -2, 9], [1, 4], Lambda=1)
-    assert lambda_nm(5, 5, sys2) == GaussianRational(0)
+    assert lambda_poly([5, 5], sys2) == GaussianRational(0)
 
 
-def test_lambda_poly_matches_lambda_nm():
+def _sympy_scalar(c):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def _sympy_poly(poly, z):
+    """An exact Polynomial as a sympy expression in z."""
+    return sum(_sympy_scalar(c) * z**k for k, c in enumerate(poly.coeffs))
+
+
+def _sympy_lambda(n, m, Lam, Pz, Uz, z):
+    """Closed-form two-species eigenconstant (L m - n)(U' + (n - L m) P''/2)."""
+    sympy = pytest.importorskip("sympy")
+    L = sympy.Rational(Lam)
+    return sympy.expand((L * m - n) * (sympy.diff(Uz, z) + (n - L * m) * sympy.diff(Pz, z, 2) / 2))
+
+
+def _two_species_systems(P, U, Lam):
+    return (
+        SystemCoefficients.bilinear(P, U, Lambda=Lam),
+        SystemCoefficients.polylinear(P, U, [1, -Lam]),
+    )
+
+
+def test_lambda_poly_two_species_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
     for Lam in (Fraction(1), Fraction(7, 5), Fraction(-2, 3)):
-        sysb = SystemCoefficients.bilinear([2, -1, 3], [1, -4], Lambda=Lam)
-        sysp = SystemCoefficients.polylinear([2, -1, 3], [1, -4], [1, -Lam])
-        for n, m in ((3, 2), (6, 1), (0, 4)):
-            assert lambda_nm(n, m, sysb) == lambda_poly([n, m], sysp)
+        for sys in _two_species_systems([2, -1, 3], [1, -4], Lam):
+            Pz, Uz = _sympy_poly(sys.P, z), _sympy_poly(sys.U, z)
+            for n, m in ((3, 2), (6, 1), (0, 4)):
+                ours = _sympy_scalar(lambda_poly([n, m], sys))
+                assert sympy.expand(ours - _sympy_lambda(n, m, Lam, Pz, Uz, z)) == 0
 
 
 # -- polylinear operator ----------------------------------------------------------
 
 
-def test_polylinear_matches_bilinear_random():
+def test_polylinear_two_species_matches_sympy_oracle():
+    # the bilinear operator written out in sympy rationals:
+    # (f''g - 2L f'g' + L^2 g''f) P + (f'g + L^2 g'f) P'/2 + (f'g - L g'f) U + lam f g
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    d = sympy.diff
     rng = np.random.default_rng(9)
     for Lam in (Fraction(1), Fraction(-3, 2)):
-        sysb = SystemCoefficients.bilinear([1, 2, -1], [3, 1], Lambda=Lam)
-        sysp = SystemCoefficients.polylinear([1, 2, -1], [3, 1], [1, -Lam])
+        L = sympy.Rational(Lam)
+        systems = _two_species_systems([1, 2, -1], [3, 1], Lam)
+        Pz, Uz = _sympy_poly(systems[0].P, z), _sympy_poly(systems[0].U, z)
         for _ in range(5):
             f = Polynomial([int(v) for v in rng.integers(-4, 5, size=7)])
             g = Polynomial([int(v) for v in rng.integers(-4, 5, size=5)])
             if f.is_zero or g.is_zero:
                 continue
-            assert polylinear_H(sysp, [f, g]) == bilinear_H(sysb, f, g)
+            fz, gz = _sympy_poly(f, z), _sympy_poly(g, z)
+            lam = _sympy_lambda(f.degree, g.degree, Lam, Pz, Uz, z)
+            oracle = (
+                (d(fz, z, 2) * gz - 2 * L * d(fz, z) * d(gz, z) + L**2 * d(gz, z, 2) * fz) * Pz
+                + (d(fz, z) * gz + L**2 * d(gz, z) * fz) * d(Pz, z) / 2
+                + (d(fz, z) * gz - L * d(gz, z) * fz) * Uz
+                + lam * fz * gz
+            )
+            for sys in systems:
+                ours = _sympy_poly(polylinear_H(sys, [f, g]), z)
+                assert sympy.expand(ours - oracle) == 0
 
 
 def test_polylinear_single_species():
