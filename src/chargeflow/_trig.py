@@ -5,11 +5,18 @@ eps_1**a1 * ... * eps_k**ak over Gaussian rationals, where eps_j stands
 for exp(i t_j).  An identity that vanishes in this ring vanishes for
 every choice of the phases, which is how cylinder certificates reach
 bit-exact residuals without cyclotomic arithmetic.
+
+The Laplace residual of a pair is computed on the Fourier amplitudes of
+the two Wronskians wp, wq, as one weighted convolution; that is
+equivalent to the residual of the homogeneous (X, Y) polynomials
+r**n wp, r**m wq, whose coefficients are built only for the certificate
+payload.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -58,9 +65,6 @@ class PhaseCoeff:
 
     def __neg__(self):
         return PhaseCoeff({e: -v for e, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
@@ -131,9 +135,6 @@ class TrigPoly:
     def is_zero(self):
         return not self.freqs
 
-    def max_freq(self):
-        return max((abs(f) for f in self.freqs), default=0)
-
     def __add__(self, other):
         out = dict(self.freqs)
         for f, c in other.freqs.items():
@@ -148,11 +149,19 @@ class TrigPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        return self.convolve(other)
+
+    def convolve(self, other, weight=None):
+        """Product of the Fourier sums, with the (f, g) amplitude product
+        scaled by the integer ``weight(f, g)`` when a weight is given."""
         out: Dict[int, PhaseCoeff] = {}
         for f1, c1 in self.freqs.items():
             for f2, c2 in other.freqs.items():
+                w = 1 if weight is None else weight(f1, f2)
+                if not w:
+                    continue
+                prod = c1 * c2 if w == 1 else (c1 * c2).scale(w)
                 f = f1 + f2
-                prod = c1 * c2
                 cur = out.get(f)
                 out[f] = prod if cur is None else cur + prod
         return TrigPoly(out, self.nphases)
@@ -202,144 +211,39 @@ def trig_wronskian(fs: List[TrigPoly]) -> TrigPoly:
     return minor(tuple(range(k)), tuple(range(k)))
 
 
-class HomoPoly2:
-    """Homogeneous bivariate polynomial of fixed degree; coefficient of
-    X**(d-j) Y**j at index j.  Coefficients are PhaseCoeff ring elements."""
+def xy_coeffs(trig: TrigPoly, radial_degree: int) -> List[PhaseCoeff]:
+    """Coefficients of X**(n-j) Y**j, j = 0..n, of r**n * (Fourier sum).
 
-    __slots__ = ("degree", "coeffs", "nphases")
-
-    def __init__(self, degree: int, coeffs: List[PhaseCoeff], nphases: int):
-        assert len(coeffs) == degree + 1
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", list(coeffs))
-        object.__setattr__(self, "nphases", nphases)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomoPoly2 is immutable")
-
-    @staticmethod
-    def zero(degree, nphases):
-        return HomoPoly2(degree, [PhaseCoeff({}) for _ in range(degree + 1)], nphases)
-
-    @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.coeffs)
-
-    def __add__(self, other):
-        assert self.degree == other.degree
-        return HomoPoly2(
-            self.degree,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.nphases,
-        )
-
-    def __sub__(self, other):
-        assert self.degree == other.degree
-        return HomoPoly2(
-            self.degree,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            self.nphases,
-        )
-
-    def __mul__(self, other):
-        d = self.degree + other.degree
-        out = [PhaseCoeff({}) for _ in range(d + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return HomoPoly2(d, out, self.nphases)
-
-    def scale(self, value):
-        return HomoPoly2(
-            self.degree, [c.scale(value) for c in self.coeffs], self.nphases
-        )
-
-    def dx(self):
-        d = self.degree
-        if d == 0:
-            return HomoPoly2.zero(0, self.nphases)
-        out = []
-        for j in range(d):  # X^(d-j) Y^j -> (d-j) X^(d-1-j) Y^j
-            out.append(self.coeffs[j].scale(d - j))
-        return HomoPoly2(d - 1, out, self.nphases)
-
-    def dy(self):
-        d = self.degree
-        if d == 0:
-            return HomoPoly2.zero(0, self.nphases)
-        out = []
-        for j in range(1, d + 1):  # Y^j -> j Y^(j-1)
-            out.append(self.coeffs[j].scale(j))
-        return HomoPoly2(d - 1, out, self.nphases)
-
-    def laplacian(self):
-        return self.dx().dx() + self.dy().dy()
-
-    def substitute(self, phases: Sequence[float]) -> List[complex]:
-        return [c.substitute(phases) for c in self.coeffs]
-
-
-def trig_to_bivariate(trig: TrigPoly, radial_degree: int) -> HomoPoly2:
-    """Convert r**n * (Fourier sum) to a homogeneous polynomial in (X, Y).
-
-    Needs n >= |f| and n - f even for every active frequency f, which the
-    sine-Wronskian construction guarantees.
+    With z = X + iY, r**n e^{i f phi} = z**a zbar**b for a = (n+f)/2,
+    b = (n-f)/2, so its X**(n-j) Y**j coefficient is the Y**j coefficient
+    of (1 + iY)**a (1 - iY)**b.  Needs n >= |f| and n - f even for every
+    active frequency f, which the sine-Wronskian construction guarantees.
     """
-    nphases = trig.nphases
     n = radial_degree
-    # base building blocks
-    plus = HomoPoly2(
-        1,
-        [PhaseCoeff.constant(1, nphases), PhaseCoeff.constant(GaussianRational(0, 1), nphases)],
-        nphases,
-    )  # X + iY
-    minus = HomoPoly2(
-        1,
-        [PhaseCoeff.constant(1, nphases), PhaseCoeff.constant(GaussianRational(0, -1), nphases)],
-        nphases,
-    )  # X - iY
-    rsq = HomoPoly2(
-        2,
-        [
-            PhaseCoeff.constant(1, nphases),
-            PhaseCoeff({}),
-            PhaseCoeff.constant(1, nphases),
-        ],
-        nphases,
-    )  # X^2 + Y^2
-
-    total = HomoPoly2.zero(n, nphases)
+    out = [PhaseCoeff({}) for _ in range(n + 1)]
     for f, amp in trig.freqs.items():
-        af = abs(f)
-        if af > n or (n - af) % 2:
+        if abs(f) > n or (n - f) % 2:
             raise ValueError(f"frequency {f} incompatible with radial degree {n}")
-        term = HomoPoly2(0, [PhaseCoeff.constant(1, nphases)], nphases)
-        base = plus if f >= 0 else minus
-        for _ in range(af):
-            term = term * base
-        for _ in range((n - af) // 2):
-            term = term * rsq
-        total = total + HomoPoly2(
-            term.degree, [c * amp for c in term.coeffs], nphases
-        )
-    return total
+        a, b = (n + f) // 2, (n - f) // 2
+        for j in range(n + 1):
+            s = sum(
+                (-1) ** (j - k) * math.comb(a, k) * math.comb(b, j - k)
+                for k in range(max(0, j - b), min(a, j) + 1)
+            )
+            if s:
+                i_pow_s = ((s, 0), (0, s), (-s, 0), (0, -s))[j % 4]  # i**j * s
+                out[j] = out[j] + amp * GaussianRational(*i_pow_s)
+    return out
 
 
-def laplace_residual(p: HomoPoly2, q: HomoPoly2) -> HomoPoly2:
-    """q Lap(p) - 2 (grad q, grad p) + p Lap(q); degree n + m - 2."""
-    lp, lq = p.laplacian(), q.laplacian()
-    cross = q.dx() * p.dx() + q.dy() * p.dy()
-    target = p.degree + q.degree - 2
-    if target < 0:
-        return HomoPoly2.zero(0, p.nphases)
+def laplace_residual(wp: TrigPoly, wq: TrigPoly, n: int, m: int) -> TrigPoly:
+    """Fourier amplitudes of q Lap(p) - 2 (grad q, grad p) + p Lap(q) over
+    r**(n+m-2), for p = r**n wp and q = r**m wq.
 
-    def lift(h):
-        if h.degree == target:
-            return h
-        return HomoPoly2.zero(target, p.nphases)
-
-    return lift(q * lp) - lift(cross.scale(2)) + lift(p * lq)
+    Each term of p and q is a monomial z**a zbar**b; with Lap = 4 d dbar and
+    (grad u, grad v) = 2 (du dbar v + dbar u dv) the pair of frequencies
+    (f, g) contributes a_f b_g [(n-m)**2 - (f-g)**2] e^{i (f+g) phi}.  The
+    r**d e^{i h phi} are a basis of the degree-d homogeneous polynomials,
+    so this vanishes exactly when the (X, Y) residual does.
+    """
+    return wp.convolve(wq, lambda f, g: (n - m) ** 2 - (f - g) ** 2)

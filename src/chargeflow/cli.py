@@ -71,8 +71,8 @@ _SYSTEM_KEYS = {"kind", "P", "U", "Lambda", "charges", "omega", "lambda", "n", "
 _INITIAL_KEYS = {"species", "random"}
 _INTEGRATION_KEYS = {"t_end", "periods", "rtol", "atol", "samples_per_period", "samples"}
 _EQ_KEYS = {"recipe", "indices", "b", "ts", "k"}
-_ID_KEYS = {"phi", "trials", "n", "m", "scale"}
-_PERIOD_KEYS = {"base_period", "tol", "max_multiple"}
+_ID_KEYS = {"phi", "trials", "n", "m"}
+_PERIOD_KEYS = {"base_period", "tol"}
 _OUTPUT_KEYS = {"dir", "formats", "svg", "prefix"}
 
 _DEFAULTS = {
@@ -715,7 +715,7 @@ def main(argv=None) -> int:
             blk = _block(doc, "identities")
             if args.phi:
                 blk["phi"] = args.phi
-            if args.trials:
+            if args.trials is not None:
                 blk["trials"] = args.trials
     except ValidationError as exc:
         print(f"validation error: {exc}", file=_sys.stderr)

@@ -4,8 +4,9 @@ Every planar constructor returns a pair (p, q) of exact polynomials
 together with a governing system (P, U, charge ratio 1, eigenconstant
 lambda) for which the two-argument operator annihilates the pair
 bit-exactly.  The cylinder constructor certifies the rotationally
-homogeneous analog on bivariate coefficients with formal phases, which
-makes the residual exact for every phase choice at once.
+homogeneous analog on the Fourier coefficients of its trigonometric
+Wronskians, which is equivalent to the bivariate (X, Y) form; the phases
+stay formal, which makes the residual exact for every phase choice at once.
 """
 
 from __future__ import annotations
@@ -369,11 +370,13 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
 def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCertificate:
     """Trigonometric Wronskian pair on the cylinder.
 
-    Builds sin(i_j phi + t_j) Wronskians, lifts them with the radial
-    powers r**n, r**m (n, m the index sums) to homogeneous (X, Y)
-    polynomials, and certifies q Lap p - 2 (grad q, grad p) + p Lap q = 0.
-    The certification runs with formal phases, so the zero is exact for
-    every ts; the stored float pair materializes the requested phases.
+    Builds sin(i_j phi + t_j) Wronskians; with the radial powers r**n,
+    r**m (n, m the index sums) they are homogeneous (X, Y) polynomials p,
+    q, and the pair certifies q Lap p - 2 (grad q, grad p) + p Lap q = 0.
+    The residual is checked, with formal phases, on the Fourier amplitudes
+    of the Wronskians, which is equivalent to the (X, Y) form, so the zero
+    is exact for every ts; the stored float pair and (X, Y) coefficients
+    materialize the requested phases.
     """
     indices = _check_index_set(indices)
     ts = [float(t) for t in ts]
@@ -389,17 +392,15 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
     if wp.is_zero or wq.is_zero:
         raise DegenerateWronskian("trigonometric Wronskian vanished identically")
     n, m = sum(indices), sum(indices[:k])
-    P2 = _trig.trig_to_bivariate(wp, n)
-    Q2 = _trig.trig_to_bivariate(wq, m)
-    resid = _trig.laplace_residual(P2, Q2)
+    resid = _trig.laplace_residual(wp, wq, n, m)
     exact_zero = resid.is_zero
 
     # materialize requested phases
-    p_num = P2.substitute(ts)
-    q_num = Q2.substitute(ts)
+    p_num = [c.substitute(ts) for c in _trig.xy_coeffs(wp, n)]
+    q_num = [c.substitute(ts) for c in _trig.xy_coeffs(wq, m)]
     if max(abs(c) for c in p_num) < 1e-14 or max(abs(c) for c in q_num) < 1e-14:
         raise DegenerateWronskian("chosen phases collapse the Wronskian")
-    resid_num = resid.substitute(ts)
+    resid_num = resid.substitute(ts).values()
     denom = max(abs(c) for c in p_num) * max(abs(c) for c in q_num)
     norm = max((abs(c) for c in resid_num), default=0.0) / max(denom, 1e-300)
 
@@ -498,9 +499,16 @@ def _inventory_gradient(inventory, sys):
 
 
 def _certify_cylinder(cert: EquilibriumCertificate) -> EquilibriumCertificate:
+    """Rebuild the pair from its recorded indices and phases; the stored
+    pair, degrees and (X, Y) payload must match the rebuild."""
     indices = list(cert.params["indices"])
     ts = list(cert.params["ts"])
     fresh = cylinder_pair(indices, ts)
+    for name in ("p", "q", "degrees", "bivariate"):
+        if getattr(cert, name) != getattr(fresh, name):
+            raise CertificationFailure(
+                f"stored {name!r} does not match the rebuilt cylinder certificate"
+            )
     if not fresh.residual_exact_zero:
         raise CertificationFailure("cylinder residual not exactly zero")
     # gradient cross-check in angle variables via w = exp(2 i phi)

@@ -553,3 +553,25 @@ def test_malformed_identities_block_exits_validation(tmp_path, capsys, identitie
         "output": {"dir": str(tmp_path)},
     }
     _assert_validation_exit(doc, capsys, message)
+
+
+def test_trials_flag_zero_is_recorded(tmp_path):
+    argv = ["verify-identities", "--trials", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = json.loads((tmp_path / "identities.json").read_text())
+    assert out["trials"] == 0
+
+
+def test_identities_scale_key_is_unknown(tmp_path, capsys):
+    doc = {
+        "mode": "verify-identities",
+        "identities": {"trials": 2, "scale": "anything"},
+        "output": {"dir": str(tmp_path)},
+    }
+    _assert_validation_exit(doc, capsys, "unknown keys in identities: ['scale']")
+
+
+def test_period_max_multiple_key_is_unknown(tmp_path, capsys):
+    doc = _trap_doc(tmp_path, "period", {"species": _SPECIES_OK})
+    doc["period"] = {"max_multiple": "x"}
+    _assert_validation_exit(doc, capsys, "unknown keys in period: ['max_multiple']")

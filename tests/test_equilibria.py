@@ -2,8 +2,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from chargeflow import _trig
 from chargeflow.equilibria import (
     EquilibriumCertificate,
     adler_moser,
@@ -222,6 +224,51 @@ def test_cylinder_degenerate_phases_rejected():
         cylinder_pair([0, 2], [0.0, 0.7])
 
 
+def _xy_poly(sp, coeffs, X, Y):
+    n = len(coeffs) - 1
+    return sum(sp.sympify(c) * X ** (n - j) * Y**j for j, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize(
+    "q_mode,m",
+    [(None, None), ((1, 0), 1), ((2, 1), 4)],
+    ids=["equilibrium", "sine_1_degree_1", "sine_2_degree_4"],
+)
+def test_cylinder_fourier_residual_matches_xy_oracle(q_mode, m):
+    """The Fourier-amplitude residual, times r**(n+m-2) e^{i h phi}, equals
+    q Lap p - 2 (grad q, grad p) + p Lap q of the (X, Y) polynomials."""
+    import sympy as sp
+
+    indices = [1, 2, 3]
+    rng = np.random.default_rng(11)
+    ts = list(rng.uniform(0.0, 2 * math.pi, size=len(indices)))
+    modes = [_trig.TrigPoly.sin_mode(f, j, len(indices)) for j, f in enumerate(indices)]
+    wp, n = _trig.trig_wronskian(modes), sum(indices)
+    if q_mode is None:
+        wq, m = _trig.trig_wronskian(modes[:-1]), sum(indices[:-1])
+    else:
+        wq = _trig.TrigPoly.sin_mode(*q_mode, len(indices))
+    resid = _trig.laplace_residual(wp, wq, n, m)
+    assert resid.is_zero == (q_mode is None)
+    amps = resid.substitute(ts)
+
+    X, Y = sp.symbols("X Y", real=True)
+    P = _xy_poly(sp, [c.substitute(ts) for c in _trig.xy_coeffs(wp, n)], X, Y)
+    Q = _xy_poly(sp, [c.substitute(ts) for c in _trig.xy_coeffs(wq, m)], X, Y)
+    parts = [
+        Q * (sp.diff(P, X, 2) + sp.diff(P, Y, 2)),
+        -2 * (sp.diff(Q, X) * sp.diff(P, X) + sp.diff(Q, Y) * sp.diff(P, Y)),
+        P * (sp.diff(Q, X, 2) + sp.diff(Q, Y, 2)),
+    ]
+    for x, y in rng.uniform(-1.5, 1.5, size=(4, 2)):
+        values = [complex(part.subs({X: x, Y: y}).evalf()) for part in parts]
+        z = complex(x, y)
+        r = abs(z)
+        fourier = r ** (n + m - 2) * sum(a * (z / r) ** h for h, a in amps.items())
+        scale = sum(abs(v) for v in values)
+        assert abs(fourier - sum(values)) <= 1e-9 * scale
+
+
 # -- inventory / charge counting ---------------------------------------------------
 
 
@@ -291,6 +338,26 @@ def test_cylinder_certificate_json_replay():
     again = certify(back)
     assert again.residual_exact_zero
 
+
+
+@pytest.mark.parametrize(
+    "field,path,value",
+    [
+        ("p", ("p", "coeffs", 0), [123.0, 0.0]),
+        ("q", ("q", "coeffs", 0), [123.0, 0.0]),
+        ("degrees", ("degrees", 0), 4),
+        ("bivariate", ("bivariate", "p_xy", 0), [123.0, 0.0]),
+    ],
+    ids=["p", "q", "degrees", "bivariate"],
+)
+def test_cylinder_certificate_rejects_mutated_field(field, path, value):
+    doc = json.loads(json.dumps(certify(cylinder_pair([1, 2], [0.3, 1.1])).to_json()))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(CertificationFailure, match=f"stored '{field}'"):
+        certify(EquilibriumCertificate.from_json(doc))
 
 def test_certificates_sum_i_up_to_18():
     index_sets = [
