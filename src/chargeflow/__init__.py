@@ -23,6 +23,6 @@ from .errors import (
     SymmetryViolation,
     ValidationError,
 )
-from .polynomials import Polynomial, RootList
+from .polynomials import Polynomial
 
 __version__ = "0.1.0"

@@ -199,16 +199,15 @@ def _build_flow(system: dict) -> FlowSpec:
     U = _field(system, "U", _coeffs)
     lam = _field(system, "lambda", _coeff, None)
     if kind == "linear":
-        sys_c = SystemCoefficients.linear(P, U, exact=False)
+        sys_c = SystemCoefficients.linear(P, U)
         return FlowSpec.linear(sys_c, _field(system, "n", _size))
     if kind == "bilinear":
-        sys_c = SystemCoefficients.bilinear(
-            P, U, Lambda=_field(system, "Lambda", float, 1.0), lam=lam, exact=False
-        )
+        Lambda = _field(system, "Lambda", float, 1.0)
+        sys_c = SystemCoefficients.bilinear(P, U, Lambda=Lambda, lam=lam)
         return FlowSpec.bilinear(sys_c, _field(system, "n", _size), _field(system, "m", _size))
     charges = _field(system, "charges", _list_of(float))
     sizes = _field(system, "sizes", _list_of(_size))
-    sys_c = SystemCoefficients.polylinear(P, U, charges, lam=lam, exact=False)
+    sys_c = SystemCoefficients.polylinear(P, U, charges, lam=lam)
     return FlowSpec.polylinear(sys_c, sizes)
 
 

@@ -13,7 +13,9 @@ fourth-order dense output on a fixed sample grid and collision
 detection with event localization.  A trajectory is a times vector and
 an (S, N) position array; its per-sample monitors (bilinear consistency
 residual, minimum separation, conserved traces) are computed as columns
-in a separate step, ``monitors``, by the callers that read them.
+in a separate step, ``monitors``, by the callers that read them.  The
+residual column is one computation on the whole stack: the polynomials
+of all samples are batched along their coefficients (numpy (S,) arrays).
 
 The holomorphic equations are integrated exactly as written: velocities,
 not conjugated velocities, appear on the left-hand side.  Off the real
@@ -32,7 +34,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import Collision, NonConvergence, SymmetryViolation, ValidationError
-from .operators import ChargeConfiguration, SystemCoefficients
+from .operators import ChargeConfiguration, SystemCoefficients, _product, polylinear_H
 from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
 from .scalars import to_complex
 
@@ -85,7 +87,7 @@ class FlowSpec:
     def __post_init__(self):
         if self.kind is FlowKind.ANGULAR:
             charges = (1.0, -1.0)
-            P, U = Polynomial.one(exact=False), Polynomial.zero(exact=False)
+            P, U = Polynomial([1.0]), Polynomial.zero()
         else:
             charges = (
                 (1.0,)
@@ -346,17 +348,20 @@ def _localize_collision(flow, interp, t0, t1, delta):
 def monitors(traj: Trajectory) -> dict:
     """Per-sample monitor columns: ``min_separation`` (S,), and where the
     flow defines them ``bilinear_residual`` (S,), ``charge_moment`` (S,)
-    and the Lax traces ``conserved`` (S, K)."""
+    and the Lax traces ``conserved`` (S, K).  The residual column comes
+    from one stacked ``state_residual`` call; the others row by row."""
     rows = [_sample_monitors(traj.flow, z) for z in traj.positions]
-    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    mon = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    if traj.flow.kind is FlowKind.CHARGED:
+        mon["bilinear_residual"] = state_residual(traj.flow, traj.positions)
+    return mon
 
 
 def _sample_monitors(flow: FlowSpec, z: np.ndarray) -> dict:
+    """One row of ``monitors``, without the stacked residual column."""
     from . import conserved as _conserved  # local import to avoid a cycle
 
     mon = {"min_separation": _min_separation(flow, z)}
-    if flow.kind is FlowKind.CHARGED:
-        mon["bilinear_residual"] = state_residual(flow, z)
     if flow.kind is not FlowKind.LINEAR:
         mon["charge_moment"] = complex(flow.q @ z)
     if _conserved.has_lax_pair(flow):
@@ -364,67 +369,68 @@ def _sample_monitors(flow: FlowSpec, z: np.ndarray) -> dict:
     return mon
 
 
-def _coeff_velocity(roots: Sequence[complex], velocities: Sequence[complex]):
+def _coeff_velocity(roots, velocities):
     """d/dt of the monic polynomial with the given moving roots.
 
     dp/dt = -sum_i v_i * p / (z - root_i); each division is a synthetic
-    deflation, so the result is exact in coefficients.
+    deflation, so the result is exact in coefficients.  Roots and
+    velocities may be (S,) arrays, giving a batch of S polynomials.
     """
     p = from_roots(roots)
-    total = Polynomial.zero(exact=False)
+    total = Polynomial.zero()
     for r, v in zip(roots, velocities):
         quotient, _ = _deflate(p, r)
         total = total - quotient.scale(v)
     return p, total
 
 
-def _deflate(p: Polynomial, root: complex):
+def _deflate(p: Polynomial, root):
     """Synthetic division of a float polynomial by (z - root)."""
-    coeffs = list(p.coeffs)
+    coeffs = p.coeffs
     n = len(coeffs) - 1
-    out = [0j] * n
+    out = [0] * n
     acc = coeffs[n]
     for k in range(n - 1, -1, -1):
         out[k] = acc
         acc = coeffs[k] + acc * root
-    return Polynomial(out, exact=False), acc
+    return Polynomial(out), acc
 
 
-def state_residual(flow: FlowSpec, z: np.ndarray) -> float:
+def _coeff_norm(p: Polynomial, samples: int) -> np.ndarray:
+    """max |c| over the coefficients of a batched polynomial, per sample."""
+    out = np.zeros(samples)
+    for c in p.coeffs:
+        out = np.maximum(out, _distance(np.asarray(c)))
+    return out
+
+
+def state_residual(flow: FlowSpec, Z: np.ndarray):
     """Normalized coefficient residual of the evolution identity
 
         sum_i Q_i (dq_i/dt) prod_{n != i} q_n = H[q_1, .., q_l]
 
-    at one flattened state, with the polynomials reconstructed from the
-    roots and their coefficient velocities from the flow."""
-    from .operators import SystemCoefficients as _SC
-    from .operators import lambda_poly, polylinear_H
-
-    vel = rhs_flat(flow, z)
+    with the polynomials reconstructed from the roots and their
+    coefficient velocities from the flow.  ``Z`` is one flattened state
+    (N,), giving a float, or a stack of S states (S, N), giving an (S,)
+    array: the polynomials of all states are batched along their
+    coefficients, so one ``polylinear_H`` call covers the stack.  A
+    single state is the same computation on a (1, N) stack."""
+    Z = np.asarray(Z)
+    if Z.ndim == 1:
+        return float(state_residual(flow, Z[None, :])[0])
+    vel = np.array([rhs_flat(flow, z) for z in Z])
     split = np.cumsum(flow.sizes)[:-1]
     polys, dpolys = [], []
-    for zs, vs in zip(np.split(z, split), np.split(vel, split)):
-        p, dp = _coeff_velocity(list(zs), list(vs))
+    for zs, vs in zip(np.split(Z, split, axis=1), np.split(vel, split, axis=1)):
+        p, dp = _coeff_velocity(zs.T, vs.T)  # one (S,) column per root
         polys.append(p)
         dpolys.append(dp)
     charges = flow.charges
-    sysf = _SC.polylinear(flow.P, flow.U, charges, exact=False)
-    lam = lambda_poly([p.degree for p in polys], sysf)
-    H = polylinear_H(sysf, polys, lam=lam)
-    lhs = Polynomial.zero(exact=False)
-    for i, (qi, dqi) in enumerate(zip(polys, dpolys)):
-        term = dqi.scale(complex(charges[i]))
-        for j, qj in enumerate(polys):
-            if j != i:
-                term = term * qj
-        lhs = lhs + term
-    resid = lhs - H
-    full = polys[0]
-    for qj in polys[1:]:
-        full = full * qj
-    denom = max((abs(c) for c in full.coeffs), default=1.0)
-    num = max((abs(c) for c in resid.coeffs), default=0.0)
-    return num / denom
+    H = polylinear_H(SystemCoefficients.polylinear(flow.P, flow.U, charges), polys)
+    lhs = Polynomial.zero()
+    for i, dq in enumerate(dpolys):
+        lhs = lhs + _product([dq.scale(charges[i])] + polys[:i] + polys[i + 1 :])
+    return _coeff_norm(lhs - H, len(Z)) / _coeff_norm(_product(polys), len(Z))
 
 
 def bilinear_residual(flow: FlowSpec, traj: Trajectory, k: int) -> float:

@@ -35,7 +35,8 @@ from .operators import (
     lambda_poly,
     polylinear_H,
 )
-from .polynomials import Polynomial, laguerre, pair_matrix, reduce_pair, wronskian
+from .polynomials import CLUSTER_TOL, Polynomial, _ratio, _ratio_json, laguerre
+from .polynomials import pair_matrix, reduce_pair, wronskian
 from .scalars import GaussianRational, exactify
 
 __all__ = [
@@ -103,7 +104,7 @@ class EquilibriumCertificate:
         q = Polynomial.from_json(doc["q"])
         P = Polynomial.from_json(doc["P"])
         U = Polynomial.from_json(doc["U"])
-        sys = SystemCoefficients.bilinear(P, U, Lambda=1, exact=P.exact)
+        sys = SystemCoefficients.bilinear(P, U, Lambda=1)
         lam = _scalar_from_json(doc["lambda"])
         cert = EquilibriumCertificate(
             recipe=doc["recipe"],
@@ -145,24 +146,17 @@ def _jsonify(obj):
 
 
 def _scalar_json(value):
-    if isinstance(value, GaussianRational):
-        return {
-            "re": [str(value.re.numerator), str(value.re.denominator)],
-            "im": [str(value.im.numerator), str(value.im.denominator)],
-        }
-    if isinstance(value, Fraction):
-        return {"re": [str(value.numerator), str(value.denominator)], "im": ["0", "1"]}
+    if isinstance(value, (Fraction, GaussianRational)):
+        value = exactify(value)
+        return {"re": _ratio_json(value.re), "im": _ratio_json(value.im)}
     value = complex(value)
     return {"float": [value.real, value.imag]}
 
 
 def _scalar_from_json(doc):
     if "float" in doc:
-        re, im = doc["float"]
-        return complex(re, im)
-    rn, rd = doc["re"]
-    im_n, im_d = doc["im"]
-    return GaussianRational(Fraction(int(rn), int(rd)), Fraction(int(im_n), int(im_d)))
+        return complex(*doc["float"])
+    return GaussianRational(_ratio(*doc["re"]), _ratio(*doc["im"]))
 
 
 # -- shared assembly ---------------------------------------------------------
@@ -174,10 +168,8 @@ def _exact_residual(sys, p, q, lam):
         return True, 0.0, None
     # first offending coefficient index and a float norm for reporting
     idx = next(k for k, c in enumerate(resid.coeffs) if not c.is_zero)
-    denom = max(
-        (abs(c.to_complex()) for c in (p * q).coeffs), default=1.0
-    )
-    norm = max(abs(c.to_complex()) for c in resid.coeffs) / denom
+    denom = max((abs(c) for c in (p * q).to_float().coeffs), default=1.0)
+    norm = max(abs(c) for c in resid.to_float().coeffs) / denom
     return False, norm, idx
 
 
@@ -415,9 +407,7 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
         p=p_w,
         q=q_w,
         degrees=(n, m),
-        sys=SystemCoefficients.bilinear(
-            [0.0, 0.0, -1.0], [0.0, 0.0], Lambda=1.0, exact=False
-        ),
+        sys=SystemCoefficients.bilinear([0.0, 0.0, -1.0], [0.0, 0.0], Lambda=1.0),
         lam=float((n - m) ** 2),
         reduced=(pbar, qbar),
         inventory=inventory,
@@ -446,7 +436,7 @@ def _angles_polynomial(freq_map: dict, total: int) -> Polynomial:
         if idx2 % 2:
             raise ValueError("frequency parity broken")
         coeffs[idx2 // 2] += amp
-    return Polynomial(coeffs, exact=False)
+    return Polynomial(coeffs)
 
 
 # -- certification ------------------------------------------------------------
@@ -455,7 +445,7 @@ def _angles_polynomial(freq_map: dict, total: int) -> Polynomial:
 def certify(cert: EquilibriumCertificate, sys: Optional[SystemCoefficients] = None) -> EquilibriumCertificate:
     """Recompute the certificate's residual, reduced pair, inventory, and
     the float gradient cross-check; raises CertificationFailure if any of
-    them breaks."""
+    them breaks or if a stored field differs from its recomputed value."""
     if sys is None:
         sys = cert.sys
     if cert.recipe == "cylinder_wronskian":
@@ -466,6 +456,15 @@ def certify(cert: EquilibriumCertificate, sys: Optional[SystemCoefficients] = No
             f"bilinear residual nonzero (norm {norm:.3e})", coefficient_index=idx
         )
     pbar, qbar, inventory = reduce_pair(cert.p, cert.q)
+    recomputed = {
+        "degrees": (cert.p.degree, cert.q.degree),
+        "reduced": (pbar, qbar),
+        "residual_exact_zero": True,
+        "residual_norm": 0.0,
+    }
+    _check_stored(cert, recomputed, "recomputed certificate")
+    if not _same_inventory(cert.inventory, inventory):
+        raise CertificationFailure("stored 'inventory' does not match the recomputed certificate")
     grad = _inventory_gradient(inventory, sys)
     scale = max((abs(z) for z, _ in inventory), default=1.0) or 1.0
     # Sites where P vanishes are pinned by the field's zero, not by the
@@ -479,12 +478,24 @@ def certify(cert: EquilibriumCertificate, sys: Optional[SystemCoefficients] = No
         raise CertificationFailure(
             f"equilibrium gradient {worst:.3e} exceeds {GRADIENT_TOL:g}"
         )
-    cert.reduced = (pbar, qbar)
-    cert.inventory = inventory
-    cert.residual_exact_zero = True
-    cert.residual_norm = 0.0
     cert.notes["gradient_max"] = worst
     return cert
+
+
+def _check_stored(cert: EquilibriumCertificate, recomputed: dict, what: str):
+    """Raise CertificationFailure naming the first stored field that
+    differs from its recomputed value."""
+    for name, value in recomputed.items():
+        if getattr(cert, name) != value:
+            raise CertificationFailure(f"stored {name!r} does not match the {what}")
+
+
+def _same_inventory(stored, fresh) -> bool:
+    """Equal charges, and positions within reduce_pair's cluster tolerance
+    (numeric roots may differ in the last bits between numpy builds)."""
+    tol = CLUSTER_TOL * max(max((abs(z) for z, _ in fresh), default=0.0), 1e-30)
+    close = (c == cf and abs(z - zf) <= tol for (z, c), (zf, cf) in zip(stored, fresh))
+    return len(stored) == len(fresh) and all(close)
 
 
 def _inventory_gradient(inventory, sys):
@@ -501,14 +512,9 @@ def _inventory_gradient(inventory, sys):
 def _certify_cylinder(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     """Rebuild the pair from its recorded indices and phases; the stored
     pair, degrees and (X, Y) payload must match the rebuild."""
-    indices = list(cert.params["indices"])
-    ts = list(cert.params["ts"])
-    fresh = cylinder_pair(indices, ts)
-    for name in ("p", "q", "degrees", "bivariate"):
-        if getattr(cert, name) != getattr(fresh, name):
-            raise CertificationFailure(
-                f"stored {name!r} does not match the rebuilt cylinder certificate"
-            )
+    fresh = cylinder_pair(list(cert.params["indices"]), list(cert.params["ts"]))
+    fields = {name: getattr(fresh, name) for name in ("p", "q", "degrees", "bivariate")}
+    _check_stored(cert, fields, "rebuilt cylinder certificate")
     if not fresh.residual_exact_zero:
         raise CertificationFailure("cylinder residual not exactly zero")
     # gradient cross-check in angle variables via w = exp(2 i phi)

@@ -5,7 +5,11 @@ multi-species polylinear operator and its eigenconstant (the paper's
 bilinear operator with charge ratio Lambda is its two-species case,
 charges (+1, -Lambda)), and the equilibrium gradient / energy
 diagnostics for multiplicity-weighted charge configurations.  Each
-formula is written once: exact and float scalars share its arithmetic.
+formula is written once over ``Polynomial`` arithmetic, so the
+coefficients decide the ring: an exact system gives exact results, a
+float one complex results, and float polynomials with numpy (S,) array
+coefficients a batch of S results from one call.  Mixing the exact and
+float rings raises ``TypeError`` from the scalar arithmetic itself.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .errors import (
     PZero,
     ValidationError,
 )
-from .polynomials import Polynomial, _distance, pair_matrix
-from .scalars import GaussianRational, exactify, to_complex
+from .polynomials import Polynomial, _distance, is_exact, pair_matrix
+from .scalars import exactify, to_complex
 
 __all__ = [
     "SystemCoefficients",
@@ -41,10 +45,8 @@ __all__ = [
 ]
 
 
-def _as_poly(value, exact):
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial(value, exact=exact)
+def _as_poly(value):
+    return value if isinstance(value, Polynomial) else Polynomial(value)
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,9 @@ class SystemCoefficients:
                       the forced cubic coefficient -2(n-1)*E
       * bilinear   -- charges exactly {+1, -Lambda}; P quadratic, U linear
       * polylinear -- arbitrary distinct charges Q; P quadratic, U linear
+
+    P, U and the charges share one ring: the system is exact unless any
+    of them is float, and then all of them are converted to float.
     """
 
     P: Polynomial
@@ -65,14 +70,19 @@ class SystemCoefficients:
     omega: Optional[float] = None  # set for the harmonic-trap rational case
 
     def __post_init__(self):
-        if self.P.exact != self.U.exact:
-            raise ValidationError("P and U must share exactness")
+        charges = self.charges or ()
+        exact = is_exact(self.P.coeffs + self.U.coeffs + tuple(charges))
+        if not exact:
+            object.__setattr__(self, "P", self.P.to_float())
+            object.__setattr__(self, "U", self.U.to_float())
         if self.charges is None:
             if self.P.degree > 4:
                 raise ValidationError("linear mode allows deg(P) <= 4")
             if self.U.degree > 3:
                 raise ValidationError("linear mode allows deg(U) <= 3")
         else:
+            to_ring = exactify if exact else (lambda c: to_complex(c).real)
+            object.__setattr__(self, "charges", tuple(to_ring(c) for c in charges))
             if len(self.charges) < 1:
                 raise ValidationError("need at least one species charge")
             if len(set(self.charges)) != len(self.charges):
@@ -85,30 +95,22 @@ class SystemCoefficients:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def linear(P, U, exact=True):
-        return SystemCoefficients(_as_poly(P, exact), _as_poly(U, exact))
+    def linear(P, U):
+        return SystemCoefficients(_as_poly(P), _as_poly(U))
 
     @staticmethod
-    def bilinear(P, U, Lambda=1, lam=None, exact=True):
-        P, U = _as_poly(P, exact), _as_poly(U, exact)
-        one = exactify(1) if exact else 1.0
-        lam_charge = exactify(Lambda) if exact else complex(Lambda).real
-        return SystemCoefficients(P, U, charges=(one, -lam_charge), lam=lam)
+    def bilinear(P, U, Lambda=1, lam=None):
+        return SystemCoefficients.polylinear(P, U, (1, -Lambda), lam)
 
     @staticmethod
-    def polylinear(P, U, charges, lam=None, exact=True):
-        P, U = _as_poly(P, exact), _as_poly(U, exact)
-        if exact:
-            charges = tuple(exactify(c) for c in charges)
-        else:
-            charges = tuple(complex(c).real for c in charges)
-        return SystemCoefficients(P, U, charges=charges, lam=lam)
+    def polylinear(P, U, charges, lam=None):
+        return SystemCoefficients(_as_poly(P), _as_poly(U), tuple(charges), lam)
 
     @staticmethod
     def rational_omega(omega, Lambda=1.0):
         """Constant imaginary P and linear imaginary drift U = i*omega*z."""
-        P = Polynomial([1j], exact=False)
-        U = Polynomial([0.0, 1j * float(omega)], exact=False)
+        P = Polynomial([1j])
+        U = Polynomial([0.0, 1j * float(omega)])
         return SystemCoefficients(
             P, U, charges=(1.0, -float(Lambda)), omega=float(omega)
         )
@@ -117,7 +119,7 @@ class SystemCoefficients:
 
     @property
     def exact(self):
-        return self.P.exact
+        return is_exact(self.P.coeffs + self.U.coeffs + (self.charges or ()))
 
     @property
     def mode(self):
@@ -193,14 +195,13 @@ def linear_L(sys: SystemCoefficients, n: int, p: Polynomial) -> Polynomial:
         raise ValidationError("linear_L needs a linear-mode system")
     if p.degree > n:
         raise DegreeViolation(f"deg(p)={p.degree} exceeds n={n}")
-    if p.exact != sys.exact:
-        raise TypeError("polynomial/system exactness mismatch")
     forced = _forced_cubic(sys, n)
     u3 = sys.U.coeff(3)
     if sys.exact:
-        if not (u3 - forced).is_zero:
-            raise ValidationError("U cubic coefficient must equal -2(n-1)E")
-    elif abs(u3 - forced) > 1e-12 * (1 + abs(forced)):
+        broken = u3 != forced
+    else:
+        broken = abs(u3 - forced) > 1e-12 * (1 + abs(forced))
+    if broken:
         raise ValidationError("U cubic coefficient must equal -2(n-1)E")
     Pp = sys.P * p.derivative().derivative()
     Up = sys.U * p.derivative()
@@ -211,8 +212,6 @@ def linear_L(sys: SystemCoefficients, n: int, p: Polynomial) -> Polynomial:
 
 def hypergeometric_L(sys: SystemCoefficients, p: Polynomial) -> Polynomial:
     """Bare second-order action P p'' + U p' (no constant-term shifts)."""
-    if p.exact != sys.exact:
-        raise TypeError("polynomial/system exactness mismatch")
     return sys.P * p.derivative().derivative() + sys.U * p.derivative()
 
 
@@ -230,10 +229,11 @@ def lambda_poly(sizes: Sequence[int], sys: SystemCoefficients):
     return -(sys.U.coeff(1) + sys.P.coeff(2) * total) * total
 
 
-def _product(polys: Sequence[Polynomial], exact: bool) -> Polynomial:
-    """prod(polys) from the first factor on; the empty product is one."""
+def _product(polys: Sequence[Polynomial]):
+    """prod(polys) from the first factor on; the empty product is the
+    scalar 1, which scales either ring."""
     if not polys:
-        return Polynomial.one(exact)
+        return 1
     out = polys[0]
     for q in polys[1:]:
         out = out * q
@@ -253,9 +253,6 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
         raise ArityMismatch(
             f"got {len(qs)} polynomials for {len(sys.charges)} species"
         )
-    for q in qs:
-        if q.exact != sys.exact:
-            raise TypeError("polynomial/system exactness mismatch")
     if lam is None:
         lam = sys.lam
     if lam is None:
@@ -263,19 +260,19 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
     l = len(qs)
     Q = sys.charges
     dqs = [q.derivative() for q in qs]
-    rests = [_product(qs[:i] + qs[i + 1 :], sys.exact) for i in range(l)]
+    rests = [_product(qs[:i] + qs[i + 1 :]) for i in range(l)]
 
-    second = Polynomial.zero(sys.exact)
+    second = Polynomial.zero()
     for i in range(l):
         second = second + (dqs[i].derivative() * rests[i]).scale(Q[i] * Q[i])
     for i in range(l):
         for j in range(i + 1, l):
             others = [q for k, q in enumerate(qs) if k != i and k != j]
-            term = dqs[i] * dqs[j] * _product(others, sys.exact)
+            term = dqs[i] * dqs[j] * _product(others)
             second = second + term.scale(Q[i] * Q[j]).scale(2)
 
-    sym = Polynomial.zero(sys.exact)
-    anti = Polynomial.zero(sys.exact)
+    sym = Polynomial.zero()
+    anti = Polynomial.zero()
     for i in range(l):
         slope = dqs[i] * rests[i]  # q_i' prod_{n != i} q_n
         sym = sym + slope.scale(Q[i] * Q[i])
@@ -285,7 +282,7 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
         second * sys.P
         + sym.scale(Fraction(1, 2)) * sys.P.derivative()
         + anti * sys.U
-        + _product(qs, sys.exact).scale(lam)
+        + _product(qs).scale(lam)
     )
 
 
@@ -307,11 +304,10 @@ def eigenpoly(sys: SystemCoefficients, n: int, leading=1) -> Polynomial:
     A, B, C = sys.P.coeff(0), sys.P.coeff(1), sys.P.coeff(2)
     a, b = sys.U.coeff(0), sys.U.coeff(1)
     lam = eigenvalue_of(sys, n)
-    coeffs = [GaussianRational(0)] * (n + 1)
+    coeffs = [0] * (n + 2)  # coeffs[n + 1] = 0 starts the recurrence
     coeffs[n] = exactify(leading)
     for j in range(n - 1, -1, -1):
-        upper2 = coeffs[j + 2] if j + 2 <= n else GaussianRational(0)
-        upper1 = coeffs[j + 1]
+        upper2, upper1 = coeffs[j + 2], coeffs[j + 1]
         rhs = (
             A * exactify((j + 2) * (j + 1)) * upper2
             + (B * exactify(j * (j + 1)) + a * exactify(j + 1)) * upper1

@@ -3,8 +3,18 @@ double-precision complex numbers.
 
 Dense coefficient lists indexed by power.  The zero polynomial is the
 empty list, so ``degree == len(coeffs) - 1`` holds for everything else.
-Exact and float polynomials never mix inside one operation; conversion
-goes through ``Polynomial.to_float`` explicitly.
+Each operation is written once; the coefficients decide the ring:
+
+* exact -- every input coefficient is an ``int``, ``Fraction`` or
+  ``GaussianRational``; they are stored as ``GaussianRational``s;
+* float -- any other input; each scalar is stored as a ``complex``;
+* batched float -- a numpy (S,) array coefficient is stored unchanged,
+  making the polynomial a batch of S float polynomials.
+
+The zero polynomial belongs to every ring.  Exact and float
+coefficients never mix: ``GaussianRational`` arithmetic rejects complex
+operands with ``TypeError``, and conversion goes through
+``Polynomial.to_float`` explicitly.
 """
 
 from __future__ import annotations
@@ -16,11 +26,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClusterAmbiguity, NonConvergence
-from .scalars import GaussianRational, exactify
+from .scalars import EXACT, GaussianRational, exactify, to_complex
 
 __all__ = [
     "Polynomial",
-    "RootList",
     "from_roots",
     "find_roots",
     "wronskian",
@@ -35,30 +44,40 @@ __all__ = [
 ]
 
 
-def _coerce_exact(values):
-    return tuple(exactify(v) for v in values)
+def is_exact(values) -> bool:
+    """The ring rule: exact when every value is in ``scalars.EXACT``."""
+    return all(isinstance(v, EXACT) for v in values)
 
 
-def _coerce_float(values):
-    return tuple(complex(v) for v in values)
+def _coerce(values):
+    """Coefficients in their ring."""
+    if is_exact(values):
+        return tuple(exactify(v) for v in values)
+    return tuple(v if isinstance(v, np.ndarray) else complex(v) for v in values)
+
+
+def _ratio_json(f: Fraction):
+    return [str(f.numerator), str(f.denominator)]
+
+
+def _ratio(num: str, den: str) -> Fraction:
+    return Fraction(int(num), int(den))
+
+
+def _is_zero(c):
+    return not (c.any() if isinstance(c, np.ndarray) else c)
 
 
 class Polynomial:
     """Dense univariate polynomial; coefficients c0..cd by ascending power."""
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, exact=True):
-        if exact:
-            coeffs = _coerce_exact(coeffs)
-            while coeffs and coeffs[-1].is_zero:
-                coeffs = coeffs[:-1]
-        else:
-            coeffs = _coerce_float(coeffs)
-            while coeffs and coeffs[-1] == 0:
-                coeffs = coeffs[:-1]
+    def __init__(self, coeffs):
+        coeffs = _coerce(tuple(coeffs))
+        while coeffs and _is_zero(coeffs[-1]):
+            coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -66,14 +85,19 @@ class Polynomial:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(exact=True):
-        return Polynomial((), exact=exact)
+    def zero():
+        return Polynomial(())
 
     @staticmethod
-    def one(exact=True):
-        return Polynomial((1,), exact=exact)
+    def one():
+        return Polynomial((1,))
 
     # -- basic queries ---------------------------------------------------
+
+    @property
+    def exact(self):
+        """True for exact coefficients; the zero polynomial counts as exact."""
+        return is_exact(self.coeffs[:1])
 
     @property
     def degree(self):
@@ -85,9 +109,10 @@ class Polynomial:
         return not self.coeffs
 
     def coeff(self, k):
+        """Coefficient of z**k; past the degree it is the ring-neutral 0."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return GaussianRational(0) if self.exact else 0j
+        return 0
 
     def leading(self):
         if self.is_zero:
@@ -97,88 +122,76 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.exact == other.exact and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.exact, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        kind = "exact" if self.exact else "float"
-        return f"Polynomial({list(self.coeffs)!r}, {kind})"
+        return f"Polynomial({list(self.coeffs)!r})"
 
     # -- ring operations ---------------------------------------------------
-
-    def _check_mode(self, other):
-        if self.exact != other.exact:
-            raise TypeError(
-                "mixing exact and float polynomials; convert explicitly "
-                "with to_float()"
-            )
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_mode(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coeff(k) + other.coeff(k) for k in range(n)], exact=self.exact
-        )
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Polynomial([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_mode(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coeff(k) - other.coeff(k) for k in range(n)], exact=self.exact
-        )
+        return self + -other
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], exact=self.exact)
+        return Polynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        self._check_mode(other)
         if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.exact)
-        zero = GaussianRational(0) if self.exact else 0j
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Polynomial.zero()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(out, exact=self.exact)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        scalar = exactify(scalar) if self.exact else complex(scalar)
-        return Polynomial([c * scalar for c in self.coeffs], exact=self.exact)
+        """Multiply by a scalar, which first joins the coefficients' ring
+        (a ``Fraction`` scales a float polynomial as a complex)."""
+        if self.is_zero:
+            return self
+        scalar = _coerce((self.coeffs[-1], scalar))[1]
+        return Polynomial([c * scalar for c in self.coeffs])
 
     def shift(self, k):
         """Multiply by z**k."""
         if self.is_zero:
             return self
-        zero = GaussianRational(0) if self.exact else 0j
-        return Polynomial((zero,) * k + self.coeffs, exact=self.exact)
+        return Polynomial((0,) * k + self.coeffs)
 
     def monic(self):
         if self.is_zero:
             return self
         lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs], exact=self.exact)
+        return Polynomial([c / lead for c in self.coeffs])
 
     def divmod(self, other):
-        """Long division; exact mode only (field coefficients)."""
+        """Long division; exact polynomials only (field coefficients)."""
         if not self.exact or not other.exact:
-            raise TypeError("polynomial division requires exact mode")
+            raise TypeError("polynomial division requires exact polynomials")
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Polynomial.zero(), self
-        quot = [GaussianRational(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         dlead = other.leading()
         for k in range(dq, -1, -1):
             c = rem[k + other.degree] / dlead
@@ -197,40 +210,28 @@ class Polynomial:
     # -- calculus ---------------------------------------------------
 
     def derivative(self):
-        if self.degree < 1:
-            return Polynomial.zero(self.exact)
-        return Polynomial(
-            [k * self.coeffs[k] for k in range(1, len(self.coeffs))],
-            exact=self.exact,
-        )
+        return Polynomial([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
 
     def __call__(self, z):
         """Horner evaluation.
 
-        Exact polynomial at exact point stays exact; any float operand
-        converts the whole evaluation to complex (an explicit branch, not
-        silent coefficient mixing).  A numpy array is evaluated
-        elementwise.
+        An exact polynomial at an exact point stays exact; any float
+        operand converts the whole evaluation to complex (an explicit
+        branch, not silent coefficient mixing).  A numpy array is
+        evaluated elementwise.
         """
-        if self.exact and isinstance(z, (int, Fraction, GaussianRational)):
-            acc = GaussianRational(0)
-            zz = exactify(z)
-            for c in reversed(self.coeffs):
-                acc = acc * zz + c
-            return acc
-        if isinstance(z, GaussianRational):
-            zz = z.to_complex()
-        elif isinstance(z, np.ndarray):
-            zz = z  # Horner is elementwise on arrays
+        # arrays (the integrator's hot path) skip the slow ABC check of EXACT
+        coeffs, exact, array = self.coeffs, self.exact, isinstance(z, np.ndarray)
+        if exact and not array and isinstance(z, EXACT):
+            acc, z = GaussianRational(0), exactify(z)
         else:
-            zz = complex(z)
-        acc = 0j
-        if self.exact:
-            for c in reversed(self.coeffs):
-                acc = acc * zz + c.to_complex()
-        else:
-            for c in reversed(self.coeffs):
-                acc = acc * zz + c
+            acc = 0j
+            if exact and coeffs:
+                coeffs = [c.to_complex() for c in coeffs]
+            if not array:
+                z = to_complex(z)
+        for c in reversed(coeffs):
+            acc = acc * z + c
         return acc
 
     # -- conversions ---------------------------------------------------
@@ -238,44 +239,23 @@ class Polynomial:
     def to_float(self):
         if not self.exact:
             return self
-        return Polynomial([c.to_complex() for c in self.coeffs], exact=False)
+        return Polynomial([c.to_complex() for c in self.coeffs])
 
     def to_json(self):
-        if self.exact:
-            coeffs = []
-            for c in self.coeffs:
-                if c.is_real:
-                    coeffs.append([str(c.re.numerator), str(c.re.denominator)])
-                else:
-                    coeffs.append(
-                        [
-                            [str(c.re.numerator), str(c.re.denominator)],
-                            [str(c.im.numerator), str(c.im.denominator)],
-                        ]
-                    )
-        else:
-            coeffs = [[c.real, c.imag] for c in self.coeffs]
-        return {"exact": self.exact, "coeffs": coeffs}
+        if not self.exact:
+            return {"exact": False, "coeffs": [[c.real, c.imag] for c in self.coeffs]}
+        coeffs = [
+            _ratio_json(c.re) if c.is_real else [_ratio_json(c.re), _ratio_json(c.im)]
+            for c in self.coeffs
+        ]
+        return {"exact": True, "coeffs": coeffs}
 
     @staticmethod
     def from_json(doc):
-        exact = bool(doc["exact"])
-        raw = doc["coeffs"]
-        if not exact:
-            return Polynomial([complex(re, im) for re, im in raw], exact=False)
-        coeffs = []
-        for entry in raw:
-            if entry and isinstance(entry[0], list):
-                (rn, rd), (im_n, im_d) = entry
-                coeffs.append(
-                    GaussianRational(
-                        Fraction(int(rn), int(rd)), Fraction(int(im_n), int(im_d))
-                    )
-                )
-            else:
-                num, den = entry
-                coeffs.append(GaussianRational(Fraction(int(num), int(den))))
-        return Polynomial(coeffs, exact=True)
+        if not doc["exact"]:
+            return Polynomial([complex(re, im) for re, im in doc["coeffs"]])
+        pairs = (c if isinstance(c[0], list) else (c, ("0", "1")) for c in doc["coeffs"])
+        return Polynomial([GaussianRational(_ratio(*re), _ratio(*im)) for re, im in pairs])
 
     def dumps(self):
         return json.dumps(self.to_json())
@@ -317,38 +297,12 @@ def pair_matrix(z, kernel=_inverse, diagonal=0.0) -> np.ndarray:
     return out
 
 
-class RootList:
-    """Complex root multiset plus the scale used for relative tolerances."""
-
-    __slots__ = ("roots", "scale")
-
-    def __init__(self, roots):
-        roots = tuple(complex(r) for r in roots)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(
-            self, "scale", max((abs(r) for r in roots), default=0.0) or 1.0
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootList is immutable")
-
-    def __len__(self):
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __repr__(self):
-        return f"RootList({list(self.roots)!r})"
-
-
 def from_roots(roots) -> Polynomial:
-    """Monic float polynomial with the given complex roots."""
-    if isinstance(roots, RootList):
-        roots = roots.roots
-    p = Polynomial.one(exact=False)
+    """Monic float polynomial with the given complex roots; (S,) array
+    roots give the batch of S polynomials."""
+    p = Polynomial((1.0,))
     for r in roots:
-        p = p * Polynomial((-complex(r), 1.0), exact=False)
+        p = p * Polynomial((-r, 1.0))
     return p
 
 
@@ -401,10 +355,11 @@ def _backward_error(coeffs, z):
 
 
 _PHASE_SEED = 1735  # fixed: reproducible starting phases for Aberth iteration
+CLUSTER_TOL = 1e-8  # relative root-cluster tolerance of reduce_pair
 
 
-def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> RootList:
-    """All complex roots by simultaneous Aberth-Ehrlich iteration.
+def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> tuple:
+    """All complex roots, sorted, by simultaneous Aberth-Ehrlich iteration.
 
     Exact zero roots (vanishing low-order coefficients) are deflated first.
     Raises NonConvergence after ``max_iter`` sweeps without meeting the
@@ -412,8 +367,7 @@ def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> RootL
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("find_roots needs a nonzero polynomial of degree >= 1")
-    work = p if not p.exact else p.to_float()
-    coeffs = list(work.coeffs)
+    coeffs = list(p.to_float().coeffs)
     zero_mult = 0
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
@@ -454,7 +408,7 @@ def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> RootL
             )
         roots.extend(complex(v) for v in best_z)
     roots.sort(key=lambda r: (round(r.real, 12), round(r.imag, 12)))
-    return RootList(roots)
+    return tuple(roots)
 
 
 # -- Wronskians ---------------------------------------------------------------
@@ -628,7 +582,7 @@ def _partition_signature(groups):
     return sorted(tuple(sorted(g)) for g in groups)
 
 
-def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = 1e-8):
+def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = CLUSTER_TOL):
     """Cancel common root clusters of p and q.
 
     Returns ``(pbar, qbar, inventory)`` with monic reduced polynomials and
@@ -649,8 +603,8 @@ def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = 1e-8):
     else:
         pbar = qbar = None  # built from clusters below
 
-    proots = list(find_roots(p).roots) if p.degree >= 1 else []
-    qroots = list(find_roots(q).roots) if q.degree >= 1 else []
+    proots = list(find_roots(p)) if p.degree >= 1 else []
+    qroots = list(find_roots(q)) if q.degree >= 1 else []
     pts = proots + qroots
     if not pts:
         inventory = []

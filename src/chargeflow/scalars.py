@@ -1,16 +1,16 @@
 """Exact Gaussian-rational scalars.
 
 Exact values are pairs of arbitrary-precision rationals (re, im); float
-values are ordinary Python complex.  The two worlds never mix silently:
-conversion is always an explicit ``to_complex`` / ``exactify`` call.
+values are ordinary Python complex.  ``int`` and ``Fraction`` embed in
+the exact ring (``EXACT``), but a float or complex operand never does:
+``coerce`` rejects it, so arithmetic that mixes the two rings raises
+``TypeError`` and conversion is always an explicit ``to_complex`` /
+``exactify`` call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-RationalLike = Union[int, Fraction]
 
 
 class GaussianRational:
@@ -36,7 +36,8 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+            # zero is immutable, so every coerced 0 is the one shared instance
+            return GaussianRational(value) if value else _ZERO
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
     @property
@@ -106,6 +107,13 @@ class GaussianRational:
 
     def __bool__(self):
         return not self.is_zero
+
+
+_ZERO = GaussianRational(0)
+
+# the scalar types of the exact ring (Fraction last: its isinstance check
+# goes through the numbers ABCs and is the slowest)
+EXACT = (GaussianRational, int, Fraction)
 
 
 def exactify(value) -> GaussianRational:

@@ -289,7 +289,7 @@ def test_criterion_08_conservation_ratio_one():
 def test_criterion_09_hamiltonian_embedding_fd():
     h = 1e-3
     # charge-ratio-1 constant field: d2x/dt2 = dV+/dx, d2y/dt2 = dV-/dy
-    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 3, 2)
     pts = np.array([1.5 + 0.2j, -1.3 + 0.5j, 0.1 - 1.2j, 2.2 - 0.8j, -1.9 - 1.1j])
     init = two_species(pts[:3], pts[3:])
@@ -317,7 +317,7 @@ def test_criterion_09_hamiltonian_embedding_fd():
     n = 4
     E, D = 0.125, 0.0625
     sysl = SystemCoefficients.linear(
-        [1.0, 0, 0, D, E], [0.2, -1.0, 0.3, -2 * (n - 1) * E], exact=False
+        [1.0, 0, 0, D, E], [0.2, -1.0, 0.3, -2 * (n - 1) * E]
     )
     flowl = FlowSpec.linear(sysl, n)
     ptsl = np.array([1.1 + 0.3j, -0.9 + 0.6j, 0.2 - 1.0j, -0.3 + 1.4j])

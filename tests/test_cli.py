@@ -85,7 +85,7 @@ def test_svg_species_styles_and_point_markers(tmp_path):
     assert 'stroke="gray"' in svg
 
     # equilibrium run degenerates to point markers
-    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     floweq = FlowSpec.bilinear(sysb, 4, 0)
     roots = list(find_roots(hermite(4)))
     initeq = ChargeConfiguration((Species(1.0, tuple(roots)), Species(-1.0, ())))
@@ -219,13 +219,13 @@ def test_system_config_roundtrip():
         FlowSpec.rational_omega(1.4, 0.8, 3, 2),
         FlowSpec.angular(2, 2),
         FlowSpec.bilinear(
-            SystemCoefficients.bilinear([1.0, 0.5], [0.2, -1.0], Lambda=1.5, exact=False), 3, 1
+            SystemCoefficients.bilinear([1.0, 0.5], [0.2, -1.0], Lambda=1.5), 3, 1
         ),
         FlowSpec.polylinear(
-            SystemCoefficients.polylinear([1.0], [0.0, 1.0], [1.0, 2.0, -1.0], exact=False),
+            SystemCoefficients.polylinear([1.0], [0.0, 1.0], [1.0, 2.0, -1.0]),
             (1, 2, 2),
         ),
-        FlowSpec.linear(SystemCoefficients.linear([1.0], [0.0, -2.0], exact=False), 4),
+        FlowSpec.linear(SystemCoefficients.linear([1.0], [0.0, -2.0]), 4),
     ]
     for flow in flows:
         doc = system_to_config(flow)
@@ -440,11 +440,11 @@ def test_system_config_roundtrip_keeps_lambda():
 
     flows = [
         FlowSpec.bilinear(
-            SystemCoefficients.bilinear([1.0], [0, -2.0], Lambda=1.0, lam=3.0, exact=False), 2, 1
+            SystemCoefficients.bilinear([1.0], [0, -2.0], Lambda=1.0, lam=3.0), 2, 1
         ),
         FlowSpec.polylinear(
             SystemCoefficients.polylinear(
-                [1.0], [0.0, 1.0], [1.0, 2.0, -1.0], lam=-1.5 + 0.5j, exact=False
+                [1.0], [0.0, 1.0], [1.0, 2.0, -1.0], lam=-1.5 + 0.5j
             ),
             (1, 2, 2),
         ),

@@ -90,7 +90,7 @@ def test_split_hamiltonians_conserved():
 
 def test_free_pair_hamiltonian_conserved():
     # n=2, m=0, P=1, U=0: H+ = sum v^2/2 - 4/(x1-x2)^2 along the flow
-    sysb = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 2, 0)
     init = two_species([0.9 + 0.2j, -1.1 - 0.4j], [])
     traj = integrate(flow, init, 1.0, rtol=1e-11, atol=1e-13, n_samples=21)
@@ -105,7 +105,7 @@ def test_free_pair_hamiltonian_conserved():
 
 def test_split_potential_value():
     xs = [0.5, -0.5]
-    sysb = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     assert abs(split_potential(xs, sysb, +1.0) - 4.0) < 1e-14
 
 
@@ -153,10 +153,10 @@ def _close(a, b):
         FlowSpec.rational_omega(1.2, 1.0, 2, 0),
         FlowSpec.rational_omega(1.0, 1.0, 20, 10),
         FlowSpec.bilinear(
-            SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.0, exact=False), 4, 3
+            SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.0), 4, 3
         ),
         FlowSpec.bilinear(
-            SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.7, exact=False), 4, 3
+            SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.7), 4, 3
         ),
     ],
     ids=["trap", "trap_single", "trap_empty_species", "trap_n30", "quadratic_P", "ratio_1.7"],
@@ -178,7 +178,7 @@ def test_hamiltonians_match_double_loops(flow):
 
 def test_split_potential_matches_double_loop():
     rng = np.random.default_rng(9)
-    sysb = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.0)
     P, U = sysb.P, sysb.U
     dP = P.derivative()
     for size in (0, 1, 5, 30):

@@ -50,7 +50,7 @@ def rand_state(rng, n, m, q2=-1.0, scale=1.0):
 
 
 def test_rhs_linear_single_root():
-    sys = SystemCoefficients.linear([1.0], [0.0, -2.0], exact=False)
+    sys = SystemCoefficients.linear([1.0], [0.0, -2.0])
     flow = FlowSpec.linear(sys, 1)
     state = ChargeConfiguration((Species(1.0, (0.37 + 0.11j,)),))
     (v,) = rhs(flow, state)
@@ -78,8 +78,8 @@ def test_rhs_angular_two_body():
 def test_rhs_bilinear_agrees_with_polylinear():
     rng = np.random.default_rng(3)
     Lam = 1.7
-    sysb = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=Lam, exact=False)
-    sysp = SystemCoefficients.polylinear([0.5, 0.2, 1.0], [0.1, -2.0], [1.0, -Lam], exact=False)
+    sysb = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=Lam)
+    sysp = SystemCoefficients.polylinear([0.5, 0.2, 1.0], [0.1, -2.0], [1.0, -Lam])
     state = rand_state(rng, 4, 2, q2=-Lam)
     z = np.array(state.all_positions())
     va = rhs_flat(FlowSpec.bilinear(sysb, 4, 2), z)
@@ -92,7 +92,7 @@ def test_rhs_rational_omega_agrees_with_polylinear():
     Lam, omega = 0.8, 1.4
     flow = FlowSpec.rational_omega(omega, Lam, 3, 2)
     sysp = SystemCoefficients.polylinear(
-        [1j], [0.0, 1j * omega], [1.0, -Lam], exact=False
+        [1j], [0.0, 1j * omega], [1.0, -Lam]
     )
     state = rand_state(rng, 3, 2, q2=-Lam)
     z = np.array(state.all_positions())
@@ -142,11 +142,11 @@ def assert_rel_close(a, b, rtol=1e-12):
 
 
 _QUARTIC = SystemCoefficients.linear(
-    [1.0, 0.3, 0.2, 0.1, 0.05], [0.1, -1.0, 0.2, -0.3], exact=False
+    [1.0, 0.3, 0.2, 0.1, 0.05], [0.1, -1.0, 0.2, -0.3]
 )
-_BILINEAR = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.7, exact=False)
+_BILINEAR = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.7)
 _POLY3 = SystemCoefficients.polylinear(
-    [1.0, 0.3, 0.2], [0.2, -1.0], [1.0, 2.5, -0.7], exact=False
+    [1.0, 0.3, 0.2], [0.2, -1.0], [1.0, 2.5, -0.7]
 )
 
 KERNEL_FLOWS = {
@@ -254,7 +254,7 @@ def test_integrate_zero_time_shape():
 
 def test_integrate_hermite_equilibrium_stationary():
     # roots of H6 are a fixed point of the constant-field flow
-    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 6, 0)
     roots = sorted(find_roots(hermite(6)), key=lambda z: z.real)
     init = two_species(roots, [])
@@ -313,7 +313,7 @@ def test_residual_random_states(Lam):
 
 def test_residual_hermite_field_random_state():
     rng = np.random.default_rng(22)
-    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 3, 2)
     state = rand_state(rng, 3, 2)
     assert state_residual(flow, flat(state)) < 1e-10
@@ -331,7 +331,7 @@ def test_residual_along_trajectory_monitor():
 def test_residual_zero_at_equilibrium_state():
     # a fixed point evolves nothing, so the identity residual is the
     # (zero) operator norm itself
-    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 6, 0)
     roots = sorted(find_roots(hermite(6)), key=lambda z: z.real)
     state = two_species(roots, [])
@@ -364,9 +364,30 @@ def test_monitor_columns_match_per_sample_monitors():
     assert mon["conserved"].shape == (S, K)
     for k, z in enumerate(traj.positions):
         row = _sample_monitors(flow, z)
-        for key in ("min_separation", "bilinear_residual", "charge_moment"):
+        assert mon["bilinear_residual"][k] == state_residual(flow, z)
+        for key in ("min_separation", "charge_moment"):
             assert mon[key][k] == row[key]
         assert np.array_equal(mon["conserved"][k], row["conserved"])
+
+
+@pytest.mark.parametrize(
+    "flow",
+    [
+        FlowSpec.rational_omega(1.0, 1.213579, 4, 2),
+        FlowSpec.polylinear(
+            SystemCoefficients.polylinear([1.0, 0.3, 0.2], [0.2, -1.0], [1.0, 2.5, -0.7]), (3, 2, 2)
+        ),
+    ],
+    ids=["trap", "three_species"],
+)
+def test_stacked_state_residual_matches_rows_bit_for_bit(flow):
+    rng = np.random.default_rng(31)
+    Z = rng.normal(size=(6, sum(flow.sizes))) + 1j * rng.normal(size=(6, sum(flow.sizes)))
+    stacked = state_residual(flow, Z)
+    assert stacked.shape == (6,)
+    rows = [state_residual(flow, z) for z in Z]
+    assert all(isinstance(r, float) for r in rows)
+    assert stacked.tolist() == rows
 
 
 def test_charge_moment_oscillates_with_base_frequency():
@@ -494,7 +515,7 @@ def test_identity_sums_coth_with_offsets():
 
 def test_embedding_constant_field_newton():
     # d2x/dt2 = dV+/dx and d2y/dt2 = dV-/dy for the charge-ratio-1 flow
-    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 3, 2)
     pts = np.array([1.5 + 0.2j, -1.3 + 0.5j, 0.1 - 1.2j, 2.2 - 0.8j, -1.9 - 1.1j])
     init = two_species(pts[:3], pts[3:])
@@ -527,7 +548,7 @@ def test_embedding_quartic_linear_newton():
     E = 0.125
     D = 0.0625
     sysl = SystemCoefficients.linear(
-        [1.0, 0, 0, D, E], [0.2, -1.0, 0.3, -2 * (n - 1) * E], exact=False
+        [1.0, 0, 0, D, E], [0.2, -1.0, 0.3, -2 * (n - 1) * E]
     )
     flow = FlowSpec.linear(sysl, n)
     pts = np.array([1.1 + 0.3j, -0.9 + 0.6j, 0.2 - 1.0j, -0.3 + 1.4j])

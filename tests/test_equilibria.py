@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -358,6 +359,59 @@ def test_cylinder_certificate_rejects_mutated_field(field, path, value):
     target[path[-1]] = value
     with pytest.raises(CertificationFailure, match=f"stored '{field}'"):
         certify(EquilibriumCertificate.from_json(doc))
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "certs"
+
+
+@pytest.mark.parametrize(
+    "field,path,value",
+    [
+        ("degrees", ("degrees", 0), 99),
+        ("reduced", ("reduced", 0, "coeffs", 0), ["-1", "3"]),
+        ("inventory", ("inventory", 0, "position"), [-0.5, 0.0]),
+        ("residual_exact_zero", ("residual_exact_zero",), False),
+        ("residual_norm", ("residual_norm",), 0.5),
+    ],
+    ids=["degrees", "reduced", "inventory", "residual_exact_zero", "residual_norm"],
+)
+def test_planar_certificate_rejects_mutated_field(field, path, value):
+    doc = json.loads((GOLDEN / "hermite_124" / "certificate.json").read_text())
+    certify(EquilibriumCertificate.from_json(doc))  # the untouched file certifies
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(CertificationFailure, match=f"stored '{field}'"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
+def test_planar_certificate_rejects_changed_inventory_charge():
+    doc = json.loads((GOLDEN / "hermite_124" / "certificate.json").read_text())
+    doc["inventory"][0]["net_charge"] += 1
+    with pytest.raises(CertificationFailure, match="stored 'inventory'"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
+def test_planar_certificate_tolerates_last_bit_of_inventory_position():
+    # root finders on other numpy builds may round the last bit differently
+    doc = json.loads((GOLDEN / "hermite_124" / "certificate.json").read_text())
+    for entry in doc["inventory"]:
+        x, y = entry["position"]
+        entry["position"] = [math.nextafter(x, math.inf), math.nextafter(y, -math.inf)]
+    cert = certify(EquilibriumCertificate.from_json(doc))
+    assert cert.residual_exact_zero
+
+
+def test_float_zero_of_older_certificates_still_loads():
+    # certificates written before the zero polynomial became ring-free
+    # store a float zero U as {"exact": false, "coeffs": []}
+    assert Polynomial.from_json({"exact": False, "coeffs": []}).is_zero
+    doc = json.loads((GOLDEN / "cylinder_12" / "certificate.json").read_text())
+    doc["U"] = {"exact": False, "coeffs": []}
+    cert = certify(EquilibriumCertificate.from_json(doc))
+    assert cert.residual_exact_zero
+    assert cert.to_json()["p"] == doc["p"]
+
 
 def test_certificates_sum_i_up_to_18():
     index_sets = [

@@ -262,14 +262,14 @@ def _single(charge, *positions):
 
 def test_gradient_single_charge_at_origin():
     cfg = ChargeConfiguration((_single(1.0, 0.0), _single(-1.0)))
-    sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     (g,) = equilibrium_gradient(cfg, sys)
     assert abs(g) < 1e-14
 
 
 def test_gradient_two_body_nonzero():
     cfg = ChargeConfiguration((_single(1.0, 0.7), _single(-1.0, -0.3)))
-    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0, exact=False)
+    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     gx, gy = equilibrium_gradient(cfg, sys)
     assert abs(gx - 2.0 / (0.7 - (-0.3))) < 1e-14
     assert abs(gx) > 1e-3
@@ -277,7 +277,7 @@ def test_gradient_two_body_nonzero():
 
 def test_gradient_coincident_positions():
     cfg = ChargeConfiguration((_single(1.0, 0.5, 0.5), _single(-1.0)))
-    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0, exact=False)
+    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     with pytest.raises(CoincidentPositions):
         equilibrium_gradient(cfg, sys)
 
@@ -309,7 +309,7 @@ def _random_species(rng, charge, size, max_mult):
 )
 def test_gradient_matches_double_loop_with_multiplicities(sizes):
     rng = np.random.default_rng(sum(sizes))
-    sys = SystemCoefficients.bilinear([0.4, -0.2, 1.0], [0.3, -2.0], Lambda=1.5, exact=False)
+    sys = SystemCoefficients.bilinear([0.4, -0.2, 1.0], [0.3, -2.0], Lambda=1.5)
     cfg = ChargeConfiguration(
         (_random_species(rng, 1.0, sizes[0], 3), _random_species(rng, -1.5, sizes[1], 3))
     )
@@ -321,19 +321,19 @@ def test_gradient_matches_double_loop_with_multiplicities(sizes):
 
 def test_gradient_coincidence_names_first_pair():
     cfg = ChargeConfiguration((_single(1.0, 0.1, 0.5, 0.9), _single(-1.0, 0.5)))
-    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0, exact=False)
+    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     with pytest.raises(CoincidentPositions, match="positions 1 and 3 coincide"):
         equilibrium_gradient(cfg, sys)
 
 
 def test_energy_two_charges():
     cfg = ChargeConfiguration((_single(1.0, 1.0, -1.0),))
-    sys = SystemCoefficients.polylinear([1.0], [0.0], [1.0], exact=False)
+    sys = SystemCoefficients.polylinear([1.0], [0.0], [1.0])
     assert abs(energy(cfg, sys) - cmath.log(4)) < 1e-14
 
 
 def test_energy_reflection_symmetric():
-    sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     pos = (0.4 + 0.1j, -1.2 + 0.7j)
     neg = (0.9 - 0.3j,)
     a = ChargeConfiguration((_single(1.0, *pos), _single(-1.0, *neg)))
@@ -345,7 +345,7 @@ def test_energy_reflection_symmetric():
 
 def test_energy_pzero():
     cfg = ChargeConfiguration((_single(1.0, 0.0, 1.0),))
-    sys = SystemCoefficients.polylinear([0.0, 1.0], [0.0, 1.0], [1.0], exact=False)
+    sys = SystemCoefficients.polylinear([0.0, 1.0], [0.0, 1.0], [1.0])
     with pytest.raises(PZero):
         energy(cfg, sys)
 
@@ -356,7 +356,7 @@ def test_energy_stationary_at_certified_configuration():
     from chargeflow.equilibria import certify, hermite_pair
 
     cert = certify(hermite_pair([2, 4, 6], -2))
-    sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0, exact=False)
+    sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     plus = [(z, c) for z, c in cert.inventory if c > 0]
     minus = [(z, -c) for z, c in cert.inventory if c < 0]
 
@@ -388,7 +388,7 @@ def test_energy_stationary_at_certified_configuration():
 )
 def test_gradient_is_energy_gradient(P_coeffs, U_coeffs):
     # d energy / d z_r = -c_r * gradient_r / P(z_r), complex-analytic FD
-    sys = SystemCoefficients.bilinear(P_coeffs, U_coeffs, Lambda=1.0, exact=False)
+    sys = SystemCoefficients.bilinear(P_coeffs, U_coeffs, Lambda=1.0)
     rng = np.random.default_rng(17)
     pos = tuple(2.0 + rng.normal(size=2) * 0.4 + 1j * rng.normal(size=2) * 0.4)
     neg = tuple(4.0 + rng.normal(size=1) * 0.4 + 1j * rng.normal(size=1) * 0.4)
@@ -417,3 +417,29 @@ def test_gradient_is_energy_gradient(P_coeffs, U_coeffs):
         fd = (energy(shifted(eps), sys) - energy(shifted(-eps), sys)) / (2 * eps)
         expected = -q * mult * grads[r] / Pf(zr)
         assert abs(fd - expected) <= 1e-6 * max(1.0, abs(expected))
+
+
+def test_operators_reject_mixed_rings():
+    exact_sys = SystemCoefficients.bilinear([1], [0, -2], Lambda=1)
+    float_sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
+    p, q = hermite(3), hermite(1)
+    with pytest.raises(TypeError):
+        polylinear_H(exact_sys, [p.to_float(), q.to_float()])
+    with pytest.raises(TypeError):
+        polylinear_H(float_sys, [p, q])
+    with pytest.raises(TypeError):
+        hypergeometric_L(SystemCoefficients.linear([1], [0, -2]), p.to_float())
+
+
+def test_system_puts_p_u_and_charges_in_one_ring():
+    exact = SystemCoefficients.bilinear([1], [0, Fraction(-2)], Lambda=Fraction(3, 2))
+    assert exact.exact and exact.charges == (GaussianRational(1), GaussianRational(Fraction(-3, 2)))
+    for sys in (
+        SystemCoefficients.bilinear([1], [0, -2.0], Lambda=1),
+        SystemCoefficients.bilinear([1], [0, -2], Lambda=1.5),
+    ):
+        assert not sys.exact and not sys.P.exact
+        assert all(isinstance(c, float) for c in sys.charges)
+    # the zero polynomials belong to every ring, so float charges decide
+    assert not SystemCoefficients.polylinear([], [], (1.0, -2.0)).exact
+    assert SystemCoefficients.polylinear([], [], (1, -2)).exact

@@ -145,7 +145,7 @@ def test_wronskian_rejects_float_inputs():
 
 
 def test_eval_float_polynomial_on_array():
-    p = Polynomial([1.0, -0.5j, 0.25, 2.0], exact=False)
+    p = Polynomial([1.0, -0.5j, 0.25, 2.0])
     z = np.array([0.3 + 0.1j, -1.2, 2.0j])
     ref = np.array([p(complex(v)) for v in z])
     assert np.max(np.abs(p(z) - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -226,7 +226,7 @@ def test_exactness_never_mixes():
     with pytest.raises(TypeError):
         P(1, 1) + P(1.0, 1.0).to_float() * P(1)
     with pytest.raises(TypeError):
-        _ = P(1, 1) * Polynomial([1.0], exact=False)
+        _ = P(1, 1) * Polynomial([1.0])
 
 
 def test_gcd_and_divexact():
@@ -316,7 +316,7 @@ def test_json_roundtrip_exact():
 
 
 def test_json_roundtrip_float():
-    p = Polynomial([1.5 + 0.5j, -2.0], exact=False)
+    p = Polynomial([1.5 + 0.5j, -2.0])
     q = Polynomial.loads(p.dumps())
     assert q.exact is False
     assert all(abs(a - b) < 1e-16 for a, b in zip(p.coeffs, q.coeffs))
@@ -330,5 +330,78 @@ def test_json_format_shape():
 def test_zero_polynomial_canonical():
     assert Polynomial([0, 0]).is_zero
     assert Polynomial([0, 0]).coeffs == ()
-    assert Polynomial([0.0, 0.0], exact=False).coeffs == ()
+    assert Polynomial([0.0, 0.0]).coeffs == ()
     assert Polynomial([0, 1]).degree == 1
+
+
+# -- the ring rule ----------------------------------------------------------------
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+_gaussians = st.builds(GaussianRational, _rationals, _rationals)
+_exact_polys = st.lists(_gaussians, max_size=5).map(Polynomial)
+
+
+def _size(p):
+    return max((abs(c) for c in p.to_float().coeffs), default=0.0)
+
+
+def _assert_close(exact, approx, scale):
+    """``exact`` converted to float agrees with ``approx`` coefficientwise
+    to 1e-12 relative to ``scale``, the magnitude of the terms involved."""
+    assert exact.exact and not approx.exact or approx.is_zero
+    f = exact.to_float()
+    for k in range(max(len(f.coeffs), len(approx.coeffs))):
+        assert abs(f.coeff(k) - approx.coeff(k)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_polys, _exact_polys, _gaussians)
+def test_to_float_commutes_with_ring_operations(p, q, x):
+    pf, qf = p.to_float(), q.to_float()
+    _assert_close(p + q, pf + qf, _size(p) + _size(q))
+    _assert_close(p - q, pf - qf, _size(p) + _size(q))
+    _assert_close(p * q, pf * qf, 5 * _size(p) * _size(q))
+    _assert_close(p.derivative(), pf.derivative(), 5 * _size(p))
+    xf = x.to_complex()
+    bound = sum(abs(c) * abs(xf) ** k for k, c in enumerate(pf.coeffs))
+    assert abs(p(x).to_complex() - pf(xf)) <= 1e-12 * bound
+
+
+def test_coefficients_decide_the_ring():
+    assert Polynomial([1, Fraction(1, 2)]).exact
+    assert Polynomial([1, Fraction(1, 2)]).coeffs == (GaussianRational(1), GaussianRational(Fraction(1, 2)))
+    assert not Polynomial([1, 0.5]).exact
+    assert Polynomial([1, 0.5]).coeffs == (1 + 0j, 0.5 + 0j)
+    # the zero polynomial belongs to every ring; past the degree reads 0
+    assert Polynomial.zero().exact and Polynomial([0.0]).is_zero
+    assert Polynomial([1.0]).coeff(3) == 0 and P(1).coeff(3) == 0
+    assert Polynomial.zero() + Polynomial([2.0]) == Polynomial([2.0])
+    # a Fraction scale factor joins the float ring
+    assert Polynomial([1.0, 2.0]).scale(Fraction(1, 2)) == Polynomial([0.5, 1.0])
+
+
+def test_mixing_rings_raises():
+    exact, flt = P(1, 2, 3), Polynomial([1.0, 2.0, 3.0])
+    with pytest.raises(TypeError):
+        exact + flt
+    with pytest.raises(TypeError):
+        flt + exact
+    with pytest.raises(TypeError):
+        exact * flt
+    with pytest.raises(TypeError):
+        flt * exact
+    with pytest.raises(TypeError):
+        exact.scale(0.5)
+    with pytest.raises(TypeError):
+        Polynomial([GaussianRational(1), 0.5])
+
+
+def test_array_coefficients_are_a_batch_of_float_polynomials():
+    rng = np.random.default_rng(4)
+    roots = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))  # 3 roots, 5 samples
+    batch = from_roots(roots)
+    assert batch.degree == 3 and not batch.exact
+    for s in range(5):
+        single = from_roots(roots[:, s])
+        assert all(abs(batch.coeff(k)[s] - single.coeff(k)) < 1e-14 for k in range(3))
+        assert abs(batch(0.3 + 0.1j)[s] - single(0.3 + 0.1j)) < 1e-13
