@@ -18,7 +18,6 @@ from .errors import (
     DegreeViolation,
     NoReturnFound,
     NonConvergence,
-    NonIntegerPower,
     PZero,
     SymmetryViolation,
     ValidationError,

@@ -29,6 +29,7 @@ from .dynamics import (
     Trajectory,
     integrate,
     monitors,
+    over_samples,
     phi_identity_i1,
     phi_identity_i2,
 )
@@ -331,14 +332,11 @@ def trajectory_csv(traj: Trajectory, mon: dict) -> str:
 def conserved_report(times: np.ndarray, traces, period_info=None) -> dict:
     """Per-sample Lax traces ``traces`` (S, K), or None where the flow has
     no Lax pair, with their drift relative to the first sample."""
-    rows = []
-    drift = []
+    doc = {"integrals": [], "drift": []}
     if traces is not None:
-        for t, v in zip(times, traces):
-            rows.append([float(t)] + [float(x) for x in v])
         base = np.maximum(np.abs(traces[0]), 1e-300)
-        drift = [float(d) for d in np.max(np.abs(traces - traces[0]), axis=0) / base]
-    doc = {"integrals": rows, "drift": drift}
+        doc["integrals"] = np.column_stack([times, traces]).tolist()
+        doc["drift"] = (np.max(np.abs(traces - traces[0]), axis=0) / base).tolist()
     if period_info is not None:
         doc["period"] = {"k": period_info[0], "mismatch": period_info[1]}
     return doc
@@ -462,7 +460,7 @@ def _run_conserved(doc: dict) -> int:
     flow = traj.flow
     traces = None
     if has_lax_pair(flow):
-        traces = np.array([integrals(z, flow).values for z in traj.positions])
+        traces = over_samples(lambda Z: integrals(Z, flow), traj.positions)
     period_info = None
     if flow.sys is not None and flow.sys.omega:
         base = 2 * math.pi / flow.sys.omega

@@ -16,8 +16,6 @@ from .dynamics import FlowSpec, Trajectory, rhs_flat
 from .polynomials import _distance, pair_matrix
 
 __all__ = [
-    "LaxPair",
-    "IntegralSet",
     "HamiltonianValues",
     "hamiltonians",
     "split_potential",
@@ -31,43 +29,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LaxPair:
-    """Coordinate-only Lax blocks for the two species."""
-
-    Lx: np.ndarray
-    Ly: np.ndarray
-
-    def block(self):
-        n, m = len(self.Lx), len(self.Ly)
-        L = np.zeros((n + m, n + m), dtype=complex)
-        if n:
-            L[:n, :n] = self.Lx
-        if m:
-            L[n:, n:] = self.Ly
-        return L
-
-
-@dataclass(frozen=True)
-class IntegralSet:
-    """|Tr L^k|^2 for k = 1 .. 2(n+m)-1; all nonnegative reals."""
-
-    values: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class HamiltonianValues:
     h_plus: Optional[complex]
     h_minus: Optional[complex]
     h_total: complex
 
 
-def _scale(z: np.ndarray) -> float:
-    """Largest |z_i| (1 when all vanish), rounded as ChargeConfiguration.scale()."""
-    return float(np.max(_distance(z), initial=0.0)) or 1.0
+def _scale(z: np.ndarray):
+    """Largest |z_i| of each state in ``z`` (..., N), 1 when all vanish;
+    rounded as ChargeConfiguration.scale()."""
+    top = np.max(_distance(z), axis=-1, initial=0.0)
+    return np.where(top > 0, top, 1.0)
 
 
-def _pairwise_check(z: np.ndarray, scale: float):
-    if np.any(pair_matrix(z, _distance, diagonal=np.inf) < 1e-13 * scale):
+def _pairwise_check(z: np.ndarray):
+    """Raise CoincidentPositions when two positions of any state in ``z``
+    (..., N) are closer than 1e-13 times that state's ``_scale``."""
+    limit = 1e-13 * _scale(z)[..., None, None]
+    if np.any(pair_matrix(z, _distance, diagonal=np.inf) < limit):
         raise CoincidentPositions("coincident positions")
 
 
@@ -109,7 +88,7 @@ def hamiltonians(
     z = np.array(state.all_positions(), dtype=complex)
     q = np.array([site[1] for site in state.flat()], dtype=complex)
     v = np.array(velocities, dtype=complex)
-    _pairwise_check(z, state.scale())
+    _pairwise_check(z)
     pz = P(z)
     zero = np.abs(pz) < 1e-14
     if zero.any():
@@ -182,40 +161,32 @@ def has_lax_pair(flow: FlowSpec) -> bool:
     return trap and abs(flow.sys.Lambda - 1.0) < 1e-12
 
 
-def lax(z: np.ndarray, flow: FlowSpec) -> LaxPair:
-    """Lax blocks at one flattened state, with velocities eliminated
-    through the flow, so entries are rational in the coordinates only:
-    diagonal (i v_j + omega z_j)/2, off-diagonal 1/(z_j - z_k) within
-    each species."""
+def lax(z: np.ndarray, flow: FlowSpec) -> np.ndarray:
+    """Block-diagonal Lax matrix, (N, N) for one flattened state (N,) or
+    (S, N, N) for a stack (S, N), with velocities eliminated through the
+    flow, so entries are rational in the coordinates only: diagonal
+    (i v_j + omega z_j)/2, off-diagonal 1/(z_j - z_k) within each species
+    and zero across species."""
     if not has_lax_pair(flow):
         raise ValidationError("lax applies to the harmonic-trap flow at charge ratio 1")
-    omega = flow.sys.omega
-    _pairwise_check(z, _scale(z))
-    vel = rhs_flat(flow, z)
-    n = flow.sizes[0]
-    xs, ys = z[:n], z[n:]
-    vx, vy = vel[:n], vel[n:]
-
-    def build(zz, vv):
-        return pair_matrix(zz, diagonal=0.5 * (1j * vv + omega * zz))
-
-    return LaxPair(build(xs, vx), build(ys, vy))
+    _pairwise_check(z)
+    diagonal = 0.5 * (1j * rhs_flat(flow, z) + flow.sys.omega * z)
+    species = np.repeat(np.arange(len(flow.sizes)), flow.sizes)
+    same = species[:, None] == species[None, :]
+    return np.where(same, pair_matrix(z, diagonal=diagonal), 0.0)
 
 
-def integrals(z: np.ndarray, flow: FlowSpec) -> IntegralSet:
-    """|Tr L^k|^2, k = 1 .. 2(n+m)-1, from the block Lax matrix at one
-    flattened state."""
-    pair = lax(z, flow)
-    L = pair.block()
-    size = L.shape[0]
-    kmax = 2 * size - 1
-    vals = []
-    M = np.eye(size, dtype=complex)
-    for _ in range(kmax):
-        M = M @ L
-        tr = np.trace(M)
-        vals.append(float(abs(tr) ** 2))
-    return IntegralSet(tuple(vals))
+def integrals(z: np.ndarray, flow: FlowSpec) -> np.ndarray:
+    """|Tr L^k|^2, k = 1 .. 2N-1, of the block Lax matrix: a float array
+    (K,) for one flattened state (N,), (S, K) for a stack (S, N)."""
+    L = lax(z, flow)
+    traces = np.empty(L.shape[:-2] + (max(2 * L.shape[-1] - 1, 0),), dtype=complex)
+    power = L
+    for k in range(traces.shape[-1]):
+        if k:
+            power = power @ L
+        traces[..., k] = np.trace(power, axis1=-2, axis2=-1)
+    return _distance(traces) ** 2
 
 
 def multiset_distance(a: Sequence[complex], b: Sequence[complex]) -> float:

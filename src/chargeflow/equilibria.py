@@ -22,8 +22,8 @@ from . import _trig
 from .errors import (
     BadK,
     CertificationFailure,
+    ChargeflowError,
     DegenerateWronskian,
-    NonIntegerPower,
     ValidationError,
 )
 from .operators import (
@@ -173,7 +173,16 @@ def _exact_residual(sys, p, q, lam):
     return False, norm, idx
 
 
-def _finish_planar(recipe, params, p, q, sys, lam, notes=None):
+def _finish_planar(recipe, spec, eigenfunctions, units=(1, 1), notes=None):
+    """Certificate of p = u_p z**e_p W[f_1 .. f_{k+1}], q = u_q z**e_q W[f_1 .. f_k]."""
+    params, sys, degrees, (e_p, e_q) = spec
+    p = wronskian(eigenfunctions).shift(e_p).scale(units[0])
+    q = wronskian(eigenfunctions[:-1]).shift(e_q).scale(units[1])
+    if p.is_zero or q.is_zero:
+        raise DegenerateWronskian(f"{recipe}: Wronskian vanished")
+    if (p.degree, q.degree) != degrees:
+        raise DegenerateWronskian(f"degree drop: got {(p.degree, q.degree)}, expected {degrees}")
+    lam = lambda_poly(degrees, sys)
     exact_zero, norm, idx = _exact_residual(sys, p, q, lam)
     pbar, qbar, inventory = reduce_pair(p, q)
     cert = EquilibriumCertificate(
@@ -181,7 +190,7 @@ def _finish_planar(recipe, params, p, q, sys, lam, notes=None):
         params=params,
         p=p,
         q=q,
-        degrees=(p.degree, q.degree),
+        degrees=degrees,
         sys=sys,
         lam=lam,
         reduced=(pbar, qbar),
@@ -208,6 +217,72 @@ def _check_index_set(indices):
     return indices
 
 
+def _check_b(b) -> Fraction:
+    b = Fraction(b)
+    if b == 0:
+        raise ValidationError("b must be nonzero")
+    return b
+
+
+# -- recipe specs --------------------------------------------------------------
+# A planar recipe's spec maps its params to (normalized params, system,
+# (deg p, deg q), z-powers (e_p, e_q) of the two Wronskians); the constructor
+# builds from it and ``certify`` checks a stored certificate against it.
+
+
+def _degrees(eig, powers):
+    """(deg p, deg q) from the k + 1 distinct eigenfunction degrees: their
+    Wronskian has degree sum - k(k + 1)/2 (a Vandermonde leads it)."""
+    k = len(eig) - 1
+    return (
+        sum(eig) - k * (k + 1) // 2 + powers[0],
+        sum(eig[:k]) - k * (k - 1) // 2 + powers[1],
+    )
+
+
+def _hermite_spec(indices, b):
+    indices, b = _check_index_set(indices), _check_b(b)
+    sys = SystemCoefficients.bilinear([1], [0, b], Lambda=1)
+    return {"indices": indices, "b": b}, sys, _degrees(indices, (0, 0)), (0, 0)
+
+
+def _laguerre_spec(indices, b):
+    indices, b = _check_index_set(indices), _check_b(b)
+    k = len(indices) - 1
+    if k % 4 != 0:
+        raise BadK(f"index-set length {k + 1} requires k = {k} divisible by 4")
+    sys = SystemCoefficients.bilinear([0, 1], [Fraction(-1, 2), b], Lambda=1)
+    powers = (k * k // 4, k * (k - 2) // 4)
+    return {"indices": indices, "b": b}, sys, _degrees(indices, powers), powers
+
+
+def _monomial_spec(indices, b):
+    indices, b = _check_index_set(indices), _check_b(b)
+    k = len(indices) - 1
+    sys = SystemCoefficients.bilinear([0, 0, -1], [0, b], Lambda=1)
+    powers = (k * (k + 1) // 2, (k - 1) * k // 2)
+    return {"indices": indices, "b": b}, sys, _degrees(indices, powers), powers
+
+
+def _adler_moser_spec(k, ts):
+    if k < 0:
+        raise ValidationError("k must be >= 0")
+    ts = [Fraction(t) for t in ts]
+    if len(ts) != k:
+        raise ValidationError(f"need exactly {k} chain parameters, got {len(ts)}")
+    sys = SystemCoefficients.bilinear([1], [0], Lambda=1)
+    psi_degrees = list(range(1, 2 * k + 2, 2))  # deg psi_j = 2j - 1
+    return {"k": k, "ts": ts}, sys, _degrees(psi_degrees, (0, 0)), (0, 0)
+
+
+_PLANAR_SPECS = {
+    "hermite_wronskian": _hermite_spec,
+    "laguerre_wronskian": _laguerre_spec,
+    "monomial_wronskian": _monomial_spec,
+    "adler_moser": _adler_moser_spec,
+}
+
+
 # -- constructors ------------------------------------------------------------
 
 
@@ -215,29 +290,11 @@ def hermite_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     """Wronskian pair from the constant-field eigenfunctions (P = 1,
     U = b z); with b = -2 the eigenfunctions are the physicists'
     Hermite polynomials."""
-    indices = _check_index_set(indices)
-    b = Fraction(b)
-    if b == 0:
-        raise ValidationError("b must be nonzero")
-    k = len(indices) - 1
-    sys = SystemCoefficients.bilinear([1], [0, b], Lambda=1)
-    eig_sys = sys  # same P, U drive the eigenfunctions
-    Qs = [eigenpoly(eig_sys, i, leading=(-b) ** i) for i in indices]
-    p = wronskian(Qs)
-    q = wronskian(Qs[:k])
-    if p.is_zero or q.is_zero:
-        raise DegenerateWronskian("hermite-class Wronskian vanished")
-    n_expect = sum(indices) - k * (k + 1) // 2
-    m_expect = sum(indices[:k]) - k * (k - 1) // 2
-    if (p.degree, q.degree) != (n_expect, m_expect):
-        raise DegenerateWronskian(
-            f"degree drop: got {(p.degree, q.degree)}, "
-            f"expected {(n_expect, m_expect)}"
-        )
-    lam = lambda_poly([p.degree, q.degree], sys)
-    return _finish_planar(
-        "hermite_wronskian", {"indices": indices, "b": b}, p, q, sys, lam
-    )
+    spec = _hermite_spec(indices, b)
+    params, sys, _, _ = spec
+    # the same P, U drive the eigenfunctions
+    Qs = [eigenpoly(sys, i, leading=(-params["b"]) ** i) for i in params["indices"]]
+    return _finish_planar("hermite_wronskian", spec, Qs)
 
 
 def laguerre_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
@@ -253,15 +310,8 @@ def laguerre_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     the -1/2 offset comes from the square-root change of variables that
     relates this field to the self-adjoint chain form.
     """
-    indices = _check_index_set(indices)
-    b = Fraction(b)
-    if b == 0:
-        raise ValidationError("b must be nonzero")
-    k = len(indices) - 1
-    if k % 4 != 0:
-        raise BadK(f"index-set length {k + 1} requires k = {k} divisible by 4")
-    ep = k * k // 4
-    eq = k * (k - 2) // 4
+    spec = _laguerre_spec(indices, b)
+    indices, b = spec[0]["indices"], spec[0]["b"]
     Qs = []
     for i in indices:
         base = laguerre(i, -1)
@@ -269,17 +319,8 @@ def laguerre_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
         Qs.append(
             Polynomial([c * exactify((-b) ** j) for j, c in enumerate(base.coeffs)])
         )
-    wp = wronskian(Qs)
-    wq = wronskian(Qs[:k])
-    if wp.is_zero or wq.is_zero:
-        raise DegenerateWronskian("laguerre-class Wronskian vanished")
-    p = wp.shift(ep)
-    q = wq.shift(eq)
-    sys = SystemCoefficients.bilinear([0, 1], [Fraction(-1, 2), b], Lambda=1)
-    lam = lambda_poly([p.degree, q.degree], sys)
     return _finish_planar(
-        "laguerre_wronskian", {"indices": indices, "b": b}, p, q, sys, lam,
-        notes={"field_offset": "U = b z - 1/2"},
+        "laguerre_wronskian", spec, Qs, notes={"field_offset": "U = b z - 1/2"}
     )
 
 
@@ -298,30 +339,11 @@ def monomial_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     integer z-power k(k+1)/2 times a Gaussian unit i**(k(k+1)/2); the unit
     is tracked exactly and cancels from the (bilinear) residual.
     """
-    indices = _check_index_set(indices)
-    b = Fraction(b)
-    if b == 0:
-        raise ValidationError("b must be nonzero")
-    k = len(indices) - 1
-    Qs = [Polynomial([0] * i + [1]) for i in indices]
-    wp = wronskian(Qs)
-    wq = wronskian(Qs[:k])
-    if wp.is_zero or wq.is_zero:
-        raise DegenerateWronskian("monomial Wronskian vanished")
-    tp = k * (k + 1) // 2
-    tq = (k - 1) * k // 2
-    if (k * (k + 1)) % 2 or ((k - 1) * k) % 2:
-        raise NonIntegerPower("prefactor z-power is not an integer")
-    p = wp.shift(tp).scale(_I_POWERS[tp % 4])
-    q = wq.shift(tq).scale(_I_POWERS[tq % 4])
-    sys = SystemCoefficients.bilinear([0, 0, -1], [0, b], Lambda=1)
-    lam = lambda_poly([p.degree, q.degree], sys)
-    n_expect, m_expect = sum(indices), sum(indices[:k])
-    if (p.degree, q.degree) != (n_expect, m_expect):
-        raise DegenerateWronskian("monomial pair degree mismatch")
-    return _finish_planar(
-        "monomial_wronskian", {"indices": indices, "b": b}, p, q, sys, lam
-    )
+    spec = _monomial_spec(indices, b)
+    params, _, _, (tp, tq) = spec
+    Qs = [Polynomial([0] * i + [1]) for i in params["indices"]]
+    units = (_I_POWERS[tp % 4], _I_POWERS[tq % 4])
+    return _finish_planar("monomial_wronskian", spec, Qs, units)
 
 
 def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
@@ -333,11 +355,8 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
     chain carries exactly k free parameters for the pair (the z-shift
     symmetry is not a separate parameter).
     """
-    if k < 0:
-        raise ValidationError("k must be >= 0")
-    ts = [Fraction(t) for t in ts]
-    if len(ts) != k:
-        raise ValidationError(f"need exactly {k} chain parameters, got {len(ts)}")
+    spec = _adler_moser_spec(k, ts)
+    ts = spec[0]["ts"]
     psis = [Polynomial([1]), Polynomial([0, 1])]
     for j in range(2, k + 2):
         prev = psis[j - 1]
@@ -348,15 +367,7 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
         t = ts[j - 2]
         kernel = Polynomial([t]) if j % 2 == 0 else Polynomial([0, t])
         psis.append(psi + kernel)
-    theta_k1 = wronskian(psis[1 : k + 2])
-    theta_k = wronskian(psis[1 : k + 1])
-    if theta_k1.is_zero or theta_k.is_zero:
-        raise DegenerateWronskian("chain Wronskian vanished")
-    sys = SystemCoefficients.bilinear([1], [0], Lambda=1)
-    lam = GaussianRational(0)
-    return _finish_planar(
-        "adler_moser", {"k": k, "ts": ts}, theta_k1, theta_k, sys, lam
-    )
+    return _finish_planar("adler_moser", spec, psis[1 : k + 2])
 
 
 def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCertificate:
@@ -442,15 +453,14 @@ def _angles_polynomial(freq_map: dict, total: int) -> Polynomial:
 # -- certification ------------------------------------------------------------
 
 
-def certify(cert: EquilibriumCertificate, sys: Optional[SystemCoefficients] = None) -> EquilibriumCertificate:
+def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     """Recompute the certificate's residual, reduced pair, inventory, and
     the float gradient cross-check; raises CertificationFailure if any of
     them breaks or if a stored field differs from its recomputed value."""
-    if sys is None:
-        sys = cert.sys
     if cert.recipe == "cylinder_wronskian":
         return _certify_cylinder(cert)
-    exact_zero, norm, idx = _exact_residual(sys, cert.p, cert.q, cert.lam)
+    _check_recipe(cert)
+    exact_zero, norm, idx = _exact_residual(cert.sys, cert.p, cert.q, cert.lam)
     if not exact_zero:
         raise CertificationFailure(
             f"bilinear residual nonzero (norm {norm:.3e})", coefficient_index=idx
@@ -462,14 +472,14 @@ def certify(cert: EquilibriumCertificate, sys: Optional[SystemCoefficients] = No
         "residual_exact_zero": True,
         "residual_norm": 0.0,
     }
-    _check_stored(cert, recomputed, "recomputed certificate")
+    _check_stored(vars(cert), recomputed, "recomputed certificate")
     if not _same_inventory(cert.inventory, inventory):
         raise CertificationFailure("stored 'inventory' does not match the recomputed certificate")
-    grad = _inventory_gradient(inventory, sys)
+    grad = _inventory_gradient(inventory, cert.sys)
     scale = max((abs(z) for z, _ in inventory), default=1.0) or 1.0
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
-    Pf = sys.P.to_float()
+    Pf = cert.sys.P.to_float()
     worst = 0.0
     for (z, _), g in zip(inventory, grad):
         if abs(Pf(z)) > 1e-10 * max(1.0, scale):
@@ -482,11 +492,22 @@ def certify(cert: EquilibriumCertificate, sys: Optional[SystemCoefficients] = No
     return cert
 
 
-def _check_stored(cert: EquilibriumCertificate, recomputed: dict, what: str):
+def _check_recipe(cert: EquilibriumCertificate):
+    """Stored P, U, lambda and degrees must be what the params imply (p, q are not rebuilt)."""
+    try:
+        _, sys, degrees, _ = _PLANAR_SPECS[cert.recipe](**cert.params)
+    except (ChargeflowError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
+    stored = {"P": cert.sys.P, "U": cert.sys.U, "lambda": cert.lam, "degrees": cert.degrees}
+    implied = {"P": sys.P, "U": sys.U, "lambda": lambda_poly(degrees, sys), "degrees": degrees}
+    _check_stored(stored, implied, "recipe params")
+
+
+def _check_stored(stored: dict, recomputed: dict, what: str):
     """Raise CertificationFailure naming the first stored field that
     differs from its recomputed value."""
     for name, value in recomputed.items():
-        if getattr(cert, name) != value:
+        if stored[name] != value:
             raise CertificationFailure(f"stored {name!r} does not match the {what}")
 
 
@@ -514,7 +535,7 @@ def _certify_cylinder(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     pair, degrees and (X, Y) payload must match the rebuild."""
     fresh = cylinder_pair(list(cert.params["indices"]), list(cert.params["ts"]))
     fields = {name: getattr(fresh, name) for name in ("p", "q", "degrees", "bivariate")}
-    _check_stored(cert, fields, "rebuilt cylinder certificate")
+    _check_stored(vars(cert), fields, "rebuilt cylinder certificate")
     if not fresh.residual_exact_zero:
         raise CertificationFailure("cylinder residual not exactly zero")
     # gradient cross-check in angle variables via w = exp(2 i phi)

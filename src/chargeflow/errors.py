@@ -49,10 +49,6 @@ class DegenerateWronskian(ChargeflowError):
     """A Wronskian that must be nonzero came out identically zero."""
 
 
-class NonIntegerPower(ChargeflowError):
-    """Prefactor bookkeeping produced an unresolvable fractional power."""
-
-
 class CertificationFailure(ChargeflowError):
     """An equilibrium certificate failed re-verification."""
 

@@ -280,20 +280,23 @@ def _distance(d):
 
 
 def pair_matrix(z, kernel=_inverse, diagonal=0.0) -> np.ndarray:
-    """(n, n) array of kernel(z_i - z_j) over the ordered pairs i != j.
+    """(..., n, n) array of kernel(z_i - z_j) over the ordered pairs i != j
+    of each state (n,) in ``z``, which may be a stack (..., n).
 
     The kernel (default 1/d) acts elementwise on the complex differences.
     It never sees the zero differences on the diagonal: they read 1 while
-    it runs, and the result's diagonal is set to ``diagonal`` afterwards.
-    With the default 0 a row sum is a sum over j != i; with ``np.inf`` a
-    minimum over the array is a minimum over distinct pairs.
+    it runs, and the result's diagonal is set to ``diagonal`` (a scalar or
+    (..., n) array) afterwards.  With the default 0 a row sum is a sum
+    over j != i; with ``np.inf`` a minimum is over distinct pairs.
     """
     z = np.asarray(z, dtype=complex)
-    step = len(z) + 1  # flat stride of the diagonal
-    diff = z[:, None] - z[None, :]
-    diff.flat[::step] = 1.0
+    n = z.shape[-1]
+    # each diagonal is every (n + 1)-th entry of its block's flat view
+    flat = z.shape[:-1] + (n * n,)
+    diff = z[..., :, None] - z[..., None, :]
+    diff.reshape(flat)[..., :: n + 1] = 1.0
     out = kernel(diff)
-    out.flat[::step] = diagonal
+    out.reshape(flat)[..., :: n + 1] = diagonal
     return out
 
 

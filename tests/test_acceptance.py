@@ -265,7 +265,7 @@ def test_criterion_08_conservation_ratio_one():
     iks, hps, hms = [], [], []
     for z in traj.positions:
         v = rhs_flat(flow, z)
-        iks.append(integrals(z, flow).values)
+        iks.append(integrals(z, flow))
         H = hamiltonians(config(flow, z), flow.sys, v)
         hps.append(H.h_plus)
         hms.append(H.h_minus)

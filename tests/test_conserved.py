@@ -11,8 +11,8 @@ from chargeflow.conserved import (
     multiset_distance,
     split_potential,
 )
-from chargeflow.dynamics import FlowSpec, integrate, rhs_flat
-from chargeflow.errors import NoReturnFound, ValidationError
+from chargeflow.dynamics import _SAMPLE_BLOCK, FlowSpec, integrate, over_samples, rhs_flat
+from chargeflow.errors import CoincidentPositions, NoReturnFound, ValidationError
 from chargeflow.operators import ChargeConfiguration, Species, SystemCoefficients
 from chargeflow.polynomials import hermite, find_roots
 
@@ -196,16 +196,16 @@ def test_split_potential_matches_double_loop():
 def test_lax_single_particle():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     state = two_species([0.7 + 0.3j], [])
-    pair = lax(flat(state), flow)
-    assert pair.Lx.shape == (1, 1)
-    assert abs(pair.Lx[0, 0] - 1.0 * (0.7 + 0.3j)) < 1e-14
+    L = lax(flat(state), flow)
+    assert L.shape == (1, 1)
+    assert abs(L[0, 0] - 1.0 * (0.7 + 0.3j)) < 1e-14
 
 
 def test_lax_symmetric_pair_trace_zero():
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 0)
     state = two_species([0.8, -0.8], [])
-    pair = lax(flat(state), flow)
-    assert abs(np.trace(pair.Lx)) < 1e-14
+    L = lax(flat(state), flow)
+    assert abs(np.trace(L)) < 1e-14
 
 
 def test_lax_generic_trace_oracle():
@@ -214,10 +214,10 @@ def test_lax_generic_trace_oracle():
     rng = np.random.default_rng(5)
     state = rand_state(rng, 2, 1)
     v = velocities(flow, state)
-    pair = lax(flat(state), flow)
+    L = lax(flat(state), flow)
     zs = state.all_positions()
     expected = sum(0.5 * (1j * v[k] + 1.3 * zs[k]) for k in range(3))
-    assert abs(np.trace(pair.block()) - expected) < 1e-12
+    assert abs(np.trace(L) - expected) < 1e-12
 
 
 def test_lax_requires_ratio_one():
@@ -228,6 +228,30 @@ def test_lax_requires_ratio_one():
         lax(flat(state), flow)
 
 
+def test_lax_on_a_stack_is_block_diagonal_per_state():
+    flow = FlowSpec.rational_omega(1.3, 1.0, 3, 2)
+    rng = np.random.default_rng(8)
+    Z = np.array([flat(rand_state(rng, 3, 2)) for _ in range(4)])
+    L = lax(Z, flow)
+    assert L.shape == (4, 5, 5)
+    assert np.all(L[:, :3, 3:] == 0) and np.all(L[:, 3:, :3] == 0)
+    for z, block in zip(Z, L):
+        assert np.array_equal(block, lax(z, flow))
+        assert block[0, 1] == 1.0 / (z[0] - z[1])
+        assert block[4, 3] == 1.0 / (z[4] - z[3])
+
+
+def test_lax_checks_every_state_of_a_stack():
+    flow = FlowSpec.rational_omega(1.0, 1.0, 2, 1)
+    Z = np.array([[1e6, 0.5, -0.3], [1.0, 1.0 + 1e-9, 0.5], [0.2, -0.7, 0.9]], dtype=complex)
+    lax(Z, flow)  # 1e-9 apart passes at its own state's scale 1, not at 1e6
+    Z[2, 2] = Z[2, 0]  # a cross-species coincidence in the last state only
+    with pytest.raises(CoincidentPositions):
+        lax(Z, flow)
+    with pytest.raises(ValidationError):
+        lax(Z[:2], FlowSpec.rational_omega(1.0, 1.25, 2, 1))
+
+
 # -- trace integrals ----------------------------------------------------------------
 
 
@@ -235,14 +259,26 @@ def test_integrals_single_particle():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     x0 = 0.9 - 0.4j
     vals = integrals(np.array([x0]), flow)
-    assert len(vals.values) == 1
-    assert abs(vals.values[0] - abs(x0) ** 2) < 1e-13
+    assert len(vals) == 1
+    assert abs(vals[0] - abs(x0) ** 2) < 1e-13
     traj = integrate(flow, two_species([x0], []), BASE, rtol=1e-11, atol=1e-13,
                      n_samples=17)
     drift = max(
-        abs(integrals(z, flow).values[0] - vals.values[0]) for z in traj.positions
+        abs(integrals(z, flow)[0] - vals[0]) for z in traj.positions
     )
     assert drift < 1e-9
+
+
+def test_integrals_on_a_stack_match_rows():
+    flow = FlowSpec.rational_omega(1.0, 1.0, 4, 3)
+    rng = np.random.default_rng(17)
+    S = _SAMPLE_BLOCK + 6
+    Z = np.array([flat(rand_state(rng, 4, 3)) for _ in range(S)])
+    rows = np.array([integrals(z, flow) for z in Z])
+    assert rows.shape == (S, 13)
+    for stacked in (integrals(Z, flow), over_samples(lambda B: integrals(B, flow), Z)):
+        assert stacked.shape == (S, 13)
+        assert np.all(np.abs(stacked - rows) <= 1e-15 * rows)
 
 
 def test_integrals_conserved_n2_m1():
@@ -251,10 +287,10 @@ def test_integrals_conserved_n2_m1():
     init = rand_state(rng, 2, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-10, atol=1e-12,
                      n_samples=33)
-    base = np.array(integrals(traj.positions[0], flow).values)
+    base = np.array(integrals(traj.positions[0], flow))
     worst = 0.0
     for z in traj.positions:
-        vals = np.array(integrals(z, flow).values)
+        vals = np.array(integrals(z, flow))
         worst = max(worst, np.max(np.abs(vals - base) / np.maximum(np.abs(base), 1e-30)))
     assert worst < 1e-6
 
@@ -264,7 +300,7 @@ def test_integrals_highest_symbol_limit():
     state = rand_state(rng, 2, 1, scale=2.0)
     omega = 1e6
     flow = FlowSpec.rational_omega(omega, 1.0, 2, 1)
-    vals = integrals(flat(state), flow).values
+    vals = integrals(flat(state), flow)
     xs = state.species[0].positions
     ys = state.species[1].positions
     for k in (1, 2, 3):
@@ -283,7 +319,7 @@ def test_integrals_jacobian_full_rank():
     kmax = 2 * 4 - 1
 
     def ivals(z):
-        return np.array(integrals(z, flow).values)
+        return np.array(integrals(z, flow))
 
     eps = 1e-6
     J = np.zeros((kmax, 8))

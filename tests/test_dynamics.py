@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from chargeflow.conserved import multiset_distance
+from chargeflow.conserved import integrals, multiset_distance
 from chargeflow.dynamics import (
     FlowSpec,
     _min_separation,
-    _sample_monitors,
     integrate,
     monitors,
     phi_identity_i1,
@@ -363,11 +362,38 @@ def test_monitor_columns_match_per_sample_monitors():
         assert mon[key].shape == (S,)
     assert mon["conserved"].shape == (S, K)
     for k, z in enumerate(traj.positions):
-        row = _sample_monitors(flow, z)
+        assert mon["min_separation"][k] == _min_separation(flow, z)
         assert mon["bilinear_residual"][k] == state_residual(flow, z)
-        for key in ("min_separation", "charge_moment"):
-            assert mon[key][k] == row[key]
-        assert np.array_equal(mon["conserved"][k], row["conserved"])
+        # Z @ q and q @ z sum in different orders: N eps of the summed magnitudes
+        bound = len(z) * np.finfo(float).eps * (np.abs(flow.q) @ np.abs(z))
+        assert abs(mon["charge_moment"][k] - flow.q @ z) <= bound
+        assert np.array_equal(mon["conserved"][k], integrals(z, flow))
+
+
+STACK_FLOWS = [
+    FlowSpec.rational_omega(1.0, 1.213579, 4, 2),
+    FlowSpec.polylinear(
+        SystemCoefficients.polylinear([1.0, 0.3, 0.2], [0.2, -1.0], [1.0, 2.5, -0.7]), (3, 2, 2)
+    ),
+    FlowSpec.linear(SystemCoefficients.linear([1.0, 0.0, 0.5], [0.0, -2.0]), 5),
+    FlowSpec.angular(3, 2),
+]
+STACK_IDS = ["trap", "three_species", "linear", "angular"]
+
+
+@pytest.mark.parametrize("flow", STACK_FLOWS, ids=STACK_IDS)
+def test_stacked_rhs_and_separation_match_rows_bit_for_bit(flow):
+    rng = np.random.default_rng(37)
+    N = sum(flow.sizes)
+    Z = rng.normal(size=(33, N)) + 1j * rng.normal(size=(33, N))
+    V = rhs_flat(flow, Z)
+    assert V.shape == (33, N)
+    assert np.array_equal(V, np.array([rhs_flat(flow, z) for z in Z]))
+    sep = _min_separation(flow, Z)
+    assert sep.shape == (33,)
+    rows = [_min_separation(flow, z) for z in Z]
+    assert all(isinstance(r, float) for r in rows)
+    assert sep.tolist() == rows
 
 
 @pytest.mark.parametrize(

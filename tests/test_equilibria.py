@@ -385,6 +385,50 @@ def test_planar_certificate_rejects_mutated_field(field, path, value):
         certify(EquilibriumCertificate.from_json(doc))
 
 
+@pytest.mark.parametrize(
+    "name,params,field",
+    [
+        ("hermite_124", {"indices": [7, 8, 9], "b": "5"}, "U"),
+        ("hermite_124", {"indices": [1, 2, 5], "b": "-2"}, "lambda"),
+        ("monomial_134", {"indices": [1, 3, 4], "b": "1/3"}, "U"),
+        ("adler_moser_4", {"k": 5, "ts": ["1/2", "2", "-1", "3", "1"]}, "degrees"),
+        ("adler_moser_4", {"k": 3, "ts": ["1/2", "2", "-1"]}, "degrees"),
+    ],
+    ids=["hermite_indices_and_b", "hermite_indices", "monomial_b", "adler_moser_k5", "adler_moser_k3"],
+)
+def test_planar_certificate_rejects_changed_params(name, params, field):
+    doc = json.loads((GOLDEN / name / "certificate.json").read_text())
+    certify(EquilibriumCertificate.from_json(doc))  # the untouched file certifies
+    doc["params"].update(params)
+    with pytest.raises(CertificationFailure, match=f"stored '{field}' does not match the recipe"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("adler_moser_4", {"k": 5}),  # four chain parameters for k = 5
+        ("hermite_124", {"b": "0"}),
+        ("hermite_124", {"indices": [2, 1, 4]}),
+        ("hermite_124", {"b": "x"}),
+        ("monomial_134", {"extra": 1}),
+    ],
+    ids=["k_without_ts", "zero_b", "unsorted_indices", "bad_b", "unknown_key"],
+)
+def test_planar_certificate_rejects_malformed_params(name, params):
+    doc = json.loads((GOLDEN / name / "certificate.json").read_text())
+    doc["params"].update(params)
+    with pytest.raises(CertificationFailure, match="system for its params"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
+def test_planar_certificate_rejects_unknown_recipe():
+    doc = json.loads((GOLDEN / "hermite_124" / "certificate.json").read_text())
+    doc["recipe"] = "laguerre"
+    with pytest.raises(CertificationFailure, match="no 'laguerre' system"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
 def test_planar_certificate_rejects_changed_inventory_charge():
     doc = json.loads((GOLDEN / "hermite_124" / "certificate.json").read_text())
     doc["inventory"][0]["net_charge"] += 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chargeflow.errors import ClusterAmbiguity
 from chargeflow.polynomials import (
     Polynomial,
+    _inverse,
     classical,
     cluster_points,
     find_roots,
@@ -161,6 +162,22 @@ def test_pair_matrix_kernel_never_sees_diagonal():
     pair_matrix(z, lambda d: seen.append(d.copy()) or d)
     assert np.all(seen[0] != 0)
     assert np.all(np.diag(pair_matrix(z, np.abs, diagonal=np.inf)) == np.inf)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_pair_matrix_on_a_stack_equals_its_rows(n):
+    rng = np.random.default_rng(n)
+    Z = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    D = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    for kernel, diagonal in ((_inverse, 0.0), (np.abs, np.inf)):
+        stack = pair_matrix(Z, kernel, diagonal)
+        assert stack.shape == (5, n, n)
+        for z, block in zip(Z, stack):
+            assert np.array_equal(block, pair_matrix(z, kernel, diagonal))
+    stack = pair_matrix(Z, diagonal=D)  # one diagonal entry per state and position
+    for z, d, block in zip(Z, D, stack):
+        assert np.array_equal(block, pair_matrix(z, diagonal=d))
+        assert np.array_equal(np.diag(block), d)
 
 
 @settings(max_examples=30, deadline=None)
