@@ -18,6 +18,7 @@ import sys as _sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,110 +56,41 @@ EXIT_CERTIFICATION = 5
 
 
 # -- config schema ------------------------------------------------------------
-
-_TOP_KEYS = {
-    "mode",
-    "system",
-    "initial",
-    "integration",
-    "equilibrium",
-    "identities",
-    "period",
-    "output",
-    "seed",
-}
-_MODES = {"simulate", "equilibrium", "conserved", "period", "verify-identities"}
-_SYSTEM_KEYS = {"kind", "P", "U", "Lambda", "charges", "omega", "lambda", "n", "m", "sizes"}
-_INITIAL_KEYS = {"species", "random"}
-_INTEGRATION_KEYS = {"t_end", "periods", "rtol", "atol", "samples_per_period", "samples"}
-_EQ_KEYS = {"recipe", "indices", "b", "ts", "k"}
-_ID_KEYS = {"phi", "trials", "n", "m"}
-_PERIOD_KEYS = {"base_period", "tol"}
-_OUTPUT_KEYS = {"dir", "formats", "svg", "prefix"}
-
-_DEFAULTS = {
-    "rtol": 1e-10,
-    "atol": 1e-12,
-    "samples_per_period": 128,
-    "period_tol": 1e-5,
-}
-
-
-def _reject_unknown(doc, allowed, where):
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def validate_config(doc: dict) -> dict:
-    """Schema-check a run config; returns it with defaults filled in."""
-    if not isinstance(doc, dict):
-        raise ValidationError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    mode = doc.get("mode")
-    if mode not in _MODES:
-        raise ValidationError(f"mode must be one of {sorted(_MODES)}")
-    for key, allowed in (
-        ("system", _SYSTEM_KEYS),
-        ("initial", _INITIAL_KEYS),
-        ("integration", _INTEGRATION_KEYS),
-        ("equilibrium", _EQ_KEYS),
-        ("identities", _ID_KEYS),
-        ("period", _PERIOD_KEYS),
-        ("output", _OUTPUT_KEYS),
-    ):
-        if key in doc:
-            if not isinstance(doc[key], dict):
-                raise ValidationError(f"{key} block must be an object")
-            _reject_unknown(doc[key], allowed, key)
-    if mode in ("simulate", "conserved", "period"):
-        if "system" not in doc:
-            raise ValidationError(f"{mode} needs a system block")
-        if "initial" not in doc:
-            raise ValidationError(f"{mode} needs initial conditions")
-    if mode == "equilibrium" and "equilibrium" not in doc:
-        raise ValidationError("equilibrium mode needs an equilibrium block")
-    return doc
-
+#
+# Every config key is one row of the table below: key -> (converter, default).
+# A converter maps a JSON value, or a flag's string, to the typed value or
+# raises TypeError, ValueError or ArithmeticError.  A default is converted like
+# a given value; ``None`` leaves the key unset and ``_REQUIRED`` makes a
+# missing key an error.  A dict or ``_Variants`` in the converter slot is a
+# nested block, and a one-entry list holding one is a list of such blocks.
 
 _REQUIRED = object()
 
 
-def _field(block: dict, key: str, convert, default=_REQUIRED, where="system"):
-    """``convert(block[key])``, or ``default`` when the key is missing or
-    null; a missing required key or a value that does not convert is a
-    validation error that names ``where`` the block sits."""
-    if not isinstance(block, dict):
-        raise ValidationError(f"{where} must be an object: {block!r}")
-    if block.get(key) is None:
-        if default is _REQUIRED:
-            raise ValidationError(f"{where} block needs {key!r}")
-        return default
-    try:
-        return convert(block[key])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"{where} {key!r} is malformed: {block[key]!r}") from exc
+class _Variants(NamedTuple):
+    """A block whose ``key`` (``default`` when missing) picks the schema of
+    its other keys."""
+
+    key: str
+    default: object
+    schemas: dict
 
 
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError("expected a list")
-    return value
+def _such_that(test, convert=lambda value: value):
+    """Converter: ``convert``, then reject a result that fails ``test``."""
 
-
-def _at_least(low: int):
-    """Converter to an integer no smaller than ``low``."""
-
-    def convert(value) -> int:
-        out = int(value)
-        if out < low:
-            raise ValueError(f"{out} < {low}")
+    def checked(value):
+        out = convert(value)
+        if not test(out):
+            raise ValueError(f"{out!r} is not allowed here")
         return out
 
-    return convert
+    return checked
 
 
-_size = _at_least(0)
+_list = _such_that(lambda v: isinstance(v, list))
+_bool = _such_that(lambda v: isinstance(v, bool))
+_text = _such_that(lambda v: isinstance(v, str))
 
 
 def _list_of(convert):
@@ -166,50 +98,181 @@ def _list_of(convert):
     return lambda values: [convert(v) for v in _list(values)]
 
 
+def _real(value) -> float:
+    """A finite number or numeric string; a bool is not a number."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a number")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{out} is not finite")
+    return out
+
+
+def _integer(value) -> int:
+    """An integer, integral float or integer string; a bool is not one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _at_least(low, convert=_integer):
+    return _such_that(lambda v: v >= low, convert)
+
+
+def _one_of(*options):
+    return _such_that(lambda v: v in options)
+
+
+_positive = _such_that(lambda v: v > 0, _real)
+
+
 def _rational(value) -> Fraction:
     return Fraction(str(value))
 
 
+def _point(value) -> complex:
+    """An [re, im] pair."""
+    re, im = _list(value)
+    return complex(_real(re), _real(im))
+
+
 def _coeff(value) -> complex:
-    return complex(value[0], value[1]) if isinstance(value, list) else complex(value)
+    """A number or an [re, im] pair."""
+    return _point(value) if isinstance(value, list) else complex(_real(value))
 
 
-def _coeffs(values) -> list:
-    return [_coeff(c) for c in values]
+_MODES = ("simulate", "equilibrium", "conserved", "period", "verify-identities")
+_SEED = (_at_least(0), 0)
+_SIZE = (_at_least(0), _REQUIRED)
+_COEFFS = (_list_of(_coeff), _REQUIRED)
+_LAMBDA = (_real, 1.0)
+_EIGENCONSTANT = (_coeff, None)
+_INDICES = (_list_of(_integer), _REQUIRED)
+
+_SYSTEM = _Variants("kind", "rational_omega", {
+    "rational_omega": {"omega": (_real, 1.0), "Lambda": _LAMBDA, "n": _SIZE, "m": _SIZE},
+    "angular": {"n": _SIZE, "m": _SIZE},
+    "linear": {"P": _COEFFS, "U": _COEFFS, "n": _SIZE},
+    "bilinear": {
+        "P": _COEFFS, "U": _COEFFS, "lambda": _EIGENCONSTANT, "Lambda": _LAMBDA,
+        "n": _SIZE, "m": _SIZE,
+    },
+    "polylinear": {
+        "P": _COEFFS, "U": _COEFFS, "lambda": _EIGENCONSTANT,
+        "charges": (_list_of(_real), _REQUIRED), "sizes": (_list_of(_at_least(0)), _REQUIRED),
+    },
+})
+
+# recipe -> (constructor, its parameters, named as the constructor names them)
+_RECIPES = {
+    "hermite": (equilibria.hermite_pair, {"indices": _INDICES, "b": (_rational, -2)}),
+    "laguerre": (equilibria.laguerre_pair, {"indices": _INDICES, "b": (_rational, 1)}),
+    "monomial": (equilibria.monomial_pair, {"indices": _INDICES, "b": (_rational, 1)}),
+    "adler_moser": (
+        equilibria.adler_moser, {"k": (_integer, _REQUIRED), "ts": (_list_of(_rational), [])}
+    ),
+    "cylinder": (equilibria.cylinder_pair, {"indices": _INDICES, "ts": (_list_of(_real), [])}),
+}
+_EQUILIBRIUM = _Variants("recipe", _REQUIRED, {name: keys for name, (_, keys) in _RECIPES.items()})
+
+_NEEDS = {"simulate": ("system", "initial"), "conserved": ("system", "initial"),
+          "period": ("system", "initial"), "equilibrium": ("equilibrium",)}
+
+_SCHEMA = {
+    "mode": (_one_of(*_MODES), _REQUIRED),
+    "seed": _SEED,
+    "system": (_SYSTEM, None),
+    "initial": ({
+        "species": ([{"positions": (_list_of(_point), _REQUIRED), "charge": (_real, None)}], None),
+        "random": ({"seed": _SEED, "scale": (_real, 1.0), "min_separation": (_real, 0.25)}, None),
+    }, None),
+    "integration": ({
+        "t_end": (_real, None), "periods": (_real, None),
+        "rtol": (_at_least(0.0, _real), 1e-10), "atol": (_positive, 1e-12),
+        "samples_per_period": (_at_least(1), 128), "samples": (_at_least(2), 257),
+    }, {}),
+    "equilibrium": (_EQUILIBRIUM, None),
+    "identities": ({
+        "phi": (_one_of("inverse", "coth"), "inverse"), "trials": (_at_least(0), 100),
+        "n": (_at_least(2), 6), "m": (_at_least(1), 6),
+    }, {}),
+    "period": ({"base_period": (_positive, None), "tol": (_real, 1e-5)}, {}),
+    "output": ({
+        "dir": (_text, "."), "prefix": (_text, ""), "svg": (_bool, False),
+        "formats": (_list_of(_one_of("csv", "json")), ["csv", "json"]),
+    }, {}),
+}
 
 
-def _points(values) -> list:
-    """[[re, im], ...] position pairs as complex numbers."""
-    return [complex(re, im) for re, im in _list(values)]
+def _field(block: dict, key: str, convert, default, where: str):
+    """``block[key]``, or ``default`` when it is missing or null, through
+    ``convert``; errors name ``where`` the block sits."""
+    value = block.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where} block needs {key!r}")
+        if default is None:
+            return None
+        value = default
+    inner = key if where == "config" else f"{where} {key}"  # top-level blocks by name
+    try:
+        if isinstance(convert, list):
+            return [_walk(v, convert[0], f"{inner} {i}") for i, v in enumerate(_list(value))]
+        if isinstance(convert, (dict, _Variants)):
+            return _walk(value, convert, inner)
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"{where} {key!r} is malformed: {value!r}") from exc
+
+
+def _walk(doc, schema, where: str) -> dict:
+    """``doc`` converted key by key through ``schema``, defaults filled in;
+    a key the schema does not list is an error."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be an object: {doc!r}")
+    if isinstance(schema, _Variants):
+        tag = (_one_of(*schema.schemas), schema.default)
+        schema = {schema.key: tag, **schema.schemas[_field(doc, schema.key, *tag, where)]}
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+    return {key: _field(doc, key, convert, default, where) for key, (convert, default) in schema.items()}
+
+
+def validate_config(doc: dict) -> dict:
+    """The typed config: every key of ``doc`` converted through the schema
+    table, with defaults filled in and absent blocks ``None``."""
+    if not isinstance(doc, dict):
+        raise ValidationError("config must be a JSON object")
+    doc = _walk(doc, _SCHEMA, "config")
+    for block in _NEEDS.get(doc["mode"], ()):
+        if doc[block] is None:
+            raise ValidationError(f"{doc['mode']} mode needs the {block} block")
+    return doc
 
 
 def _build_flow(system: dict) -> FlowSpec:
-    kind = system.get("kind", "rational_omega")
+    """The flow of a validated ``system`` block; it must move a particle."""
+    kind, n, m = system["kind"], system.get("n"), system.get("m")
     if kind == "rational_omega":
-        return FlowSpec.rational_omega(
-            _field(system, "omega", float, 1.0),
-            _field(system, "Lambda", float, 1.0),
-            _field(system, "n", _size),
-            _field(system, "m", _size),
+        flow = FlowSpec.rational_omega(system["omega"], system["Lambda"], n, m)
+    elif kind == "angular":
+        flow = FlowSpec.angular(n, m)
+    elif kind == "linear":
+        flow = FlowSpec.linear(SystemCoefficients.linear(system["P"], system["U"]), n)
+    elif kind == "bilinear":
+        sys_c = SystemCoefficients.bilinear(
+            system["P"], system["U"], Lambda=system["Lambda"], lam=system["lambda"]
         )
-    if kind == "angular":
-        return FlowSpec.angular(_field(system, "n", _size), _field(system, "m", _size))
-    if kind not in ("linear", "bilinear", "polylinear"):
-        raise ValidationError(f"unknown system kind {kind!r}")
-    P = _field(system, "P", _coeffs)
-    U = _field(system, "U", _coeffs)
-    lam = _field(system, "lambda", _coeff, None)
-    if kind == "linear":
-        sys_c = SystemCoefficients.linear(P, U)
-        return FlowSpec.linear(sys_c, _field(system, "n", _size))
-    if kind == "bilinear":
-        Lambda = _field(system, "Lambda", float, 1.0)
-        sys_c = SystemCoefficients.bilinear(P, U, Lambda=Lambda, lam=lam)
-        return FlowSpec.bilinear(sys_c, _field(system, "n", _size), _field(system, "m", _size))
-    charges = _field(system, "charges", _list_of(float))
-    sizes = _field(system, "sizes", _list_of(_size))
-    sys_c = SystemCoefficients.polylinear(P, U, charges, lam=lam)
-    return FlowSpec.polylinear(sys_c, sizes)
+        flow = FlowSpec.bilinear(sys_c, n, m)
+    else:
+        sys_c = SystemCoefficients.polylinear(
+            system["P"], system["U"], system["charges"], lam=system["lambda"]
+        )
+        flow = FlowSpec.polylinear(sys_c, system["sizes"])
+    if not sum(flow.sizes):
+        raise ValidationError("system has no particles")
+    return flow
 
 
 def system_to_config(flow: FlowSpec) -> dict:
@@ -248,11 +311,9 @@ def system_to_config(flow: FlowSpec) -> dict:
 
 
 def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
-    where = "initial random"
-    seed = _field(options, "seed", _size, 0, where)
-    scale = _field(options, "scale", float, 1.0, where)
-    min_sep = _field(options, "min_separation", float, 0.25, where) * scale
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(options["seed"])
+    scale = options["scale"]
+    min_sep = options["min_separation"] * scale
     total = sum(flow.sizes)
     for _ in range(1000):
         pts = rng.normal(size=total) * scale + 1j * rng.normal(size=total) * scale
@@ -266,27 +327,27 @@ def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
 
 
 def _build_initial(flow: FlowSpec, initial: dict) -> ChargeConfiguration:
-    if "random" in initial:
+    if initial["random"] is not None:
         return _random_initial(flow, initial["random"])
-    species_doc = _field(initial, "species", _list, where="initial")
+    species_doc = initial["species"]
+    if species_doc is None:
+        raise ValidationError("initial block needs 'species'")
     if len(species_doc) != len(flow.sizes):
         raise ValidationError(
             f"initial conditions have {len(species_doc)} species, "
             f"flow expects {len(flow.sizes)}"
         )
     species = []
-    for idx, (sp_doc, q, size) in enumerate(zip(species_doc, flow.charges, flow.sizes)):
-        where = f"initial species {idx}"
-        pts = _field(sp_doc, "positions", _points, where=where)
-        if len(pts) != size:
+    for idx, (sp, q, size) in enumerate(zip(species_doc, flow.charges, flow.sizes)):
+        if len(sp["positions"]) != size:
             raise ValidationError(
-                f"species size {len(pts)} does not match flow size {size}"
+                f"species size {len(sp['positions'])} does not match flow size {size}"
             )
-        if _field(sp_doc, "charge", float, q, where) != q:
+        if sp["charge"] is not None and sp["charge"] != q:
             raise ValidationError(
-                f"{where} charge {sp_doc['charge']!r} differs from the flow's {q}"
+                f"initial species {idx} charge {sp['charge']!r} differs from the flow's {q}"
             )
-        species.append(Species(q, tuple(pts)))
+        species.append(Species(q, tuple(sp["positions"])))
     return ChargeConfiguration(tuple(species))
 
 
@@ -394,48 +455,34 @@ def plot_svg(traj: Trajectory, width: int = 640, height: int = 640) -> str:
 # -- mode runners -------------------------------------------------------------
 
 
-def _integration_params(doc: dict, flow: FlowSpec):
-    block, where = doc.get("integration", {}), "integration"
-    rtol = _field(block, "rtol", float, _DEFAULTS["rtol"], where)
-    atol = _field(block, "atol", float, _DEFAULTS["atol"], where)
-    spp = _field(block, "samples_per_period", int, _DEFAULTS["samples_per_period"], where)
-    t_end = _field(block, "t_end", float, None, where)
-    periods = _field(block, "periods", float, None, where)
-    omega = flow.sys.omega if flow.sys is not None else None
-    if t_end is None:
-        if periods is None or not omega:
-            raise ValidationError("integration block needs t_end or periods")
-        t_end = periods * 2 * math.pi / omega
-    if omega:
-        base = 2 * math.pi / omega
-        n_samples = max(2, int(round(t_end / base * spp)) + 1)
-    else:
-        n_samples = _field(block, "samples", int, 257, where)
-    return t_end, rtol, atol, n_samples
-
-
-def _period_tol(doc: dict) -> float:
-    return _field(doc.get("period", {}), "tol", float, _DEFAULTS["period_tol"], "period")
-
-
 def _out_path(doc, name):
-    out = doc.get("output", {})
-    prefix = out.get("prefix", "")
-    return os.path.join(out.get("dir", "."), prefix + name)
+    out = doc["output"]
+    return os.path.join(out["dir"], out["prefix"] + name)
 
 
 def _integrate_doc(doc: dict) -> Trajectory:
     """The flow, initial state and integration settings of a config, run."""
     flow = _build_flow(doc["system"])
     init = _build_initial(flow, doc["initial"])
-    t_end, rtol, atol, n_samples = _integration_params(doc, flow)
-    return integrate(flow, init, t_end, rtol=rtol, atol=atol, n_samples=n_samples)
+    block = doc["integration"]
+    t_end, n_samples = block["t_end"], block["samples"]
+    omega = flow.sys.omega if flow.sys is not None else None
+    if t_end is None:
+        if block["periods"] is None or not omega:
+            raise ValidationError("integration block needs t_end or periods")
+        t_end = block["periods"] * 2 * math.pi / omega
+    if omega:
+        count = t_end / (2 * math.pi / omega) * block["samples_per_period"]
+        if not math.isfinite(count):
+            raise ValidationError(f"integration over t_end {t_end} has no finite sample count")
+        n_samples = max(2, int(round(count)) + 1)
+    return integrate(flow, init, t_end, rtol=block["rtol"], atol=block["atol"], n_samples=n_samples)
 
 
 def _run_simulate(doc: dict) -> int:
     traj = _integrate_doc(doc)
     mon = monitors(traj)
-    formats = doc.get("output", {}).get("formats", ["csv", "json"])
+    formats = doc["output"]["formats"]
     if "csv" in formats:
         path = _out_path(doc, "trajectory.csv")
         _atomic_write(path, trajectory_csv(traj, mon))
@@ -445,7 +492,7 @@ def _run_simulate(doc: dict) -> int:
         report = conserved_report(traj.times, mon["conserved"])
         _atomic_write(path, json.dumps(report, indent=1))
         print(f"wrote {path}")
-    if doc.get("output", {}).get("svg"):
+    if doc["output"]["svg"]:
         path = _out_path(doc, "trajectory.svg")
         _atomic_write(path, plot_svg(traj))
         print(f"wrote {path}")
@@ -464,9 +511,8 @@ def _run_conserved(doc: dict) -> int:
     period_info = None
     if flow.sys is not None and flow.sys.omega:
         base = 2 * math.pi / flow.sys.omega
-        tol = _period_tol(doc)
         try:
-            period_info = detect_period(traj, base, tol)
+            period_info = detect_period(traj, base, doc["period"]["tol"])
         except NoReturnFound:
             period_info = None
     report = conserved_report(traj.times, traces, period_info)
@@ -483,12 +529,12 @@ def _run_conserved(doc: dict) -> int:
 def _run_period(doc: dict) -> int:
     traj = _integrate_doc(doc)
     flow = traj.flow
-    base = _field(doc.get("period", {}), "base_period", float, None, "period")
+    base = doc["period"]["base_period"]
     if base is None:
         if flow.sys is None or not flow.sys.omega:
             raise ValidationError("period mode needs omega or base_period")
         base = 2 * math.pi / flow.sys.omega
-    k, mismatch = detect_period(traj, base, _period_tol(doc))
+    k, mismatch = detect_period(traj, base, doc["period"]["tol"])
     path = _out_path(doc, "period.json")
     _atomic_write(path, json.dumps({"k": k, "mismatch": mismatch}, indent=1))
     print(f"wrote {path}")
@@ -496,39 +542,9 @@ def _run_period(doc: dict) -> int:
     return EXIT_OK
 
 
-def _eq_field(blk: dict, key: str, convert, default=_REQUIRED):
-    return _field(blk, key, convert, default, "equilibrium")
-
-
-def _indices(blk: dict) -> list:
-    return _eq_field(blk, "indices", _list_of(int))
-
-
-_RECIPES = {
-    "hermite": lambda blk: equilibria.hermite_pair(
-        _indices(blk), _eq_field(blk, "b", _rational, Fraction(-2))
-    ),
-    "laguerre": lambda blk: equilibria.laguerre_pair(
-        _indices(blk), _eq_field(blk, "b", _rational, Fraction(1))
-    ),
-    "monomial": lambda blk: equilibria.monomial_pair(
-        _indices(blk), _eq_field(blk, "b", _rational, Fraction(1))
-    ),
-    "adler_moser": lambda blk: equilibria.adler_moser(
-        _eq_field(blk, "k", int), _eq_field(blk, "ts", _list_of(_rational), [])
-    ),
-    "cylinder": lambda blk: equilibria.cylinder_pair(
-        _indices(blk), _eq_field(blk, "ts", _list_of(float), [])
-    ),
-}
-
-
 def _run_equilibrium(doc: dict) -> int:
-    blk = doc["equilibrium"]
-    recipe = blk.get("recipe")
-    if recipe not in _RECIPES:
-        raise ValidationError(f"recipe must be one of {sorted(_RECIPES)}")
-    cert = _RECIPES[recipe](blk)
+    params = dict(doc["equilibrium"])
+    cert = _RECIPES[params.pop("recipe")][0](**params)
     cert = equilibria.certify(cert)
     path = _out_path(doc, "certificate.json")
     _atomic_write(path, json.dumps(cert.to_json(), indent=1))
@@ -541,25 +557,19 @@ def _run_equilibrium(doc: dict) -> int:
 
 
 def _run_identities(doc: dict) -> int:
-    blk, where = doc.get("identities", {}), "identities"
-    phi_name = blk.get("phi", "inverse")
-    trials = _field(blk, "trials", _size, 100, where)
-    nmax = _field(blk, "n", _at_least(2), 6, where)
-    mmax = _field(blk, "m", _at_least(1), 6, where)
-    seed = _field(doc, "seed", _size, 0, "config")
-    rng = np.random.default_rng(seed)
+    blk = doc["identities"]
+    phi_name, trials, nmax, mmax = blk["phi"], blk["trials"], blk["n"], blk["m"]
+    rng = np.random.default_rng(doc["seed"])
     if phi_name == "inverse":
         phi = lambda x: 1.0 / x
         i1_offset = lambda n: 0.0
         i2_offset = lambda n, m: 0.0
-    elif phi_name == "coth":
+    else:
         phi = lambda x: 1.0 / math.tanh(x)
         # the pair product identity holds with constant -1, which shifts
         # the sums by per-triple counts
         i1_offset = lambda n: 2.0 * (n * (n - 1) * (n - 2) // 6)
         i2_offset = lambda n, m: float(n * m * (m - n))
-    else:
-        raise ValidationError("phi must be 'inverse' or 'coth'")
     worst_i1 = worst_i2 = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, nmax + 1))
@@ -623,8 +633,8 @@ def _pool_size(jobs: int, n_seeds: int) -> int:
 
 
 def _run_worker(args):
-    """Run one seed of a sweep; blocks that are not objects are left for
-    ``run`` to reject."""
+    """Run one seed of a sweep; values that are not what the schema wants
+    are left for ``run`` to reject."""
     doc, seed = args
     doc = json.loads(json.dumps(doc))
     doc["seed"] = seed
@@ -632,21 +642,44 @@ def _run_worker(args):
     if isinstance(init, dict) and isinstance(init.get("random"), dict):
         init["random"]["seed"] = seed
     out = doc.setdefault("output", {})
-    if isinstance(out, dict):
-        out["prefix"] = f"{out.get('prefix', '')}seed{seed}_"
+    if isinstance(out, dict) and isinstance(out.get("prefix", ""), (str, type(None))):
+        out["prefix"] = f"{out.get('prefix') or ''}seed{seed}_"
     return seed, run(doc)
 
 
-def _block(doc: dict, key: str) -> dict:
-    """``doc[key]``, created empty when missing; flags write into it."""
-    blk = doc.setdefault(key, {})
-    if not isinstance(blk, dict):
-        raise ValidationError(f"{key} block must be an object")
-    return blk
+def _comma_list(text: str) -> list:
+    return text.split(",")
+
+
+# Flags write their text into the config, where the schema table converts
+# it: flag, modes, block (None: top level), key, argparse keywords.
+_FLAGS = (
+    ("--out", _MODES, "output", "dir", {"help": "output directory override"}),
+    ("--format", _MODES, "output", "formats", {"action": "append"}),
+    ("--svg", _MODES, "output", "svg", {"action": "store_const", "const": True}),
+    ("--seed", _MODES, None, "seed", {}),
+    ("--recipe", ("equilibrium",), "equilibrium", "recipe", {}),
+    ("--indices", ("equilibrium",), "equilibrium", "indices",
+     {"type": _comma_list, "help": "comma-separated index set"}),
+    ("--b", ("equilibrium",), "equilibrium", "b", {"help": "field slope (rational)"}),
+    ("--ts", ("equilibrium",), "equilibrium", "ts",
+     {"type": _comma_list, "help": "comma-separated chain parameters"}),
+    ("--k", ("equilibrium",), "equilibrium", "k", {}),
+    ("--phi", ("verify-identities",), "identities", "phi", {}),
+    ("--trials", ("verify-identities",), "identities", "trials", {}),
+)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is a validation error (exit 3); exit 2 is
+    reserved for collision aborts."""
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="chargeflow",
         description="Root-dynamics experiments: simulate flows, certify "
         "Wronskian equilibria, verify conserved quantities.",
@@ -655,75 +688,40 @@ def main(argv=None) -> int:
     for mode in _MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", help="JSON experiment config")
-        sp.add_argument("--out", help="output directory override")
-        sp.add_argument("--format", choices=["csv", "json"], action="append")
-        sp.add_argument("--svg", action="store_true")
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--jobs", type=int, default=1)
-        if mode == "equilibrium":
-            sp.add_argument("--recipe", choices=sorted(_RECIPES))
-            sp.add_argument("--indices", help="comma-separated index set")
-            sp.add_argument("--b", help="field slope (rational)")
-            sp.add_argument("--ts", help="comma-separated chain parameters")
-            sp.add_argument("--k", type=int)
-        if mode == "verify-identities":
-            sp.add_argument("--phi", choices=["inverse", "coth"])
-            sp.add_argument("--trials", type=int)
         if mode == "period":
-            sp.add_argument("--seeds", help="comma-separated seed sweep")
-    args = parser.parse_args(argv)
-
-    doc = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"validation error: cannot read config: {exc}", file=_sys.stderr)
-            return EXIT_VALIDATION
+            sp.add_argument("--seeds", type=lambda text: [_SEED[0](v) for v in _comma_list(text)],
+                            help="comma-separated seed sweep")
+        for flag, modes, _, _, keywords in _FLAGS:
+            if mode in modes:
+                sp.add_argument(flag, **keywords)
     try:
+        args = parser.parse_args(argv)
+        doc = {}
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    doc = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ValidationError(f"cannot read config: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
         doc["mode"] = args.mode
-        if args.out:
-            _block(doc, "output")["dir"] = args.out
-        if args.format:
-            _block(doc, "output")["formats"] = args.format
-        if args.svg:
-            _block(doc, "output")["svg"] = True
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.mode == "equilibrium":
-            blk = _block(doc, "equilibrium")
-            if args.recipe:
-                blk["recipe"] = args.recipe
-            if args.indices:
-                blk["indices"] = [int(v) for v in args.indices.split(",")]
-            if args.b is not None:
-                blk["b"] = args.b
-            if args.ts:
-                blk["ts"] = [float(v) for v in args.ts.split(",")]
-            if args.k is not None:
-                blk["k"] = args.k
-        seeds = None
-        if args.mode == "period" and args.seeds:
-            seeds = [int(v) for v in args.seeds.split(",")]
-        if args.mode == "verify-identities":
-            blk = _block(doc, "identities")
-            if args.phi:
-                blk["phi"] = args.phi
-            if args.trials is not None:
-                blk["trials"] = args.trials
+        for flag, _, block, key, _ in _FLAGS:
+            value = getattr(args, flag[2:], None)
+            if value is None:
+                continue
+            target = doc if block is None else doc.setdefault(block, {})
+            if not isinstance(target, dict):
+                raise ValidationError(f"{block} block must be an object")
+            target[key] = value
     except ValidationError as exc:
         print(f"validation error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:  # only the comma-list conversions can raise it
-        print(f"validation error: malformed comma-separated flag: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
 
+    seeds = getattr(args, "seeds", None)
     if seeds:
         jobs = _pool_size(args.jobs, len(seeds))
-        results = []
         if jobs == 1:
             results = [_run_worker((doc, s)) for s in seeds]
         else:

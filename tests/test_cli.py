@@ -1,10 +1,17 @@
 import json
+import math
 import os
+import pathlib
 
 import pytest
 
 from chargeflow import cli
 from chargeflow.errors import ValidationError
+
+
+def build_flow(system):
+    """``cli._build_flow`` of a system block checked against the schema."""
+    return cli._build_flow(cli._walk(system, cli._SYSTEM, "system"))
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -211,7 +218,7 @@ def test_cli_config_file_roundtrip(tmp_path):
 
 
 def test_system_config_roundtrip():
-    from chargeflow.cli import _build_flow, system_to_config
+    from chargeflow.cli import system_to_config
     from chargeflow.dynamics import FlowSpec
     from chargeflow.operators import SystemCoefficients
 
@@ -229,7 +236,7 @@ def test_system_config_roundtrip():
     ]
     for flow in flows:
         doc = system_to_config(flow)
-        back = _build_flow(doc)
+        back = build_flow(doc)
         assert back.kind == flow.kind
         assert back.sizes == flow.sizes
         if flow.sys is not None:
@@ -289,17 +296,24 @@ _QUAD = {"P": [1.0, 0.0, 0.5], "U": [0.0, -2.0]}
         {"kind": "polylinear", "charges": [1.0, "x"], "sizes": [1, 1], **_QUAD},
         {"kind": "polylinear", "charges": [1.0, -2.0], "sizes": 3, **_QUAD},
         {"kind": "polylinear", "charges": [1.0, -2.0], "sizes": [1, 1, 1], **_QUAD},
+        {"kind": "rational_omega", "n": 2, "m": 1, "omega": math.nan},
+        {"kind": "rational_omega", "n": 2, "m": 1, "omega": math.inf},
+        {"kind": "rational_omega", "n": 2, "m": 1, "Lambda": math.nan},
+        {"kind": "rational_omega", "n": 2.5, "m": 1},
+        {"kind": "rational_omega", "n": 0, "m": 0},
+        {"kind": "angular", "n": 2, "m": 1, "P": [1.0]},
     ],
     ids=[
         "missing_m", "missing_n", "omega_text", "Lambda_list", "n_text", "n_negative",
         "angular_missing_m", "missing_P", "P_text", "P_short_pair", "missing_U",
         "bilinear_missing_m", "bilinear_Lambda_text", "missing_charges", "missing_sizes",
-        "charge_text", "sizes_scalar", "sizes_charges_mismatch",
+        "charge_text", "sizes_scalar", "sizes_charges_mismatch", "omega_nan", "omega_inf",
+        "Lambda_nan", "n_fraction", "no_particles", "angular_P",
     ],
 )
 def test_malformed_system_block_exits_validation(tmp_path, system):
     with pytest.raises(ValidationError):
-        cli._build_flow(system)
+        build_flow(system)
     assert cli.run(_simulate_doc(tmp_path, system)) == cli.EXIT_VALIDATION
 
 
@@ -368,6 +382,21 @@ def test_seed_sweep_over_non_object_random_exits_validation(tmp_path, pool_sizes
     assert "random must be an object" in captured.err
 
 
+def test_seed_sweep_keeps_non_text_prefix_for_validation(tmp_path, pool_sizes, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 1, "m": 0},
+            "initial": {"random": {"scale": 1.0}},
+            "integration": {"periods": 1, "samples_per_period": 16},
+            "output": {"prefix": 7},
+        },
+    )
+    rc = cli.main(["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2", "--jobs", "2"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "output 'prefix' is malformed: 7" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("top", [[1], 5, "x"], ids=["list", "number", "string"])
 def test_config_not_an_object_exits_validation(tmp_path, capsys, top):
     cfg = write_config(tmp_path, top)
@@ -406,9 +435,13 @@ _SPECIES_OK = [{"positions": [[1.0, 0.0], [-1.0, 0.5]]}, {"positions": [[0.0, -1
             "differs from the flow's",
         ),
         ({"species": "x"}, "'species' is malformed"),
+        (
+            {"species": [{"positions": [[math.nan, 0.0], [-1.0, 0.5]]}, _SPECIES_OK[1]]},
+            "initial species 0 'positions' is malformed",
+        ),
     ],
     ids=["positions_text", "positions_short_pair", "seed_text", "certificate",
-         "charge_mismatch", "species_text"],
+         "charge_mismatch", "species_text", "positions_nan"],
 )
 def test_malformed_initial_block_exits_validation(tmp_path, capsys, initial, message):
     assert cli.run(_trap_doc(tmp_path, "simulate", initial)) == cli.EXIT_VALIDATION
@@ -450,7 +483,7 @@ def test_system_config_roundtrip_keeps_lambda():
         ),
     ]
     for flow in flows:
-        back = cli._build_flow(cli.system_to_config(flow))
+        back = build_flow(cli.system_to_config(flow))
         assert back.sys.lam == flow.sys.lam
 
 
@@ -481,8 +514,16 @@ def _assert_validation_exit(doc, capsys, message):
         ({"recipe": "adler_moser", "k": 1, "ts": ["a"]}, "equilibrium 'ts' is malformed"),
         ({"recipe": "cylinder", "indices": [1, 2], "ts": "z"}, "equilibrium 'ts' is malformed"),
         ({"recipe": "laguerre"}, "equilibrium block needs 'indices'"),
+        ({"recipe": ["hermite"], "indices": [1]}, "equilibrium 'recipe' is malformed"),
+        ({"recipe": "cylinder", "indices": [1, 2], "ts": [math.nan, 1.0]}, "equilibrium 'ts' is malformed"),
+        ({"recipe": "hermite", "indices": [True, 2]}, "equilibrium 'indices' is malformed"),
+        (
+            {"recipe": "cylinder", "indices": [1, 2], "ts": [0.3, 1.1], "b": 1},
+            "unknown keys in equilibrium: ['b']",
+        ),
     ],
-    ids=["indices_text", "b_text", "k_text", "ts_entry_text", "cylinder_ts_text", "indices_missing"],
+    ids=["indices_text", "b_text", "k_text", "ts_entry_text", "cylinder_ts_text", "indices_missing",
+         "recipe_list", "cylinder_ts_nan", "indices_bool", "cylinder_b"],
 )
 def test_malformed_equilibrium_block_exits_validation(tmp_path, capsys, block, message):
     doc = {"mode": "equilibrium", "equilibrium": block, "output": {"dir": str(tmp_path)}}
@@ -503,8 +544,15 @@ def test_malformed_b_flag_exits_validation(tmp_path, capsys):
         ({"periods": 1, "atol": [1]}, "integration 'atol' is malformed"),
         ({"t_end": "x"}, "integration 't_end' is malformed"),
         ({"periods": 1, "samples_per_period": "x"}, "integration 'samples_per_period' is malformed"),
+        ({"t_end": math.nan}, "integration 't_end' is malformed"),
+        ({"t_end": 1e308}, "integration over t_end 1e+308 has no finite sample count"),
+        ({"periods": 1, "rtol": 0, "atol": 0}, "integration 'atol' is malformed"),
+        ({"periods": 1, "rtol": -1}, "integration 'rtol' is malformed"),
+        ({"periods": 1, "samples_per_period": -5}, "integration 'samples_per_period' is malformed"),
+        ({"periods": 1, "samples": -5}, "integration 'samples' is malformed"),
     ],
-    ids=["periods", "rtol", "atol", "t_end", "samples_per_period"],
+    ids=["periods", "rtol", "atol", "t_end", "samples_per_period", "t_end_nan", "t_end_huge",
+         "tolerances_zero", "rtol_negative", "samples_per_period_negative", "samples_negative"],
 )
 def test_malformed_integration_block_exits_validation(tmp_path, capsys, integration, message):
     doc = _trap_doc(tmp_path, "simulate", {"species": _SPECIES_OK})
@@ -524,8 +572,9 @@ def test_malformed_samples_exits_validation(tmp_path, capsys):
         ("period", {"tol": "x"}, "period 'tol' is malformed"),
         ("period", {"base_period": "x"}, "period 'base_period' is malformed"),
         ("conserved", {"tol": "x"}, "period 'tol' is malformed"),
+        ("period", {"base_period": 0}, "period 'base_period' is malformed"),
     ],
-    ids=["period_tol", "base_period", "conserved_tol"],
+    ids=["period_tol", "base_period", "conserved_tol", "base_period_zero"],
 )
 def test_malformed_period_block_exits_validation(tmp_path, capsys, mode, period, message):
     doc = _trap_doc(tmp_path, mode, {"species": _SPECIES_OK})
@@ -575,3 +624,73 @@ def test_period_max_multiple_key_is_unknown(tmp_path, capsys):
     doc = _trap_doc(tmp_path, "period", {"species": _SPECIES_OK})
     doc["period"] = {"max_multiple": "x"}
     _assert_validation_exit(doc, capsys, "unknown keys in period: ['max_multiple']")
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("mode",), [], "config 'mode' is malformed"),
+        (("output", "formats"), 5, "output 'formats' is malformed"),
+        (("output", "dir"), 5, "output 'dir' is malformed"),
+        (("output", "prefix"), 7, "output 'prefix' is malformed"),
+        (("output", "svg"), "no", "output 'svg' is malformed"),
+    ],
+    ids=["mode_list", "formats_number", "dir_number", "prefix_number", "svg_text"],
+)
+def test_malformed_output_block_exits_validation(tmp_path, capsys, path, value, message):
+    doc = _trap_doc(tmp_path, "simulate", {"species": _SPECIES_OK})
+    (doc[path[0]] if len(path) == 2 else doc)[path[-1]] = value
+    _assert_validation_exit(doc, capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["equilibrium", "--recipe", "bogus"], "equilibrium 'recipe' is malformed"),
+        (["equilibrium", "--recipe", "adler_moser", "--k", "x"], "equilibrium 'k' is malformed"),
+        (["verify-identities", "--trials", "x"], "identities 'trials' is malformed"),
+        (["simulate", "--jobs", "x"], "argument --jobs"),
+        (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["recipe", "k", "trials", "jobs", "unknown_flag"],
+)
+def test_malformed_flag_exits_validation(tmp_path, capsys, argv, message):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and message in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["equilibrium", "--help"])
+    assert exit_info.value.code == 0
+    assert "--recipe" in capsys.readouterr().out
+
+
+def test_rational_ts_flag(tmp_path):
+    argv = ["equilibrium", "--recipe", "adler_moser", "--k", "2", "--ts", "1/3,1/2"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    assert doc["params"]["ts"] == ["1/3", "1/2"]
+
+
+def _schema_names(schema):
+    """Every key of a schema table and every kind or recipe name."""
+    if isinstance(schema, cli._Variants):
+        yield schema.key
+        for name, variant in schema.schemas.items():
+            yield name
+            yield from _schema_names(variant)
+        return
+    for key, (convert, _) in schema.items():
+        yield key
+        nested = convert[0] if isinstance(convert, list) else convert
+        if isinstance(nested, (dict, cli._Variants)):
+            yield from _schema_names(nested)
+
+
+def test_readme_names_every_schema_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema")[1].split("\n### ")[0]
+    missing = sorted({name for name in _schema_names(cli._SCHEMA) if f"`{name}`" not in section})
+    assert not missing
