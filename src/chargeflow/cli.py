@@ -142,6 +142,9 @@ def _coeff(value) -> complex:
 
 
 _MODES = ("simulate", "equilibrium", "conserved", "period", "verify-identities")
+# A run holds every sample's positions, so its sample count is capped far
+# below what np.linspace or the memory would refuse.
+MAX_SAMPLES = 1_000_000
 _SEED = (_at_least(0), 0)
 _SIZE = (_at_least(0), _REQUIRED)
 _COEFFS = (_list_of(_coeff), _REQUIRED)
@@ -189,7 +192,8 @@ _SCHEMA = {
     "integration": ({
         "t_end": (_real, None), "periods": (_real, None),
         "rtol": (_at_least(0.0, _real), 1e-10), "atol": (_positive, 1e-12),
-        "samples_per_period": (_at_least(1), 128), "samples": (_at_least(2), 257),
+        "samples_per_period": (_at_least(1), 128),
+        "samples": (_such_that(lambda v: 2 <= v <= MAX_SAMPLES, _integer), 257),
     }, {}),
     "equilibrium": (_EQUILIBRIUM, None),
     "identities": ({
@@ -355,8 +359,12 @@ def _build_initial(flow: FlowSpec, initial: dict) -> ChargeConfiguration:
 
 
 def _atomic_write(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    folder = os.path.dirname(path) or "."
+    try:
+        os.makedirs(folder, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {folder!r}: {exc}") from exc
+    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -473,8 +481,11 @@ def _integrate_doc(doc: dict) -> Trajectory:
         t_end = block["periods"] * 2 * math.pi / omega
     if omega:
         count = t_end / (2 * math.pi / omega) * block["samples_per_period"]
-        if not math.isfinite(count):
-            raise ValidationError(f"integration over t_end {t_end} has no finite sample count")
+        if not count <= MAX_SAMPLES - 1:
+            raise ValidationError(
+                f"integration over t_end {t_end} has no finite sample count "
+                f"up to the cap of {MAX_SAMPLES} samples per run"
+            )
         n_samples = max(2, int(round(count)) + 1)
     return integrate(flow, init, t_end, rtol=block["rtol"], atol=block["atol"], n_samples=n_samples)
 

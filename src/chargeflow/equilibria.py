@@ -227,7 +227,7 @@ def _check_b(b) -> Fraction:
 # -- recipe specs --------------------------------------------------------------
 # A planar recipe's spec maps its params to (normalized params, system,
 # (deg p, deg q), z-powers (e_p, e_q) of the two Wronskians); the constructor
-# builds from it and ``certify`` checks a stored certificate against it.
+# builds from it, and ``certify`` rebuilds a stored certificate through it.
 
 
 def _degrees(eig, powers):
@@ -273,14 +273,6 @@ def _adler_moser_spec(k, ts):
     sys = SystemCoefficients.bilinear([1], [0], Lambda=1)
     psi_degrees = list(range(1, 2 * k + 2, 2))  # deg psi_j = 2j - 1
     return {"k": k, "ts": ts}, sys, _degrees(psi_degrees, (0, 0)), (0, 0)
-
-
-_PLANAR_SPECS = {
-    "hermite_wronskian": _hermite_spec,
-    "laguerre_wronskian": _laguerre_spec,
-    "monomial_wronskian": _monomial_spec,
-    "adler_moser": _adler_moser_spec,
-}
 
 
 # -- constructors ------------------------------------------------------------
@@ -370,6 +362,14 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
     return _finish_planar("adler_moser", spec, psis[1 : k + 2])
 
 
+_PLANAR_RECIPES = {
+    "hermite_wronskian": hermite_pair,
+    "laguerre_wronskian": laguerre_pair,
+    "monomial_wronskian": monomial_pair,
+    "adler_moser": adler_moser,
+}
+
+
 def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCertificate:
     """Trigonometric Wronskian pair on the cylinder.
 
@@ -454,32 +454,37 @@ def _angles_polynomial(freq_map: dict, total: int) -> Polynomial:
 
 
 def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
-    """Recompute the certificate's residual, reduced pair, inventory, and
-    the float gradient cross-check; raises CertificationFailure if any of
-    them breaks or if a stored field differs from its recomputed value."""
+    """Rebuild the certificate from its recipe params and redo the float
+    gradient cross-check; raises CertificationFailure if the rebuilt
+    residual is not exactly zero, if the gradient is too large, or if a
+    stored field differs from the rebuild."""
     if cert.recipe == "cylinder_wronskian":
         return _certify_cylinder(cert)
-    _check_recipe(cert)
-    exact_zero, norm, idx = _exact_residual(cert.sys, cert.p, cert.q, cert.lam)
-    if not exact_zero:
+    try:
+        fresh = _PLANAR_RECIPES[cert.recipe](**cert.params)
+    except (ChargeflowError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
+    if (cert.p, cert.q) != (fresh.p, fresh.q):
+        # name the offending coefficient when the stored pair is no equilibrium at all
+        exact_zero, norm, idx = _exact_residual(cert.sys, cert.p, cert.q, cert.lam)
+        if not exact_zero:
+            raise CertificationFailure(
+                f"bilinear residual nonzero (norm {norm:.3e})", coefficient_index=idx
+            )
+    _check_stored(_planar_fields(cert), _planar_fields(fresh), "recipe params")
+    if not _same_inventory(cert.inventory, fresh.inventory):
+        raise CertificationFailure("stored 'inventory' does not match the recipe params")
+    if not fresh.residual_exact_zero:
         raise CertificationFailure(
-            f"bilinear residual nonzero (norm {norm:.3e})", coefficient_index=idx
+            f"bilinear residual nonzero (norm {fresh.residual_norm:.3e})",
+            coefficient_index=fresh.notes["first_nonzero_residual_index"],
         )
-    pbar, qbar, inventory = reduce_pair(cert.p, cert.q)
-    recomputed = {
-        "degrees": (cert.p.degree, cert.q.degree),
-        "reduced": (pbar, qbar),
-        "residual_exact_zero": True,
-        "residual_norm": 0.0,
-    }
-    _check_stored(vars(cert), recomputed, "recomputed certificate")
-    if not _same_inventory(cert.inventory, inventory):
-        raise CertificationFailure("stored 'inventory' does not match the recomputed certificate")
-    grad = _inventory_gradient(inventory, cert.sys)
+    inventory = fresh.inventory
+    grad = _inventory_gradient(inventory, fresh.sys)
     scale = max((abs(z) for z, _ in inventory), default=1.0) or 1.0
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
-    Pf = cert.sys.P.to_float()
+    Pf = fresh.sys.P.to_float()
     worst = 0.0
     for (z, _), g in zip(inventory, grad):
         if abs(Pf(z)) > 1e-10 * max(1.0, scale):
@@ -492,15 +497,10 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     return cert
 
 
-def _check_recipe(cert: EquilibriumCertificate):
-    """Stored P, U, lambda and degrees must be what the params imply (p, q are not rebuilt)."""
-    try:
-        _, sys, degrees, _ = _PLANAR_SPECS[cert.recipe](**cert.params)
-    except (ChargeflowError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
-        raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
-    stored = {"P": cert.sys.P, "U": cert.sys.U, "lambda": cert.lam, "degrees": cert.degrees}
-    implied = {"P": sys.P, "U": sys.U, "lambda": lambda_poly(degrees, sys), "degrees": degrees}
-    _check_stored(stored, implied, "recipe params")
+def _planar_fields(cert: EquilibriumCertificate) -> dict:
+    """The fields a planar rebuild must reproduce exactly, in checking order."""
+    names = ("degrees", "p", "q", "reduced", "residual_exact_zero", "residual_norm")
+    return {"P": cert.sys.P, "U": cert.sys.U, "lambda": cert.lam, **{n: getattr(cert, n) for n in names}}
 
 
 def _check_stored(stored: dict, recomputed: dict, what: str):

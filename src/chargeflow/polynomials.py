@@ -15,12 +15,22 @@ The zero polynomial belongs to every ring.  Exact and float
 coefficients never mix: ``GaussianRational`` arithmetic rejects complex
 operands with ``TypeError``, and conversion goes through
 ``Polynomial.to_float`` explicitly.
+
+``GaussianRational`` is the stored form of an exact coefficient.  Exact
+sums, products, long divisions and gcds run on cleared integer numerators
+instead: one common denominator and integer real and imaginary
+numerators per polynomial (``_cleared``), with one ``Fraction`` per
+output coefficient when the result is stored again.  ``poly_gcd`` first
+splits off the common power of z and settles most coprime pairs by a test
+modulo one prime before it falls back to Euclid's algorithm.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +76,101 @@ def _ratio(num: str, den: str) -> Fraction:
 
 def _is_zero(c):
     return not (c.any() if isinstance(c, np.ndarray) else c)
+
+
+def _cleared(coeffs):
+    """(den, re, im) with coeffs[k] == (re[k] + i im[k]) / den: integer
+    numerators over one common denominator of the exact ``coeffs``; im is
+    None when every coefficient is real."""
+    res, ims = [c.re for c in coeffs], [c.im for c in coeffs]
+    if not any(ims):
+        den = math.lcm(*(f.denominator for f in res))
+        return den, [f.numerator * (den // f.denominator) for f in res], None
+    den = math.lcm(*(f.denominator for f in res + ims))
+    return (
+        den,
+        [f.numerator * (den // f.denominator) for f in res],
+        [f.numerator * (den // f.denominator) for f in ims],
+    )
+
+
+def _from_cleared(den, re, im=None):
+    """The exact polynomial with coefficients (re[k] + i im[k]) / den."""
+    if im is None:
+        return Polynomial([Fraction(r, den) for r in re])
+    return Polynomial([GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(re, im)])
+
+
+def _both_exact(a, b):
+    """True for two nonzero exact coefficient tuples."""
+    return a and b and isinstance(a[0], GaussianRational) and isinstance(b[0], GaussianRational)
+
+
+def _exact_sum(a, b, sign):
+    """a + sign * b for exact coefficient tuples, on cleared numerators."""
+    (da, ar, ai), (db, br, bi) = _cleared(a), _cleared(b)
+    den = math.lcm(da, db)
+    sa, sb = den // da, sign * (den // db)
+
+    def combine(x, y):  # None stands for zeros
+        x, y = x or [0] * len(a), y or [0] * len(b)
+        return [u * sa + v * sb for u, v in itertools.zip_longest(x, y, fillvalue=0)]
+
+    if ai is None and bi is None:
+        return _from_cleared(den, combine(ar, br))
+    return _from_cleared(den, combine(ar, br), combine(ai, bi))
+
+
+def _exact_product(a, b):
+    """a * b for exact coefficient tuples, on cleared numerators."""
+    (da, ar, ai), (db, br, bi) = _cleared(a), _cleared(b)
+    re = _convolve(ar, br)
+    if ai is None and bi is None:
+        return _from_cleared(da * db, re)
+    ai, bi = ai or [0] * len(a), bi or [0] * len(b)
+    re = [x - y for x, y in zip(re, _convolve(ai, bi))]
+    im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
+    return _from_cleared(da * db, re, im)
+
+
+def _convolve(a, b):
+    """Coefficients of the product of integer polynomials a, b (nonempty)."""
+    rb = b[::-1]
+    n, m = len(a), len(b)
+    return [
+        sum(map(operator.mul, a[max(0, k - m + 1) : k + 1], rb[max(0, m - 1 - k) : m - 1 - k + n]))
+        for k in range(n + m - 1)
+    ]
+
+
+def _long_division(a, da, b, db):
+    """(a / da) divided by (b / db) for integer numerator lists a, b with
+    len(a) >= len(b) and b[-1] != 0.
+
+    Returns the quotient's coefficients as Fractions and the remainder as
+    integer numerators over one denominator d.  The remainder's numerators
+    stay integers: each step scales them by d'/d, where d' = lcm(d, the
+    step's quotient denominator).
+    """
+    a, m, lead, d = list(a), len(b) - 1, b[-1], da
+    quot = []
+    for k in range(len(a) - 1 - m, -1, -1):
+        top = a.pop()  # the coefficient this step cancels
+        if not top:
+            quot.append(0)
+            continue
+        g = math.gcd(top, d * lead)
+        cn, cd = top // g, d * lead // g  # this step's quotient, over b's numerators
+        quot.append(Fraction(cn * db, cd))
+        h = math.gcd(d, cd)
+        t = cn * (d // h)
+        if cd != h:
+            s = cd // h
+            a = [x * s for x in a]
+            d *= s
+        a[k:] = [x - t * y for x, y in zip(a[k:], b)]
+    quot.reverse()
+    return quot, d, a
 
 
 class Polynomial:
@@ -136,6 +241,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if _both_exact(a, b):
+            return _exact_sum(a, b, 1)
         if len(a) < len(b):
             a, b = b, a
         return Polynomial([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
@@ -143,6 +250,8 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if _both_exact(self.coeffs, other.coeffs):
+            return _exact_sum(self.coeffs, other.coeffs, -1)
         return self + -other
 
     def __neg__(self):
@@ -153,10 +262,13 @@ class Polynomial:
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        a, b = self.coeffs, other.coeffs
+        if _both_exact(a, b):
+            return _exact_product(a, b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -167,6 +279,8 @@ class Polynomial:
         if self.is_zero:
             return self
         scalar = _coerce((self.coeffs[-1], scalar))[1]
+        if isinstance(scalar, GaussianRational):
+            return self * Polynomial((scalar,))
         return Polynomial([c * scalar for c in self.coeffs])
 
     def shift(self, k):
@@ -187,19 +301,24 @@ class Polynomial:
             raise TypeError("polynomial division requires exact polynomials")
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if self.degree < other.degree:
             return Polynomial.zero(), self
-        quot = [0] * (dq + 1)
-        dlead = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / dlead
-            quot[k] = c
-            if not c.is_zero:
-                for j, d in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * d
-        return Polynomial(quot), Polynomial(rem)
+        db, br, bi = _cleared(other.coeffs)
+        if bi is not None:
+            # B conj(B) has real coefficients, and A conj(B) = Q B conj(B) + R conj(B)
+            # with deg R conj(B) < deg B conj(B): the same quotient Q, by real division
+            conj = Polynomial([GaussianRational(c.re, -c.im) for c in other.coeffs])
+            quot = (self * conj).divmod(other * conj)[0]
+            return quot, self - quot * other
+        da, ar, ai = _cleared(self.coeffs)
+        quot, dr, rem = _long_division(ar, da, br, db)
+        if ai is None:
+            return Polynomial(quot), _from_cleared(dr, rem)
+        quot_im, di, rem_im = _long_division(ai, da, br, db)
+        return (
+            Polynomial([GaussianRational(x, y) for x, y in zip(quot, quot_im)]),
+            Polynomial([GaussianRational(Fraction(x, dr), Fraction(y, di)) for x, y in zip(rem, rem_im)]),
+        )
 
     def div_exact(self, other):
         quot, rem = self.divmod(other)
@@ -543,17 +662,57 @@ def classical(family: str, n: int, alpha=None, beta=None) -> Polynomial:
 # -- common-factor removal ---------------------------------------------------
 
 
+# 998244353 = 119 * 2**23 + 1 is prime and 1 mod 4; 3 generates its
+# multiplicative group, so 3**((p - 1) / 4) is a square root of -1 mod p
+_GCD_PRIME = 998244353
+_GCD_I = pow(3, (_GCD_PRIME - 1) // 4, _GCD_PRIME)
+
+
+def _residues(p: Polynomial):
+    """p's cleared numerators mod _GCD_PRIME, with i sent to _GCD_I."""
+    _, re, im = _cleared(p.coeffs)
+    if im is None:
+        return [r % _GCD_PRIME for r in re]
+    return [(r + _GCD_I * i) % _GCD_PRIME for r, i in zip(re, im)]
+
+
+def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
+    """True when p and q are coprime modulo _GCD_PRIME with both leading
+    numerators nonzero there; then they are coprime over Q(i), because a
+    common factor would survive the reduction with its degree (Gauss's
+    lemma).  False proves nothing."""
+    a, b = _residues(p), _residues(q)
+    if not (a[-1] and b[-1]):
+        return False
+    while b:
+        inv = pow(b[-1], -1, _GCD_PRIME)
+        while len(a) >= len(b):
+            c = a.pop() * inv % _GCD_PRIME
+            off = len(a) - len(b) + 1
+            a[off:] = [(x - c * y) % _GCD_PRIME for x, y in zip(a[off:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic Euclidean gcd over the exact coefficient field."""
+    """Monic gcd over the exact coefficient field.
+
+    The common power of z splits off first; a modular coprimality test
+    settles the usual case, and Euclid's algorithm runs otherwise."""
     if not (p.exact and q.exact):
         raise TypeError("poly_gcd requires exact polynomials")
-    a, b = p, q
+    if p.is_zero or q.is_zero:
+        return (p + q).monic()
+    vp = next(k for k, c in enumerate(p.coeffs) if c)
+    vq = next(k for k, c in enumerate(q.coeffs) if c)
+    a, b = Polynomial(p.coeffs[vp:]), Polynomial(q.coeffs[vq:])
+    if _coprime_mod_prime(a, b):
+        return monomial(min(vp, vq))
     while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a.monic()
+        a, b = b, a.divmod(b)[1]
+    return a.monic().shift(min(vp, vq))
 
 
 def cluster_points(points, tol):

@@ -550,9 +550,12 @@ def test_malformed_b_flag_exits_validation(tmp_path, capsys):
         ({"periods": 1, "rtol": -1}, "integration 'rtol' is malformed"),
         ({"periods": 1, "samples_per_period": -5}, "integration 'samples_per_period' is malformed"),
         ({"periods": 1, "samples": -5}, "integration 'samples' is malformed"),
+        # a finite count, but past the samples cap (np.linspace refused it)
+        ({"t_end": 1e308, "samples_per_period": 8}, "up to the cap of 1000000 samples per run"),
     ],
     ids=["periods", "rtol", "atol", "t_end", "samples_per_period", "t_end_nan", "t_end_huge",
-         "tolerances_zero", "rtol_negative", "samples_per_period_negative", "samples_negative"],
+         "tolerances_zero", "rtol_negative", "samples_per_period_negative", "samples_negative",
+         "t_end_huge_sparse"],
 )
 def test_malformed_integration_block_exits_validation(tmp_path, capsys, integration, message):
     doc = _trap_doc(tmp_path, "simulate", {"species": _SPECIES_OK})
@@ -564,6 +567,25 @@ def test_malformed_samples_exits_validation(tmp_path, capsys):
     doc = _simulate_doc(tmp_path, {"kind": "bilinear", **_QUAD, "n": 2, "m": 1})
     doc["integration"]["samples"] = "x"
     _assert_validation_exit(doc, capsys, "integration 'samples' is malformed")
+
+
+def test_samples_above_cap_exits_validation(tmp_path, capsys):
+    # 1e18 samples ran into a MemoryError inside np.linspace
+    doc = _simulate_doc(tmp_path, {"kind": "linear", **_QUAD, "n": 2})
+    doc["integration"]["samples"] = 1e18
+    _assert_validation_exit(doc, capsys, "integration 'samples' is malformed")
+    doc["integration"]["samples"] = cli.MAX_SAMPLES
+    doc["integration"]["t_end"] = 0.0  # the cap itself is allowed
+    assert cli.run(doc) == cli.EXIT_OK
+
+
+def test_uncreatable_output_directory_exits_validation(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["verify-identities", "--trials", "1", "--out", str(blocker / "sub")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: cannot create output directory")
 
 
 @pytest.mark.parametrize(

@@ -393,8 +393,14 @@ def test_planar_certificate_rejects_mutated_field(field, path, value):
         ("monomial_134", {"indices": [1, 3, 4], "b": "1/3"}, "U"),
         ("adler_moser_4", {"k": 5, "ts": ["1/2", "2", "-1", "3", "1"]}, "degrees"),
         ("adler_moser_4", {"k": 3, "ts": ["1/2", "2", "-1"]}, "degrees"),
+        # same system and degrees as the stored pair: only the rebuild tells them apart
+        ("adler_moser_4", {"ts": ["7", "7", "7", "7"]}, "p"),
+        ("hermite_124", {"indices": [0, 3, 4]}, "p"),
     ],
-    ids=["hermite_indices_and_b", "hermite_indices", "monomial_b", "adler_moser_k5", "adler_moser_k3"],
+    ids=[
+        "hermite_indices_and_b", "hermite_indices", "monomial_b", "adler_moser_k5",
+        "adler_moser_k3", "adler_moser_ts", "hermite_same_index_sums",
+    ],
 )
 def test_planar_certificate_rejects_changed_params(name, params, field):
     doc = json.loads((GOLDEN / name / "certificate.json").read_text())

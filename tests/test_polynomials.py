@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from chargeflow.errors import ClusterAmbiguity
 from chargeflow.polynomials import (
+    _GCD_I,
+    _GCD_PRIME,
     Polynomial,
+    _coprime_mod_prime,
     _inverse,
     classical,
     cluster_points,
@@ -422,3 +425,106 @@ def test_array_coefficients_are_a_batch_of_float_polynomials():
         single = from_roots(roots[:, s])
         assert all(abs(batch.coeff(k)[s] - single.coeff(k)) < 1e-14 for k in range(3))
         assert abs(batch(0.3 + 0.1j)[s] - single(0.3 + 0.1j)) < 1e-13
+
+
+# -- the integer kernel against a sympy oracle ----------------------------------
+# Exact sums, products, divisions and gcds run on cleared integer numerators;
+# sympy's Q(i) polynomials (test-only) are the reference.
+
+_reals = st.builds(GaussianRational, _rationals)
+_imaginaries = st.builds(lambda r: GaussianRational(0, r), _rationals)
+# purely real, purely imaginary and mixed coefficient lists, so leading
+# coefficients come out rational, imaginary and Gaussian; degree 0 included
+_kernel_polys = st.one_of(
+    *(st.lists(coeff, min_size=1, max_size=7) for coeff in (_reals, _imaginaries, _gaussians))
+).map(Polynomial)
+_nonzero_polys = _kernel_polys.filter(lambda p: not p.is_zero)
+
+
+def _oracle(p):
+    """p as a sympy polynomial over Q(i)."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    expr = sum((sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * z**k for k, c in enumerate(p.coeffs))
+    return sympy.Poly(expr, z, domain="QQ_I")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_polys, _kernel_polys, _gaussians)
+def test_product_matches_sympy_oracle(p, q, c):
+    assert _oracle(p * q) == _oracle(p) * _oracle(q)
+    assert _oracle(p.scale(c)) == _oracle(p) * _oracle(Polynomial([c]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_polys, _kernel_polys)
+def test_sum_and_difference_match_sympy_oracle(p, q):
+    assert _oracle(p + q) == _oracle(p) + _oracle(q)
+    assert _oracle(p - q) == _oracle(p) - _oracle(q)
+    assert (p - p).is_zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_polys, _nonzero_polys)
+def test_divmod_matches_sympy_oracle(a, b):
+    # includes deg a < deg b, constant divisors and Gaussian leads
+    quot, rem = a.divmod(b)
+    oracle_quot, oracle_rem = _oracle(a).div(_oracle(b))
+    assert _oracle(quot) == oracle_quot
+    assert _oracle(rem) == oracle_rem
+
+
+def _oracle_gcd(p, q):
+    return _oracle(p).gcd(_oracle(q)).monic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_polys, _nonzero_polys)
+def test_gcd_of_random_pairs_matches_sympy_oracle(p, q):
+    assert _oracle(poly_gcd(p, q)) == _oracle_gcd(p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, st.integers(0, 4), st.integers(0, 4))
+def test_gcd_with_shared_z_power_matches_sympy_oracle(p, q, i, j):
+    p, q = p.shift(i), q.shift(j)
+    g = poly_gcd(p, q)
+    assert _oracle(g) == _oracle_gcd(p, q)
+    assert g.coeffs[: min(i, j)] == (GaussianRational(0),) * min(i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, st.integers(1, 2), st.sampled_from([-1, GaussianRational(0, -1)]))
+def test_gcd_with_shared_factor_matches_sympy_oracle(p, q, power, root):
+    factor = P(root, 3)  # 3z - 1 or 3z - i
+    for _ in range(power):
+        p, q = p * factor, q * factor
+    g = poly_gcd(p, q)
+    assert _oracle(g) == _oracle_gcd(p, q)
+    assert g.degree >= power
+
+
+def test_gcd_prime_has_a_square_root_of_minus_one():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(_GCD_PRIME) and _GCD_PRIME % 4 == 1
+    assert _GCD_I * _GCD_I % _GCD_PRIME == _GCD_PRIME - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, _rationals.filter(bool), st.integers(1, 3))
+def test_gcd_falls_back_to_euclid_when_the_prime_divides_a_lead(p, q, c, den):
+    # the cleared leading numerator of a is a multiple of the prime, so the
+    # modular test cannot decide and Euclid's algorithm gives the answer
+    a = p * Polynomial([c, Fraction(_GCD_PRIME, den)])
+    assert not _coprime_mod_prime(a, q)
+    assert _oracle(poly_gcd(a, q)) == _oracle_gcd(a, q)
+    shared = Polynomial([GaussianRational(1, 2), Fraction(1, 3)])
+    assert _oracle(poly_gcd(a * shared, q * shared)) == _oracle_gcd(a * shared, q * shared)
+
+
+def test_gcd_falls_back_to_euclid_for_pairs_coprime_only_over_q():
+    # z - 1 and z - 1 - p are coprime, but equal modulo p
+    a, b = P(-1, 1), P(-1 - _GCD_PRIME, 1)
+    assert not _coprime_mod_prime(a, b)
+    assert poly_gcd(a, b) == P(1)
+    assert poly_gcd(a * P(2, 5), b * P(2, 5)) == P(Fraction(2, 5), 1)
