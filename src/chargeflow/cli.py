@@ -16,7 +16,6 @@ import math
 import os
 import sys as _sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ from .dynamics import (
     FlowSpec,
     Trajectory,
     integrate,
+    integrate_lanes,
     monitors,
     over_samples,
     phi_identity_i1,
@@ -468,8 +468,9 @@ def _out_path(doc, name):
     return os.path.join(out["dir"], out["prefix"] + name)
 
 
-def _integrate_doc(doc: dict) -> Trajectory:
-    """The flow, initial state and integration settings of a config, run."""
+def _lane_plan(doc: dict):
+    """The flow, the initial state and the ``integrate`` settings of a
+    config."""
     flow = _build_flow(doc["system"])
     init = _build_initial(flow, doc["initial"])
     block = doc["integration"]
@@ -487,7 +488,14 @@ def _integrate_doc(doc: dict) -> Trajectory:
                 f"up to the cap of {MAX_SAMPLES} samples per run"
             )
         n_samples = max(2, int(round(count)) + 1)
-    return integrate(flow, init, t_end, rtol=block["rtol"], atol=block["atol"], n_samples=n_samples)
+    return flow, init, {"t_end": t_end, "rtol": block["rtol"], "atol": block["atol"],
+                      "n_samples": n_samples}
+
+
+def _integrate_doc(doc: dict) -> Trajectory:
+    """The flow, initial state and integration settings of a config, run."""
+    flow, init, settings = _lane_plan(doc)
+    return integrate(flow, init, **settings)
 
 
 def _run_simulate(doc: dict) -> int:
@@ -538,7 +546,11 @@ def _run_conserved(doc: dict) -> int:
 
 
 def _run_period(doc: dict) -> int:
-    traj = _integrate_doc(doc)
+    return _write_period(doc, _integrate_doc(doc))
+
+
+def _write_period(doc: dict, traj: Trajectory) -> int:
+    """Detect the return period of ``traj`` and write ``period.json``."""
     flow = traj.flow
     base = doc["period"]["base_period"]
     if base is None:
@@ -555,8 +567,7 @@ def _run_period(doc: dict) -> int:
 
 def _run_equilibrium(doc: dict) -> int:
     params = dict(doc["equilibrium"])
-    cert = _RECIPES[params.pop("recipe")][0](**params)
-    cert = equilibria.certify(cert)
+    cert = equilibria.check_built(_RECIPES[params.pop("recipe")][0](**params))
     path = _out_path(doc, "certificate.json")
     _atomic_write(path, json.dumps(cert.to_json(), indent=1))
     print(f"wrote {path}")
@@ -613,40 +624,35 @@ _RUNNERS = {
 }
 
 
+# package error -> stderr label and exit code; the first matching row wins
+_EXITS = (
+    (ValidationError, "validation error", EXIT_VALIDATION),
+    (Collision, "collision abort", EXIT_COLLISION),
+    (NonConvergence, "non-convergence", EXIT_NONCONVERGENCE),
+    (CertificationFailure, "certification failure", EXIT_CERTIFICATION),
+    (ChargeflowError, "error", EXIT_VALIDATION),
+)
+
+
+def _exit_code(exc: ChargeflowError) -> int:
+    """Report a package error on stderr and return its exit code."""
+    label, code = next((label, code) for kind, label, code in _EXITS if isinstance(exc, kind))
+    print(f"{label}: {exc}", file=_sys.stderr)
+    return code
+
+
 def run(doc: dict) -> int:
     """Validate and execute one experiment config; returns the exit code."""
     try:
         doc = validate_config(doc)
         return _RUNNERS[doc["mode"]](doc)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-    except Collision as exc:
-        print(f"collision abort: {exc}", file=_sys.stderr)
-        return EXIT_COLLISION
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=_sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (CertificationFailure, ChargeflowError) as exc:
-        if isinstance(exc, CertificationFailure):
-            print(f"certification failure: {exc}", file=_sys.stderr)
-            return EXIT_CERTIFICATION
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
+    except ChargeflowError as exc:
+        return _exit_code(exc)
 
 
-def _pool_size(jobs: int, n_seeds: int) -> int:
-    """Worker processes for a seed sweep: at most one per seed and per CPU.
-
-    Under the fork start method the pool starts all of its workers at the
-    first submit, so an unclamped ``--jobs`` is a process count."""
-    return max(1, min(jobs, n_seeds, os.cpu_count() or 1))
-
-
-def _run_worker(args):
-    """Run one seed of a sweep; values that are not what the schema wants
-    are left for ``run`` to reject."""
-    doc, seed = args
+def _seed_doc(doc: dict, seed: int) -> dict:
+    """The config of one seed of a sweep; values that are not what the
+    schema wants are left for validation to reject."""
     doc = json.loads(json.dumps(doc))
     doc["seed"] = seed
     init = doc.get("initial")
@@ -655,7 +661,42 @@ def _run_worker(args):
     out = doc.setdefault("output", {})
     if isinstance(out, dict) and isinstance(out.get("prefix", ""), (str, type(None))):
         out["prefix"] = f"{out.get('prefix') or ''}seed{seed}_"
-    return seed, run(doc)
+    return doc
+
+
+def _sweep(doc: dict, seeds: list) -> list:
+    """Exit codes of a period sweep, in seed order.
+
+    Each seed's config is validated and its start drawn as a run of its
+    own would; the valid starts are then integrated as lanes of one
+    stepper, in chunks of at most ``MAX_SAMPLES`` samples, and each lane's
+    period is detected and written.  A lane is bit-identical to its seed
+    run alone, so every seed writes what ``run`` would write for it."""
+    codes = [None] * len(seeds)
+    plans = []
+    for i, seed in enumerate(seeds):
+        try:
+            seed_doc = validate_config(_seed_doc(doc, seed))
+            plans.append((i, seed_doc, _lane_plan(seed_doc)))
+        except ChargeflowError as exc:
+            codes[i] = _exit_code(exc)
+    if not plans:
+        return codes
+    # the seeds differ only in their draw and output prefix, so every lane
+    # shares the first seed's flow and settings
+    flow, _, settings = plans[0][2]
+    chunk = max(1, MAX_SAMPLES // settings["n_samples"])
+    for lo in range(0, len(plans), chunk):
+        part = plans[lo : lo + chunk]
+        starts = np.array([init.all_positions() for _, _, (_, init, _) in part], dtype=complex)
+        for (i, seed_doc, _), out in zip(part, integrate_lanes(flow, starts, **settings)):
+            try:
+                if isinstance(out, ChargeflowError):
+                    raise out
+                codes[i] = _write_period(seed_doc, out)
+            except ChargeflowError as exc:
+                codes[i] = _exit_code(exc)
+    return codes
 
 
 def _comma_list(text: str) -> list:
@@ -699,6 +740,8 @@ def main(argv=None) -> int:
     for mode in _MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", help="JSON experiment config")
+        # accepted for compatibility; a sweep runs its seeds as lanes of
+        # one integrator in this process, so it starts no worker
         sp.add_argument("--jobs", type=int, default=1)
         if mode == "period":
             sp.add_argument("--seeds", type=lambda text: [_SEED[0](v) for v in _comma_list(text)],
@@ -732,16 +775,10 @@ def main(argv=None) -> int:
 
     seeds = getattr(args, "seeds", None)
     if seeds:
-        jobs = _pool_size(args.jobs, len(seeds))
-        if jobs == 1:
-            results = [_run_worker((doc, s)) for s in seeds]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run_worker, [(doc, s) for s in seeds]))
-        worst = max(code for _, code in results)
-        for seed, code in results:
+        codes = _sweep(doc, seeds)
+        for seed, code in zip(seeds, codes):
             print(f"seed {seed}: exit {code}")
-        return worst
+        return max(codes)
 
     return run(doc)
 

@@ -10,12 +10,17 @@ per-particle charges and w_i = q_i/2 for charged flows (0 otherwise).
 The float data it needs is derived once per ``FlowSpec``.  The
 integrator is an embedded Dormand-Prince 5(4) pair with step control,
 fourth-order dense output on a fixed sample grid and collision
-detection with event localization.  A trajectory is a times vector and
-an (S, N) position array; its per-sample monitors are computed as
-columns in a separate step, ``monitors``, by the callers that read them.
-Each column is one computation on a block of states (S, N): the
-right-hand side and the separation measure take one state or a stack
-through the same code.
+detection with event localization.  It steps a stack of B starts (B, N)
+as lanes: each lane has its own time, step size, step control, collision
+check and sample grid cursor, and each stage is one stacked right-hand
+side call over the lanes still running.  A lane is bit-identical to its
+start integrated alone, so a seed sweep is one ``integrate_lanes`` call
+and a single run (``integrate``) is the one-lane case.  A trajectory is
+a times vector and an (S, N) position array; its per-sample monitors are
+computed as columns in a separate step, ``monitors``, by the callers
+that read them.  Each column is one computation on a block of states
+(S, N): the right-hand side and the separation measure take one state or
+a stack through the same code.
 
 The holomorphic equations are integrated exactly as written: velocities,
 not conjugated velocities, appear on the left-hand side.  Off the real
@@ -33,7 +38,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import Collision, NonConvergence, SymmetryViolation, ValidationError
+from .errors import (
+    ChargeflowError,
+    Collision,
+    NonConvergence,
+    SymmetryViolation,
+    ValidationError,
+)
 from .operators import ChargeConfiguration, SystemCoefficients, _product, polylinear_H
 from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
 from .scalars import to_complex
@@ -44,6 +55,7 @@ __all__ = [
     "Trajectory",
     "rhs",
     "integrate",
+    "integrate_lanes",
     "monitors",
     "over_samples",
     "bilinear_residual",
@@ -153,11 +165,20 @@ def _flatten(config: ChargeConfiguration):
     return np.array(config.all_positions(), dtype=complex)
 
 
+def _horner(p: Polynomial, z: np.ndarray):
+    """A float polynomial at the points ``z``, rounded as ``Polynomial.__call__``
+    rounds it, without its ring test (the integrator's hot path)."""
+    acc = 0j
+    for c in reversed(p.coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def rhs_flat(flow: FlowSpec, z: np.ndarray) -> np.ndarray:
     """Velocities for the flattened positions (N,) or a stack (S, N), by
     the shared formula in the module docstring."""
     pairs = pair_matrix(z, flow.kernel) @ flow.q
-    return -2.0 * flow.P(z) * pairs - flow.U(z) - flow.w * flow.dP(z)
+    return -2.0 * _horner(flow.P, z) * pairs - _horner(flow.U, z) - flow.w * _horner(flow.dP, z)
 
 
 def rhs(flow: FlowSpec, state: ChargeConfiguration):
@@ -230,6 +251,11 @@ class _StepInterpolant:
         return self.y0 + self.h * (self.Q @ sv)
 
 
+def _scale(z):
+    """max(1, max |z_i|) of each state in ``z`` (..., N)."""
+    return np.maximum(1.0, np.max(np.abs(z), axis=-1, initial=0.0))[()]
+
+
 def integrate(
     flow: FlowSpec,
     init: ChargeConfiguration,
@@ -248,86 +274,156 @@ def integrate(
     convergence-order tests).  Collisions raise ``Collision`` with the event
     time localized to 1e-3 of the step by bisection on the interpolant;
     a step size underflow (below 1e-13 * t_end) or exceeding the step cap
-    raises ``NonConvergence``.
+    raises ``NonConvergence``.  This is the one-lane case of
+    ``integrate_lanes``.
     """
-    z = _flatten(init)
+    (out,) = integrate_lanes(
+        flow, _flatten(init)[None, :], t_end, rtol, atol, n_samples,
+        collision_delta, max_step, fixed_step,
+    )
+    if isinstance(out, ChargeflowError):
+        raise out
+    return out
+
+
+def integrate_lanes(
+    flow: FlowSpec,
+    Z0: np.ndarray,
+    t_end: float,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    n_samples: int = 257,
+    collision_delta: Optional[float] = None,
+    max_step: Optional[float] = None,
+    fixed_step: Optional[float] = None,
+) -> list:
+    """Integrate B starts ``Z0`` (B, N) of one flow as lanes of one stepper.
+
+    Each lane keeps its own time, step size and step control, error norm,
+    collision check and localization, step cap and sample cursor; each
+    stage is one stacked ``rhs_flat`` call over the lanes still running.
+    Entry b of the returned list is the ``Trajectory`` of ``Z0[b]``, or the
+    ``Collision`` / ``NonConvergence`` that ends it, and is bit-identical
+    to what ``integrate`` gives for that start alone: every operation acts
+    on each lane's own rows, and the step factor is a Python float power
+    per lane.  Settings are those of ``integrate``.
+    """
+    Z = np.array(Z0, dtype=complex)
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
-    delta = collision_delta
-    if delta is None:
-        scale = max(1.0, float(np.max(np.abs(z))) if len(z) else 1.0)
-        delta = _COLLISION_REL * scale
-    if _min_separation(flow, z) <= delta:
-        raise Collision("initial configuration violates separation", time=0.0)
-
+    B, N = Z.shape
+    if collision_delta is None:
+        deltas = (_COLLISION_REL * _scale(Z)).tolist()
+    else:
+        deltas = [collision_delta] * B
     t_grid = np.linspace(0.0, t_end, max(2, n_samples)) if t_end > 0 else np.array([0.0])
-    samples = [z.copy()]
-    if t_end == 0:
-        return Trajectory(t_grid, np.array(samples), flow)
+    samples = np.empty((B, len(t_grid), N), dtype=complex)
+    samples[:, 0] = Z
+    results = [
+        Collision("initial configuration violates separation", time=0.0) if sep <= delta else None
+        for sep, delta in zip(_min_separation(flow, Z).tolist(), deltas)
+    ]
+    active = [b for b in range(B) if results[b] is None and t_end > 0]
 
-    t = 0.0
-    f = rhs_flat(flow, z)
-    h = fixed_step if fixed_step else min(1e-3, t_end / 10)
+    t = [0.0] * B
+    h = [fixed_step if fixed_step else min(1e-3, t_end / 10)] * B
     if max_step is None:
         max_step = t_end
-    next_idx = 1
-    steps = 0
-    k = np.empty((7, len(z)), dtype=complex)
+    nxt = [1] * B
+    steps = [0] * B
+    F = np.empty_like(Z)
+    if active:
+        F[active] = rhs_flat(flow, Z[active])
+    stages = np.empty((B, 7, N), dtype=complex)  # (lane, stage, particle)
 
-    while t < t_end:
-        if steps > _MAX_STEPS:
-            raise NonConvergence("step cap exceeded")
-        if not fixed_step and h < 1e-13 * t_end:
-            sep = _min_separation(flow, z)
-            if sep <= 1e-3 * max(1.0, float(np.max(np.abs(z))) if len(z) else 1.0):
-                # the underflow is driven by an imminent coincidence
-                raise Collision(
-                    f"charges approaching coincidence (separation {sep:.3g}) "
-                    f"stalled the stepper at t={t:.6g}",
-                    time=t,
+    while active:
+        for b in active:
+            if steps[b] > _MAX_STEPS:
+                results[b] = NonConvergence("step cap exceeded")
+            elif not fixed_step and h[b] < 1e-13 * t_end:
+                sep = _min_separation(flow, Z[b])
+                # an underflow driven by an imminent coincidence is a collision
+                results[b] = (
+                    Collision(
+                        f"charges approaching coincidence (separation {sep:.3g}) "
+                        f"stalled the stepper at t={t[b]:.6g}",
+                        time=t[b],
+                    )
+                    if sep <= 1e-3 * _scale(Z[b])
+                    else NonConvergence("step size underflow")
                 )
-            raise NonConvergence("step size underflow")
-        h = min(h, t_end - t, max_step)
-        k[0] = f
+        active = [b for b in active if results[b] is None]
+        if not active:
+            break
+        # with every lane running, the full arrays stand in for the subset
+        full = len(active) == B
+        z = Z if full else Z[active]
+        k = stages[: len(active)]
+        k[:, 0] = F if full else F[active]
+        for b in active:
+            h[b] = min(h[b], t_end - t[b], max_step)
+        hs = np.array([h[b] for b in active])[:, None]
         for stage in range(1, 7):
-            acc = np.zeros_like(z)
-            for j, a in enumerate(_DP_A[stage]):
-                if a:
-                    acc += a * k[j]
-            k[stage] = rhs_flat(flow, z + h * acc)
-        y1 = z + h * (_DP_B5 @ k)
-        err_vec = h * (_DP_E @ k)
+            row = _DP_A[stage]
+            acc = row[0] * k[:, 0]
+            for j in range(1, stage):
+                if row[j]:
+                    acc += row[j] * k[:, j]
+            k[:, stage] = rhs_flat(flow, z + hs * acc)
+        y1 = z + hs * (_DP_B5 @ k)
+        err_vec = hs * (_DP_E @ k)
         sc = atol + rtol * np.maximum(np.abs(z), np.abs(y1))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / sc) ** 2))) if len(z) else 0.0
+        errs = [0.0] * len(active)
+        if N:
+            errs = np.sqrt(np.mean(np.abs(err_vec / sc) ** 2, axis=1)).tolist()
+        ok = [i for i, err in enumerate(errs) if fixed_step or err <= 1.0]
+        seps = _min_separation(flow, y1 if len(ok) == len(active) else y1[ok])
+        seps = dict(zip(ok, seps.tolist()))
 
-        if fixed_step or err <= 1.0:
-            t1 = t + h
-            f1 = k[6]  # FSAL: last stage is the rhs at (t1, y1)
-            interp = _StepInterpolant(t, h, z.copy(), k.copy())
-            sep = _min_separation(flow, y1)
-            if sep <= delta:
-                t_ev = _localize_collision(flow, interp, t, t1, delta)
-                raise Collision(
-                    f"charges within {delta:g} at t={t_ev:.6g}", time=t_ev
-                )
-            while next_idx < len(t_grid) and t_grid[next_idx] <= t1 + 1e-15 * t_end:
-                ts = t_grid[next_idx]
-                if abs(ts - t1) < 1e-15 * max(1.0, t_end):
-                    samples.append(y1.copy())
-                else:
-                    samples.append(interp(ts))
-                next_idx += 1
-            z, t, f = y1, t1, f1
-        if not fixed_step:
-            factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-        steps += 1
+        for i, b in enumerate(active):
+            if i in seps:
+                t0, t1 = t[b], t[b] + h[b]
+                interp = None
+                if seps[i] <= deltas[b]:
+                    interp = _StepInterpolant(t0, h[b], z[i], k[i])
+                    t_ev = _localize_collision(flow, interp, t0, t1, deltas[b])
+                    results[b] = Collision(
+                        f"charges within {deltas[b]:g} at t={t_ev:.6g}", time=t_ev
+                    )
+                    continue
+                while nxt[b] < len(t_grid) and t_grid[nxt[b]] <= t1 + 1e-15 * t_end:
+                    ts = t_grid[nxt[b]]
+                    if abs(ts - t1) < 1e-15 * max(1.0, t_end):
+                        samples[b, nxt[b]] = y1[i]
+                    else:
+                        interp = interp or _StepInterpolant(t0, h[b], z[i], k[i])
+                        samples[b, nxt[b]] = interp(ts)
+                    nxt[b] += 1
+                t[b] = t1
+            if not fixed_step:
+                err = errs[i]
+                factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
+                h[b] *= min(5.0, max(0.2, factor))
+            steps[b] += 1
 
-    while next_idx < len(t_grid):  # numerical tail guard
-        samples.append(z.copy())
-        next_idx += 1
+        # FSAL: the last stage is the rhs at the accepted endpoint; copied
+        # out of the stage buffer, which the next attempt overwrites
+        moved = [i for i in seps if results[active[i]] is None]
+        if full and len(moved) == B:
+            Z, F = y1, k[:, 6].copy()
+        elif moved:
+            lanes = [active[i] for i in moved]
+            Z[lanes] = y1[moved]
+            F[lanes] = k[moved, 6]
+        for b in active:
+            if results[b] is None and t[b] >= t_end:
+                samples[b, nxt[b] :] = Z[b]  # numerical tail guard
+        active = [b for b in active if results[b] is None and t[b] < t_end]
 
-    return Trajectory(t_grid, np.array(samples), flow)
+    return [
+        Trajectory(t_grid, samples[b], flow) if out is None else out
+        for b, out in enumerate(results)
+    ]
 
 
 def _localize_collision(flow, interp, t0, t1, delta):

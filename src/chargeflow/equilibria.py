@@ -47,6 +47,7 @@ __all__ = [
     "adler_moser",
     "cylinder_pair",
     "certify",
+    "check_built",
     "GRADIENT_TOL",
 ]
 
@@ -474,17 +475,35 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     _check_stored(_planar_fields(cert), _planar_fields(fresh), "recipe params")
     if not _same_inventory(cert.inventory, fresh.inventory):
         raise CertificationFailure("stored 'inventory' does not match the recipe params")
-    if not fresh.residual_exact_zero:
+    cert.notes["gradient_max"] = check_built(fresh).notes["gradient_max"]
+    return cert
+
+
+def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
+    """The checks a certificate fresh from its constructor must pass: an
+    exactly zero residual and the float gradient cross-check at its
+    inventory, whose largest value goes into ``notes["gradient_max"]``.
+    Raises CertificationFailure; returns ``cert``."""
+    if cert.recipe == "cylinder_wronskian":
+        if not cert.residual_exact_zero:
+            raise CertificationFailure("cylinder residual not exactly zero")
+        # gradient cross-check in angle variables via w = exp(2 i phi)
+        worst = _cylinder_gradient_max(cert)
+        if worst > 1e-7:
+            raise CertificationFailure(f"cylinder gradient {worst:.3e} too large")
+        cert.notes["gradient_max"] = worst
+        return cert
+    if not cert.residual_exact_zero:
         raise CertificationFailure(
-            f"bilinear residual nonzero (norm {fresh.residual_norm:.3e})",
-            coefficient_index=fresh.notes["first_nonzero_residual_index"],
+            f"bilinear residual nonzero (norm {cert.residual_norm:.3e})",
+            coefficient_index=cert.notes["first_nonzero_residual_index"],
         )
-    inventory = fresh.inventory
-    grad = _inventory_gradient(inventory, fresh.sys)
+    inventory = cert.inventory
+    grad = _inventory_gradient(inventory, cert.sys)
     scale = max((abs(z) for z, _ in inventory), default=1.0) or 1.0
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
-    Pf = fresh.sys.P.to_float()
+    Pf = cert.sys.P.to_float()
     worst = 0.0
     for (z, _), g in zip(inventory, grad):
         if abs(Pf(z)) > 1e-10 * max(1.0, scale):
@@ -536,14 +555,7 @@ def _certify_cylinder(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     fresh = cylinder_pair(list(cert.params["indices"]), list(cert.params["ts"]))
     fields = {name: getattr(fresh, name) for name in ("p", "q", "degrees", "bivariate")}
     _check_stored(vars(cert), fields, "rebuilt cylinder certificate")
-    if not fresh.residual_exact_zero:
-        raise CertificationFailure("cylinder residual not exactly zero")
-    # gradient cross-check in angle variables via w = exp(2 i phi)
-    worst = _cylinder_gradient_max(fresh)
-    if worst > 1e-7:
-        raise CertificationFailure(f"cylinder gradient {worst:.3e} too large")
-    fresh.notes["gradient_max"] = worst
-    return fresh
+    return check_built(fresh)
 
 
 def _cylinder_gradient_max(cert: EquilibriumCertificate) -> float:

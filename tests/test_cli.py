@@ -1,7 +1,10 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing.process
 import os
 import pathlib
+import subprocess
 
 import pytest
 
@@ -130,6 +133,26 @@ def test_collision_exit_code(tmp_path):
         "output": {"dir": str(tmp_path)},
     }
     assert cli.run(doc) == cli.EXIT_COLLISION
+
+
+def test_planar_equilibrium_run_builds_the_pair_once(tmp_path, monkeypatch):
+    from chargeflow import equilibria
+
+    calls = []
+
+    def counting(functions):
+        calls.append(len(functions))
+        return wronskian(functions)
+
+    wronskian = equilibria.wronskian
+    monkeypatch.setattr(equilibria, "wronskian", counting)
+    doc = {
+        "mode": "equilibrium",
+        "equilibrium": {"recipe": "hermite", "indices": [1, 2, 4], "b": "-2"},
+        "output": {"dir": str(tmp_path)},
+    }
+    assert cli.run(doc) == cli.EXIT_OK
+    assert calls == [3, 2]  # W[f1, f2, f3] for p and W[f1, f2] for q, once each
 
 
 def test_equilibrium_cli_flags(tmp_path):
@@ -317,39 +340,37 @@ def test_malformed_system_block_exits_validation(tmp_path, system):
     assert cli.run(_simulate_doc(tmp_path, system)) == cli.EXIT_VALIDATION
 
 
-def test_pool_size_clamped():
-    cpus = os.cpu_count() or 1
-    assert cli._pool_size(10_000, 8) == min(8, cpus)
-    assert cli._pool_size(10_000, 1) == 1
-    assert cli._pool_size(0, 8) == 1
-    assert cli._pool_size(-3, 8) == 1
-    assert cli._pool_size(2, 8) == min(2, cpus)
-
-
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """A stand-in pool that records its size and runs the seeds in-process."""
-    sizes = []
+def no_workers(monkeypatch):
+    """Fail the test if anything starts a process or a process pool."""
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def refuse(*args, **kwargs):
+        raise AssertionError("no worker process may start")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    return sizes
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "posix_spawn", refuse)
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
 
 
-def test_seed_sweep_uses_clamped_pool(tmp_path, pool_sizes):
+def test_jobs_flag_starts_no_process(tmp_path, no_workers):
+    cfg = write_config(
+        tmp_path,
+        {
+            "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 1, "m": 0},
+            "initial": {"random": {"scale": 1.0}},
+            "integration": {"periods": 1, "samples_per_period": 16},
+        },
+    )
+    for jobs in (10_000, 1, 0, -3, 2):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["period", "--config", cfg, "--out", str(out), "--seeds", "1,2", "--jobs", str(jobs)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (out / "seed1_period.json").exists() and (out / "seed2_period.json").exists()
+
+
+def test_seed_sweep_runs_in_process(tmp_path, no_workers):
     cfg = write_config(
         tmp_path,
         {
@@ -362,10 +383,11 @@ def test_seed_sweep_uses_clamped_pool(tmp_path, pool_sizes):
         ["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2,3", "--jobs", "10000"]
     )
     assert rc == cli.EXIT_OK
-    assert pool_sizes == [2]
+    for seed in (1, 2, 3):
+        assert (tmp_path / f"seed{seed}_period.json").exists()
 
 
-def test_seed_sweep_over_non_object_random_exits_validation(tmp_path, pool_sizes, capsys):
+def test_seed_sweep_over_non_object_random_exits_validation(tmp_path, no_workers, capsys):
     cfg = write_config(
         tmp_path,
         {
@@ -376,13 +398,12 @@ def test_seed_sweep_over_non_object_random_exits_validation(tmp_path, pool_sizes
     )
     rc = cli.main(["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2", "--jobs", "2"])
     assert rc == cli.EXIT_VALIDATION
-    assert pool_sizes == [2]
     captured = capsys.readouterr()
     assert "seed 1: exit 3" in captured.out
     assert "random must be an object" in captured.err
 
 
-def test_seed_sweep_keeps_non_text_prefix_for_validation(tmp_path, pool_sizes, capsys):
+def test_seed_sweep_keeps_non_text_prefix_for_validation(tmp_path, no_workers, capsys):
     cfg = write_config(
         tmp_path,
         {
@@ -458,11 +479,7 @@ def test_malformed_initial_block_exits_validation(tmp_path, capsys, initial, mes
     ],
     ids=["seeds", "indices", "ts"],
 )
-def test_malformed_comma_list_flag_exits_validation(tmp_path, monkeypatch, capsys, argv):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no worker pool may start")
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+def test_malformed_comma_list_flag_exits_validation(tmp_path, no_workers, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
 
