@@ -470,8 +470,11 @@ def _out_path(doc, name):
 
 def _lane_plan(doc: dict):
     """The flow, the initial state and the ``integrate`` settings of a
-    config."""
+    config; a period config's base period is resolved first, so a config
+    without one fails before anything is integrated."""
     flow = _build_flow(doc["system"])
+    if doc["mode"] == "period":
+        _base_period(doc, flow)
     init = _build_initial(flow, doc["initial"])
     block = doc["integration"]
     t_end, n_samples = block["t_end"], block["samples"]
@@ -549,15 +552,19 @@ def _run_period(doc: dict) -> int:
     return _write_period(doc, _integrate_doc(doc))
 
 
-def _write_period(doc: dict, traj: Trajectory) -> int:
-    """Detect the return period of ``traj`` and write ``period.json``."""
-    flow = traj.flow
+def _base_period(doc: dict, flow: FlowSpec) -> float:
+    """The configured ``base_period``, else the trap period 2 pi / omega."""
     base = doc["period"]["base_period"]
     if base is None:
         if flow.sys is None or not flow.sys.omega:
             raise ValidationError("period mode needs omega or base_period")
         base = 2 * math.pi / flow.sys.omega
-    k, mismatch = detect_period(traj, base, doc["period"]["tol"])
+    return base
+
+
+def _write_period(doc: dict, traj: Trajectory) -> int:
+    """Detect the return period of ``traj`` and write ``period.json``."""
+    k, mismatch = detect_period(traj, _base_period(doc, traj.flow), doc["period"]["tol"])
     path = _out_path(doc, "period.json")
     _atomic_write(path, json.dumps({"k": k, "mismatch": mismatch}, indent=1))
     print(f"wrote {path}")

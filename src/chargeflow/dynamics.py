@@ -169,7 +169,7 @@ def _horner(p: Polynomial, z: np.ndarray):
     """A float polynomial at the points ``z``, rounded as ``Polynomial.__call__``
     rounds it, without its ring test (the integrator's hot path)."""
     acc = 0j
-    for c in reversed(p.coeffs):
+    for c in reversed(p.floats):
         acc = acc * z + c
     return acc
 
@@ -263,8 +263,6 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     n_samples: int = 257,
-    collision_delta: Optional[float] = None,
-    max_step: Optional[float] = None,
     fixed_step: Optional[float] = None,
 ) -> Trajectory:
     """Integrate a flow and sample it on a uniform output grid.
@@ -278,8 +276,7 @@ def integrate(
     ``integrate_lanes``.
     """
     (out,) = integrate_lanes(
-        flow, _flatten(init)[None, :], t_end, rtol, atol, n_samples,
-        collision_delta, max_step, fixed_step,
+        flow, _flatten(init)[None, :], t_end, rtol, atol, n_samples, fixed_step
     )
     if isinstance(out, ChargeflowError):
         raise out
@@ -293,8 +290,6 @@ def integrate_lanes(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     n_samples: int = 257,
-    collision_delta: Optional[float] = None,
-    max_step: Optional[float] = None,
     fixed_step: Optional[float] = None,
 ) -> list:
     """Integrate B starts ``Z0`` (B, N) of one flow as lanes of one stepper.
@@ -312,10 +307,7 @@ def integrate_lanes(
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
     B, N = Z.shape
-    if collision_delta is None:
-        deltas = (_COLLISION_REL * _scale(Z)).tolist()
-    else:
-        deltas = [collision_delta] * B
+    deltas = (_COLLISION_REL * _scale(Z)).tolist()
     t_grid = np.linspace(0.0, t_end, max(2, n_samples)) if t_end > 0 else np.array([0.0])
     samples = np.empty((B, len(t_grid), N), dtype=complex)
     samples[:, 0] = Z
@@ -327,8 +319,6 @@ def integrate_lanes(
 
     t = [0.0] * B
     h = [fixed_step if fixed_step else min(1e-3, t_end / 10)] * B
-    if max_step is None:
-        max_step = t_end
     nxt = [1] * B
     steps = [0] * B
     F = np.empty_like(Z)
@@ -361,7 +351,7 @@ def integrate_lanes(
         k = stages[: len(active)]
         k[:, 0] = F if full else F[active]
         for b in active:
-            h[b] = min(h[b], t_end - t[b], max_step)
+            h[b] = min(h[b], t_end - t[b])
         hs = np.array([h[b] for b in active])[:, None]
         for stage in range(1, 7):
             row = _DP_A[stage]

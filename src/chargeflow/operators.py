@@ -9,7 +9,7 @@ formula is written once over ``Polynomial`` arithmetic, so the
 coefficients decide the ring: an exact system gives exact results, a
 float one complex results, and float polynomials with numpy (S,) array
 coefficients a batch of S results from one call.  Mixing the exact and
-float rings raises ``TypeError`` from the scalar arithmetic itself.
+float rings raises ``TypeError`` from the arithmetic itself.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class SystemCoefficients:
 
     def __post_init__(self):
         charges = self.charges or ()
-        exact = is_exact(self.P.coeffs + self.U.coeffs + tuple(charges))
+        exact = self.P.exact and self.U.exact and is_exact(charges)
         if not exact:
             object.__setattr__(self, "P", self.P.to_float())
             object.__setattr__(self, "U", self.U.to_float())
@@ -119,7 +119,7 @@ class SystemCoefficients:
 
     @property
     def exact(self):
-        return is_exact(self.P.coeffs + self.U.coeffs + (self.charges or ()))
+        return self.P.exact and self.U.exact and is_exact(self.charges or ())
 
     @property
     def mode(self):

@@ -1,28 +1,22 @@
 """Univariate polynomial arithmetic over exact Gaussian rationals and
-double-precision complex numbers.
+double-precision complex numbers, on dense coefficients by ascending
+power with trailing zeros stripped.  The constructor's coefficients
+decide the ring:
 
-Dense coefficient lists indexed by power.  The zero polynomial is the
-empty list, so ``degree == len(coeffs) - 1`` holds for everything else.
-Each operation is written once; the coefficients decide the ring:
-
-* exact -- every input coefficient is an ``int``, ``Fraction`` or
-  ``GaussianRational``; they are stored as ``GaussianRational``s;
+* exact -- every one is an ``int``, ``Fraction`` or ``GaussianRational``.
+  Stored as c_k = (re[k] + i im[k]) / den: integer numerators in lowest
+  terms (den > 0, gcd(den, all numerators) = 1), ``im`` None when every
+  coefficient is real.  The form is canonical (equal polynomials have
+  equal fields) and every exact operation runs on it; a
+  ``GaussianRational`` is made only where a value leaves a polynomial
+  (``coeff``, ``leading``, ``coeffs``, exact evaluation, JSON);
 * float -- any other input; each scalar is stored as a ``complex``;
 * batched float -- a numpy (S,) array coefficient is stored unchanged,
   making the polynomial a batch of S float polynomials.
 
-The zero polynomial belongs to every ring.  Exact and float
-coefficients never mix: ``GaussianRational`` arithmetic rejects complex
-operands with ``TypeError``, and conversion goes through
-``Polynomial.to_float`` explicitly.
-
-``GaussianRational`` is the stored form of an exact coefficient.  Exact
-sums, products, long divisions and gcds run on cleared integer numerators
-instead: one common denominator and integer real and imaginary
-numerators per polynomial (``_cleared``), with one ``Fraction`` per
-output coefficient when the result is stored again.  ``poly_gcd`` first
-splits off the common power of z and settles most coprime pairs by a test
-modulo one prime before it falls back to Euclid's algorithm.
+The zero polynomial is exact and belongs to every ring.  Exact and float
+polynomials never mix: combining them raises ``TypeError``, and
+conversion goes through ``Polynomial.to_float`` explicitly.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClusterAmbiguity, NonConvergence
-from .scalars import EXACT, GaussianRational, exactify, to_complex
+from .scalars import EXACT, GaussianRational, to_complex
 
 __all__ = [
     "Polynomial",
@@ -59,13 +53,6 @@ def is_exact(values) -> bool:
     return all(isinstance(v, EXACT) for v in values)
 
 
-def _coerce(values):
-    """Coefficients in their ring."""
-    if is_exact(values):
-        return tuple(exactify(v) for v in values)
-    return tuple(v if isinstance(v, np.ndarray) else complex(v) for v in values)
-
-
 def _ratio_json(f: Fraction):
     return [str(f.numerator), str(f.denominator)]
 
@@ -74,63 +61,37 @@ def _ratio(num: str, den: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def _is_zero(c):
-    return not (c.any() if isinstance(c, np.ndarray) else c)
+def _stored(*fields):
+    """The Polynomial with these field values, in slot order."""
+    p = object.__new__(Polynomial)
+    for name, value in zip(Polynomial.__slots__, fields):
+        object.__setattr__(p, name, value)
+    return p
 
 
-def _cleared(coeffs):
-    """(den, re, im) with coeffs[k] == (re[k] + i im[k]) / den: integer
-    numerators over one common denominator of the exact ``coeffs``; im is
-    None when every coefficient is real."""
-    res, ims = [c.re for c in coeffs], [c.im for c in coeffs]
-    if not any(ims):
-        den = math.lcm(*(f.denominator for f in res))
-        return den, [f.numerator * (den // f.denominator) for f in res], None
-    den = math.lcm(*(f.denominator for f in res + ims))
-    return (
-        den,
-        [f.numerator * (den // f.denominator) for f in res],
-        [f.numerator * (den // f.denominator) for f in ims],
-    )
+def _canonical(den, re, im=None):
+    """The exact polynomial with coefficients (re[k] + i im[k]) / den, for
+    integer sequences re and im of one length (None: all zero)."""
+    if im is not None and not any(im):
+        im = None
+    n = len(re)
+    while n and not (re[n - 1] or im is not None and im[n - 1]):
+        n -= 1
+    parts = [tuple(re[:n])] if im is None else [tuple(re[:n]), tuple(im[:n])]
+    g = math.gcd(den, *itertools.chain(*parts))
+    if den < 0:
+        g = -g
+    if g != 1:
+        parts = [tuple(x // g for x in part) for part in parts]
+    return _stored(den // g, parts[0], None if im is None else parts[1], None if n else ())
 
 
-def _from_cleared(den, re, im=None):
-    """The exact polynomial with coefficients (re[k] + i im[k]) / den."""
-    if im is None:
-        return Polynomial([Fraction(r, den) for r in re])
-    return Polynomial([GaussianRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(re, im)])
-
-
-def _both_exact(a, b):
-    """True for two nonzero exact coefficient tuples."""
-    return a and b and isinstance(a[0], GaussianRational) and isinstance(b[0], GaussianRational)
-
-
-def _exact_sum(a, b, sign):
-    """a + sign * b for exact coefficient tuples, on cleared numerators."""
-    (da, ar, ai), (db, br, bi) = _cleared(a), _cleared(b)
-    den = math.lcm(da, db)
-    sa, sb = den // da, sign * (den // db)
-
-    def combine(x, y):  # None stands for zeros
-        x, y = x or [0] * len(a), y or [0] * len(b)
-        return [u * sa + v * sb for u, v in itertools.zip_longest(x, y, fillvalue=0)]
-
-    if ai is None and bi is None:
-        return _from_cleared(den, combine(ar, br))
-    return _from_cleared(den, combine(ar, br), combine(ai, bi))
-
-
-def _exact_product(a, b):
-    """a * b for exact coefficient tuples, on cleared numerators."""
-    (da, ar, ai), (db, br, bi) = _cleared(a), _cleared(b)
-    re = _convolve(ar, br)
-    if ai is None and bi is None:
-        return _from_cleared(da * db, re)
-    ai, bi = ai or [0] * len(a), bi or [0] * len(b)
-    re = [x - y for x, y in zip(re, _convolve(ai, bi))]
-    im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
-    return _from_cleared(da * db, re, im)
+def _same_ring(a, b):
+    """True when the nonzero polynomials a, b are both exact, False when
+    both are float; an exact one and a float one raise TypeError."""
+    if (a.den is None) != (b.den is None):
+        raise TypeError("exact and float polynomials do not mix")
+    return a.den is not None
 
 
 def _convolve(a, b):
@@ -144,24 +105,20 @@ def _convolve(a, b):
 
 
 def _long_division(a, da, b, db):
-    """(a / da) divided by (b / db) for integer numerator lists a, b with
-    len(a) >= len(b) and b[-1] != 0.
-
-    Returns the quotient's coefficients as Fractions and the remainder as
-    integer numerators over one denominator d.  The remainder's numerators
-    stay integers: each step scales them by d'/d, where d' = lcm(d, the
-    step's quotient denominator).
-    """
+    """Quotient and remainder of (a / da) by (b / db) for integer lists a,
+    b with len(a) >= len(b) and b[-1] != 0.  The remainder's numerators
+    stay integers over one denominator d: each step scales them by d'/d,
+    where d' = lcm(d, the step's quotient denominator)."""
     a, m, lead, d = list(a), len(b) - 1, b[-1], da
-    quot = []
+    steps = []  # each quotient coefficient / db as (numerator, denominator), top first
     for k in range(len(a) - 1 - m, -1, -1):
         top = a.pop()  # the coefficient this step cancels
         if not top:
-            quot.append(0)
+            steps.append((0, 1))
             continue
         g = math.gcd(top, d * lead)
         cn, cd = top // g, d * lead // g  # this step's quotient, over b's numerators
-        quot.append(Fraction(cn * db, cd))
+        steps.append((cn, cd))
         h = math.gcd(d, cd)
         t = cn * (d // h)
         if cd != h:
@@ -169,20 +126,32 @@ def _long_division(a, da, b, db):
             a = [x * s for x in a]
             d *= s
         a[k:] = [x - t * y for x, y in zip(a[k:], b)]
-    quot.reverse()
-    return quot, d, a
+    qd = math.lcm(*(cd for _, cd in steps))
+    return _canonical(qd, [cn * db * (qd // cd) for cn, cd in reversed(steps)]), _canonical(d, a)
 
 
 class Polynomial:
-    """Dense univariate polynomial; coefficients c0..cd by ascending power."""
+    """Dense univariate polynomial; coefficients c0..cd by ascending power.
 
-    __slots__ = ("coeffs",)
+    Exact: ``den``, ``re``, ``im`` as in the module docstring, ``floats``
+    None.  Float: the coefficient tuple in ``floats``, the rest None.  The
+    zero polynomial is exact with ``floats == ()``, so code that reads
+    ``floats`` sees the float zero too.
+    """
 
-    def __init__(self, coeffs):
-        coeffs = _coerce(tuple(coeffs))
-        while coeffs and _is_zero(coeffs[-1]):
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("den", "re", "im", "floats")
+
+    def __new__(cls, coeffs):
+        coeffs = tuple(coeffs)
+        if is_exact(coeffs):
+            parts = [(c.re, c.im) if isinstance(c, GaussianRational) else (c, 0) for c in coeffs]
+            den = math.lcm(*(x.denominator for part in parts for x in part))
+            re = [r.numerator * (den // r.denominator) for r, _ in parts]
+            return _canonical(den, re, [i.numerator * (den // i.denominator) for _, i in parts])
+        floats = tuple(v if isinstance(v, np.ndarray) else complex(v) for v in coeffs)
+        while floats and not np.any(floats[-1]):
+            floats = floats[:-1]
+        return _stored(None, None, None, floats) if floats else _canonical(1, ())
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -202,35 +171,46 @@ class Polynomial:
     @property
     def exact(self):
         """True for exact coefficients; the zero polynomial counts as exact."""
-        return is_exact(self.coeffs[:1])
+        return self.den is not None
 
     @property
     def degree(self):
-        """len(coeffs) - 1; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
+        """The highest power present; the zero polynomial reports -1."""
+        return len(self.floats if self.den is None else self.re) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return self.floats == ()
+
+    @property
+    def coeffs(self):
+        """The coefficients c0..cd, as ``GaussianRational``s when exact
+        (made on each read from the stored numerators)."""
+        if self.den is None:
+            return self.floats
+        return tuple(self.coeff(k) for k in range(len(self.re)))
 
     def coeff(self, k):
         """Coefficient of z**k; past the degree it is the ring-neutral 0."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
+        if not 0 <= k <= self.degree:
+            return 0
+        if self.den is None:
+            return self.floats[k]
+        im = 0 if self.im is None else self.im[k]
+        return GaussianRational(Fraction(self.re[k], self.den), Fraction(im, self.den))
 
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.den, self.re, self.im, self.floats) == (other.den, other.re, other.im, other.floats)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.re, self.im, self.floats))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -240,60 +220,80 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if _both_exact(a, b):
-            return _exact_sum(a, b, 1)
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
+        if not _same_ring(self, other):
+            a, b = self.floats, other.floats
+            if len(a) < len(b):
+                a, b = b, a
+            return Polynomial([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+
+        def combine(x, y):  # None stands for zeros
+            x, y = x or [0] * len(self.re), y or [0] * len(other.re)
+            return [u * sa + v * sb for u, v in itertools.zip_longest(x, y, fillvalue=0)]
+
+        im = None if self.im is None and other.im is None else combine(self.im, other.im)
+        return _canonical(den, combine(self.re, other.re), im)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if _both_exact(self.coeffs, other.coeffs):
-            return _exact_sum(self.coeffs, other.coeffs, -1)
         return self + -other
 
+    def _linear(self, fn):
+        """The polynomial whose coefficient list is fn of this one's, for
+        fn linear over the integers (so it acts on numerators alike)."""
+        if not self.exact:
+            return Polynomial(fn(self.floats))
+        return _canonical(self.den, fn(self.re), self.im and fn(self.im))
+
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return self._linear(lambda c: [-x for x in c])
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        a, b = self.coeffs, other.coeffs
-        if _both_exact(a, b):
-            return _exact_product(a, b)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return Polynomial(out)
+        if not _same_ring(self, other):
+            a, b = self.floats, other.floats
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+            return Polynomial(out)
+        ar, br, den = self.re, other.re, self.den * other.den
+        if self.im is None and other.im is None:
+            return _canonical(den, _convolve(ar, br))
+        ai, bi = self.im or [0] * len(ar), other.im or [0] * len(br)
+        re = [x - y for x, y in zip(_convolve(ar, br), _convolve(ai, bi))]
+        im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
+        return _canonical(den, re, im)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
         """Multiply by a scalar, which first joins the coefficients' ring
         (a ``Fraction`` scales a float polynomial as a complex)."""
-        if self.is_zero:
-            return self
-        scalar = _coerce((self.coeffs[-1], scalar))[1]
-        if isinstance(scalar, GaussianRational):
+        if self.exact:
             return self * Polynomial((scalar,))
-        return Polynomial([c * scalar for c in self.coeffs])
+        if not isinstance(scalar, np.ndarray):
+            scalar = complex(scalar)
+        return Polynomial([c * scalar for c in self.floats])
 
     def shift(self, k):
         """Multiply by z**k."""
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
+        return self._linear(lambda c: (0,) * k + tuple(c))
 
     def monic(self):
         if self.is_zero:
             return self
         lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
+        if self.exact:
+            return self.scale(1 / lead)
+        return Polynomial([c / lead for c in self.floats])
 
     def divmod(self, other):
         """Long division; exact polynomials only (field coefficients)."""
@@ -303,22 +303,18 @@ class Polynomial:
             raise ZeroDivisionError("division by zero polynomial")
         if self.degree < other.degree:
             return Polynomial.zero(), self
-        db, br, bi = _cleared(other.coeffs)
-        if bi is not None:
+        if other.im is not None:
             # B conj(B) has real coefficients, and A conj(B) = Q B conj(B) + R conj(B)
             # with deg R conj(B) < deg B conj(B): the same quotient Q, by real division
-            conj = Polynomial([GaussianRational(c.re, -c.im) for c in other.coeffs])
+            conj = _canonical(other.den, other.re, [-i for i in other.im])
             quot = (self * conj).divmod(other * conj)[0]
             return quot, self - quot * other
-        da, ar, ai = _cleared(self.coeffs)
-        quot, dr, rem = _long_division(ar, da, br, db)
-        if ai is None:
-            return Polynomial(quot), _from_cleared(dr, rem)
-        quot_im, di, rem_im = _long_division(ai, da, br, db)
-        return (
-            Polynomial([GaussianRational(x, y) for x, y in zip(quot, quot_im)]),
-            Polynomial([GaussianRational(Fraction(x, dr), Fraction(y, di)) for x, y in zip(rem, rem_im)]),
-        )
+        quot, rem = _long_division(self.re, self.den, other.re, other.den)
+        if self.im is not None:
+            i = GaussianRational(0, 1)
+            quot_im, rem_im = _long_division(self.im, self.den, other.re, other.den)
+            quot, rem = quot + quot_im.scale(i), rem + rem_im.scale(i)
+        return quot, rem
 
     def div_exact(self, other):
         quot, rem = self.divmod(other)
@@ -329,7 +325,7 @@ class Polynomial:
     # -- calculus ---------------------------------------------------
 
     def derivative(self):
-        return Polynomial([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
+        return self._linear(lambda c: [k * x for k, x in enumerate(c) if k])
 
     def __call__(self, z):
         """Horner evaluation.
@@ -340,13 +336,11 @@ class Polynomial:
         evaluated elementwise.
         """
         # arrays (the integrator's hot path) skip the slow ABC check of EXACT
-        coeffs, exact, array = self.coeffs, self.exact, isinstance(z, np.ndarray)
-        if exact and not array and isinstance(z, EXACT):
-            acc, z = GaussianRational(0), exactify(z)
+        array = isinstance(z, np.ndarray)
+        if self.exact and not array and isinstance(z, EXACT):
+            acc, z, coeffs = GaussianRational(0), GaussianRational.coerce(z), self.coeffs
         else:
-            acc = 0j
-            if exact and coeffs:
-                coeffs = [c.to_complex() for c in coeffs]
+            acc, coeffs = 0j, self.to_float().floats
             if not array:
                 z = to_complex(z)
         for c in reversed(coeffs):
@@ -356,13 +350,15 @@ class Polynomial:
     # -- conversions ---------------------------------------------------
 
     def to_float(self):
+        """The float polynomial; r / den rounds as ``float(Fraction(r, den))``."""
         if not self.exact:
             return self
-        return Polynomial([c.to_complex() for c in self.coeffs])
+        d, im = self.den, self.im or itertools.repeat(0)
+        return Polynomial([complex(r / d, i / d) for r, i in zip(self.re, im)])
 
     def to_json(self):
         if not self.exact:
-            return {"exact": False, "coeffs": [[c.real, c.imag] for c in self.coeffs]}
+            return {"exact": False, "coeffs": [[c.real, c.imag] for c in self.floats]}
         coeffs = [
             _ratio_json(c.re) if c.is_real else [_ratio_json(c.re), _ratio_json(c.im)]
             for c in self.coeffs
@@ -669,11 +665,16 @@ _GCD_I = pow(3, (_GCD_PRIME - 1) // 4, _GCD_PRIME)
 
 
 def _residues(p: Polynomial):
-    """p's cleared numerators mod _GCD_PRIME, with i sent to _GCD_I."""
-    _, re, im = _cleared(p.coeffs)
-    if im is None:
-        return [r % _GCD_PRIME for r in re]
-    return [(r + _GCD_I * i) % _GCD_PRIME for r, i in zip(re, im)]
+    """p's numerators mod _GCD_PRIME, with i sent to _GCD_I."""
+    if p.im is None:
+        return [r % _GCD_PRIME for r in p.re]
+    return [(r + _GCD_I * i) % _GCD_PRIME for r, i in zip(p.re, p.im)]
+
+
+def _low_power(p: Polynomial):
+    """(k, p / z**k) for the largest k with z**k dividing the nonzero exact p."""
+    k = next(k for k, r in enumerate(p.re) if r or p.im and p.im[k])
+    return k, _canonical(p.den, p.re[k:], p.im and p.im[k:])
 
 
 def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
@@ -705,9 +706,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         raise TypeError("poly_gcd requires exact polynomials")
     if p.is_zero or q.is_zero:
         return (p + q).monic()
-    vp = next(k for k, c in enumerate(p.coeffs) if c)
-    vq = next(k for k, c in enumerate(q.coeffs) if c)
-    a, b = Polynomial(p.coeffs[vp:]), Polynomial(q.coeffs[vq:])
+    (vp, a), (vq, b) = _low_power(p), _low_power(q)
     if _coprime_mod_prime(a, b):
         return monomial(min(vp, vq))
     while not b.is_zero:

@@ -194,6 +194,29 @@ def test_period_mode(tmp_path):
     assert out["mismatch"] < 1e-6
 
 
+def test_period_without_base_period_exits_before_integrating(tmp_path, monkeypatch, capsys):
+    # the angular flow has no omega, so its period config needs base_period
+    from chargeflow import dynamics
+
+    calls = []
+    rhs_flat = dynamics.rhs_flat
+    monkeypatch.setattr(dynamics, "rhs_flat", lambda *args: calls.append(1) or rhs_flat(*args))
+    doc = {
+        "system": {"kind": "angular", "n": 3, "m": 2},
+        "initial": {"random": {"seed": 1, "scale": 1.0}},
+        "integration": {"t_end": 5.0, "samples": 257},
+    }
+    assert cli.run({**doc, "mode": "period", "output": {"dir": str(tmp_path)}}) == cli.EXIT_VALIDATION
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2"]) == cli.EXIT_VALIDATION
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.count("period mode needs omega or base_period") == 3
+    doc["period"] = {"base_period": 1.0}
+    cli.run({**doc, "mode": "period", "output": {"dir": str(tmp_path)}})
+    assert calls  # the counter sees the integrator once a base period is given
+
+
 def test_verify_identities_mode(tmp_path):
     for phi in ("inverse", "coth"):
         doc = {

@@ -8,9 +8,11 @@ import pytest
 
 from chargeflow import _trig
 from chargeflow.equilibria import (
+    GRADIENT_TOL,
     EquilibriumCertificate,
     adler_moser,
     certify,
+    check_built,
     cylinder_pair,
     hermite_pair,
     laguerre_pair,
@@ -108,6 +110,26 @@ def test_laguerre_pair_k4_nonconsecutive():
     assert cert.residual_exact_zero
     # n = sum(I) - k(k+2)/4, m = sum(I[:k]) - k^2/4 with k = 4
     assert cert.degrees == (11 - 6, 6 - 4)
+
+
+@pytest.mark.parametrize("indices,b", [([1, 2, 4, 5, 7], 2), ([2, 3, 4, 5, 8], 1), ([1, 3, 5, 6, 8], 2)])
+def test_laguerre_pair_with_minus_sites_before_the_origin_certifies(indices, b):
+    # P = z vanishes at the origin, whose site the gradient check skips;
+    # these inventories list -1 sites before it
+    cert = laguerre_pair(indices, b)
+    assert any(c < 0 for _, c in cert.inventory[: [abs(z) for z, _ in cert.inventory].index(0.0)])
+    assert certify(cert).notes["gradient_max"] < GRADIENT_TOL
+
+
+def test_check_built_reads_the_gradient_in_inventory_order():
+    cert = laguerre_pair([2, 3, 4, 5, 8], 1)
+    origin = [site for site in cert.inventory if site[0] == 0]
+    minus = [site for site in cert.inventory if site[1] < 0]
+    plus = [site for site in cert.inventory if site[1] > 0 and site[0] != 0]
+    assert origin and minus and plus
+    for order in (minus + origin + plus, origin + plus[::-1] + minus, plus + minus + origin):
+        cert.inventory = order
+        assert check_built(cert).notes["gradient_max"] < 1e-10
 
 
 def test_laguerre_pair_badk():

@@ -8,6 +8,7 @@ deliberate change of the certificate format, regenerate the files with
     PYTHONPATH=src python tests/test_golden_certs.py
 """
 
+import copy
 import json
 import pathlib
 
@@ -15,6 +16,7 @@ import pytest
 
 from chargeflow import cli
 from chargeflow.equilibria import EquilibriumCertificate, certify
+from chargeflow.errors import CertificationFailure
 
 DATA = pathlib.Path(__file__).parent / "data" / "certs"
 
@@ -51,6 +53,49 @@ def test_golden_certificate_recertifies(name):
     doc = json.loads((DATA / name / "certificate.json").read_text())
     cert = certify(EquilibriumCertificate.from_json(doc))
     assert cert.residual_exact_zero
+
+
+def _top_three(poly):
+    """The polynomial document with its top coefficient replaced by 3 in
+    its ring (the zero polynomial gains that coefficient)."""
+    return {**poly, "coeffs": poly["coeffs"][:-1] + [["3", "1"] if poly["exact"] else [3.0, 0.0]]}
+
+
+_SEVEN = {"re": ["7", "1"], "im": ["0", "1"]}
+
+# field path -> new value from the old one (None where a dict lacks the key)
+TAMPERS = {
+    "P_leading": (("P",), _top_three),
+    "U_top": (("U",), _top_three),
+    "p_top": (("p",), _top_three),
+    "q_top": (("q",), _top_three),
+    "reduced": (("reduced", 0), _top_three),
+    "degrees": (("degrees", 0), lambda n: n + 1),
+    "lambda": (("lambda",), lambda lam: {"float": [7.0, 0.0]} if "float" in lam else _SEVEN),
+    "inventory_position": (("inventory", 0, "position", 0), lambda x: x + 0.5),
+    "inventory_charge": (("inventory", 0, "net_charge"), lambda charge: 5),
+    "residual_exact_zero": (("residual_exact_zero",), lambda flag: False),
+    "residual_norm": (("residual_norm",), lambda norm: 0.5),
+    "notes_leading_p": (("notes", "leading_p"), lambda lead: _SEVEN),
+    # planar certificates carry no (X, Y) payload, so any is foreign to them
+    "bivariate": (("bivariate",), lambda xy: {**(xy or {}), "degree_p": (xy or {}).get("degree_p", 0) + 1}),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_every_golden_with_one_tampered_field_fails_certify(tamper):
+    for name in sorted(CASES):
+        golden = json.loads((DATA / name / "certificate.json").read_text())
+        doc = copy.deepcopy(golden)
+        path, change = TAMPERS[tamper]
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        key = path[-1]
+        target[key] = change(target[key] if isinstance(target, list) else target.get(key))
+        assert doc != golden, name
+        with pytest.raises(CertificationFailure):
+            certify(EquilibriumCertificate.from_json(doc))
 
 
 if __name__ == "__main__":

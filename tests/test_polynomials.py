@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -439,6 +440,29 @@ _kernel_polys = st.one_of(
     *(st.lists(coeff, min_size=1, max_size=7) for coeff in (_reals, _imaginaries, _gaussians))
 ).map(Polynomial)
 _nonzero_polys = _kernel_polys.filter(lambda p: not p.is_zero)
+
+
+def _fields(p):
+    return (p.den, p.re, p.im, p.floats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_polys, _nonzero_polys, _gaussians.filter(bool))
+def test_every_route_reaches_the_one_canonical_form(p, q, c):
+    routes = [
+        ((p * q).div_exact(q), p),
+        ((p + q) - q, p),
+        (p.scale(c).monic(), p.monic()),
+        (Polynomial.from_json(p.to_json()), p),
+    ]
+    for got, want in routes:
+        assert _fields(got) == _fields(want) and hash(got) == hash(want)
+    # lowest terms, positive denominator, no stored zero top or zero imaginary part
+    assert p.den > 0 and math.gcd(p.den, *p.re, *(p.im or ())) == 1
+    assert p.im is None or (any(p.im) and len(p.im) == len(p.re))
+    assert p.is_zero or p.re[-1] or p.im[-1]
+    # to_float rounds each part as float(Fraction) does
+    assert p.to_float().coeffs == tuple(x.to_complex() for x in p.coeffs)
 
 
 def _oracle(p):
