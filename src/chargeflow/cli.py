@@ -314,14 +314,34 @@ def system_to_config(flow: FlowSpec) -> dict:
     return doc
 
 
+_DRAW_ATTEMPTS = 1000
+# attempts per block: at most 32, and at most about 2^15 pairs in all, so
+# the (block, N, N) distance arrays stay small at any N
+_DRAW_PAIRS = 2**15
+
+
 def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
+    """The first of up to 1000 Gaussian draws (real parts, then imaginary
+    parts, times ``scale``) whose pair distances all exceed
+    ``min_separation * scale``.
+
+    Attempts are drawn in blocks, one ``rng.normal(size=(m, 2, N))`` call
+    each.  That consumes the same normals in the same order as drawing
+    each attempt's real and imaginary parts in turn, so the first
+    separated attempt of a block is the start a one-at-a-time loop finds.
+    """
     rng = np.random.default_rng(options["seed"])
     scale = options["scale"]
     min_sep = options["min_separation"] * scale
     total = sum(flow.sizes)
-    for _ in range(1000):
-        pts = rng.normal(size=total) * scale + 1j * rng.normal(size=total) * scale
-        if np.all(pair_matrix(pts, _distance, diagonal=np.inf) > min_sep):
+    block = max(1, min(32, _DRAW_PAIRS // total**2))
+    for drawn in range(0, _DRAW_ATTEMPTS, block):
+        draws = rng.normal(size=(min(block, _DRAW_ATTEMPTS - drawn), 2, total))
+        pts = draws[:, 0] * scale + 1j * draws[:, 1] * scale
+        dist = pair_matrix(pts, _distance, diagonal=np.inf)
+        separated = np.all(dist > min_sep, axis=(-2, -1))
+        if separated.any():
+            pts = pts[separated.argmax()]
             break
     else:
         raise ValidationError("could not draw separated initial conditions")

@@ -15,7 +15,12 @@ as lanes: each lane has its own time, step size, step control, collision
 check and sample grid cursor, and each stage is one stacked right-hand
 side call over the lanes still running.  A lane is bit-identical to its
 start integrated alone, so a seed sweep is one ``integrate_lanes`` call
-and a single run (``integrate``) is the one-lane case.  A trajectory is
+and a single run (``integrate``) is the one-lane case.  A step is cheap in
+numpy calls, not in arithmetic: each stage's state sum is one ordered
+``np.add.reduce`` that rounds as the term-by-term sum does, and each lane
+carries a rigorous lower bound on its separation, so the exact O(N^2)
+check runs only when that bound reaches the collision distance.  Each
+result carries the lane's step statistics.  A trajectory is
 a times vector and an (S, N) position array; its per-sample monitors are
 computed as columns in a separate step, ``monitors``, by the callers
 that read them.  Each column is one computation on a block of states
@@ -151,11 +156,13 @@ class FlowSpec:
 class Trajectory:
     """Sampled solution: strictly increasing ``times`` (S,) and the complex
     ``positions`` (S, N) at those times, species concatenated in
-    ``flow.sizes`` order."""
+    ``flow.sizes`` order, and the integrator's ``stats`` (see
+    ``integrate_lanes``)."""
 
     times: np.ndarray
     positions: np.ndarray
     flow: FlowSpec
+    stats: dict = field(default_factory=dict)
 
 
 # -- right-hand sides ----------------------------------------------------------
@@ -167,18 +174,30 @@ def _flatten(config: ChargeConfiguration):
 
 def _horner(p: Polynomial, z: np.ndarray):
     """A float polynomial at the points ``z``, rounded as ``Polynomial.__call__``
-    rounds it, without its ring test (the integrator's hot path)."""
-    acc = 0j
-    for c in reversed(p.floats):
+    rounds it, without its ring test (the integrator's hot path).  It
+    starts from the leading coefficient, so a constant comes back as a
+    Python complex."""
+    coeffs = p.floats or (0j,)
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
 
 
 def rhs_flat(flow: FlowSpec, z: np.ndarray) -> np.ndarray:
     """Velocities for the flattened positions (N,) or a stack (S, N), by
-    the shared formula in the module docstring."""
-    pairs = pair_matrix(z, flow.kernel) @ flow.q
-    return -2.0 * _horner(flow.P, z) * pairs - _horner(flow.U, z) - flow.w * _horner(flow.dP, z)
+    the shared formula in the module docstring.
+
+    The pair sum is one product of the kernel matrix with the charges.
+    Each polynomial is a Horner loop from its leading coefficient.  A term
+    whose polynomial is zero is left out: U = 0 (angular flows) and
+    P' = 0 (constant P, every harmonic-trap flow) would subtract zeros."""
+    v = -2.0 * _horner(flow.P, z) * (pair_matrix(z, flow.kernel) @ flow.q)
+    if flow.U.floats:
+        v = v - _horner(flow.U, z)
+    if flow.dP.floats:
+        v = v - flow.w * _horner(flow.dP, z)
+    return v
 
 
 def rhs(flow: FlowSpec, state: ChargeConfiguration):
@@ -230,8 +249,19 @@ _DP_P = np.array(
     ]
 )
 
+# Stage s's state sum over its _DP_A row: the weights a_sj as a complex
+# (s, 1) column, so that each product a_sj * k_j is the complex product
+# the Python float a_sj makes, and the j whose a_sj = 0 (left out of the sum)
+_DP_SUMS = [
+    (np.array(row, dtype=complex)[:, None], [j for j, a in enumerate(row) if not a])
+    for row in _DP_A[1:]
+]
+
 _MAX_STEPS = 10_000_000
 _COLLISION_REL = 1e-7  # delta = 1e-7 * configuration scale
+# Relative slack of the carried separation bound, far above the few ulps
+# by which a computed |dz| or |y1 - z| can differ from the exact one
+_SEP_SLACK = 1e-12
 
 
 class _StepInterpolant:
@@ -272,7 +302,8 @@ def integrate(
     convergence-order tests).  Collisions raise ``Collision`` with the event
     time localized to 1e-3 of the step by bisection on the interpolant;
     a step size underflow (below 1e-13 * t_end) or exceeding the step cap
-    raises ``NonConvergence``.  This is the one-lane case of
+    raises ``NonConvergence``.  The trajectory, or the error raised, has
+    the run's step statistics in ``stats``.  This is the one-lane case of
     ``integrate_lanes``.
     """
     (out,) = integrate_lanes(
@@ -302,18 +333,45 @@ def integrate_lanes(
     to what ``integrate`` gives for that start alone: every operation acts
     on each lane's own rows, and the step factor is a Python float power
     per lane.  Settings are those of ``integrate``.
+
+    A stage state z + h * sum_j a_j k_j takes its sum in one multiply and
+    one ``np.add.reduce`` over the stage axis of the products.  That axis
+    is not the innermost (the reduce runs on the float view, whose last
+    axis holds 2N reals), so the reduce adds in index order, starting from
+    -0.0, which leaves every term unchanged: it rounds exactly as the fold
+    acc = a_0 k_0; acc += a_j k_j over the nonzero a_j.
+
+    Each lane carries a lower bound on its separation.  After an accepted
+    step from z to y1, sep(y1) >= sep(z) - 2 max_i |y1_i - z_i|, by the
+    triangle inequality for |dz| and since |sin| is 1-Lipschitz for the
+    angular |sin(Re dz)|.  The bound takes both terms with a relative slack
+    of ``_SEP_SLACK`` and subtracts that slack times a carried bound on
+    max |z| as well, which covers the rounding of the computed |dz| and
+    of Re dz.  The exact O(N^2) ``_min_separation`` runs only when the
+    bound is not above delta, and then replaces it, so every collision
+    decision is the one that checking each accepted state would make.
+
+    Every result carries a ``stats`` dict of the lane's Python counters:
+    ``accepted`` and ``rejected`` step attempts (an accepted attempt passed
+    error control; the one that ends in a collision counts), ``rhs_evals``
+    (lane evaluations of ``rhs_flat``), ``h_min`` / ``h_max`` over the
+    accepted steps (None without one) and ``sep_checks`` (exact separation
+    checks, the start's included).
     """
     Z = np.array(Z0, dtype=complex)
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
     B, N = Z.shape
-    deltas = (_COLLISION_REL * _scale(Z)).tolist()
+    reach = _scale(Z).tolist()  # bounds on max(1, max |z|) of each lane
+    deltas = [_COLLISION_REL * r for r in reach]
     t_grid = np.linspace(0.0, t_end, max(2, n_samples)) if t_end > 0 else np.array([0.0])
+    grid = t_grid.tolist()
     samples = np.empty((B, len(t_grid), N), dtype=complex)
     samples[:, 0] = Z
+    bounds = _min_separation(flow, Z).tolist()  # separation lower bound per lane
     results = [
         Collision("initial configuration violates separation", time=0.0) if sep <= delta else None
-        for sep, delta in zip(_min_separation(flow, Z).tolist(), deltas)
+        for sep, delta in zip(bounds, deltas)
     ]
     active = [b for b in range(B) if results[b] is None and t_end > 0]
 
@@ -321,6 +379,10 @@ def integrate_lanes(
     h = [fixed_step if fixed_step else min(1e-3, t_end / 10)] * B
     nxt = [1] * B
     steps = [0] * B
+    accepted = [0] * B
+    checks = [1] * B
+    h_lo = [math.inf] * B
+    h_hi = [0.0] * B
     F = np.empty_like(Z)
     if active:
         F[active] = rhs_flat(flow, Z[active])
@@ -352,26 +414,38 @@ def integrate_lanes(
         k[:, 0] = F if full else F[active]
         for b in active:
             h[b] = min(h[b], t_end - t[b])
-        hs = np.array([h[b] for b in active])[:, None]
-        for stage in range(1, 7):
-            row = _DP_A[stage]
-            acc = row[0] * k[:, 0]
-            for j in range(1, stage):
-                if row[j]:
-                    acc += row[j] * k[:, j]
-            k[:, stage] = rhs_flat(flow, z + hs * acc)
-        y1 = z + hs * (_DP_B5 @ k)
+        # complex, as the float step column is cast in every product with it
+        hs = np.array([h[b] for b in active], dtype=complex)[:, None]
+        for stage, (weights, skipped) in enumerate(_DP_SUMS, start=1):
+            terms = (weights * k[:, :stage]).view(float)
+            if skipped:
+                terms[:, skipped] = -0.0  # adds nothing, as a skipped term
+            acc = np.add.reduce(terms, axis=1, initial=-0.0).view(complex)
+            np.multiply(hs, acc, out=acc)
+            np.add(z, acc, out=acc)
+            k[:, stage] = rhs_flat(flow, acc)
+        dy = hs * (_DP_B5 @ k)
+        y1 = z + dy
         err_vec = hs * (_DP_E @ k)
         sc = atol + rtol * np.maximum(np.abs(z), np.abs(y1))
         errs = [0.0] * len(active)
         if N:
-            errs = np.sqrt(np.mean(np.abs(err_vec / sc) ** 2, axis=1)).tolist()
+            # the sum and divide of np.mean, then an IEEE square root
+            sums = np.add.reduce(np.abs(err_vec / sc) ** 2, axis=1).tolist()
+            errs = [math.sqrt(s / N) for s in sums]
         ok = [i for i, err in enumerate(errs) if fixed_step or err <= 1.0]
-        seps = _min_separation(flow, y1 if len(ok) == len(active) else y1[ok])
-        seps = dict(zip(ok, seps.tolist()))
+        lanes = [active[i] for i in ok]
+        rows = slice(None) if len(ok) == len(active) else ok
+        values, checked = _separations(flow, y1[rows], dy[rows], lanes, bounds, reach, deltas)
+        seps = dict(zip(ok, values))
+        for j in checked:
+            checks[lanes[j]] += 1
 
         for i, b in enumerate(active):
             if i in seps:
+                accepted[b] += 1
+                h_lo[b] = min(h_lo[b], h[b])
+                h_hi[b] = max(h_hi[b], h[b])
                 t0, t1 = t[b], t[b] + h[b]
                 interp = None
                 if seps[i] <= deltas[b]:
@@ -381,8 +455,9 @@ def integrate_lanes(
                         f"charges within {deltas[b]:g} at t={t_ev:.6g}", time=t_ev
                     )
                     continue
-                while nxt[b] < len(t_grid) and t_grid[nxt[b]] <= t1 + 1e-15 * t_end:
-                    ts = t_grid[nxt[b]]
+                bounds[b] = seps[i]
+                while nxt[b] < len(grid) and grid[nxt[b]] <= t1 + 1e-15 * t_end:
+                    ts = grid[nxt[b]]
                     if abs(ts - t1) < 1e-15 * max(1.0, t_end):
                         samples[b, nxt[b]] = y1[i]
                     else:
@@ -410,10 +485,44 @@ def integrate_lanes(
                 samples[b, nxt[b] :] = Z[b]  # numerical tail guard
         active = [b for b in active if results[b] is None and t[b] < t_end]
 
-    return [
-        Trajectory(t_grid, samples[b], flow) if out is None else out
-        for b, out in enumerate(results)
-    ]
+    out = []
+    for b, result in enumerate(results):
+        stats = {
+            "accepted": accepted[b],
+            "rejected": steps[b] - accepted[b],
+            "rhs_evals": 1 + 6 * steps[b] if steps[b] else 0,  # F at the start, 6 per attempt
+            "h_min": h_lo[b] if accepted[b] else None,
+            "h_max": h_hi[b] if accepted[b] else None,
+            "sep_checks": checks[b],
+        }
+        if result is None:
+            result = Trajectory(t_grid, samples[b], flow, stats)
+        else:
+            result.stats = stats
+        out.append(result)
+    return out
+
+
+def _separations(flow, y1, dy, lanes, bounds, reach, deltas):
+    """Separation values of the accepted step results ``y1`` (R, N), row j
+    of lane ``lanes[j]``, each ``dy`` from the lane's state: the bound
+    carried from ``bounds`` (see ``integrate_lanes``), or the exact value
+    where that bound is not above the lane's delta.  ``reach`` grows in
+    place.  |dy| stands for |y1 - z|; they differ by the rounding of
+    z + dy, which the slack times ``reach`` covers.  Returns the values
+    by row and the rows checked exactly."""
+    moves = np.maximum.reduce(np.abs(dy), axis=1, initial=0.0).tolist()
+    values = []
+    for b, move in zip(lanes, moves):
+        move *= 1 + _SEP_SLACK
+        reach[b] += move
+        values.append(bounds[b] * (1 - _SEP_SLACK) - 2 * move - _SEP_SLACK * reach[b])
+    checked = [j for j, b in enumerate(lanes) if not values[j] > deltas[b]]
+    if checked:
+        exact = _min_separation(flow, y1 if len(checked) == len(lanes) else y1[checked])
+        for j, sep in zip(checked, exact.tolist()):
+            values[j] = sep
+    return values, checked
 
 
 def _localize_collision(flow, interp, t0, t1, delta):

@@ -6,10 +6,12 @@ import os
 import pathlib
 import subprocess
 
+import numpy as np
 import pytest
 
 from chargeflow import cli
 from chargeflow.errors import ValidationError
+from chargeflow.polynomials import _distance, pair_matrix
 
 
 def build_flow(system):
@@ -756,3 +758,35 @@ def test_readme_names_every_schema_key():
     section = readme.split("### Config schema")[1].split("\n### ")[0]
     missing = sorted({name for name in _schema_names(cli._SCHEMA) if f"`{name}`" not in section})
     assert not missing
+
+
+def _one_at_a_time(flow, seed, scale, min_separation):
+    """The start drawn one attempt at a time: the reference for the block
+    draws of ``cli._random_initial``."""
+    rng = np.random.default_rng(seed)
+    total = sum(flow.sizes)
+    for _ in range(1000):
+        pts = rng.normal(size=total) * scale + 1j * rng.normal(size=total) * scale
+        if np.all(pair_matrix(pts, _distance, diagonal=np.inf) > min_separation * scale):
+            return pts
+    return None
+
+
+@pytest.mark.parametrize("sizes,min_separation", [
+    ((6, 1), 0.8889),  # the sweep benchmark's draw: about 50 attempts
+    ((20, 10), 0.2),
+    ((30, 15), 0.05),  # 45 charges: blocks of 16 attempts
+    ((200, 1), 1e-3),  # blocks of one attempt
+    ((3, 1), 3.0),  # no separated draw in 1000 attempts
+])
+def test_block_draws_equal_one_attempt_at_a_time(sizes, min_separation):
+    flow = build_flow({"kind": "rational_omega", "n": sizes[0], "m": sizes[1]})
+    for seed in range(12):
+        expected = _one_at_a_time(flow, seed, 1.8, min_separation)
+        options = {"seed": seed, "scale": 1.8, "min_separation": min_separation}
+        if expected is None:
+            with pytest.raises(ValidationError, match="could not draw"):
+                cli._random_initial(flow, options)
+            continue
+        got = np.array(cli._random_initial(flow, options).all_positions(), dtype=complex)
+        assert got.tobytes() == expected.tobytes()
