@@ -36,7 +36,7 @@ from .operators import (
     polylinear_H,
 )
 from .polynomials import CLUSTER_TOL, Polynomial, _ratio, _ratio_json, is_exact, laguerre
-from .polynomials import pair_matrix, reduce_pair, wronskian
+from .polynomials import leading_wronskians, pair_matrix, reduce_pair
 from .scalars import GaussianRational, exactify
 
 __all__ = [
@@ -177,8 +177,9 @@ def _exact_residual(sys, p, q, lam):
 def _finish_planar(recipe, spec, eigenfunctions, units=(1, 1), notes=None):
     """Certificate of p = u_p z**e_p W[f_1 .. f_{k+1}], q = u_q z**e_q W[f_1 .. f_k]."""
     params, sys, degrees, (e_p, e_q) = spec
-    p = wronskian(eigenfunctions).shift(e_p).scale(units[0])
-    q = wronskian(eigenfunctions[:-1]).shift(e_q).scale(units[1])
+    *_, wq, wp = leading_wronskians(eigenfunctions)  # one elimination gives both
+    p = wp.shift(e_p).scale(units[0])
+    q = wq.shift(e_q).scale(units[1])
     if p.is_zero or q.is_zero:
         raise DegenerateWronskian(f"{recipe}: Wronskian vanished")
     if (p.degree, q.degree) != degrees:
@@ -352,8 +353,8 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
     ts = spec[0]["ts"]
     psis = [Polynomial([1]), Polynomial([0, 1])]
     for j in range(2, k + 2):
-        prev = psis[j - 1].coeffs
-        psi = Polynomial([0, 0] + [c / ((m + 1) * (m + 2)) for m, c in enumerate(prev)])
+        prev = psis[j - 1]  # real: the ts are rational
+        psi = Polynomial([0, 0] + [Fraction(r, prev.den * (m + 1) * (m + 2)) for m, r in enumerate(prev.re)])
         t = ts[j - 2]
         kernel = Polynomial([t]) if j % 2 == 0 else Polynomial([0, t])
         psis.append(psi + kernel)

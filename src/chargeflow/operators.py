@@ -15,6 +15,7 @@ float rings raises ``TypeError`` from the arithmetic itself.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -28,7 +29,7 @@ from .errors import (
     PZero,
     ValidationError,
 )
-from .polynomials import Polynomial, _distance, is_exact, pair_matrix
+from .polynomials import Polynomial, _canonical, _distance, is_exact, pair_matrix
 from .scalars import exactify, to_complex
 
 __all__ = [
@@ -295,30 +296,57 @@ def eigenvalue_of(sys: SystemCoefficients, n: int):
     return -(n * (n - 1) * sys.P.coeff(2) + n * sys.U.coeff(1))
 
 
+def _gaussian_numerators(p: Polynomial, count: int, g: int):
+    """(re, im) integer pairs of g times p's coefficients c_0 .. c_{count-1},
+    for a multiple g of p.den."""
+    f = g // p.den
+    im = p.im or (0,) * len(p.re)
+    out = [(r * f, i * f) for r, i in zip(p.re[:count], im)]
+    return out + [(0, 0)] * (count - len(out))
+
+
+def _gmul(x, y):
+    """Product of two Gaussian integers given as (re, im) pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
 def eigenpoly(sys: SystemCoefficients, n: int, leading=1) -> Polynomial:
     """Degree-n polynomial eigenfunction of L = P d^2 + U d, built by the
     downward coefficient recurrence for the eigenvalue ``eigenvalue_of``
-    derived from the leading power.  Exact systems give exact coefficients."""
+    derived from the leading power.  Exact systems give exact coefficients.
+
+    The recurrence c_j = -(A (j+2)(j+1) c_{j+2} + (B j(j+1) + a (j+1)) c_{j+1}) / D_j,
+    D_j = C j(j-1) + b j + lam (P = A + B z + C z^2, U = a + b z), runs
+    fraction-free on Gaussian integers: s_j = c_j D_j D_{j+1} .. D_{n-1}
+    obeys s_j = -(A (j+2)(j+1) D_{j+1} s_{j+2} + (B j(j+1) + a (j+1)) s_{j+1}),
+    and one division by T = D_0 .. D_{n-1} at the end gives every c_j."""
     if not sys.exact:
         raise ValidationError("eigenpoly requires an exact system")
-    A, B, C = sys.P.coeff(0), sys.P.coeff(1), sys.P.coeff(2)
-    a, b = sys.U.coeff(0), sys.U.coeff(1)
-    lam = eigenvalue_of(sys, n)
-    coeffs = [0] * (n + 2)  # coeffs[n + 1] = 0 starts the recurrence
-    coeffs[n] = exactify(leading)
+    g = math.lcm(sys.P.den, sys.U.den)  # clears P and U to Gaussian integers
+    (A, B, C), (a, b) = _gaussian_numerators(sys.P, 3, g), _gaussian_numerators(sys.U, 2, g)
+    s = [(0, 0)] * (n + 2)  # s[n + 1] = 0 starts the recurrence
+    s[n] = (1, 0)
+    D = [(1, 0)] * (n + 1)  # D[n] = 1 stands for the empty product
     for j in range(n - 1, -1, -1):
-        upper2, upper1 = coeffs[j + 2], coeffs[j + 1]
-        rhs = (
-            A * exactify((j + 2) * (j + 1)) * upper2
-            + (B * exactify(j * (j + 1)) + a * exactify(j + 1)) * upper1
-        )
-        denom = C * exactify(j * (j - 1)) + b * exactify(j) + lam
-        if denom.is_zero:
+        # D_j = C (j(j-1) - n(n-1)) + b (j - n), as lam = -(n(n-1) C + n b) (eigenvalue_of)
+        x, y = j * (j - 1) - n * (n - 1), j - n
+        D[j] = (C[0] * x + b[0] * y, C[1] * x + b[1] * y)
+        if D[j] == (0, 0):
             raise ValidationError(
                 f"eigenvalue resonance at power {j}; eigenpolynomial not unique"
             )
-        coeffs[j] = -(rhs / denom)
-    return Polynomial(coeffs)
+        u, v, w = (j + 2) * (j + 1), j * (j + 1), j + 1
+        t2 = _gmul(_gmul((A[0] * u, A[1] * u), D[j + 1]), s[j + 2])
+        t1 = _gmul((B[0] * v + a[0] * w, B[1] * v + a[1] * w), s[j + 1])
+        s[j] = (-t1[0] - t2[0], -t1[1] - t2[1])
+    # c_j = s_j (D_0 .. D_{j-1}) / T, and 1 / T = conj(T) / |T|^2
+    heads, head = [], (1, 0)
+    for j in range(n + 1):
+        heads.append(_gmul(s[j], head))
+        head = _gmul(head, D[j])
+    num = [_gmul(h, (head[0], -head[1])) for h in heads]
+    poly = _canonical(head[0] ** 2 + head[1] ** 2, [r for r, _ in num], [i for _, i in num])
+    return poly.scale(exactify(leading))
 
 
 # -- equilibrium gradient and energy ------------------------------------------

@@ -37,6 +37,7 @@ __all__ = [
     "from_roots",
     "find_roots",
     "wronskian",
+    "leading_wronskians",
     "classical",
     "hermite",
     "laguerre",
@@ -276,12 +277,25 @@ class Polynomial:
 
     def scale(self, scalar):
         """Multiply by a scalar, which first joins the coefficients' ring
-        (a ``Fraction`` scales a float polynomial as a complex)."""
-        if self.exact:
+        (a ``Fraction`` scales a float polynomial as a complex; a float
+        scales an exact one as the constant polynomial would)."""
+        if not self.exact:
+            if not isinstance(scalar, np.ndarray):
+                scalar = complex(scalar)
+            return Polynomial([c * scalar for c in self.floats])
+        if not isinstance(scalar, EXACT):
             return self * Polynomial((scalar,))
-        if not isinstance(scalar, np.ndarray):
-            scalar = complex(scalar)
-        return Polynomial([c * scalar for c in self.floats])
+        # the scalar (cr + i ci) / d multiplies the numerators and the denominator
+        sr, si = (scalar.re, scalar.im) if isinstance(scalar, GaussianRational) else (scalar, 0)
+        d = math.lcm(sr.denominator, si.denominator)
+        cr, ci = sr.numerator * (d // sr.denominator), si.numerator * (d // si.denominator)
+        if (cr, ci) == (d, 0):
+            return self
+        if self.im is None and not ci:
+            return _canonical(self.den * d, [x * cr for x in self.re])
+        pairs = list(zip(self.re, self.im or itertools.repeat(0)))
+        re = [x * cr - y * ci for x, y in pairs]
+        return _canonical(self.den * d, re, [x * ci + y * cr for x, y in pairs])
 
     def shift(self, k):
         """Multiply by z**k."""
@@ -424,12 +438,30 @@ def from_roots(roots) -> Polynomial:
     return p
 
 
-def _aberth_once(coeffs, z):
-    """One Aberth-Ehrlich sweep; returns updated roots and max correction."""
-    d = len(coeffs) - 1
-    p = np.polyval(coeffs[::-1], z)
-    der = (np.arange(1, d + 1) * coeffs[1:])[::-1]
-    dp = np.polyval(der, z)
+def _horner_rows(c):
+    """The (2, d + 1) rows of ``_value_and_slope`` for the ascending
+    coefficients c of p: those of p by descending power, and those of
+    the derivative behind one leading zero."""
+    der = (np.arange(1, len(c)) * c[1:])[::-1]
+    return np.array([c[::-1], np.concatenate(([0], der))])
+
+
+def _value_and_slope(rows, z):
+    """p(z) and p'(z) from one Horner loop over the stacked ``rows``.
+    Each row rounds as ``np.polyval`` of it does: both start from +0, and
+    the leading zero keeps the derivative's row at +0 until its first
+    coefficient."""
+    acc = np.zeros((2,) + z.shape, complex)
+    for col in rows.T[:, :, None]:
+        acc *= z
+        acc += col
+    return acc
+
+
+def _aberth_once(rows, z):
+    """One Aberth-Ehrlich sweep for p given by its ``_horner_rows``;
+    returns updated roots and max correction."""
+    p, dp = _value_and_slope(rows, z)
     ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1), 0.0)
     s = pair_matrix(z).sum(axis=1)
     denom = 1.0 - ratio * s
@@ -495,6 +527,7 @@ def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> tuple
     if d >= 1:
         c = np.array(coeffs, dtype=complex)
         c = c / c[-1]  # monic conditioning
+        rows = _horner_rows(c)
         radius = min(_root_radius(c), 1.0 + max(abs(v) for v in c[:-1]))
         rng = np.random.default_rng(_PHASE_SEED)
         best_z, best_err = None, math.inf
@@ -502,15 +535,13 @@ def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> tuple
             phases = 2 * np.pi * (np.arange(d) + 0.25) / d + 0.2 * rng.random(d)
             z = radius * np.exp(1j * phases)
             for _ in range(max_iter):
-                z, corr = _aberth_once(c, z)
+                z, corr = _aberth_once(rows, z)
                 scale = max(1.0, float(np.max(np.abs(z))))
                 if corr < 1e-14 * scale:
                     break
             # Newton polish sharpens simple roots to full precision
-            der = (np.arange(1, d + 1) * c[1:])[::-1]
             for _ in range(3):
-                pv = np.polyval(c[::-1], z)
-                dv = np.polyval(der, z)
+                pv, dv = _value_and_slope(rows, z)
                 step = np.where(dv != 0, pv / np.where(dv != 0, dv, 1), 0.0)
                 cap = 1e-2 * (1.0 + np.abs(z))
                 step = np.where(np.abs(step) > cap, 0.0, step)
@@ -532,46 +563,40 @@ def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> tuple
 # -- Wronskians ---------------------------------------------------------------
 
 
-def _bareiss_det(matrix):
-    """Fraction-free determinant over the exact polynomial ring."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.div_exact(prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+def leading_wronskians(fs) -> list:
+    """The leading Wronskians W[], W[f_1], W[f_1, f_2], ..., W[f_1 .. f_k]
+    of the exact polynomials fs (W[] = 1), from one fraction-free (Bareiss)
+    elimination of their Wronskian matrix, row i holding the derivatives
+    0..k-1 of f_i.  By Sylvester's identity the pivot of step j is the
+    leading (j + 1)-minor W[f_1 .. f_{j+1}].  So no row swap is needed: a
+    zero pivot means f_1 .. f_{j+1} are linearly dependent, and then every
+    later leading Wronskian is zero too."""
+    fs = list(fs)
+    if not all(f.exact for f in fs):
+        raise TypeError("wronskian requires exact polynomials")
+    k = len(fs)
+    m = []
+    for f in fs:
+        row = [f]
+        for _ in range(k - 1):
+            row.append(row[-1].derivative())
+        m.append(row)
+    chain = [Polynomial.one()]
+    for s in range(k):
+        pivot, prev = m[s][s], chain[-1]
+        if pivot.is_zero:
+            return chain + [pivot] * (k - s)
+        chain.append(pivot)
+        for i in range(s + 1, k):
+            for j in range(s + 1, k):
+                m[i][j] = (m[i][j] * pivot - m[i][s] * m[s][j]).div_exact(prev)
+    return chain
 
 
 def wronskian(fs) -> Polynomial:
     """Determinant of the derivative matrix: row i holds the j-th
     derivatives (j = 0..k-1) of the i-th function."""
-    fs = list(fs)
-    if not all(f.exact for f in fs):
-        raise TypeError("wronskian requires exact polynomials")
-    if not fs:
-        return Polynomial.one()
-    k = len(fs)
-    rows = []
-    for f in fs:
-        row = [f]
-        for _ in range(k - 1):
-            row.append(row[-1].derivative())
-        rows.append(row)
-    return _bareiss_det(rows)
+    return leading_wronskians(fs)[-1]
 
 
 # -- classical families ----------------------------------------------------

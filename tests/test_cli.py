@@ -138,23 +138,26 @@ def test_collision_exit_code(tmp_path):
 
 
 def test_planar_equilibrium_run_builds_the_pair_once(tmp_path, monkeypatch):
-    from chargeflow import equilibria
+    from chargeflow import equilibria, polynomials
 
     calls = []
+    eliminate = polynomials.leading_wronskians
 
     def counting(functions):
         calls.append(len(functions))
-        return wronskian(functions)
+        return eliminate(functions)
 
-    wronskian = equilibria.wronskian
-    monkeypatch.setattr(equilibria, "wronskian", counting)
+    # every route to a Wronskian (polynomials.wronskian too) goes through
+    # the patched names, so a second elimination anywhere is counted
+    monkeypatch.setattr(equilibria, "leading_wronskians", counting)
+    monkeypatch.setattr(polynomials, "leading_wronskians", counting)
     doc = {
         "mode": "equilibrium",
         "equilibrium": {"recipe": "hermite", "indices": [1, 2, 4], "b": "-2"},
         "output": {"dir": str(tmp_path)},
     }
     assert cli.run(doc) == cli.EXIT_OK
-    assert calls == [3, 2]  # W[f1, f2, f3] for p and W[f1, f2] for q, once each
+    assert calls == [3]  # one elimination of W[f1, f2, f3] gives p and q
 
 
 def test_equilibrium_cli_flags(tmp_path):

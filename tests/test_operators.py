@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeflow.errors import (
     ArityMismatch,
@@ -25,7 +27,7 @@ from chargeflow.operators import (
     polylinear_H,
 )
 from chargeflow.polynomials import Polynomial, hermite, laguerre
-from chargeflow.scalars import GaussianRational
+from chargeflow.scalars import GaussianRational, exactify
 
 
 def P(*coeffs):
@@ -95,6 +97,80 @@ def test_eigenpoly_matches_hermite():
     sys = SystemCoefficients.bilinear([1], [0, -2], Lambda=1)
     for n in range(8):
         assert eigenpoly(sys, n, leading=2**n) == hermite(n)
+
+
+def _eigenpoly_reference(sys, n, leading=1):
+    """The recurrence of ``eigenpoly`` in plain GaussianRational scalar
+    arithmetic: the reference its fraction-free form must match."""
+    A, B, C = sys.P.coeff(0), sys.P.coeff(1), sys.P.coeff(2)
+    a, b = sys.U.coeff(0), sys.U.coeff(1)
+    lam = eigenvalue_of(sys, n)
+    coeffs = [0] * (n + 2)  # coeffs[n + 1] = 0 starts the recurrence
+    coeffs[n] = exactify(leading)
+    for j in range(n - 1, -1, -1):
+        upper2, upper1 = coeffs[j + 2], coeffs[j + 1]
+        rhs = (
+            A * exactify((j + 2) * (j + 1)) * upper2
+            + (B * exactify(j * (j + 1)) + a * exactify(j + 1)) * upper1
+        )
+        denom = C * exactify(j * (j - 1)) + b * exactify(j) + lam
+        if denom.is_zero:
+            raise ValidationError(
+                f"eigenvalue resonance at power {j}; eigenpolynomial not unique"
+            )
+        coeffs[j] = -(rhs / denom)
+    return Polynomial(coeffs)
+
+
+def _same_eigenpoly(sys, n, leading):
+    """eigenpoly equals the reference in every field, or both raise the
+    same ValidationError."""
+    try:
+        want = _eigenpoly_reference(sys, n, leading)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            eigenpoly(sys, n, leading)
+        assert str(got.value) == str(exc)
+        return
+    got = eigenpoly(sys, n, leading)
+    assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
+
+
+_q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_real = st.builds(GaussianRational, _q)
+_gauss = st.builds(GaussianRational, _q, _q)
+_LEADS = [1, -3, Fraction(2, 5), GaussianRational(1, -2), 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([_real, _gauss]).flatmap(
+        lambda c: st.tuples(st.lists(c, max_size=3), st.lists(c, min_size=2, max_size=2))
+    ),
+    st.integers(0, 12),
+    st.sampled_from(_LEADS),
+)
+def test_eigenpoly_matches_the_scalar_recurrence(PU, n, leading):
+    # real or Gaussian systems, P up to quadratic, U linear
+    sys = SystemCoefficients.bilinear(Polynomial(PU[0]), Polynomial(PU[1]), Lambda=1)
+    _same_eigenpoly(sys, n, leading)
+
+
+@pytest.mark.parametrize(
+    "P_coeffs, U_coeffs, n",
+    [
+        ([0, 0, 1], [0, -3], 3),  # C (j + n - 1) + b = 0 at j = 1
+        ([0, 0, GaussianRational(0, 1)], [0, GaussianRational(0, -4)], 3),  # at j = 2
+        ([1], [0], 2),  # C = b = 0: every power resonates
+        ([2, Fraction(1, 3), 1], [Fraction(1, 2), -9], 6),  # at j = 4
+    ],
+)
+def test_eigenpoly_resonance_message_is_the_reference_one(P_coeffs, U_coeffs, n):
+    sys = SystemCoefficients.bilinear(P_coeffs, U_coeffs, Lambda=1)
+    with pytest.raises(ValidationError, match="resonance"):
+        eigenpoly(sys, n)
+    for leading in _LEADS:
+        _same_eigenpoly(sys, n, leading)
 
 
 def test_eigenvalue_formula():

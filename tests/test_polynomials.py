@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from chargeflow.polynomials import (
     _GCD_PRIME,
     Polynomial,
     _coprime_mod_prime,
+    _horner_rows,
     _inverse,
+    _value_and_slope,
     classical,
     cluster_points,
     find_roots,
@@ -20,6 +23,7 @@ from chargeflow.polynomials import (
     hermite,
     jacobi,
     laguerre,
+    leading_wronskians,
     monomial,
     pair_matrix,
     poly_gcd,
@@ -552,3 +556,112 @@ def test_gcd_falls_back_to_euclid_for_pairs_coprime_only_over_q():
     assert not _coprime_mod_prime(a, b)
     assert poly_gcd(a, b) == P(1)
     assert poly_gcd(a * P(2, 5), b * P(2, 5)) == P(Fraction(2, 5), 1)
+
+
+# -- the leading-Wronskian chain against sympy ---------------------------------
+
+
+def _random_exact(rng, kind, degrees):
+    """Exact polynomials of the given degrees, with real, imaginary or
+    Gaussian rational coefficients drawn from ``rng``."""
+
+    def coeff():
+        r = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        i = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return {"real": r, "imaginary": GaussianRational(0, r), "gaussian": GaussianRational(r, i)}[kind]
+
+    def lead():
+        c = coeff()
+        return c if c else lead()
+
+    return [Polynomial([coeff() for _ in range(d)] + [lead()]) for d in degrees]
+
+
+def _oracle_chain(fs):
+    """sympy's Wronskian of every prefix of fs, W[] = 1 first."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    exprs = [_oracle(f).as_expr() for f in fs]
+    return [sympy.Poly(sympy.wronskian(exprs[:j], z), z, domain="QQ_I") for j in range(len(fs) + 1)]
+
+
+@pytest.mark.parametrize(
+    "seed, kind, degrees",
+    [
+        (1, "real", [1, 3, 4, 6]),
+        (2, "imaginary", [0, 2, 5, 6]),
+        (3, "gaussian", [2, 3, 5, 6]),
+        (4, "gaussian", [1, 4, 4, 6]),  # a repeated degree
+        (5, "real", [3, 3, 5]),
+    ],
+)
+def test_leading_wronskians_match_sympy_oracle(seed, kind, degrees):
+    fs = _random_exact(random.Random(seed), kind, degrees)
+    chain = leading_wronskians(fs)
+    assert [_oracle(w) for w in chain] == _oracle_chain(fs)
+    assert chain[-1] == wronskian(fs) and not chain[-1].is_zero
+
+
+@pytest.mark.parametrize("kind", ["real", "imaginary", "gaussian"])
+def test_leading_wronskians_vanish_from_a_dependent_prefix_on(kind):
+    f, g, h = _random_exact(random.Random(6), kind, [3, 4, 6])
+    fs = [f, f.scale(GaussianRational(Fraction(-2, 3), 1)), g, h]  # f1, f2 dependent
+    chain = leading_wronskians(fs)
+    assert [_oracle(w) for w in chain] == _oracle_chain(fs)
+    assert chain[:2] == [P(1), f]
+    assert all(w.is_zero and w.exact for w in chain[2:])
+
+
+def test_leading_wronskians_of_no_and_one_function():
+    assert leading_wronskians([]) == [P(1)] and wronskian([]) == P(1)
+    assert leading_wronskians([hermite(3)]) == [P(1), hermite(3)]
+    with pytest.raises(TypeError):
+        leading_wronskians([hermite(2).to_float()])
+
+
+# -- the stacked Horner loop and the exact scale ---------------------------------
+
+# parts with both signed zeros, so a sign slip in the stacked loop would show
+_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100, 100, allow_nan=False))
+_complexes = st.builds(complex, _parts, _parts)
+
+
+def _hex(values):
+    return [(float(v.real).hex(), float(v.imag).hex()) for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_complexes, min_size=2, max_size=12), st.lists(_complexes, min_size=1, max_size=6))
+def test_stacked_horner_rounds_as_polyval(coeffs, points):
+    c = np.array(coeffs, dtype=complex)
+    # each point in all four quadrants (its sign flips keep its zero parts)
+    z = np.array([complex(sr * w.real, si * w.imag) for w in points for sr in (1, -1) for si in (1, -1)])
+    p, dp = _value_and_slope(_horner_rows(c), z)
+    der = (np.arange(1, len(c)) * c[1:])[::-1]
+    assert _hex(p) == _hex(np.polyval(c[::-1], z))
+    assert _hex(dp) == _hex(np.polyval(der, z))
+
+
+_SCALARS = [
+    *(t(v) for v in (0, 1, -1) for t in (int, Fraction, GaussianRational)),
+    Fraction(3, 7),
+    GaussianRational(Fraction(3, 7)),
+    GaussianRational(2, Fraction(-1, 3)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_polys, st.sampled_from(_SCALARS))
+def test_scale_equals_the_product_with_the_constant(p, c):
+    got, want = p.scale(c), p * Polynomial((c,))
+    assert _fields(got) == _fields(want) and hash(got) == hash(want)
+    assert got is p or c != 1
+
+
+def test_exact_zero_scaled_by_a_float_is_the_exact_zero():
+    zero = Polynomial.zero()
+    for c in (0.5, -2j, 0.0, np.array([1.0, 2.0])):
+        got = zero.scale(c)
+        assert got.exact and _fields(got) == _fields(zero)
+    # a float zero is the zero polynomial too, which belongs to every ring
+    assert _fields(P(1, 2).scale(0.0)) == _fields(zero)
