@@ -1,249 +1,99 @@
-"""Exact trigonometric-Wronskian machinery for the cylinder pairs.
+"""Closed-form sine-mode Wronskians for the cylinder pairs.
 
-Phases stay formal: coefficients live in the Laurent ring of monomials
-eps_1**a1 * ... * eps_k**ak over Gaussian rationals, where eps_j stands
-for exp(i t_j).  An identity that vanishes in this ring vanishes for
-every choice of the phases, which is how cylinder certificates reach
-bit-exact residuals without cyclotomic arithmetic.
+With eps_j a formal unit standing for exp(i t_j), each mode is
+sin(i_j phi + t_j) = (-i/2) sum_{s=+-1} s eps_j**s e^{i s i_j phi}.  The
+Wronskian is multilinear in its rows, and each s leaves a Vandermonde
+determinant in the i s_j i_j, so
 
-The Laplace residual of a pair is computed on the Fourier amplitudes of
-the two Wronskians wp, wq, as one weighted convolution; that is
-equivalent to the residual of the homogeneous (X, Y) polynomials
-r**n wp, r**m wq, whose coefficients are built only for the certificate
-payload.
+    W = (-i/2)**k i**(k(k-1)/2) sum_{s in {+-1}**k} (prod_j s_j)
+          prod_{a<b} (s_b i_b - s_a i_a) eps**s e^{i (s.i) phi}.
+
+A Fourier sum is a dict {s: exact amplitude} on eps**s e^{i (s.i) phi}.
+With the phases formal, a residual that vanishes on it vanishes for every
+phase choice, so cylinder certificates are bit-exact.
 """
 
-from __future__ import annotations
-
 import cmath
+import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .scalars import GaussianRational, exactify
+from .polynomials import Polynomial
+from .scalars import GaussianRational
 
-
-class PhaseCoeff:
-    """Laurent polynomial in the formal phase units eps_j."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Tuple[int, ...], GaussianRational] | None = None):
-        clean = {}
-        if terms:
-            for expo, val in terms.items():
-                if not val.is_zero:
-                    clean[tuple(expo)] = val
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseCoeff is immutable")
-
-    @staticmethod
-    def constant(value, nphases):
-        value = exactify(value)
-        if value.is_zero:
-            return PhaseCoeff({})
-        return PhaseCoeff({(0,) * nphases: value})
-
-    @staticmethod
-    def unit(j, power, value, nphases):
-        expo = [0] * nphases
-        expo[j] = power
-        return PhaseCoeff({tuple(expo): exactify(value)})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for expo, val in other.terms.items():
-            cur = out.get(expo)
-            out[expo] = val if cur is None else cur + val
-        return PhaseCoeff(out)
-
-    def __neg__(self):
-        return PhaseCoeff({e: -v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return PhaseCoeff({e: v * other for e, v in self.terms.items()})
-        out = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                cur = out.get(expo)
-                prod = v1 * v2
-                out[expo] = prod if cur is None else cur + prod
-        return PhaseCoeff(out)
-
-    def scale(self, value):
-        return self * exactify(value)
-
-    def substitute(self, phases: Sequence[float]) -> complex:
-        total = 0j
-        for expo, val in self.terms.items():
-            unit = 1.0 + 0j
-            for power, t in zip(expo, phases):
-                if power:
-                    unit *= cmath.exp(1j * power * t)
-            total += val.to_complex() * unit
-        return total
-
-    def __repr__(self):
-        return f"PhaseCoeff({self.terms!r})"
+Terms = Dict[Tuple[int, ...], GaussianRational]
 
 
-class TrigPoly:
-    """Finite Fourier sum: frequency -> PhaseCoeff amplitude."""
-
-    __slots__ = ("freqs", "nphases")
-
-    def __init__(self, freqs: Dict[int, PhaseCoeff], nphases: int):
-        clean = {f: c for f, c in freqs.items() if not c.is_zero}
-        object.__setattr__(self, "freqs", clean)
-        object.__setattr__(self, "nphases", nphases)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrigPoly is immutable")
-
-    @staticmethod
-    def sin_mode(freq: int, phase_index: int, nphases: int) -> "TrigPoly":
-        """sin(freq*phi + t_j) as exponentials with the formal unit eps_j.
-
-        Amplitude -i/2 on eps_j e^{i freq phi} and +i/2 on the conjugate.
-        """
-        minus_half_i = GaussianRational(0, Fraction(-1, 2))
-        plus = PhaseCoeff.unit(phase_index, +1, minus_half_i, nphases)
-        minus = PhaseCoeff.unit(phase_index, -1, -minus_half_i, nphases)
-        out: Dict[int, PhaseCoeff] = {}
-        for f, c in ((freq, plus), (-freq, minus)):
-            cur = out.get(f)
-            out[f] = c if cur is None else cur + c
-        return TrigPoly(out, nphases)
-
-    @staticmethod
-    def zero(nphases):
-        return TrigPoly({}, nphases)
-
-    @staticmethod
-    def one(nphases):
-        return TrigPoly({0: PhaseCoeff.constant(1, nphases)}, nphases)
-
-    @property
-    def is_zero(self):
-        return not self.freqs
-
-    def __add__(self, other):
-        out = dict(self.freqs)
-        for f, c in other.freqs.items():
-            cur = out.get(f)
-            out[f] = c if cur is None else cur + c
-        return TrigPoly(out, self.nphases)
-
-    def __neg__(self):
-        return TrigPoly({f: -c for f, c in self.freqs.items()}, self.nphases)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return self.convolve(other)
-
-    def convolve(self, other, weight=None):
-        """Product of the Fourier sums, with the (f, g) amplitude product
-        scaled by the integer ``weight(f, g)`` when a weight is given."""
-        out: Dict[int, PhaseCoeff] = {}
-        for f1, c1 in self.freqs.items():
-            for f2, c2 in other.freqs.items():
-                w = 1 if weight is None else weight(f1, f2)
-                if not w:
-                    continue
-                prod = c1 * c2 if w == 1 else (c1 * c2).scale(w)
-                f = f1 + f2
-                cur = out.get(f)
-                out[f] = prod if cur is None else cur + prod
-        return TrigPoly(out, self.nphases)
-
-    def derivative(self):
-        """d/dphi multiplies the frequency-f amplitude by i*f."""
-        out = {}
-        for f, c in self.freqs.items():
-            if f:
-                out[f] = c * GaussianRational(0, f)
-        return TrigPoly(out, self.nphases)
-
-    def substitute(self, phases: Sequence[float]) -> Dict[int, complex]:
-        return {f: c.substitute(phases) for f, c in self.freqs.items()}
+def _i_power(e: int, c) -> GaussianRational:
+    """i**e * c for a rational c."""
+    return GaussianRational(*((c, 0), (0, c), (-c, 0), (0, -c))[e % 4])
 
 
-def trig_wronskian(fs: List[TrigPoly]) -> TrigPoly:
-    """Division-free (memoized Laplace) determinant of the derivative matrix."""
-    k = len(fs)
-    if k == 0:
-        return TrigPoly.one(0)
-    rows = []
-    for f in fs:
-        row = [f]
-        for _ in range(k - 1):
-            row.append(row[-1].derivative())
-        rows.append(row)
-    cache = {}
-
-    def minor(rset: Tuple[int, ...], cset: Tuple[int, ...]) -> TrigPoly:
-        key = (rset, cset)
-        if key in cache:
-            return cache[key]
-        if len(rset) == 1:
-            out = rows[rset[0]][cset[0]]
-        else:
-            r = rset[0]
-            rest = rset[1:]
-            out = TrigPoly.zero(fs[0].nphases)
-            for idx, c in enumerate(cset):
-                sub = minor(rest, cset[:idx] + cset[idx + 1 :])
-                term = rows[r][c] * sub
-                out = out + term if idx % 2 == 0 else out - term
-        cache[key] = out
-        return out
-
-    return minor(tuple(range(k)), tuple(range(k)))
+def _freq(s: Sequence[int], indices: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(s, indices))
 
 
-def xy_coeffs(trig: TrigPoly, radial_degree: int) -> List[PhaseCoeff]:
-    """Coefficients of X**(n-j) Y**j, j = 0..n, of r**n * (Fourier sum).
+def trig_wronskian(indices: Sequence[int], nphases: int) -> Terms:
+    """W[sin(i_j phi + t_j), j < k], each s padded with zeros to ``nphases``;
+    all 2**k amplitudes are nonzero.  The terms are grouped by frequency in
+    first-appearance order, which fixes the order of the float sums."""
+    k = len(indices)
+    unit = Fraction((-1) ** k, 2**k)  # (-i/2)**k i**(k(k-1)/2) = unit i**(k(k+1)/2)
+    groups: Dict[int, Terms] = {}
+    for s in itertools.product((1, -1), repeat=k):
+        x = [a * b for a, b in zip(s, indices)]
+        vandermonde = math.prod(x[b] - x[a] for a, b in itertools.combinations(range(k), 2))
+        amp = _i_power(k * (k + 1) // 2, unit * math.prod(s) * vandermonde)
+        groups.setdefault(sum(x), {})[s + (0,) * (nphases - k)] = amp
+    return {s: amp for terms in groups.values() for s, amp in terms.items()}
 
-    With z = X + iY, r**n e^{i f phi} = z**a zbar**b for a = (n+f)/2,
-    b = (n-f)/2, so its X**(n-j) Y**j coefficient is the Y**j coefficient
-    of (1 + iY)**a (1 - iY)**b.  Needs n >= |f| and n - f even for every
-    active frequency f, which the sine-Wronskian construction guarantees.
-    """
-    n = radial_degree
-    out = [PhaseCoeff({}) for _ in range(n + 1)]
-    for f, amp in trig.freqs.items():
-        if abs(f) > n or (n - f) % 2:
-            raise ValueError(f"frequency {f} incompatible with radial degree {n}")
+
+def laplace_residual(wp: Terms, wq: Terms, indices: Sequence[int], n: int, m: int) -> Terms:
+    """The nonzero amplitudes of q Lap(p) - 2 (grad q, grad p) + p Lap(q)
+    over r**(n+m-2), for p = r**n wp and q = r**m wq.  Each term of p and q
+    is a monomial z**a zbar**b; with Lap = 4 d dbar and (grad u, grad v) =
+    2 (du dbar v + dbar u dv) the pair of frequencies (f, g) contributes
+    a_f b_g [(n-m)**2 - (f-g)**2] e^{i (f+g) phi}.  The r**d e^{i h phi}
+    are a basis of the degree-d homogeneous polynomials, so this vanishes
+    exactly when the (X, Y) residual does."""
+    out: Terms = {}
+    q_terms = [(u, b, _freq(u, indices)) for u, b in wq.items()]
+    for s, a in wp.items():
+        f = _freq(s, indices)
+        for u, b, g in q_terms:
+            weight = (n - m) ** 2 - (f - g) ** 2
+            if weight:
+                e = tuple(x + y for x, y in zip(s, u))
+                term = a * b * weight
+                out[e] = out[e] + term if e in out else term
+    return {e: c for e, c in out.items() if c}
+
+
+def _phase(s: Sequence[int], ts: Sequence[float]) -> complex:
+    """eps**s at eps_j = exp(i t_j)."""
+    return math.prod((cmath.exp(1j * p * t) for p, t in zip(s, ts) if p), start=1.0 + 0j)
+
+
+def xy_coeffs(terms: Terms, indices: Sequence[int], n: int, ts: Sequence[float]) -> list[complex]:
+    """The X**(n-j) Y**j coefficients, j = 0..n, of r**n (Fourier sum) at the
+    phases ts: in r**n e^{i f phi} = z**a zbar**b (z = X + iY, a, b = (n +- f)/2)
+    it is i**j times the Y**j coefficient of (1 + Y)**a (1 - Y)**b."""
+    out = [0j] * (n + 1)
+    for s, amp in terms.items():
+        f, unit = _freq(s, indices), _phase(s, ts)
         a, b = (n + f) // 2, (n - f) // 2
         for j in range(n + 1):
-            s = sum(
-                (-1) ** (j - k) * math.comb(a, k) * math.comb(b, j - k)
-                for k in range(max(0, j - b), min(a, j) + 1)
-            )
-            if s:
-                i_pow_s = ((s, 0), (0, s), (-s, 0), (0, -s))[j % 4]  # i**j * s
-                out[j] = out[j] + amp * GaussianRational(*i_pow_s)
+            c = sum((-1) ** (j - l) * math.comb(a, l) * math.comb(b, j - l) for l in range(j + 1))
+            if c:
+                out[j] += (amp * _i_power(j, c)).to_complex() * unit
     return out
 
 
-def laplace_residual(wp: TrigPoly, wq: TrigPoly, n: int, m: int) -> TrigPoly:
-    """Fourier amplitudes of q Lap(p) - 2 (grad q, grad p) + p Lap(q) over
-    r**(n+m-2), for p = r**n wp and q = r**m wq.
-
-    Each term of p and q is a monomial z**a zbar**b; with Lap = 4 d dbar and
-    (grad u, grad v) = 2 (du dbar v + dbar u dv) the pair of frequencies
-    (f, g) contributes a_f b_g [(n-m)**2 - (f-g)**2] e^{i (f+g) phi}.  The
-    r**d e^{i h phi} are a basis of the degree-d homogeneous polynomials,
-    so this vanishes exactly when the (X, Y) residual does.
-    """
-    return wp.convolve(wq, lambda f, g: (n - m) ** 2 - (f - g) ** 2)
+def substitute(terms: Terms, indices: Sequence[int], total: int, ts: Sequence[float]) -> Polynomial:
+    """The Fourier sum at the phases ts as a polynomial in w = exp(2 i phi):
+    frequency f (f = total mod 2, |f| <= total) is its w**((f + total)/2) term."""
+    coeffs = [0j] * (total + 1)
+    for s, amp in terms.items():
+        coeffs[(_freq(s, indices) + total) // 2] += amp.to_complex() * _phase(s, ts)
+    return Polynomial(coeffs)

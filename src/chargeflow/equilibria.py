@@ -3,10 +3,11 @@
 Every planar constructor returns a pair (p, q) of exact polynomials
 together with a governing system (P, U, charge ratio 1, eigenconstant
 lambda) for which the two-argument operator annihilates the pair
-bit-exactly.  The cylinder constructor certifies the rotationally
-homogeneous analog on the Fourier coefficients of its trigonometric
-Wronskians, which is equivalent to the bivariate (X, Y) form; the phases
-stay formal, which makes the residual exact for every phase choice at once.
+bit-exactly.  The cylinder constructor writes its two trigonometric
+Wronskians in closed form, as exact Fourier amplitudes on formal phase
+units (``_trig``), and certifies the rotationally homogeneous analog on
+them, which is equivalent to the bivariate (X, Y) form; the phases stay
+formal, which makes the residual exact for every phase choice at once.
 """
 
 from __future__ import annotations
@@ -364,9 +365,10 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
 def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCertificate:
     """Trigonometric Wronskian pair on the cylinder.
 
-    Builds sin(i_j phi + t_j) Wronskians; with the radial powers r**n,
-    r**m (n, m the index sums) they are homogeneous (X, Y) polynomials p,
-    q, and the pair certifies q Lap p - 2 (grad q, grad p) + p Lap q = 0.
+    Builds the sin(i_j phi + t_j) Wronskians in closed form (``_trig``);
+    with the radial powers r**n, r**m (n, m the index sums) they are
+    homogeneous (X, Y) polynomials p, q, and the pair certifies
+    q Lap p - 2 (grad q, grad p) + p Lap q = 0.
     The residual is checked, with formal phases, on the Fourier amplitudes
     of the Wronskians, which is equivalent to the (X, Y) form, so the zero
     is exact for every ts; the stored float pair and (X, Y) coefficients
@@ -378,29 +380,24 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
     if len(ts) != kp1:
         raise ValidationError(f"need {kp1} phases, got {len(ts)}")
     k = kp1 - 1
-    modes = [
-        _trig.TrigPoly.sin_mode(freq, j, kp1) for j, freq in enumerate(indices)
-    ]
-    wp = _trig.trig_wronskian(modes)
-    wq = _trig.trig_wronskian(modes[:k]) if k else _trig.TrigPoly.one(kp1)
-    if wp.is_zero or wq.is_zero:
-        raise DegenerateWronskian("trigonometric Wronskian vanished identically")
+    wp = _trig.trig_wronskian(indices, kp1)
+    wq = _trig.trig_wronskian(indices[:k], kp1)
     n, m = sum(indices), sum(indices[:k])
-    resid = _trig.laplace_residual(wp, wq, n, m)
-    exact_zero = resid.is_zero
+    resid = _trig.laplace_residual(wp, wq, indices, n, m)
+    exact_zero = not resid
 
     # materialize requested phases
-    p_num = [c.substitute(ts) for c in _trig.xy_coeffs(wp, n)]
-    q_num = [c.substitute(ts) for c in _trig.xy_coeffs(wq, m)]
+    p_num = _trig.xy_coeffs(wp, indices, n, ts)
+    q_num = _trig.xy_coeffs(wq, indices, m, ts)
     if max(abs(c) for c in p_num) < 1e-14 or max(abs(c) for c in q_num) < 1e-14:
         raise DegenerateWronskian("chosen phases collapse the Wronskian")
-    resid_num = resid.substitute(ts).values()
+    resid_num = _trig.substitute(resid, indices, n + m - 2, ts).floats
     denom = max(abs(c) for c in p_num) * max(abs(c) for c in q_num)
     norm = max((abs(c) for c in resid_num), default=0.0) / max(denom, 1e-300)
 
     # univariate shadow in w = exp(2 i phi) for inventory and replays
-    p_w = _angles_polynomial(wp.substitute(ts), n)
-    q_w = _angles_polynomial(wq.substitute(ts), m)
+    p_w = _trig.substitute(wp, indices, n, ts)
+    q_w = _trig.substitute(wq, indices, m, ts)
     pbar, qbar, inventory = reduce_pair(p_w, q_w)
 
     cert = EquilibriumCertificate(
@@ -424,21 +421,6 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
         },
     )
     return cert
-
-
-def _angles_polynomial(freq_map: dict, total: int) -> Polynomial:
-    """Fourier sum at fixed phases -> polynomial in w = exp(2 i phi).
-
-    Frequencies share the parity of ``total`` so exponents (f + total)/2
-    are integers in 0..total.
-    """
-    coeffs = [0j] * (total + 1)
-    for f, amp in freq_map.items():
-        idx2 = f + total
-        if idx2 % 2:
-            raise ValueError("frequency parity broken")
-        coeffs[idx2 // 2] += amp
-    return Polynomial(coeffs)
 
 
 # each recipe's constructor, which ``certify`` calls with the stored params

@@ -265,19 +265,24 @@ def test_cylinder_fourier_residual_matches_xy_oracle(q_mode, m):
     indices = [1, 2, 3]
     rng = np.random.default_rng(11)
     ts = list(rng.uniform(0.0, 2 * math.pi, size=len(indices)))
-    modes = [_trig.TrigPoly.sin_mode(f, j, len(indices)) for j, f in enumerate(indices)]
-    wp, n = _trig.trig_wronskian(modes), sum(indices)
+    wp, n = _trig.trig_wronskian(indices, len(indices)), sum(indices)
     if q_mode is None:
-        wq, m = _trig.trig_wronskian(modes[:-1]), sum(indices[:-1])
+        wq, m = _trig.trig_wronskian(indices[:-1], len(indices)), sum(indices[:-1])
     else:
-        wq = _trig.TrigPoly.sin_mode(*q_mode, len(indices))
-    resid = _trig.laplace_residual(wp, wq, n, m)
-    assert resid.is_zero == (q_mode is None)
-    amps = resid.substitute(ts)
+        # sin(freq phi + t_j): a term's frequency is s . indices
+        freq, j = q_mode
+        assert indices[j] == freq
+        wq = {
+            tuple(s[0] if i == j else 0 for i in range(len(indices))): a
+            for s, a in _trig.trig_wronskian([freq], 1).items()
+        }
+    resid = _trig.laplace_residual(wp, wq, indices, n, m)
+    assert (not resid) == (q_mode is None)
+    amps = _trig.substitute(resid, indices, n + m - 2, ts).floats  # w**j: frequency 2j - (n+m-2)
 
     X, Y = sp.symbols("X Y", real=True)
-    P = _xy_poly(sp, [c.substitute(ts) for c in _trig.xy_coeffs(wp, n)], X, Y)
-    Q = _xy_poly(sp, [c.substitute(ts) for c in _trig.xy_coeffs(wq, m)], X, Y)
+    P = _xy_poly(sp, _trig.xy_coeffs(wp, indices, n, ts), X, Y)
+    Q = _xy_poly(sp, _trig.xy_coeffs(wq, indices, m, ts), X, Y)
     parts = [
         Q * (sp.diff(P, X, 2) + sp.diff(P, Y, 2)),
         -2 * (sp.diff(Q, X) * sp.diff(P, X) + sp.diff(Q, Y) * sp.diff(P, Y)),
@@ -287,9 +292,32 @@ def test_cylinder_fourier_residual_matches_xy_oracle(q_mode, m):
         values = [complex(part.subs({X: x, Y: y}).evalf()) for part in parts]
         z = complex(x, y)
         r = abs(z)
-        fourier = r ** (n + m - 2) * sum(a * (z / r) ** h for h, a in amps.items())
+        fourier = r ** (n + m - 2) * sum(a * (z / r) ** (2 * j - n - m + 2) for j, a in enumerate(amps))
         scale = sum(abs(v) for v in values)
         assert abs(fourier - sum(values)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize(
+    "indices", [[0], [3], [0, 2], [1, 3], [0, 1, 3], [2, 3, 6], [0, 1, 2, 4], [1, 2, 3, 4, 5], [0, 1, 2, 3, 6]]
+)
+def test_trig_wronskian_closed_form_matches_sympy(indices):
+    """The closed form equals sympy's Wronskian of sin(i_j phi + t_j) with
+    symbolic phases t_j, both written in exponentials, and keeps all 2**k
+    terms: for distinct indices the s_j i_j are distinct, so no
+    Vandermonde factor vanishes."""
+    import sympy as sp
+
+    k = len(indices)
+    terms = _trig.trig_wronskian(indices, k)
+    assert len(terms) == 2**k and all(terms.values())
+    phi = sp.Symbol("phi", real=True)
+    ts = sp.symbols(f"t0:{k}", real=True)
+    expected = sp.wronskian([sp.sin(i * phi + t) for i, t in zip(indices, ts)], phi)
+    closed = sum(
+        (a.re + sp.I * a.im) * sp.exp(sp.I * sum(x * (i * phi + t) for x, i, t in zip(s, indices, ts)))
+        for s, a in terms.items()
+    )
+    assert sp.expand(sp.expand(expected.rewrite(sp.exp)) - sp.expand(closed)) == 0
 
 
 # -- inventory / charge counting ---------------------------------------------------

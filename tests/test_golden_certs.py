@@ -10,6 +10,7 @@ deliberate change of the certificate format, regenerate the files with
 
 import copy
 import json
+import math
 import pathlib
 
 import pytest
@@ -97,6 +98,15 @@ def test_every_golden_with_one_tampered_field_fails_certify(tamper):
         with pytest.raises(CertificationFailure):
             certify(EquilibriumCertificate.from_json(doc))
 
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n]["recipe"] == "cylinder"))
+def test_cylinder_golden_with_one_ulp_moved_in_p_xy_fails_certify(name):
+    doc = json.loads((DATA / name / "certificate.json").read_text())
+    entry = doc["bivariate"]["p_xy"][-1]
+    entry[0] = math.nextafter(entry[0], math.inf)
+    with pytest.raises(CertificationFailure):
+        certify(EquilibriumCertificate.from_json(doc))
 
 if __name__ == "__main__":
     for case in sorted(CASES):
