@@ -36,7 +36,7 @@ from .operators import (
     lambda_poly,
     polylinear_H,
 )
-from .polynomials import CLUSTER_TOL, Polynomial, _ratio, _ratio_json, is_exact, laguerre
+from .polynomials import CLUSTER_TOL, Polynomial, _ratio, _ratio_json, is_exact
 from .polynomials import leading_wronskians, pair_matrix, reduce_pair
 from .scalars import GaussianRational, exactify
 
@@ -175,12 +175,11 @@ def _exact_residual(sys, p, q, lam):
     return False, norm, idx
 
 
-def _finish_planar(recipe, spec, eigenfunctions, units=(1, 1), notes=None):
-    """Certificate of p = u_p z**e_p W[f_1 .. f_{k+1}], q = u_q z**e_q W[f_1 .. f_k]."""
-    params, sys, degrees, (e_p, e_q) = spec
+def _finish_planar(recipe, params, sys, degrees, eigenfunctions, prefactors=(1, 1), notes=None):
+    """Certificate of p = r_p W[f_1 .. f_{k+1}], q = r_q W[f_1 .. f_k] for
+    the prefactors (r_p, r_q)."""
     *_, wq, wp = leading_wronskians(eigenfunctions)  # one elimination gives both
-    p = wp.shift(e_p).scale(units[0])
-    q = wq.shift(e_q).scale(units[1])
+    p, q = wp * prefactors[0], wq * prefactors[1]
     if p.is_zero or q.is_zero:
         raise DegenerateWronskian(f"{recipe}: Wronskian vanished")
     if (p.degree, q.degree) != degrees:
@@ -220,62 +219,53 @@ def _check_index_set(indices):
     return indices
 
 
-def _check_b(b) -> Fraction:
-    b = Fraction(b)
+# -- classical recipes ---------------------------------------------------------
+# One row per classical special case of the bilinear hypergeometric equation:
+#   P, U(b)     the pair's field;
+#   r, e(k)     the prefactor base and its exponents (e_p, e_q), so that
+#               p = r**e_p W[f_1 .. f_{k+1}] and q = r**e_q W[f_1 .. f_k];
+#   k_step      the allowed k are its multiples;
+#   f(F, i, b)  the eigenfunction of index i, where F is the eigenfunction
+#               field P f'' + (U + P'/2) f' as a system.
+
+_CLASSICAL = {
+    "hermite_wronskian": (
+        [1], lambda b: [0, b], [1], lambda k: (0, 0), 1,
+        lambda F, i, b: eigenpoly(F, i, leading=(-b) ** i),
+    ),
+    "laguerre_wronskian": (
+        [0, 1], lambda b: [Fraction(-1, 2), b], [0, 1], lambda k: (k * k // 4, k * (k - 2) // 4), 4,
+        lambda F, i, b: eigenpoly(F, i, leading=b**i / math.factorial(i)),
+    ),
+    # z**i directly: eigenpoly meets a false resonance at (b, i) = (1, 1)
+    "monomial_wronskian": (
+        [0, 0, -1], lambda b: [0, b],
+        [0, GaussianRational(0, 1)], lambda k: (k * (k + 1) // 2, k * (k - 1) // 2), 1,
+        lambda F, i, b: Polynomial([0] * i + [1]),
+    ),
+}
+
+
+def _classical_pair(recipe, indices, b, notes=None) -> EquilibriumCertificate:
+    """The certificate of one ``_CLASSICAL`` row at these indices and b."""
+    P, U, r, exponents, k_step, eigenfunction = _CLASSICAL[recipe]
+    indices, b = _check_index_set(indices), Fraction(b)
     if b == 0:
         raise ValidationError("b must be nonzero")
-    return b
-
-
-# -- recipe specs --------------------------------------------------------------
-# A planar recipe's spec maps its params to (normalized params, system,
-# (deg p, deg q), z-powers (e_p, e_q) of the two Wronskians); the constructor
-# builds from it, and ``certify`` rebuilds a stored certificate through it.
-
-
-def _degrees(eig, powers):
-    """(deg p, deg q) from the k + 1 distinct eigenfunction degrees: their
-    Wronskian has degree sum - k(k + 1)/2 (a Vandermonde leads it)."""
-    k = len(eig) - 1
-    return (
-        sum(eig) - k * (k + 1) // 2 + powers[0],
-        sum(eig[:k]) - k * (k - 1) // 2 + powers[1],
+    k = len(indices) - 1
+    if k % k_step:
+        raise BadK(f"index-set length {k + 1} requires k = {k} divisible by {k_step}")
+    sys = SystemCoefficients.bilinear(P, U(b), Lambda=1)
+    F = SystemCoefficients.bilinear(sys.P, sys.U + sys.P.derivative().scale(Fraction(1, 2)))
+    r, (e_p, e_q) = Polynomial(r), exponents(k)
+    # a Wronskian of k + 1 distinct degrees has degree their sum - k(k + 1)/2
+    degrees = (
+        sum(indices) - k * (k + 1) // 2 + e_p * r.degree,
+        sum(indices[:k]) - k * (k - 1) // 2 + e_q * r.degree,
     )
-
-
-def _hermite_spec(indices, b):
-    indices, b = _check_index_set(indices), _check_b(b)
-    sys = SystemCoefficients.bilinear([1], [0, b], Lambda=1)
-    return {"indices": indices, "b": b}, sys, _degrees(indices, (0, 0)), (0, 0)
-
-
-def _laguerre_spec(indices, b):
-    indices, b = _check_index_set(indices), _check_b(b)
-    k = len(indices) - 1
-    if k % 4 != 0:
-        raise BadK(f"index-set length {k + 1} requires k = {k} divisible by 4")
-    sys = SystemCoefficients.bilinear([0, 1], [Fraction(-1, 2), b], Lambda=1)
-    powers = (k * k // 4, k * (k - 2) // 4)
-    return {"indices": indices, "b": b}, sys, _degrees(indices, powers), powers
-
-
-def _monomial_spec(indices, b):
-    indices, b = _check_index_set(indices), _check_b(b)
-    k = len(indices) - 1
-    sys = SystemCoefficients.bilinear([0, 0, -1], [0, b], Lambda=1)
-    powers = (k * (k + 1) // 2, (k - 1) * k // 2)
-    return {"indices": indices, "b": b}, sys, _degrees(indices, powers), powers
-
-
-def _adler_moser_spec(k, ts):
-    if k < 0:
-        raise ValidationError("k must be >= 0")
-    ts = [Fraction(t) for t in ts]
-    if len(ts) != k:
-        raise ValidationError(f"need exactly {k} chain parameters, got {len(ts)}")
-    sys = SystemCoefficients.bilinear([1], [0], Lambda=1)
-    psi_degrees = list(range(1, 2 * k + 2, 2))  # deg psi_j = 2j - 1
-    return {"k": k, "ts": ts}, sys, _degrees(psi_degrees, (0, 0)), (0, 0)
+    fs = [eigenfunction(F, i, b) for i in indices]
+    params = {"indices": indices, "b": b}
+    return _finish_planar(recipe, params, sys, degrees, fs, (r**e_p, r**e_q), notes)
 
 
 # -- constructors ------------------------------------------------------------
@@ -285,11 +275,7 @@ def hermite_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     """Wronskian pair from the constant-field eigenfunctions (P = 1,
     U = b z); with b = -2 the eigenfunctions are the physicists'
     Hermite polynomials."""
-    spec = _hermite_spec(indices, b)
-    params, sys, _, _ = spec
-    # the same P, U drive the eigenfunctions
-    Qs = [eigenpoly(sys, i, leading=(-params["b"]) ** i) for i in params["indices"]]
-    return _finish_planar("hermite_wronskian", spec, Qs)
+    return _classical_pair("hermite_wronskian", indices, b)
 
 
 def laguerre_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
@@ -305,26 +291,7 @@ def laguerre_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     the -1/2 offset comes from the square-root change of variables that
     relates this field to the self-adjoint chain form.
     """
-    spec = _laguerre_spec(indices, b)
-    indices, b = spec[0]["indices"], spec[0]["b"]
-    Qs = []
-    for i in indices:
-        base = laguerre(i, -1)
-        # substitute z -> -b z
-        Qs.append(
-            Polynomial([c * exactify((-b) ** j) for j, c in enumerate(base.coeffs)])
-        )
-    return _finish_planar(
-        "laguerre_wronskian", spec, Qs, notes={"field_offset": "U = b z - 1/2"}
-    )
-
-
-_I_POWERS = [
-    GaussianRational(1),
-    GaussianRational(0, 1),
-    GaussianRational(-1),
-    GaussianRational(0, -1),
-]
+    return _classical_pair("laguerre_wronskian", indices, b, notes={"field_offset": "U = b z - 1/2"})
 
 
 def monomial_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
@@ -334,11 +301,7 @@ def monomial_pair(indices: Sequence[int], b) -> EquilibriumCertificate:
     integer z-power k(k+1)/2 times a Gaussian unit i**(k(k+1)/2); the unit
     is tracked exactly and cancels from the (bilinear) residual.
     """
-    spec = _monomial_spec(indices, b)
-    params, _, _, (tp, tq) = spec
-    Qs = [Polynomial([0] * i + [1]) for i in params["indices"]]
-    units = (_I_POWERS[tp % 4], _I_POWERS[tq % 4])
-    return _finish_planar("monomial_wronskian", spec, Qs, units)
+    return _classical_pair("monomial_wronskian", indices, b)
 
 
 def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
@@ -350,8 +313,11 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
     chain carries exactly k free parameters for the pair (the z-shift
     symmetry is not a separate parameter).
     """
-    spec = _adler_moser_spec(k, ts)
-    ts = spec[0]["ts"]
+    if k < 0:
+        raise ValidationError("k must be >= 0")
+    ts = [Fraction(t) for t in ts]
+    if len(ts) != k:
+        raise ValidationError(f"need exactly {k} chain parameters, got {len(ts)}")
     psis = [Polynomial([1]), Polynomial([0, 1])]
     for j in range(2, k + 2):
         prev = psis[j - 1]  # real: the ts are rational
@@ -359,7 +325,9 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
         t = ts[j - 2]
         kernel = Polynomial([t]) if j % 2 == 0 else Polynomial([0, t])
         psis.append(psi + kernel)
-    return _finish_planar("adler_moser", spec, psis[1 : k + 2])
+    sys = SystemCoefficients.bilinear([1], [0], Lambda=1)
+    degrees = ((k + 1) * (k + 2) // 2, k * (k + 1) // 2)  # deg theta_j = j(j + 1)/2
+    return _finish_planar("adler_moser", {"k": k, "ts": ts}, sys, degrees, psis[1 : k + 2])
 
 
 def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCertificate:
@@ -443,7 +411,9 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     stored field differs from the rebuild.  Returns ``cert`` with the
     recomputed ``notes["gradient_max"]``."""
     try:
-        fresh = _RECIPES[cert.recipe](**cert.params)
+        fresh = check_built(_RECIPES[cert.recipe](**cert.params))
+    except CertificationFailure:
+        raise
     except (ChargeflowError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
     # a planar pair that differs from the rebuild: name the offending
@@ -460,7 +430,7 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     _check_stored(_stored_fields(cert), _stored_fields(fresh), "recipe params")
     if not _same_inventory(cert.inventory, fresh.inventory):
         raise CertificationFailure("stored 'inventory' does not match the recipe params")
-    cert.notes["gradient_max"] = check_built(fresh).notes["gradient_max"]
+    cert.notes["gradient_max"] = fresh.notes["gradient_max"]
     return cert
 
 
@@ -468,7 +438,8 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     """The checks a certificate fresh from its constructor must pass: an
     exactly zero residual and the float gradient cross-check at its
     inventory, whose largest value goes into ``notes["gradient_max"]``.
-    Raises CertificationFailure; returns ``cert``."""
+    Raises CertificationFailure, or ValidationError when the field has no
+    float form (``Polynomial.to_float``); returns ``cert``."""
     if cert.recipe == "cylinder_wronskian":
         if not cert.residual_exact_zero:
             raise CertificationFailure("cylinder residual not exactly zero")

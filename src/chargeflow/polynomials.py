@@ -21,6 +21,7 @@ conversion goes through ``Polynomial.to_float`` explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ClusterAmbiguity, NonConvergence
+from .errors import ClusterAmbiguity, NonConvergence, ValidationError
 from .scalars import EXACT, GaussianRational, to_complex
 
 __all__ = [
@@ -275,6 +276,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        """The n-th power, for an integer n >= 0."""
+        return functools.reduce(operator.mul, [self] * n, Polynomial.one())
+
     def scale(self, scalar):
         """Multiply by a scalar, which first joins the coefficients' ring
         (a ``Fraction`` scales a float polynomial as a complex; a float
@@ -364,11 +369,16 @@ class Polynomial:
     # -- conversions ---------------------------------------------------
 
     def to_float(self):
-        """The float polynomial; r / den rounds as ``float(Fraction(r, den))``."""
+        """The float polynomial; r / den rounds as ``float(Fraction(r, den))``.
+        A coefficient past the float range has no float shadow: that raises
+        ValidationError, as the exact input it came from was too large."""
         if not self.exact:
             return self
         d, im = self.den, self.im or itertools.repeat(0)
-        return Polynomial([complex(r / d, i / d) for r, i in zip(self.re, im)])
+        try:
+            return Polynomial([complex(r / d, i / d) for r, i in zip(self.re, im)])
+        except OverflowError as exc:
+            raise ValidationError("an exact coefficient is past the float range") from exc
 
     def to_json(self):
         if not self.exact:

@@ -512,6 +512,22 @@ def test_malformed_comma_list_flag_exits_validation(tmp_path, no_workers, capsys
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--recipe", "hermite", "--indices", "1,2", "--b", "1e200"],
+        ["--recipe", "hermite", "--indices", "1,2", "--b", "1e400"],
+        ["--recipe", "adler_moser", "--k", "2", "--ts", "1e400,1"],
+        ["--recipe", "monomial", "--indices", "1,2", "--b", "1e400"],
+    ],
+    ids=["hermite_b_1e200", "hermite_b_1e400", "adler_moser_ts_1e400", "monomial_b_1e400"],
+)
+def test_rational_parameter_past_the_float_range_exits_validation(tmp_path, capsys, argv):
+    # the exact pair exists, but its float shadow (roots, gradient) does not
+    assert cli.main(["equilibrium", *argv, "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
 def test_system_config_roundtrip_keeps_lambda():
     from chargeflow.dynamics import FlowSpec
     from chargeflow.operators import SystemCoefficients

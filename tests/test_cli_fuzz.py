@@ -75,6 +75,8 @@ BASES = [
     },
     {"mode": "equilibrium", "equilibrium": {"recipe": "hermite", "indices": [1, 2], "b": -2},
      "output": _OUTPUT},
+    {"mode": "equilibrium", "equilibrium": {"recipe": "laguerre", "indices": [0, 1, 2, 3, 4], "b": 1},
+     "output": _OUTPUT},
     {"mode": "equilibrium", "equilibrium": {"recipe": "monomial", "indices": [1, 2], "b": "1/2"},
      "output": _OUTPUT},
     {"mode": "equilibrium", "equilibrium": {"recipe": "adler_moser", "k": 2, "ts": ["1/2", 1]},

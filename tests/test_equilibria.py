@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chargeflow import _trig
+from chargeflow import _trig, equilibria
 from chargeflow.equilibria import (
     GRADIENT_TOL,
     EquilibriumCertificate,
@@ -19,7 +19,7 @@ from chargeflow.equilibria import (
     monomial_pair,
 )
 from chargeflow.errors import BadK, CertificationFailure, ValidationError
-from chargeflow.operators import lambda_poly, polylinear_H
+from chargeflow.operators import eigenpoly, lambda_poly, polylinear_H
 from chargeflow.polynomials import Polynomial, hermite
 
 
@@ -159,6 +159,46 @@ def test_monomial_pair_small_sets():
     c3 = monomial_pair([0, 2, 3], Fraction(1, 2))
     assert c3.degrees == (5, 2)
     assert c3.residual_exact_zero
+
+
+# -- the classical recipe table ------------------------------------------------------
+
+# Chebyshev (circle) row: P = 1 - z^2, U = 0, prefactor base r = 1 - z^2 with
+# exponents (k(k+1)/4, k(k-1)/4); its eigenfunctions are the Chebyshev
+# polynomials of (1 - z^2) f'' - z f'.  b does not enter.
+_CIRCLE_ROW = (
+    [1, 0, -1], lambda b: [0], [1, 0, -1], lambda k: (k * (k + 1) // 4, k * (k - 1) // 4), 4,
+    lambda F, i, b: eigenpoly(F, i),
+)
+_CIRCLE_DEGREES = {
+    (1, 2, 3, 4, 5): (15, 10),
+    (1, 2, 3, 4, 6): (16, 10),
+    (2, 3, 4, 6, 7): (22, 15),
+    (0, 1, 3, 4, 6): (14, 8),
+    tuple(range(1, 10)): (45, 36),
+}
+
+
+@pytest.fixture
+def circle_pair(monkeypatch):
+    monkeypatch.setitem(equilibria._CLASSICAL, "circle_wronskian", _CIRCLE_ROW)
+    return lambda indices: equilibria._classical_pair("circle_wronskian", indices, 1)
+
+
+@pytest.mark.parametrize("indices", sorted(_CIRCLE_DEGREES))
+def test_circle_row_fits_the_classical_table(circle_pair, indices):
+    cert = circle_pair(indices)
+    assert cert.residual_exact_zero
+    assert cert.degrees == _CIRCLE_DEGREES[indices]
+
+
+# ROADMAP item 1: the float shadow splits the exact repeated roots at
+# z = +-1, and the gradient at the split sites reads 10.7 to 48.5
+@pytest.mark.xfail(raises=CertificationFailure, strict=True,
+                   reason="repeated roots split into separate charges (ROADMAP item 1)")
+@pytest.mark.parametrize("indices", sorted(_CIRCLE_DEGREES))
+def test_circle_row_pairs_pass_check_built(circle_pair, indices):
+    check_built(circle_pair(indices))
 
 
 # -- chain pairs ----------------------------------------------------------------
@@ -500,6 +540,13 @@ def test_planar_certificate_tolerates_last_bit_of_inventory_position():
         entry["position"] = [math.nextafter(x, math.inf), math.nextafter(y, -math.inf)]
     cert = certify(EquilibriumCertificate.from_json(doc))
     assert cert.residual_exact_zero
+
+
+def test_certify_rejects_a_pair_without_float_shadow():
+    # the exact pair builds, but its field U = b z has no float form
+    doc = monomial_pair([1, 2], Fraction(10**400)).to_json()
+    with pytest.raises(CertificationFailure, match="system for its params"):
+        certify(EquilibriumCertificate.from_json(doc))
 
 
 def test_float_zero_of_older_certificates_still_loads():

@@ -24,6 +24,7 @@ DATA = pathlib.Path(__file__).parent / "data" / "certs"
 CASES = {
     "hermite_124": {"recipe": "hermite", "indices": [1, 2, 4], "b": "-2"},
     "monomial_134": {"recipe": "monomial", "indices": [1, 3, 4], "b": "1/2"},
+    "laguerre_12457": {"recipe": "laguerre", "indices": [1, 2, 4, 5, 7], "b": "2"},
     "adler_moser_4": {"recipe": "adler_moser", "k": 4, "ts": ["1/2", "2", "-1", "3"]},
     "cylinder_1": {"recipe": "cylinder", "indices": [1], "ts": [0.0]},
     "cylinder_12": {"recipe": "cylinder", "indices": [1, 2], "ts": [0.3, 1.1]},
