@@ -428,6 +428,8 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
                 f"bilinear residual nonzero (norm {norm:.3e})", coefficient_index=idx
             )
     _check_stored(_stored_fields(cert), _stored_fields(fresh), "recipe params")
+    if not _same_reduced(cert.reduced, fresh.reduced):
+        raise CertificationFailure("stored 'reduced' does not match the recipe params")
     if not _same_inventory(cert.inventory, fresh.inventory):
         raise CertificationFailure("stored 'inventory' does not match the recipe params")
     cert.notes["gradient_max"] = fresh.notes["gradient_max"]
@@ -475,7 +477,7 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
 def _stored_fields(cert: EquilibriumCertificate) -> dict:
     """The fields a rebuild must reproduce exactly, in checking order; the
     notes without the recomputed ``gradient_max``."""
-    names = ("degrees", "p", "q", "reduced", "residual_exact_zero", "residual_norm", "bivariate")
+    names = ("degrees", "p", "q", "residual_exact_zero", "residual_norm", "bivariate")
     fields = {"P": cert.sys.P, "U": cert.sys.U, "lambda": cert.lam, **{n: getattr(cert, n) for n in names}}
     fields["notes"] = _jsonify({k: v for k, v in cert.notes.items() if k != "gradient_max"})
     return fields
@@ -487,6 +489,20 @@ def _check_stored(stored: dict, recomputed: dict, what: str):
     for name, value in recomputed.items():
         if stored[name] != value:
             raise CertificationFailure(f"stored {name!r} does not match the {what}")
+
+
+def _same_reduced(stored, fresh) -> bool:
+    """Equal exact reduced pairs; a float pair (a cylinder's, built from
+    numeric roots like the inventory) coefficient by coefficient within
+    reduce_pair's cluster tolerance, relative to each polynomial's
+    largest coefficient."""
+    if stored is None or any(poly.exact for poly in (*stored, *fresh)):
+        return stored == fresh
+    return all(
+        s.degree == f.degree
+        and max(abs(a - b) for a, b in zip(s.coeffs, f.coeffs)) <= CLUSTER_TOL * max(abs(c) for c in f.coeffs)
+        for s, f in zip(stored, fresh)
+    )
 
 
 def _same_inventory(stored, fresh) -> bool:

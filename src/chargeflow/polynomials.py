@@ -449,29 +449,38 @@ def from_roots(roots) -> Polynomial:
 
 
 def _horner_rows(c):
-    """The (2, d + 1) rows of ``_value_and_slope`` for the ascending
-    coefficients c of p: those of p by descending power, and those of
-    the derivative behind one leading zero."""
+    """The (3, d + 1) rows of ``_value_and_slope`` for the ascending
+    coefficients c of p, by descending power: those of p, those of the
+    derivative behind one leading zero, and the moduli |c_k|."""
     der = (np.arange(1, len(c)) * c[1:])[::-1]
-    return np.array([c[::-1], np.concatenate(([0], der))])
+    return np.array([c[::-1], np.concatenate(([0], der)), np.abs(c[::-1])])
 
 
 def _value_and_slope(rows, z):
-    """p(z) and p'(z) from one Horner loop over the stacked ``rows``.
-    Each row rounds as ``np.polyval`` of it does: both start from +0, and
-    the leading zero keeps the derivative's row at +0 until its first
-    coefficient."""
-    acc = np.zeros((2,) + z.shape, complex)
+    """p(z), p'(z) and the rounding scale sum |c_k| |z|^k (as complex
+    with zero imaginary part) from one Horner loop over the stacked
+    ``rows``, the last one run at |z|.  The first two rows round as
+    ``np.polyval`` of them does: both start from +0, and the leading zero
+    keeps the derivative's row at +0 until its first coefficient."""
+    at = np.array([z, z, np.abs(z)])
+    acc = np.zeros(at.shape, complex)
     for col in rows.T[:, :, None]:
-        acc *= z
+        acc *= at
         acc += col
     return acc
 
 
-def _aberth_once(rows, z):
+def _backward_error(p, scale):
+    """|p(z)| relative to the coefficient-weighted evaluation magnitude."""
+    return np.abs(p) / np.maximum(scale.real, 1e-300)
+
+
+def _aberth_once(rows, z, rtol):
     """One Aberth-Ehrlich sweep for p given by its ``_horner_rows``;
-    returns updated roots and max correction."""
-    p, dp = _value_and_slope(rows, z)
+    returns updated roots and max correction.  A root whose backward
+    error is within rtol stays put: inside a cluster of multiple roots p
+    is rounding noise, and the corrections it gives never shrink."""
+    p, dp, scale = _value_and_slope(rows, z)
     ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1), 0.0)
     s = pair_matrix(z).sum(axis=1)
     denom = 1.0 - ratio * s
@@ -485,45 +494,22 @@ def _aberth_once(rows, z):
     big = np.abs(w) > cap
     if big.any():
         w = np.where(big, w * cap / np.abs(np.where(big, w, 1.0)), w)
+    w = np.where(_backward_error(p, scale) <= rtol, 0.0, w)
     return z - w, np.max(np.abs(w))
 
 
-def _root_radius(c):
-    """Fujiwara-style bound on the root modulus, robust to wide
-    coefficient ranges."""
-    d = len(c) - 1
-    best = 0.0
-    for k in range(1, d + 1):
-        val = abs(c[d - k] / c[d])
-        if k == 1:
-            cand = 2.0 * val
-        else:
-            cand = 2.0 * val ** (1.0 / k)
-        best = max(best, cand)
-    return 1.0 + best
-
-
-def _backward_error(coeffs, z):
-    """|p(z)| relative to the coefficient-weighted evaluation magnitude."""
-    p = np.polyval(coeffs[::-1], z)
-    az = np.abs(z)
-    bound = np.zeros_like(az)
-    for k, c in enumerate(coeffs):
-        bound += abs(c) * az**k
-    bound = np.maximum(bound, 1e-300)
-    return np.abs(p) / bound
-
-
-_PHASE_SEED = 1735  # fixed: reproducible starting phases for Aberth iteration
 CLUSTER_TOL = 1e-8  # relative root-cluster tolerance of reduce_pair
 
 
 def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> tuple:
-    """All complex roots, sorted, by simultaneous Aberth-Ehrlich iteration.
+    """All complex roots, sorted: the eigenvalues of the monic float
+    polynomial's companion matrix, refined by Aberth-Ehrlich sweeps until
+    the largest correction is below 1e-14 of the root scale (roots within
+    the backward error ``rtol`` are not moved), then by three Newton steps.
 
     Exact zero roots (vanishing low-order coefficients) are deflated first.
-    Raises NonConvergence after ``max_iter`` sweeps without meeting the
-    correction threshold and the backward-error bound.
+    Raises NonConvergence when the eigenvalue solve fails, or unless the
+    largest backward error is a finite number within ``max(rtol, 1e-7)``.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("find_roots needs a nonzero polynomial of degree >= 1")
@@ -535,37 +521,35 @@ def find_roots(p: Polynomial, rtol: float = 1e-12, max_iter: int = 200) -> tuple
     d = len(coeffs) - 1
     roots = [0.0j] * zero_mult
     if d >= 1:
-        c = np.array(coeffs, dtype=complex)
-        c = c / c[-1]  # monic conditioning
-        rows = _horner_rows(c)
-        radius = min(_root_radius(c), 1.0 + max(abs(v) for v in c[:-1]))
-        rng = np.random.default_rng(_PHASE_SEED)
-        best_z, best_err = None, math.inf
-        for restart in range(4):
-            phases = 2 * np.pi * (np.arange(d) + 0.25) / d + 0.2 * rng.random(d)
-            z = radius * np.exp(1j * phases)
+        # a badly scaled polynomial may overflow anywhere below; the
+        # backward-error test rejects any non-finite outcome
+        with np.errstate(all="ignore"):
+            c = np.array(coeffs, dtype=complex)
+            c = c / c[-1]  # monic conditioning
+            rows = _horner_rows(c)
+            a = c if c.imag.any() else c.real  # real p: the cheaper real eigenproblem
+            companion = np.eye(d, k=-1, dtype=a.dtype)
+            companion[:, -1] = -a[:-1]
+            try:
+                z = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError as exc:  # non-finite or unconverged
+                raise NonConvergence(f"companion eigenvalues: {exc}") from exc
             for _ in range(max_iter):
-                z, corr = _aberth_once(rows, z)
-                scale = max(1.0, float(np.max(np.abs(z))))
-                if corr < 1e-14 * scale:
+                z, corr = _aberth_once(rows, z, rtol)
+                if corr < 1e-14 * max(1.0, float(np.max(np.abs(z)))):
                     break
             # Newton polish sharpens simple roots to full precision
             for _ in range(3):
-                pv, dv = _value_and_slope(rows, z)
+                pv, dv, _ = _value_and_slope(rows, z)
                 step = np.where(dv != 0, pv / np.where(dv != 0, dv, 1), 0.0)
                 cap = 1e-2 * (1.0 + np.abs(z))
                 step = np.where(np.abs(step) > cap, 0.0, step)
                 z = z - step
-            err = float(np.max(_backward_error(c, z)))
-            if err < best_err:
-                best_z, best_err = z, err
-            if best_err <= rtol:
-                break
-        if best_err > max(rtol, 1e-7):
-            raise NonConvergence(
-                f"root residual {best_err:.3e} exceeds tolerance"
-            )
-        roots.extend(complex(v) for v in best_z)
+            pv, _, scale = _value_and_slope(rows, z)
+            err = float(np.max(_backward_error(pv, scale)))
+        if not err <= max(rtol, 1e-7):  # NaN fails too
+            raise NonConvergence(f"root residual {err:.3e} exceeds tolerance")
+        roots.extend(complex(v) for v in z)
     roots.sort(key=lambda r: (round(r.real, 12), round(r.imag, 12)))
     return tuple(roots)
 

@@ -528,6 +528,22 @@ def test_rational_parameter_past_the_float_range_exits_validation(tmp_path, caps
     assert capsys.readouterr().err.startswith("validation error: ")
 
 
+def test_badly_scaled_hermite_pair_certifies(tmp_path):
+    # roots of size 1e-50 next to coefficients of 1e100: the companion
+    # eigenvalues start at the roots, where circle starts did not converge
+    argv = ["equilibrium", "--recipe", "hermite", "--indices", "1,2", "--b", "1e100"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert json.loads((tmp_path / "certificate.json").read_text())["residual_exact_zero"]
+
+
+def test_adler_moser_whose_horner_overflows_exits_nonconvergence(tmp_path, capsys):
+    # p has roots near 1e30, so p(z) overflows; under the tests'
+    # error::RuntimeWarning filter an escaping warning would raise instead
+    argv = ["equilibrium", "--recipe", "adler_moser", "--k", "3", "--ts", "1e100,1,1e-300"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_NONCONVERGENCE
+    assert capsys.readouterr().err.startswith("non-convergence: ")
+
+
 def test_system_config_roundtrip_keeps_lambda():
     from chargeflow.dynamics import FlowSpec
     from chargeflow.operators import SystemCoefficients

@@ -11,10 +11,14 @@ deliberate change of the certificate format, regenerate the files with
 import copy
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import chargeflow
 from chargeflow import cli
 from chargeflow.equilibria import EquilibriumCertificate, certify
 from chargeflow.errors import CertificationFailure
@@ -35,6 +39,7 @@ CASES = {
         "ts": [0.4, 0.9, 2.2, 1.3],
     },
 }
+CYLINDERS = sorted(n for n in CASES if CASES[n]["recipe"] == "cylinder")
 
 
 def _write(name, out_dir) -> pathlib.Path:
@@ -101,13 +106,60 @@ def test_every_golden_with_one_tampered_field_fails_certify(tamper):
 
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n]["recipe"] == "cylinder"))
+@pytest.mark.parametrize("name", CYLINDERS)
 def test_cylinder_golden_with_one_ulp_moved_in_p_xy_fails_certify(name):
     doc = json.loads((DATA / name / "certificate.json").read_text())
     entry = doc["bivariate"]["p_xy"][-1]
     entry[0] = math.nextafter(entry[0], math.inf)
     with pytest.raises(CertificationFailure):
         certify(EquilibriumCertificate.from_json(doc))
+
+
+def _ulps(x, n):
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("name", CYLINDERS)
+def test_cylinder_golden_with_roots_moved_4_ulps_recertifies(name):
+    # a writer whose root finder rounds differently (an older one, another
+    # numpy build) stores the same float reduced pair and inventory up to
+    # the last bits of each coefficient and position
+    doc = json.loads((DATA / name / "certificate.json").read_text())
+    for poly in doc["reduced"]:
+        poly["coeffs"] = [[_ulps(x, 4) for x in c] for c in poly["coeffs"]]
+    for entry in doc["inventory"]:
+        entry["position"] = [_ulps(x, 4) for x in entry["position"]]
+    assert certify(EquilibriumCertificate.from_json(doc)).residual_exact_zero
+
+
+@pytest.mark.parametrize("name", CYLINDERS)
+def test_cylinder_golden_with_reduced_moved_1e6_relative_fails_certify(name):
+    doc = json.loads((DATA / name / "certificate.json").read_text())
+    entry = doc["reduced"][0]["coeffs"][0]
+    entry[0] += 1e-6 * max(abs(x) for c in doc["reduced"][0]["coeffs"] for x in c)
+    with pytest.raises(CertificationFailure, match="'reduced'"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
+# the writer in a fresh interpreter: builds every case under argv[1]
+_WRITE_ALL = "import pathlib, sys; import test_golden_certs as g; [g._write(n, pathlib.Path(sys.argv[1]) / n) for n in g.CASES]"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
+    # the companion eigenvalues come from LAPACK; its BLAS thread count
+    # must not move a bit of any certificate
+    paths = [str(pathlib.Path(chargeflow.__file__).parent.parent), str(pathlib.Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _WRITE_ALL, str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    for name in CASES:
+        golden = DATA / name / "certificate.json"
+        assert (tmp_path / name / "certificate.json").read_bytes() == golden.read_bytes(), name
+
 
 if __name__ == "__main__":
     for case in sorted(CASES):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargeflow.errors import ClusterAmbiguity
+from chargeflow.errors import ClusterAmbiguity, NonConvergence
 from chargeflow.polynomials import (
     _GCD_I,
     _GCD_PRIME,
@@ -108,6 +108,51 @@ def test_find_roots_zero_deflation():
 def test_find_roots_requires_nonconstant():
     with pytest.raises(ValueError):
         find_roots(P(3))
+
+
+_DYADIC = 2**12
+
+
+@st.composite
+def _separated_roots(draw):
+    """1 to 30 distinct exact Gaussian-rational roots, one in each of n
+    equal angular slots (jittered by up to a third of a slot) of an
+    annulus 0.8 R .. 1.25 R, rounded to the 2**-12 grid: neighbours stay
+    at least a third of a slot apart, so the roots are well conditioned."""
+    n = draw(st.integers(1, 30))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    turn = draw(st.floats(0, 1))
+    jitter = draw(st.lists(st.tuples(st.floats(-1 / 3, 1 / 3), st.floats(0.8, 1.25)), min_size=n, max_size=n))
+    roots = []
+    for k, (slot, stretch) in enumerate(jitter):
+        w = radius * stretch * np.exp(2j * np.pi * (k + slot + turn) / n)
+        roots.append(GaussianRational(Fraction(round(w.real * _DYADIC), _DYADIC), Fraction(round(w.imag * _DYADIC), _DYADIC)))
+    return roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(_separated_roots())
+def test_find_roots_round_trip_from_the_exact_product(roots):
+    p = Polynomial((1,))
+    for r in roots:
+        p = p * Polynomial((-r, 1))
+    got = find_roots(p)
+    assert len(got) == len(roots)
+    for r in roots:
+        z = complex(float(r.re), float(r.im))
+        assert min(abs(g - z) for g in got) <= 1e-10 * max(1.0, abs(z))
+    c = np.array(p.to_float().coeffs)
+    for g in got:
+        scale = sum(abs(ck) * abs(g) ** k for k, ck in enumerate(c))
+        assert abs(np.polyval(c[::-1], g)) <= 1e-12 * scale
+    assert _hex(find_roots(p)) == _hex(got)
+
+
+def test_find_roots_whose_monic_form_overflows_raises_nonconvergence():
+    # under the tests' error::RuntimeWarning filter, an overflow warning
+    # escaping find_roots would fail this test instead
+    with pytest.raises(NonConvergence):
+        find_roots(Polynomial((1e300, 1.0, 1e-300)))
 
 
 def test_roundtrip_roots_random_degrees():
@@ -636,10 +681,11 @@ def test_stacked_horner_rounds_as_polyval(coeffs, points):
     c = np.array(coeffs, dtype=complex)
     # each point in all four quadrants (its sign flips keep its zero parts)
     z = np.array([complex(sr * w.real, si * w.imag) for w in points for sr in (1, -1) for si in (1, -1)])
-    p, dp = _value_and_slope(_horner_rows(c), z)
+    p, dp, scale = _value_and_slope(_horner_rows(c), z)
     der = (np.arange(1, len(c)) * c[1:])[::-1]
     assert _hex(p) == _hex(np.polyval(c[::-1], z))
     assert _hex(dp) == _hex(np.polyval(der, z))
+    assert _hex(scale) == _hex(np.polyval(np.abs(c[::-1]), np.abs(z)) + 0j)
 
 
 _SCALARS = [
