@@ -508,7 +508,7 @@ def _same_reduced(stored, fresh) -> bool:
 def _same_inventory(stored, fresh) -> bool:
     """Equal charges, and positions within reduce_pair's cluster tolerance
     (numeric roots may differ in the last bits between numpy builds)."""
-    tol = CLUSTER_TOL * max(max((abs(z) for z, _ in fresh), default=0.0), 1e-30)
+    tol = CLUSTER_TOL * max((abs(z) for z, _ in fresh), default=0.0)
     close = (c == cf and abs(z - zf) <= tol for (z, c), (zf, cf) in zip(stored, fresh))
     return len(stored) == len(fresh) and all(close)
 

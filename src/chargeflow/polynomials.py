@@ -789,7 +789,7 @@ def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = CLUSTER_TOL):
     if not pts:
         inventory = []
         return (p.monic(), q.monic(), inventory)
-    scale = max(max(abs(z) for z in pts), 1e-30)
+    scale = max(abs(z) for z in pts)
     tol_hi = ctol * scale
     tol_lo = (ctol / 10.0) * scale
     groups_hi = cluster_points(pts, tol_hi)

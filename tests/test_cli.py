@@ -530,10 +530,16 @@ def test_rational_parameter_past_the_float_range_exits_validation(tmp_path, caps
 
 def test_badly_scaled_hermite_pair_certifies(tmp_path):
     # roots of size 1e-50 next to coefficients of 1e100: the companion
-    # eigenvalues start at the roots, where circle starts did not converge
+    # eigenvalues start at the roots, where circle starts did not converge.
+    # p = 1e200 - 1e300 z^2 and q = -1e100 z: +1 at +-1e-50 and -1 at 0
+    # stay three charges however small the roots are
     argv = ["equilibrium", "--recipe", "hermite", "--indices", "1,2", "--b", "1e100"]
     assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
-    assert json.loads((tmp_path / "certificate.json").read_text())["residual_exact_zero"]
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    assert doc["residual_exact_zero"]
+    charges = sorted((e["net_charge"], e["position"][0] * 1e50, e["position"][1]) for e in doc["inventory"])
+    assert [c for c, _, _ in charges] == [-1, 1, 1]
+    assert np.allclose([(x, y) for _, x, y in charges], [(0, 0), (-1, 0), (1, 0)], rtol=1e-12, atol=0)
 
 
 def test_adler_moser_whose_horner_overflows_exits_nonconvergence(tmp_path, capsys):

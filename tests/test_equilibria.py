@@ -542,6 +542,19 @@ def test_planar_certificate_tolerates_last_bit_of_inventory_position():
     assert cert.residual_exact_zero
 
 
+def test_certificate_with_tiny_roots_rejects_a_moved_position():
+    # roots at +-1e-50 and 0: a position moved by 1e-50 is a different
+    # inventory, a last-bit move is not
+    doc = hermite_pair([1, 2], 10**100).to_json()
+    for entry in doc["inventory"]:
+        entry["position"] = [math.nextafter(x, math.inf) for x in entry["position"]]
+    assert certify(EquilibriumCertificate.from_json(doc)).residual_exact_zero
+    plus = next(e for e in doc["inventory"] if e["net_charge"] == 1)
+    plus["position"][0] *= 2
+    with pytest.raises(CertificationFailure, match="stored 'inventory'"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
 def test_certify_rejects_a_pair_without_float_shadow():
     # the exact pair builds, but its field U = b z has no float form
     doc = monomial_pair([1, 2], Fraction(10**400)).to_json()

@@ -147,12 +147,21 @@ def test_cylinder_golden_with_reduced_moved_1e6_relative_fails_certify(name):
 _WRITE_ALL = "import pathlib, sys; import test_golden_certs as g; [g._write(n, pathlib.Path(sys.argv[1]) / n) for n in g.CASES]"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
-    # the companion eigenvalues come from LAPACK; its BLAS thread count
-    # must not move a bit of any certificate
+@pytest.mark.parametrize(
+    "blas_env",
+    [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+     {"OPENBLAS_CORETYPE": "Nehalem"}, {"OPENBLAS_CORETYPE": "Sandybridge"},
+     {"OPENBLAS_CORETYPE": "Haswell"}],
+    ids=["threads_1", "threads_2", "Nehalem", "Sandybridge", "Haswell"],
+)
+def test_golden_bytes_do_not_depend_on_blas_threads_or_kernels(tmp_path, blas_env):
+    # the companion eigenvalues come from LAPACK; neither its BLAS thread
+    # count nor the CPU kernels a dynamic-arch OpenBLAS picks (SSE4.2, AVX,
+    # AVX2 here, besides the machine's own) may move a bit of any
+    # certificate.  Other numpy or LAPACK builds are not covered; certify
+    # compares the root-derived fields within the clustering tolerance.
     paths = [str(pathlib.Path(chargeflow.__file__).parent.parent), str(pathlib.Path(__file__).parent)]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+    env = {**os.environ, **blas_env,
            "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _WRITE_ALL, str(tmp_path)],
                    env=env, check=True, capture_output=True)

@@ -331,6 +331,14 @@ def test_reduce_pair_trivial():
     assert sorted(inv, key=lambda t: t[0].real) == [(-1 + 0j, -1), (1 + 0j, 1)]
 
 
+def test_reduce_pair_keeps_tiny_roots_apart():
+    # every root lies below 1e-30; the cluster tolerance is relative to
+    # them, so +1 at +-1e-50 and -1 at 0 stay three charges
+    pbar, qbar, inv = reduce_pair(P(10**200, 0, -(10**300)), P(0, -(10**100)))
+    assert qbar == P(0, 1)
+    assert sorted((net, z.real * 1e50) for z, net in inv) == [(-1, 0.0), (1, -1.0), (1, 1.0)]
+
+
 def test_reduce_pair_cluster_ambiguity():
     p = from_roots([1.0, 1.0 + 3e-4])
     q = from_roots([2.0])
