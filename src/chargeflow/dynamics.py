@@ -63,7 +63,6 @@ __all__ = [
     "integrate_lanes",
     "monitors",
     "over_samples",
-    "bilinear_residual",
     "symmetric_reduce",
     "reduced_velocity_residual",
     "phi_identity_i1",
@@ -634,11 +633,6 @@ def state_residual(flow: FlowSpec, Z: np.ndarray):
     for i, dq in enumerate(dpolys):
         lhs = lhs + _product([dq.scale(charges[i])] + polys[:i] + polys[i + 1 :])
     return _coeff_norm(lhs - H, len(Z)) / _coeff_norm(_product(polys), len(Z))
-
-
-def bilinear_residual(flow: FlowSpec, traj: Trajectory, k: int) -> float:
-    """Residual monitor at sample k of a trajectory."""
-    return state_residual(flow, traj.positions[k])
 
 
 # -- symmetric reduction ----------------------------------------------------------

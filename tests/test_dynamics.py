@@ -338,16 +338,14 @@ def test_residual_zero_at_equilibrium_state():
 
 
 def test_bilinear_residual_sample_api():
-    from chargeflow.dynamics import bilinear_residual
-
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 1)
     rng = np.random.default_rng(19)
     init = rand_state(rng, 2, 1)
     traj = integrate(flow, init, 1.0, rtol=1e-10, atol=1e-12, n_samples=5)
     residuals = monitors(traj)["bilinear_residual"]
-    for k in range(len(traj.positions)):
-        val = bilinear_residual(flow, traj, k)
-        assert val == residuals[k]
+    assert len(residuals) == len(traj.positions)
+    for k, val in enumerate(residuals):
+        assert val == state_residual(flow, traj.positions[k])
         assert val < 1e-10
 
 

@@ -392,11 +392,18 @@ def test_certify_all_recipes():
         monomial_pair([0, 2, 5], Fraction(3, 4)),
         adler_moser(3, [Fraction(1, 3), Fraction(5), Fraction(-2, 9)]),
         cylinder_pair([1, 2], [0.2, 1.4]),
+        # degree 45: the largest exact pair here, whose root bits depend
+        # most on how find_roots polishes the companion eigenvalues
+        adler_moser(8, [Fraction(t) for t in ("2", "-6/5", "-4", "-1", "-8", "7/4", "8", "-7/4")]),
     ]
+    assert certs[-1].p.degree == 45
     for cert in certs:
         out = certify(cert)
         assert out.residual_exact_zero
         assert out.notes["gradient_max"] < 1e-7
+    back = EquilibriumCertificate.from_json(json.loads(json.dumps(certs[-1].to_json())))
+    assert back.p == certs[-1].p and back.q == certs[-1].q
+    assert certify(back).residual_exact_zero
 
 
 def test_certify_detects_perturbation():

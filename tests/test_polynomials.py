@@ -16,7 +16,6 @@ from chargeflow.polynomials import (
     _horner_rows,
     _inverse,
     _value_and_slope,
-    classical,
     cluster_points,
     find_roots,
     from_roots,
@@ -286,10 +285,6 @@ def test_classical_examples():
     assert hermite(2) == P(-2, 0, 4)
     assert laguerre(1, -1) == P(0, -1)
     assert monomial(3) == P(0, 0, 0, 1)
-    assert classical("hermite", 2) == hermite(2)
-    assert classical("laguerre", 1, alpha=-1) == laguerre(1, -1)
-    assert classical("jacobi", 2, alpha=1, beta=1) == jacobi(2, 1, 1)
-    assert classical("monomial", 3) == monomial(3)
 
 
 def test_exactness_never_mixes():
