@@ -32,7 +32,7 @@ from .operators import (
     Species,
     SystemCoefficients,
     eigenpoly,
-    equilibrium_gradient,
+    gradient_with_scale,
     lambda_poly,
     polylinear_H,
 )
@@ -178,7 +178,7 @@ def _exact_residual(sys, p, q, lam):
 def _finish_planar(recipe, params, sys, degrees, eigenfunctions, prefactors=(1, 1), notes=None):
     """Certificate of p = r_p W[f_1 .. f_{k+1}], q = r_q W[f_1 .. f_k] for
     the prefactors (r_p, r_q)."""
-    *_, wq, wp = leading_wronskians(eigenfunctions)  # one elimination gives both
+    *_, wq, wp = leading_wronskians(eigenfunctions)  # one chain gives both
     p, q = wp * prefactors[0], wq * prefactors[1]
     if p.is_zero or q.is_zero:
         raise DegenerateWronskian(f"{recipe}: Wronskian vanished")
@@ -457,19 +457,21 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
             coefficient_index=cert.notes["first_nonzero_residual_index"],
         )
     inventory = cert.inventory
-    grad = _inventory_gradient(inventory, cert.sys)
+    grad, size = _inventory_gradient(inventory, cert.sys)
     scale = max((abs(z) for z, _ in inventory), default=1.0) or 1.0
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
+    # Elsewhere the gradient must cancel to GRADIENT_TOL of its terms'
+    # size, which scales with the pair as the rounding floor does.
     Pf = cert.sys.P.to_float()
     worst = 0.0
-    for (z, _), g in zip(inventory, grad):
+    for (z, _), g, s in zip(inventory, grad, size):
         if abs(Pf(z)) > 1e-10 * max(1.0, scale):
             worst = max(worst, abs(g))
-    if worst > GRADIENT_TOL * max(1.0, scale):
-        raise CertificationFailure(
-            f"equilibrium gradient {worst:.3e} exceeds {GRADIENT_TOL:g}"
-        )
+            if abs(g) > GRADIENT_TOL * s:
+                raise CertificationFailure(
+                    f"equilibrium gradient {abs(g):.3e} exceeds {GRADIENT_TOL:g} of its terms' size {s:.3e}"
+                )
     cert.notes["gradient_max"] = worst
     return cert
 
@@ -514,16 +516,19 @@ def _same_inventory(stored, fresh) -> bool:
 
 
 def _inventory_gradient(inventory, sys):
-    """The equilibrium gradient at each inventory site, in inventory order
-    (the configuration lists the +1 species' sites before the -1 ones)."""
+    """The equilibrium gradient at each inventory site and the size its
+    terms cancel from (``gradient_with_scale``), as lists in inventory
+    order (the configuration lists the +1 species' sites before the -1
+    ones)."""
     plus = [i for i, (_, c) in enumerate(inventory) if c > 0]
     minus = [i for i, (_, c) in enumerate(inventory) if c < 0]
     species = tuple(
         Species(q, tuple(inventory[i][0] for i in idx), tuple(abs(inventory[i][1]) for i in idx) or None)
         for q, idx in ((1.0, plus), (-1.0, minus))
     )
-    by_site = dict(zip(plus + minus, equilibrium_gradient(ChargeConfiguration(species), sys)))
-    return [by_site[i] for i in range(len(inventory))]
+    grad, size = gradient_with_scale(ChargeConfiguration(species), sys)
+    order = np.argsort(plus + minus)
+    return grad[order].tolist(), size[order].tolist()
 
 
 def _cylinder_gradient_max(cert: EquilibriumCertificate) -> float:

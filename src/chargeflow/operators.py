@@ -42,6 +42,7 @@ __all__ = [
     "polylinear_H",
     "eigenpoly",
     "equilibrium_gradient",
+    "gradient_with_scale",
     "energy",
 ]
 
@@ -362,6 +363,29 @@ def _weighted_sites(cfg: ChargeConfiguration):
     return z, q, c
 
 
+def gradient_with_scale(cfg: ChargeConfiguration, sys: SystemCoefficients):
+    """``equilibrium_gradient`` as a complex array (n,), with the size its
+    terms cancel from at each site as a float array (n,):
+
+        2 |P(z_r)| sum_{s != r} |c_s / (z_r - z_s)|
+              + |U(z_r)| + |(c_r - Q_r/2) P'(z_r)|
+
+    A gradient at rounding level is a tiny multiple of this size, however
+    the pair is scaled."""
+    z, q, c = _weighted_sites(cfg)
+    P, U = sys.P.to_float(), sys.U.to_float()
+    close = pair_matrix(z, _distance, diagonal=np.inf) < 1e-14 * cfg.scale()
+    if close.any():
+        r, s = np.argwhere(close)[0]
+        raise CoincidentPositions(f"positions {r} and {s} coincide")
+    # row sums rather than ``@``: BLAS starts threads for n >= 64 or so
+    pulls = pair_matrix(z) * c
+    Pz, Uz, self_term = P(z), U(z), (c - q / 2.0) * P.derivative()(z)
+    g = -2.0 * Pz * pulls.sum(axis=1) - Uz - self_term
+    size = 2.0 * np.abs(Pz) * np.abs(pulls).sum(axis=1) + np.abs(Uz) + np.abs(self_term)
+    return g, size
+
+
 def equilibrium_gradient(cfg: ChargeConfiguration, sys: SystemCoefficients):
     """Velocity-style stationarity test for a multiplicity-weighted
     configuration:
@@ -373,16 +397,7 @@ def equilibrium_gradient(cfg: ChargeConfiguration, sys: SystemCoefficients):
     All-zero output is equivalent to the configuration being a fixed point
     (residue criterion of the governing bilinear identity).
     """
-    z, q, c = _weighted_sites(cfg)
-    P, U = sys.P.to_float(), sys.U.to_float()
-    close = pair_matrix(z, _distance, diagonal=np.inf) < 1e-14 * cfg.scale()
-    if close.any():
-        r, s = np.argwhere(close)[0]
-        raise CoincidentPositions(f"positions {r} and {s} coincide")
-    # a row sum rather than ``@``: BLAS starts threads for n >= 64 or so
-    pairs = (pair_matrix(z) * c).sum(axis=1)
-    g = -2.0 * P(z) * pairs - U(z) - (c - q / 2.0) * P.derivative()(z)
-    return g.tolist()
+    return gradient_with_scale(cfg, sys)[0].tolist()
 
 
 def _external_term(P: Polynomial, U: Polynomial, kappa: complex, z: complex):

@@ -96,10 +96,16 @@ def _same_ring(a, b):
 
 
 def _convolve(a, b):
-    """Coefficients of the product of integer polynomials a, b (nonempty)."""
-    rb = b[::-1]
+    """Coefficients of the product of integer polynomials a, b (nonempty),
+    multiplied from each one's first nonzero entry (all zero: no work)."""
     n, m = len(a), len(b)
-    return [
+    i = next((k for k, x in enumerate(a) if x), n)
+    j = next((k for k, x in enumerate(b) if x), m)
+    if i == n or j == m:
+        return [0] * (n + m - 1)
+    a, rb = a[i:], b[j:][::-1]
+    n, m = n - i, m - j
+    return [0] * (i + j) + [
         sum(map(operator.mul, a[max(0, k - m + 1) : k + 1], rb[max(0, m - 1 - k) : m - 1 - k + n]))
         for k in range(n + m - 1)
     ]
@@ -524,32 +530,26 @@ def find_roots(p: Polynomial) -> tuple:
 
 
 def leading_wronskians(fs) -> list:
-    """The leading Wronskians W[], W[f_1], W[f_1, f_2], ..., W[f_1 .. f_k]
-    of the exact polynomials fs (W[] = 1), from one fraction-free (Bareiss)
-    elimination of their Wronskian matrix, row i holding the derivatives
-    0..k-1 of f_i.  By Sylvester's identity the pivot of step j is the
-    leading (j + 1)-minor W[f_1 .. f_{j+1}].  So no row swap is needed: a
-    zero pivot means f_1 .. f_{j+1} are linearly dependent, and then every
-    later leading Wronskian is zero too."""
-    fs = list(fs)
-    if not all(f.exact for f in fs):
+    """The leading Wronskians W[], W[f_1], ..., W[f_1 .. f_k] of the exact
+    polynomials fs (W[] = 1), by the identity W[F] W[F, g, h] = W(W[F, g],
+    W[F, h]): row j holds A_j[m] = W[f_1 .. f_j, f_m] for m > j, and A_j[m]
+    = W(A_{j-1}[j], A_{j-1}[m]) / W[f_1 .. f_{j-1}] exactly.  Each row's
+    first entry is the next leading Wronskian; a zero one means f_1 .. f_j
+    are linearly dependent, and then every later one is zero too."""
+    row = list(fs)
+    if not all(f.exact for f in row):
         raise TypeError("wronskian requires exact polynomials")
-    k = len(fs)
-    m = []
-    for f in fs:
-        row = [f]
-        for _ in range(k - 1):
-            row.append(row[-1].derivative())
-        m.append(row)
     chain = [Polynomial.one()]
-    for s in range(k):
-        pivot, prev = m[s][s], chain[-1]
-        if pivot.is_zero:
-            return chain + [pivot] * (k - s)
-        chain.append(pivot)
-        for i in range(s + 1, k):
-            for j in range(s + 1, k):
-                m[i][j] = (m[i][j] * pivot - m[i][s] * m[s][j]).div_exact(prev)
+    while row:
+        w, *row = row
+        if w.is_zero:
+            return chain + [w] * (len(row) + 1)
+        if row:
+            dw = w.derivative()
+            row = [w * a.derivative() - dw * a for a in row]
+            if len(chain) > 1:  # W[] = 1 divides nothing
+                row = [a.div_exact(chain[-1]) for a in row]
+        chain.append(w)
     return chain
 
 

@@ -141,14 +141,14 @@ def test_planar_equilibrium_run_builds_the_pair_once(tmp_path, monkeypatch):
     from chargeflow import equilibria, polynomials
 
     calls = []
-    eliminate = polynomials.leading_wronskians
+    chain = polynomials.leading_wronskians
 
     def counting(functions):
         calls.append(len(functions))
-        return eliminate(functions)
+        return chain(functions)
 
     # every route to a Wronskian (polynomials.wronskian too) goes through
-    # the patched names, so a second elimination anywhere is counted
+    # the patched names, so a second Wronskian chain anywhere is counted
     monkeypatch.setattr(equilibria, "leading_wronskians", counting)
     monkeypatch.setattr(polynomials, "leading_wronskians", counting)
     doc = {
@@ -157,7 +157,7 @@ def test_planar_equilibrium_run_builds_the_pair_once(tmp_path, monkeypatch):
         "output": {"dir": str(tmp_path)},
     }
     assert cli.run(doc) == cli.EXIT_OK
-    assert calls == [3]  # one elimination of W[f1, f2, f3] gives p and q
+    assert calls == [3]  # one chain W[], W[f1], W[f1, f2], W[f1, f2, f3] gives q and p
 
 
 def test_equilibrium_cli_flags(tmp_path):

@@ -132,6 +132,28 @@ def test_check_built_reads_the_gradient_in_inventory_order():
         assert check_built(cert).notes["gradient_max"] < 1e-10
 
 
+# roots shrink as b**-0.5 while the gradient's terms grow as b**0.5; a
+# bound of 1e-8 * max(1, root scale) failed these exact pairs with
+# gradients from 1.9e-8 (b = 1e15) up to 1.2e24 (b = 1e80)
+@pytest.mark.parametrize(
+    "indices, b",
+    [([1, 2, 3], 10**15), ([1, 2, 3], 10**20), ([1, 2], 10**15), ([1, 2], 10**60), ([1, 2], 10**80)],
+)
+def test_badly_scaled_hermite_pairs_pass_check_built(indices, b):
+    cert = check_built(hermite_pair(indices, b))
+    assert cert.residual_exact_zero and math.isfinite(cert.notes["gradient_max"])
+
+
+@pytest.mark.parametrize("indices, b", [([2, 4, 6], -2), ([1, 2, 3], 10**20), ([1, 2], 10**60)])
+def test_check_built_rejects_an_inventory_moved_by_1e_6(indices, b):
+    cert = hermite_pair(indices, b)
+    sites, scale = list(cert.inventory), max(abs(z) for z, _ in cert.inventory)
+    for i, (z, c) in enumerate(sites):
+        cert.inventory = sites[:i] + [(z + 1e-6 * scale, c)] + sites[i + 1 :]
+        with pytest.raises(CertificationFailure, match="equilibrium gradient"):
+            check_built(cert)
+
+
 def test_laguerre_pair_badk():
     with pytest.raises(BadK):
         laguerre_pair([0, 1], 1)

@@ -12,6 +12,7 @@ from chargeflow.polynomials import (
     _GCD_I,
     _GCD_PRIME,
     Polynomial,
+    _convolve,
     _coprime_mod_prime,
     _horner_rows,
     _inverse,
@@ -498,6 +499,41 @@ def _fields(p):
     return (p.den, p.re, p.im, p.floats)
 
 
+# -- exact products against a double loop --------------------------------------
+
+# integer coefficient lists with low-order zeros, all-zero ones and length 1
+_int_lists = st.builds(
+    lambda k, c: [0] * k + c, st.integers(0, 4), st.lists(st.integers(-9, 9), max_size=6)
+).filter(bool)
+# polynomials with low-order zeros, and multiples of powers of i z, whose
+# real or imaginary numerators are all zero
+_iz = Polynomial([0, GaussianRational(0, 1)])
+_product_factors = st.one_of(
+    st.builds(Polynomial.shift, _kernel_polys, st.integers(0, 4)),
+    st.builds(lambda e, c: (_iz**e).scale(c), st.integers(0, 5), st.one_of(_reals, _imaginaries, _gaussians)),
+)
+
+
+def _double_loop(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lists, _int_lists)
+def test_convolve_matches_a_double_loop(a, b):
+    assert _convolve(tuple(a), b) == _double_loop(a, b, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_factors, _product_factors)
+def test_exact_product_matches_a_double_loop(p, q):
+    assert _fields(p * q) == _fields(Polynomial(_double_loop(p.coeffs, q.coeffs, GaussianRational(0))))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_kernel_polys, _nonzero_polys, _gaussians.filter(bool))
 def test_every_route_reaches_the_one_canonical_form(p, q, c):
@@ -625,12 +661,36 @@ def _random_exact(rng, kind, degrees):
     return [Polynomial([coeff() for _ in range(d)] + [lead()]) for d in degrees]
 
 
+def _adler_moser_psis(rng, k):
+    """psi_1 .. psi_k of the Adler-Moser chain psi_0 = 1, psi_1 = z,
+    psi_j'' = psi_{j-1}, each double integration adding a drawn rational
+    times the kernel monomial (1 for even j, z for odd j)."""
+    psis = [Polynomial([1]), Polynomial([0, 1])]
+    for j in range(2, k + 1):
+        psi = [Fraction(0), Fraction(0)] + [c.re / ((m + 1) * (m + 2)) for m, c in enumerate(psis[-1].coeffs)]
+        psi[j % 2] += Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        psis.append(Polynomial(psi))
+    return psis[1:]
+
+
 def _oracle_chain(fs):
-    """sympy's Wronskian of every prefix of fs, W[] = 1 first."""
+    """sympy's Wronskian of every prefix of fs, W[] = 1 first: the
+    determinant of each leading block of the derivative matrix, taken by
+    sympy over Q(i)[z] (``sympy.wronskian`` on expressions takes seconds
+    at k = 8)."""
     sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
     z = sympy.Symbol("z")
-    exprs = [_oracle(f).as_expr() for f in fs]
-    return [sympy.Poly(sympy.wronskian(exprs[:j], z), z, domain="QQ_I") for j in range(len(fs) + 1)]
+    ring = sympy.QQ_I[z]
+    rows = []
+    for f in fs:
+        derivatives = [_oracle(f)]
+        for _ in range(len(fs) - 1):
+            derivatives.append(derivatives[-1].diff(z))
+        rows.append([ring.from_sympy(d.as_expr()) for d in derivatives])
+    blocks = (DomainMatrix([row[:j] for row in rows[:j]], (j, j), ring) for j in range(len(fs) + 1))
+    return [sympy.Poly(ring.to_sympy(m.det()), z, domain="QQ_I") for m in blocks]
 
 
 @pytest.mark.parametrize(
@@ -641,10 +701,13 @@ def _oracle_chain(fs):
         (3, "gaussian", [2, 3, 5, 6]),
         (4, "gaussian", [1, 4, 4, 6]),  # a repeated degree
         (5, "real", [3, 3, 5]),
+        (7, "adler_moser", [1, 3, 5, 7, 9, 11, 13, 15]),  # K = 8, as in the benchmark
     ],
 )
 def test_leading_wronskians_match_sympy_oracle(seed, kind, degrees):
-    fs = _random_exact(random.Random(seed), kind, degrees)
+    rng = random.Random(seed)
+    fs = _adler_moser_psis(rng, len(degrees)) if kind == "adler_moser" else _random_exact(rng, kind, degrees)
+    assert [f.degree for f in fs] == degrees
     chain = leading_wronskians(fs)
     assert [_oracle(w) for w in chain] == _oracle_chain(fs)
     assert chain[-1] == wronskian(fs) and not chain[-1].is_zero
@@ -658,6 +721,44 @@ def test_leading_wronskians_vanish_from_a_dependent_prefix_on(kind):
     assert [_oracle(w) for w in chain] == _oracle_chain(fs)
     assert chain[:2] == [P(1), f]
     assert all(w.is_zero and w.exact for w in chain[2:])
+
+
+@st.composite
+def _chains_with_a_dependent_prefix(draw):
+    """Up to 6 exact polynomials, real, imaginary or Gaussian, where the
+    one at a drawn position j is a combination of those before it (zero
+    at j = 0), so f_1 .. f_{j+1} are linearly dependent."""
+    fs = draw(st.lists(_kernel_polys.filter(lambda p: p.degree < 6), min_size=1, max_size=6))
+    j = draw(st.integers(0, len(fs) - 1))
+    weights = draw(st.lists(st.one_of(_reals, _imaginaries, _gaussians), min_size=j, max_size=j))
+    fs[j] = sum((f.scale(w) for f, w in zip(fs, weights)), Polynomial.zero())
+    return fs, j
+
+
+@settings(max_examples=25, deadline=None)
+@given(_chains_with_a_dependent_prefix())
+def test_leading_wronskians_of_a_dependent_prefix_match_sympy_oracle(drawn):
+    fs, j = drawn
+    chain = leading_wronskians(fs)
+    assert [_oracle(w) for w in chain] == _oracle_chain(fs)
+    assert all(w.is_zero and w.exact for w in chain[j + 1 :])
+
+
+@pytest.mark.parametrize("k", [3, 8, 13])
+def test_leading_wronskians_make_at_most_k_k_minus_1_products(monkeypatch, k):
+    # the Wronskian identity takes two products per entry of rows 1..k-1;
+    # an elimination of the k x k Wronskian matrix takes O(k^3)
+    products, multiply = [], Polynomial.__mul__
+
+    def counting(self, other):
+        products.append(isinstance(other, Polynomial))
+        return multiply(self, other)
+
+    fs = _adler_moser_psis(random.Random(k), k)
+    expected = leading_wronskians(fs)
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert leading_wronskians(fs) == expected
+    assert sum(products) <= k * (k - 1)
 
 
 def test_leading_wronskians_of_no_and_one_function():
