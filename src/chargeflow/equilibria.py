@@ -4,7 +4,7 @@ Every planar constructor returns a pair (p, q) of exact polynomials
 together with a governing system (P, U, charge ratio 1, eigenconstant
 lambda) for which the two-argument operator annihilates the pair
 bit-exactly.  The cylinder constructor writes its two trigonometric
-Wronskians in closed form, as exact Fourier amplitudes on formal phase
+Wronskians in closed form, as integer Fourier amplitudes on formal phase
 units (``_trig``), and certifies the rotationally homogeneous analog on
 them, which is equivalent to the bivariate (X, Y) form; the phases stay
 formal, which makes the residual exact for every phase choice at once.
@@ -36,7 +36,7 @@ from .operators import (
     lambda_poly,
     polylinear_H,
 )
-from .polynomials import CLUSTER_TOL, Polynomial, _ratio, _ratio_json, is_exact
+from .polynomials import CLUSTER_TOL, Polynomial, _ratio_json, is_exact
 from .polynomials import leading_wronskians, pair_matrix, reduce_pair
 from .scalars import GaussianRational, exactify
 
@@ -150,7 +150,7 @@ def _jsonify(obj):
 def _scalar_json(value):
     if isinstance(value, (Fraction, GaussianRational)):
         value = exactify(value)
-        return {"re": _ratio_json(value.re), "im": _ratio_json(value.im)}
+        return {part: _ratio_json(*getattr(value, part).as_integer_ratio()) for part in ("re", "im")}
     value = complex(value)
     return {"float": [value.real, value.imag]}
 
@@ -158,7 +158,7 @@ def _scalar_json(value):
 def _scalar_from_json(doc):
     if "float" in doc:
         return complex(*doc["float"])
-    return GaussianRational(_ratio(*doc["re"]), _ratio(*doc["im"]))
+    return GaussianRational(*(Fraction(*map(int, doc[part])) for part in ("re", "im")))
 
 
 # -- shared assembly ---------------------------------------------------------
@@ -352,7 +352,7 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
     wq = _trig.trig_wronskian(indices[:k], kp1)
     n, m = sum(indices), sum(indices[:k])
     resid = _trig.laplace_residual(wp, wq, indices, n, m)
-    exact_zero = not resid
+    exact_zero = not resid.amps
 
     # materialize requested phases
     p_num = _trig.xy_coeffs(wp, indices, n, ts)

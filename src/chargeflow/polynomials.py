@@ -9,7 +9,7 @@ decide the ring:
   coefficient is real.  The form is canonical (equal polynomials have
   equal fields) and every exact operation runs on it; a
   ``GaussianRational`` is made only where a value leaves a polynomial
-  (``coeff``, ``leading``, ``coeffs``, exact evaluation, JSON);
+  (``coeff``, ``leading``, ``coeffs``, exact evaluation);
 * float -- any other input; each scalar is stored as a ``complex``;
 * batched float -- a numpy (S,) array coefficient is stored unchanged,
   making the polynomial a batch of S float polynomials.
@@ -54,12 +54,10 @@ def is_exact(values) -> bool:
     return all(isinstance(v, EXACT) for v in values)
 
 
-def _ratio_json(f: Fraction):
-    return [str(f.numerator), str(f.denominator)]
-
-
-def _ratio(num: str, den: str) -> Fraction:
-    return Fraction(int(num), int(den))
+def _ratio_json(num: int, den: int):
+    """[numerator, denominator] of num / den in lowest terms, as strings."""
+    g = math.gcd(num, den)
+    return [str(num // g), str(den // g)]
 
 
 def _stored(*fields):
@@ -314,10 +312,15 @@ class Polynomial:
     def monic(self):
         if self.is_zero:
             return self
-        lead = self.leading()
-        if self.exact:
-            return self.scale(1 / lead)
-        return Polynomial([c / lead for c in self.floats])
+        if not self.exact:
+            return Polynomial([c / self.floats[-1] for c in self.floats])
+        # c_k / c_d = (re_k + i im_k)(lr - i li) / (lr**2 + li**2): den cancels
+        lr, li = self.re[-1], self.im[-1] if self.im else 0
+        if not li:
+            return _canonical(lr, self.re, self.im)
+        pairs = list(zip(self.re, self.im))
+        re, im = [x * lr + y * li for x, y in pairs], [y * lr - x * li for x, y in pairs]
+        return _canonical(lr * lr + li * li, re, im)
 
     def divmod(self, other):
         """Long division; exact polynomials only (field coefficients)."""
@@ -381,25 +384,30 @@ class Polynomial:
             return self
         d, im = self.den, self.im or itertools.repeat(0)
         try:
-            return Polynomial([complex(r / d, i / d) for r, i in zip(self.re, im)])
+            floats = [complex(r / d, i / d) for r, i in zip(self.re, im)]
         except OverflowError as exc:
             raise ValidationError("an exact coefficient is past the float range") from exc
+        while floats and not floats[-1]:  # the top ones fell below the float range
+            floats.pop()
+        return _stored(None, None, None, tuple(floats)) if floats else Polynomial.zero()
 
     def to_json(self):
         if not self.exact:
             return {"exact": False, "coeffs": [[c.real, c.imag] for c in self.floats]}
-        coeffs = [
-            _ratio_json(c.re) if c.is_real else [_ratio_json(c.re), _ratio_json(c.im)]
-            for c in self.coeffs
-        ]
-        return {"exact": True, "coeffs": coeffs}
+        d, coeffs = self.den, zip(self.re, self.im or itertools.repeat(0))
+        ratios = [[_ratio_json(r, d), _ratio_json(i, d)] if i else _ratio_json(r, d) for r, i in coeffs]
+        return {"exact": True, "coeffs": ratios}
 
     @staticmethod
     def from_json(doc):
         if not doc["exact"]:
             return Polynomial([complex(re, im) for re, im in doc["coeffs"]])
-        pairs = (c if isinstance(c[0], list) else (c, ("0", "1")) for c in doc["coeffs"])
-        return Polynomial([GaussianRational(_ratio(*re), _ratio(*im)) for re, im in pairs])
+        # re0, im0, re1, ... over their lcm (a zero den raises ZeroDivisionError)
+        pairs = [c if isinstance(c[0], list) else (c, ("0", "1")) for c in doc["coeffs"]]
+        ratios = [(int(n), int(d)) for pair in pairs for n, d in pair]
+        den = math.lcm(*(d for _, d in ratios))
+        nums = [n * (den // d) for n, d in ratios]
+        return _canonical(den, nums[::2], nums[1::2])
 
     def dumps(self):
         return json.dumps(self.to_json())
@@ -683,33 +691,29 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return a.monic().shift(min(vp, vq))
 
 
-def cluster_points(points, tol):
-    """Single-linkage clustering of complex points at absolute threshold tol.
-
-    Returns a list of lists of indices.
-    """
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    near = np.triu(pair_matrix(points, _distance, diagonal=np.inf) <= tol)
-    for i, j in zip(*np.nonzero(near)):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+def _components(near):
+    """The connected components of the symmetric boolean matrix ``near``
+    (diagonal True), in order of their smallest index, each ascending.  A
+    label falls to its neighbours' smallest and then to its label's label;
+    labels stay in their component, so they settle at its smallest index."""
+    n = len(near)
+    labels = np.arange(n)
+    while True:
+        new = np.where(near, labels, n).min(axis=1, initial=n)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
     return list(groups.values())
 
 
-def _partition_signature(groups):
-    return sorted(tuple(sorted(g)) for g in groups)
+def cluster_points(points, tol):
+    """Single-linkage clusters of complex points at absolute threshold tol,
+    as lists of indices, in order of their smallest index."""
+    return _components(pair_matrix(points, _distance) <= tol)
 
 
 def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = CLUSTER_TOL):
@@ -737,34 +741,22 @@ def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = CLUSTER_TOL):
     qroots = list(find_roots(q)) if q.degree >= 1 else []
     pts = proots + qroots
     if not pts:
-        inventory = []
-        return (p.monic(), q.monic(), inventory)
+        return (p.monic(), q.monic(), [])
     scale = max(abs(z) for z in pts)
-    tol_hi = ctol * scale
-    tol_lo = (ctol / 10.0) * scale
-    groups_hi = cluster_points(pts, tol_hi)
-    groups_lo = cluster_points(pts, tol_lo)
-    if _partition_signature(groups_hi) != _partition_signature(groups_lo):
+    dist = pair_matrix(pts, _distance)
+    groups = _components(dist <= ctol * scale)
+    if groups != _components(dist <= (ctol / 10.0) * scale):
         raise ClusterAmbiguity(
             f"root clusters overlap between {ctol/10:g} and {ctol:g} relative"
         )
 
-    np_roots = len(proots)
-    inventory = []
-    pbar_roots, qbar_roots = [], []
-    for grp in groups_hi:
-        mult_p = sum(1 for i in grp if i < np_roots)
-        mult_q = len(grp) - mult_p
-        center = sum(pts[i] for i in grp) / len(grp)
-        net = mult_p - mult_q
-        if net != 0:
-            inventory.append((center, net))
-        if net > 0:
-            pbar_roots.extend([center] * net)
-        elif net < 0:
-            qbar_roots.extend([center] * (-net))
-    inventory.sort(key=lambda t: (round(t[0].real, 10), round(t[0].imag, 10)))
+    sites = []  # (centroid, net charge) of each charged cluster, in cluster order
+    for grp in groups:
+        net = sum(1 if i < len(proots) else -1 for i in grp)
+        if net:
+            sites.append((sum(pts[i] for i in grp) / len(grp), net))
     if pbar is None:
-        pbar = from_roots(pbar_roots)
-        qbar = from_roots(qbar_roots)
+        pbar = from_roots([z for z, net in sites for _ in range(net)])
+        qbar = from_roots([z for z, net in sites for _ in range(-net)])
+    inventory = sorted(sites, key=lambda t: (round(t[0].real, 10), round(t[0].imag, 10)))
     return (pbar, qbar, inventory)

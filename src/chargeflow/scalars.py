@@ -45,10 +45,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 

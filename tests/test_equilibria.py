@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeflow import _trig, equilibria
 from chargeflow.equilibria import (
@@ -21,6 +23,7 @@ from chargeflow.equilibria import (
 from chargeflow.errors import BadK, CertificationFailure, ValidationError
 from chargeflow.operators import eigenpoly, lambda_poly, polylinear_H
 from chargeflow.polynomials import Polynomial, hermite
+from chargeflow.scalars import GaussianRational
 
 
 def proportional(p: Polynomial, q: Polynomial) -> bool:
@@ -334,12 +337,12 @@ def test_cylinder_fourier_residual_matches_xy_oracle(q_mode, m):
         # sin(freq phi + t_j): a term's frequency is s . indices
         freq, j = q_mode
         assert indices[j] == freq
-        wq = {
-            tuple(s[0] if i == j else 0 for i in range(len(indices))): a
-            for s, a in _trig.trig_wronskian([freq], 1).items()
-        }
+        single = _trig.trig_wronskian([freq], 1)
+        wq = single._replace(
+            amps={tuple(s[0] if i == j else 0 for i in range(len(indices))): a for s, a in single.amps.items()}
+        )
     resid = _trig.laplace_residual(wp, wq, indices, n, m)
-    assert (not resid) == (q_mode is None)
+    assert (not resid.amps) == (q_mode is None)
     amps = _trig.substitute(resid, indices, n + m - 2, ts).floats  # w**j: frequency 2j - (n+m-2)
 
     X, Y = sp.symbols("X Y", real=True)
@@ -371,15 +374,70 @@ def test_trig_wronskian_closed_form_matches_sympy(indices):
 
     k = len(indices)
     terms = _trig.trig_wronskian(indices, k)
-    assert len(terms) == 2**k and all(terms.values())
+    assert len(terms.amps) == 2**k and all(type(a) is int and a for a in terms.amps.values())
     phi = sp.Symbol("phi", real=True)
     ts = sp.symbols(f"t0:{k}", real=True)
     expected = sp.wronskian([sp.sin(i * phi + t) for i, t in zip(indices, ts)], phi)
+    unit = sp.Rational(1, 2**terms.e) * sp.I**terms.r
     closed = sum(
-        (a.re + sp.I * a.im) * sp.exp(sp.I * sum(x * (i * phi + t) for x, i, t in zip(s, indices, ts)))
-        for s, a in terms.items()
+        unit * a * sp.exp(sp.I * sum(x * (i * phi + t) for x, i, t in zip(s, indices, ts)))
+        for s, a in terms.amps.items()
     )
     assert sp.expand(sp.expand(expected.rewrite(sp.exp)) - sp.expand(closed)) == 0
+
+
+def _i_times(j, c):
+    """i**j c as a GaussianRational, for a rational c."""
+    return GaussianRational(*((c, 0), (0, c), (-c, 0), (0, -c))[j % 4])
+
+
+def _gaussian_amps(terms):
+    """Each amplitude as the exact GaussianRational a 2**-e i**r."""
+    return {s: _i_times(terms.r, Fraction(a, 2**terms.e)) for s, a in terms.amps.items()}
+
+
+def _xy_oracle(terms, indices, n, ts):
+    """xy_coeffs with every term an exact GaussianRational, rounded once."""
+    out = [0j] * (n + 1)
+    for s, amp in _gaussian_amps(terms).items():
+        f, unit = _trig._freq(s, indices), _trig._phase(s, ts)
+        a, b = (n + f) // 2, (n - f) // 2
+        for j in range(n + 1):
+            c = sum((-1) ** (j - l) * math.comb(a, l) * math.comb(b, j - l) for l in range(j + 1))
+            if c:
+                out[j] += (amp * _i_times(j, c)).to_complex() * unit
+    return out
+
+
+def _substitute_oracle(terms, indices, total, ts):
+    coeffs = [0j] * (total + 1)
+    for s, amp in _gaussian_amps(terms).items():
+        coeffs[(_trig._freq(s, indices) + total) // 2] += amp.to_complex() * _trig._phase(s, ts)
+    return Polynomial(coeffs)
+
+
+def _bits(values):
+    return [(c.real.hex(), c.imag.hex()) for c in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    indices=st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_trig_floats_match_gaussian_rational_oracle(indices, data):
+    """xy_coeffs and substitute round each exact term a 2**-e i**r once and
+    keep the +0.0 zero part, bit for bit as the GaussianRational terms
+    did; for the two Wronskians and a nonzero residual (wrong m)."""
+    k = len(indices)
+    ts = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=k, max_size=k))
+    wp, wq = _trig.trig_wronskian(indices, k), _trig.trig_wronskian(indices[:-1], k)
+    n, m = sum(indices), sum(indices[:-1])
+    resid = _trig.laplace_residual(wp, wq, indices, n, m + 2)
+    for terms, total in ((wp, n), (wq, m), (resid, n + m)):
+        assert _bits(_trig.xy_coeffs(terms, indices, total, ts)) == _bits(_xy_oracle(terms, indices, total, ts))
+        got, want = _trig.substitute(terms, indices, total, ts), _substitute_oracle(terms, indices, total, ts)
+        assert _bits(got.floats) == _bits(want.floats)
 
 
 # -- inventory / charge counting ---------------------------------------------------

@@ -15,13 +15,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chargeflow
-from chargeflow import cli
+from chargeflow import cli, equilibria
 from chargeflow.equilibria import EquilibriumCertificate, certify
 from chargeflow.errors import CertificationFailure
+from chargeflow.polynomials import CLUSTER_TOL
 
 DATA = pathlib.Path(__file__).parent / "data" / "certs"
 
@@ -104,6 +108,105 @@ def test_every_golden_with_one_tampered_field_fails_certify(tamper):
         with pytest.raises(CertificationFailure):
             certify(EquilibriumCertificate.from_json(doc))
 
+
+
+def _golden(name):
+    return json.loads((DATA / name / "certificate.json").read_text())
+
+
+def _fields(doc, path=()):
+    """(path, value) of every scalar field: a number, a string, a flag, or
+    a rational [numerator, denominator] pair of strings.  The ``exact``
+    tags are format, not values: they choose how ``from_json`` parses a
+    coefficient list."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key != "exact":
+                yield from _fields(value, path + (key,))
+    elif isinstance(doc, list) and not (len(doc) == 2 and all(isinstance(x, str) for x in doc)):
+        for i, value in enumerate(doc):
+            yield from _fields(value, path + (i,))
+    else:
+        yield path, doc
+
+
+def _tolerance(doc, path):
+    """How far certify lets this field move: positions within the
+    clustering tolerance of the largest inventory modulus, and a float
+    ``reduced`` coefficient within it of its polynomial's largest one."""
+    if path[0] == "inventory":
+        return CLUSTER_TOL * max(math.hypot(*e["position"]) for e in doc["inventory"])
+    if path[0] == "reduced" and not doc["reduced"][path[1]]["exact"]:
+        return CLUSTER_TOL * max(math.hypot(*c) for c in doc["reduced"][path[1]]["coeffs"])
+    return 0.0
+
+
+def _other_rational(value):
+    return st.fractions(-20, 20, max_denominator=9).filter(lambda f: f != value)
+
+
+def _mutation(doc, path, value):
+    """A strategy for a different value of the field at ``path``."""
+    if isinstance(value, bool):
+        return st.just(not value)
+    if isinstance(value, int):
+        return st.integers(-3, 3).filter(bool).map(lambda d: value + d)
+    if isinstance(value, float):
+        if path[:2] == ("params", "ts"):  # a phase moved by less is the same float pair
+            return st.floats(1e-3, 3.0).flatmap(lambda d: st.sampled_from([value - d, value + d]))
+        tol = _tolerance(doc, path)
+        moves = st.floats(2 * tol, max(1.0, 4 * tol)).flatmap(lambda d: st.sampled_from([value - d, value + d]))
+        anywhere = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([math.nextafter(value, math.inf), math.nextafter(value, -math.inf)]),
+        )
+        return (moves if tol else st.one_of(moves, anywhere)).filter(lambda x: abs(x - value) > tol)
+    if isinstance(value, list):  # a rational [numerator, denominator]
+        old = Fraction(int(value[0]), int(value[1]))
+        return _other_rational(old).map(lambda f: [str(f.numerator), str(f.denominator)])
+    try:
+        old = Fraction(value)
+    except ValueError:
+        names = ["hermite_wronskian", "laguerre_wronskian", "monomial_wronskian", "adler_moser",
+                 "cylinder_wronskian", "hermite"]
+        return st.one_of(st.sampled_from(names), st.text(max_size=12)).filter(lambda x: x != value)
+    return _other_rational(old).map(str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CASES)), data=st.data())
+def test_golden_with_one_field_mutated_fails_certify(name, data):
+    """Any single scalar field of a golden set to another value fails
+    certify, except where certify tolerates a change by design, which the
+    search does not draw:
+
+    * inventory positions within ``CLUSTER_TOL`` of the largest inventory
+      modulus (numeric roots may differ in the last bits between builds);
+    * a float (cylinder) ``reduced`` coefficient within ``CLUSTER_TOL`` of
+      its polynomial's largest coefficient (built from those roots);
+    * ``notes.gradient_max``, which certify recomputes and overwrites.
+
+    A moved recipe parameter may leave the pair as it was: the last
+    Adler-Moser parameter at even k adds a multiple of psi_1 = z to
+    psi_{k+1}, which no Wronskian sees.  The document is then a correct
+    certificate of its new params, which certify must accept: it must
+    equal their rebuild.  A cylinder phase moves by at least 1e-3, as a
+    smaller move may round to the same float pair."""
+    doc = _golden(name)
+    fields = [(path, value) for path, value in _fields(doc) if path != ("notes", "gradient_max")]
+    path, value = data.draw(st.sampled_from(fields))
+    new = data.draw(_mutation(doc, path, value))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    try:
+        cert = certify(EquilibriumCertificate.from_json(doc))
+    except CertificationFailure:
+        return
+    assert path[0] == "params", path
+    rebuilt = equilibria.check_built(equilibria._RECIPES[cert.recipe](**cert.params))
+    assert json.loads(json.dumps(rebuilt.to_json())) == doc
 
 
 @pytest.mark.parametrize("name", CYLINDERS)

@@ -13,6 +13,7 @@ from chargeflow.polynomials import (
     _GCD_PRIME,
     Polynomial,
     _convolve,
+    _distance,
     _coprime_mod_prime,
     _horner_rows,
     _inverse,
@@ -382,6 +383,94 @@ def test_cluster_points_threshold_inclusive():
     assert cluster_points(pts, 1.0) == [[0, 1, 2], [3]]
     assert cluster_points(pts, 0.999) == [[0], [1], [2], [3]]
     assert cluster_points([2 + 0j, 5 + 0j, 0j, 3 + 0j], 1.0) == [[0, 3], [1], [2]]
+
+
+def _union_find_clusters(points, tol):
+    """The union-find that ``cluster_points`` used to run: path halving
+    over the near pairs of ``pair_matrix`` in row-major order, groups in
+    order of their first index."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    near = np.triu(pair_matrix(points, _distance, diagonal=np.inf) <= tol)
+    for i, j in zip(*np.nonzero(near)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+_coordinate = st.floats(-50.0, 50.0, allow_nan=False)
+_center = st.builds(complex, _coordinate, _coordinate)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    centers=st.lists(_center, min_size=1, max_size=5),
+    stack=st.integers(30, 40),
+    offsets=st.lists(st.tuples(st.integers(0, 4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)), max_size=40),
+    data=st.data(),
+)
+def test_cluster_points_planted_clusters_match_union_find(centers, stack, offsets, data):
+    """Clusters planted around a few centers, one of them a stack of 30 or
+    more identical points (a monomial pair's roots at 0)."""
+    scale = max(1.0, max(abs(c) for c in centers))
+    tol = 1e-8 * scale
+    pts = [centers[0]] * stack + [centers[i % len(centers)] + complex(x, y) * tol for i, x, y in offsets]
+    pts = data.draw(st.permutations(pts))
+    for t in (tol, tol / 10, 0.0):
+        assert cluster_points(pts, t) == _union_find_clusters(pts, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    start=_center,
+    angle=st.floats(0.0, 2 * math.pi),
+    steps=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=25),
+    data=st.data(),
+)
+def test_cluster_points_transitive_chains_match_union_find(start, angle, steps, data):
+    """Chains whose ends are far apart and link only through their
+    neighbours, in shuffled order (min-label propagation needs several
+    rounds there)."""
+    tol = 1e-3
+    direction = complex(math.cos(angle), math.sin(angle))
+    pts = [start + direction * tol * sum(steps[:i]) for i in range(len(steps) + 1)]
+    pts = data.draw(st.permutations(pts + [start + 10 * tol * direction * (len(steps) + 1)]))
+    for t in (tol, 0.75 * tol, 0.5 * tol):
+        assert cluster_points(pts, t) == _union_find_clusters(pts, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    centers=st.lists(_center, min_size=1, max_size=6),
+    gaps=st.lists(st.floats(1e-9, 1e-8), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_cluster_points_gray_zone_gaps_match_union_find(centers, gaps, data):
+    """Gaps between 1e-9 and 1e-8 of the scale: the two tolerances of
+    ``reduce_pair`` disagree there, and both must group as before."""
+    scale = max(1.0, max(abs(c) for c in centers))
+    pts = list(centers) + [centers[i % len(centers)] + g * scale for i, g in enumerate(gaps)]
+    pts = data.draw(st.permutations(pts))
+    for t in (1e-8 * scale, 1e-9 * scale):
+        assert cluster_points(pts, t) == _union_find_clusters(pts, t)
+
+
+def test_reduce_pair_double_exact_root_is_ambiguous():
+    # the float roots of (z - 1/3)**2 split by about 1e-8.5 relative
+    third = P(Fraction(-1, 3), 1)
+    with pytest.raises(ClusterAmbiguity):
+        reduce_pair(third * third * P(2, 1), P(5, 1))
 
 
 def test_json_roundtrip_exact():
