@@ -24,7 +24,6 @@ import numpy as np
 from . import equilibria
 from .conserved import detect_period, has_lax_pair, integrals
 from .dynamics import (
-    FlowKind,
     FlowSpec,
     Trajectory,
     integrate,
@@ -43,7 +42,6 @@ from .errors import (
     ValidationError,
 )
 from .operators import ChargeConfiguration, Species, SystemCoefficients
-from .scalars import to_complex
 from .polynomials import _distance, pair_matrix
 
 __all__ = ["main", "run", "plot_svg", "validate_config"]
@@ -279,41 +277,6 @@ def _build_flow(system: dict) -> FlowSpec:
     return flow
 
 
-def system_to_config(flow: FlowSpec) -> dict:
-    """Serialize a flow back into the config schema's system block."""
-    if flow.kind is FlowKind.ANGULAR:
-        n, m = flow.sizes
-        return {"kind": "angular", "n": n, "m": m}
-    sys = flow.sys
-    if sys.omega is not None:
-        n, m = flow.sizes
-        return {
-            "kind": "rational_omega",
-            "omega": sys.omega,
-            "Lambda": -flow.charges[1],
-            "n": n,
-            "m": m,
-        }
-    doc = {
-        "kind": sys.mode,
-        "P": [[c.real, c.imag] for c in flow.P.coeffs],
-        "U": [[c.real, c.imag] for c in flow.U.coeffs],
-    }
-    if sys.lam is not None:
-        lam = to_complex(sys.lam)
-        doc["lambda"] = [lam.real, lam.imag]
-    if sys.mode == "linear":
-        doc["n"] = flow.sizes[0]
-    elif sys.mode == "bilinear" and flow.charges[0] == 1.0:  # charges {+1, -Lambda}
-        doc["Lambda"] = -flow.charges[1]
-        doc["n"], doc["m"] = flow.sizes
-    else:
-        doc["kind"] = "polylinear"
-        doc["charges"] = list(flow.charges)
-        doc["sizes"] = list(flow.sizes)
-    return doc
-
-
 _DRAW_ATTEMPTS = 1000
 # attempts per block: at most 32, and at most about 2^15 pairs in all, so
 # the (block, N, N) distance arrays stay small at any N
@@ -431,9 +394,13 @@ def conserved_report(times: np.ndarray, traces, period_info=None) -> dict:
     return doc
 
 
-def plot_svg(traj: Trajectory, width: int = 640, height: int = 640) -> str:
-    """One polyline per particle in its own (Re, Im) plane; the second
-    species is drawn as a gray solid curve, further species dashed."""
+_SVG_SIZE = 640
+
+
+def plot_svg(traj: Trajectory) -> str:
+    """One polyline per particle in its own (Re, Im) plane, on a square
+    canvas of ``_SVG_SIZE`` pixels; the second species is drawn as a gray
+    solid curve, further species dashed."""
     Z = traj.positions
     all_re = Z.real.ravel()
     all_im = Z.imag.ravel()
@@ -445,10 +412,10 @@ def plot_svg(traj: Trajectory, width: int = 640, height: int = 640) -> str:
     span += 2 * pad
 
     def sx(v):
-        return (v - lo_x) / span * (width - 20) + 10
+        return (v - lo_x) / span * (_SVG_SIZE - 20) + 10
 
     def sy(v):
-        return height - ((v - lo_y) / span * (height - 20) + 10)
+        return _SVG_SIZE - ((v - lo_y) / span * (_SVG_SIZE - 20) + 10)
 
     styles = [
         'stroke="black" fill="none" stroke-width="1.2"',
@@ -456,8 +423,8 @@ def plot_svg(traj: Trajectory, width: int = 640, height: int = 640) -> str:
         'stroke="black" fill="none" stroke-width="1.0" stroke-dasharray="4 3"',
     ]
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+        f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">'
     ]
     col = 0
     for s_idx, size in enumerate(traj.flow.sizes):
@@ -614,7 +581,7 @@ def _run_identities(doc: dict) -> int:
         i1_offset = lambda n: 0.0
         i2_offset = lambda n, m: 0.0
     else:
-        phi = lambda x: 1.0 / math.tanh(x)
+        phi = lambda x: 1.0 / np.tanh(x)
         # the pair product identity holds with constant -1, which shifts
         # the sums by per-triple counts
         i1_offset = lambda n: 2.0 * (n * (n - 1) * (n - 2) // 6)
@@ -623,8 +590,8 @@ def _run_identities(doc: dict) -> int:
     for _ in range(trials):
         n = int(rng.integers(2, nmax + 1))
         m = int(rng.integers(1, mmax + 1))
-        xs = list(rng.normal(size=n) * 1.5)
-        ys = list(rng.normal(size=m) * 1.5 + 4.0)
+        xs = rng.normal(size=n) * 1.5
+        ys = rng.normal(size=m) * 1.5 + 4.0
         i1, pair = phi_identity_i1(xs, phi)
         i2 = phi_identity_i2(xs, ys, phi)
         worst_i1 = max(worst_i1, abs(i1 - pair - i1_offset(n)))

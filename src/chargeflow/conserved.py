@@ -105,18 +105,9 @@ def hamiltonians(
         lam_val = -complex(sys.charges[1]) / complex(sys.charges[0])
         if abs(lam_val - 1.0) < 1e-12:
             n = len(state.species[0].positions)
-
-            def split_part(part, sign):
-                zz, vv, pp = z[part], v[part], pz[part]
-                upm = U(zz) + sign * dP(zz) / 2.0
-                kin = np.sum(vv * vv / (2.0 * pp))
-                pot = np.sum(0.5 * upm * upm / pp) + 2.0 * np.sum(_field_pairs(zz, pp))
-                return complex(kin), complex(pot)
-
-            kx, vx = split_part(slice(None, n), +1.0)
-            ky, vy = split_part(slice(n, None), -1.0)
-            h_plus = kx - vx
-            h_minus = -ky + vy
+            (vx, vy), (px, py) = np.split(v, [n]), np.split(pz, [n])
+            h_plus = complex(np.sum(vx * vx / (2.0 * px))) - split_potential(z[:n], sys, +1.0)
+            h_minus = -complex(np.sum(vy * vy / (2.0 * py))) + split_potential(z[n:], sys, -1.0)
     return HamiltonianValues(h_plus, h_minus, h_total)
 
 

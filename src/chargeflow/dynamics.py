@@ -700,50 +700,28 @@ def reduced_velocity_residual(flow: FlowSpec, z: np.ndarray) -> float:
 # -- functional-identity sums -------------------------------------------------
 
 
-def phi_identity_i1(xs: Sequence[float], phi: Callable[[float], float]) -> Tuple[float, float]:
+def phi_identity_i1(xs: Sequence[float], phi: Callable[[np.ndarray], np.ndarray]) -> Tuple[float, float]:
     """Triple sum sum_n sum_{i != n} sum_{j != n} phi(x_n - x_i) phi(x_n - x_j)
-    and the pair comparison 2 sum_{i<j} phi(x_i - x_j)^2."""
-    n = len(xs)
-    total = 0.0
-    for c in range(n):
-        acc = 0.0
-        for i in range(n):
-            if i != c:
-                acc += phi(xs[c] - xs[i])
-        total += acc * acc  # (sum phi)^2 = sum_i sum_j phi phi including i=j
-    pair = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair += phi(xs[i] - xs[j]) ** 2
-    return total, 2.0 * pair
+    and the pair comparison 2 sum_{i<j} phi(x_i - x_j)^2, from the pair
+    matrix M_ij = phi(x_i - x_j); phi acts elementwise on a float array."""
+    M = pair_matrix(xs, lambda d: phi(d.real))
+    return float(np.sum(M.sum(axis=1) ** 2)), float(2.0 * np.sum(np.triu(M * M, 1)))
 
 
 def phi_identity_i2(
-    xs: Sequence[float], ys: Sequence[float], phi: Callable[[float], float]
+    xs: Sequence[float], ys: Sequence[float], phi: Callable[[np.ndarray], np.ndarray]
 ) -> float:
-    """The mixed two-species triple-sum combination that the pairwise
-    functional equation forces to vanish."""
-    N, M = len(xs), len(ys)
-    t1 = 0.0
-    for m in range(M):
-        for i in range(N):
-            for j in range(N):
-                if j != i:
-                    t1 += phi(xs[j] - ys[m]) * phi(xs[i] - xs[j])
-    t2 = 0.0
-    for m in range(N):
-        for i in range(M):
-            for j in range(M):
-                if j != i:
-                    t2 += phi(ys[j] - xs[m]) * phi(ys[i] - ys[j])
-    t3 = 0.0
-    for m in range(N):
-        for i in range(N):
-            for j in range(M):
-                t3 += phi(ys[j] - xs[m]) * phi(xs[i] - ys[j])
-    t4 = 0.0
-    for m in range(M):
-        for i in range(M):
-            for j in range(N):
-                t4 += phi(xs[j] - ys[m]) * phi(ys[i] - xs[j])
-    return 2.0 * t1 - 2.0 * t2 + t3 - t4
+    """The mixed two-species triple-sum combination 2 T1 - 2 T2 + T3 - T4
+    that the pairwise functional equation forces to vanish, with
+    T1 = sum_m sum_{i != j} phi(x_j - y_m) phi(x_i - x_j) and T3 =
+    sum_{m, i, j} phi(y_j - x_m) phi(x_i - y_j), and T2, T4 the same with
+    the species swapped.  Each term is the row sums of one block of the
+    pair matrix of the joined points dotted with the column sums of
+    another."""
+    n = len(xs)
+    M = pair_matrix(np.concatenate([xs, ys]), lambda d: phi(d.real))
+    XX, XY, YX, YY = M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+    a, b = XY.sum(axis=1), YX.sum(axis=1)
+    t1, t2 = a @ XX.sum(axis=0), b @ YY.sum(axis=0)
+    t3, t4 = b @ XY.sum(axis=0), a @ YX.sum(axis=0)
+    return float(2.0 * t1 - 2.0 * t2 + t3 - t4)

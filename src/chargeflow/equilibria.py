@@ -54,6 +54,14 @@ __all__ = [
 
 GRADIENT_TOL = 1e-8
 
+# the keys ``to_json`` writes, in the order ``certify`` compares them
+_DOC_KEYS = (
+    "P", "U", "lambda", "degrees", "p", "q", "residual_exact_zero", "residual_norm",
+    "bivariate", "notes", "reduced", "inventory", "recipe", "params",
+)
+# what a malformed document or recipe parameter raises
+_MALFORMED = (ChargeflowError, LookupError, TypeError, ValueError, ArithmeticError)
+
 
 @dataclass
 class EquilibriumCertificate:
@@ -102,35 +110,37 @@ class EquilibriumCertificate:
 
     @staticmethod
     def from_json(doc):
-        p = Polynomial.from_json(doc["p"])
-        q = Polynomial.from_json(doc["q"])
-        P = Polynomial.from_json(doc["P"])
-        U = Polynomial.from_json(doc["U"])
-        sys = SystemCoefficients.bilinear(P, U, Lambda=1)
-        lam = _scalar_from_json(doc["lambda"])
-        cert = EquilibriumCertificate(
-            recipe=doc["recipe"],
-            params=doc["params"],
-            p=p,
-            q=q,
-            degrees=tuple(doc["degrees"]),
-            sys=sys,
-            lam=lam,
-            residual_exact_zero=doc["residual_exact_zero"],
-            residual_norm=doc["residual_norm"],
-            bivariate=doc.get("bivariate"),
-            notes=doc.get("notes", {}),
-        )
-        if "reduced" in doc:
-            cert.reduced = (
-                Polynomial.from_json(doc["reduced"][0]),
-                Polynomial.from_json(doc["reduced"][1]),
+        """The certificate of a ``to_json`` document; raises
+        CertificationFailure where ``to_json`` could not have written it:
+        a missing or malformed value, or a key it never writes."""
+        try:
+            unknown = set(doc) - set(_DOC_KEYS)
+            if unknown:
+                raise KeyError(f"unknown keys {sorted(unknown)}")
+            cert = EquilibriumCertificate(
+                recipe=doc["recipe"],
+                params=doc["params"],
+                p=Polynomial.from_json(doc["p"]),
+                q=Polynomial.from_json(doc["q"]),
+                degrees=tuple(doc["degrees"]),
+                # to_json writes no charge ratio: certify rejects a U or
+                # lambda that implies another one than the rebuild's
+                sys=SystemCoefficients.bilinear(
+                    Polynomial.from_json(doc["P"]), Polynomial.from_json(doc["U"]), Lambda=1
+                ),
+                lam=_scalar_from_json(doc["lambda"]),
+                inventory=[(_point(e["position"]), e["net_charge"]) for e in doc["inventory"]],
+                residual_exact_zero=doc["residual_exact_zero"],
+                residual_norm=doc["residual_norm"],
+                bivariate=doc.get("bivariate"),
+                notes={**doc["notes"]},
             )
-        cert.inventory = [
-            (complex(e["position"][0], e["position"][1]), e["net_charge"])
-            for e in doc.get("inventory", [])
-        ]
-        return cert
+            if "reduced" in doc:
+                p_bar, q_bar = doc["reduced"]
+                cert.reduced = (Polynomial.from_json(p_bar), Polynomial.from_json(q_bar))
+            return cert
+        except _MALFORMED as exc:
+            raise CertificationFailure(f"malformed certificate document: {exc!r}") from exc
 
 
 def _jsonify(obj):
@@ -155,9 +165,14 @@ def _scalar_json(value):
     return {"float": [value.real, value.imag]}
 
 
+def _point(pair) -> complex:
+    re, im = pair  # exactly two parts
+    return complex(re, im)
+
+
 def _scalar_from_json(doc):
     if "float" in doc:
-        return complex(*doc["float"])
+        return _point(doc["float"])
     return GaussianRational(*(Fraction(*map(int, doc[part])) for part in ("re", "im")))
 
 
@@ -309,9 +324,10 @@ def adler_moser(k: int, ts: Sequence = ()) -> EquilibriumCertificate:
     built from psi_0 = 1, psi_1 = z, psi_j'' = psi_{j-1}.
 
     Each double integration fixes both new constants to zero and then adds
-    ts[j-2] times the kernel monomial (1 for even j, z for odd j), so the
-    chain carries exactly k free parameters for the pair (the z-shift
-    symmetry is not a separate parameter).
+    ts[j-2] times the kernel monomial (1 for even j, z for odd j).  At odd
+    k every parameter moves the pair.  At even k the last one adds a
+    multiple of psi_1 = z to psi_{k+1}, which no Wronskian sees, so the
+    pair depends on the first k - 1 only.
     """
     if k < 0:
         raise ValidationError("k must be >= 0")
@@ -407,19 +423,19 @@ _RECIPES = {
 def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     """Rebuild the certificate from its recipe params and redo the float
     gradient cross-check; raises CertificationFailure if the rebuilt
-    residual is not exactly zero, if the gradient is too large, or if a
-    stored field differs from the rebuild.  Returns ``cert`` with the
-    recomputed ``notes["gradient_max"]``."""
+    residual is not exactly zero, if the gradient is too large, or if the
+    stored document differs from the rebuild's (``_same_field``).  Returns
+    ``cert`` with the recomputed ``notes["gradient_max"]``."""
     try:
         fresh = check_built(_RECIPES[cert.recipe](**cert.params))
     except CertificationFailure:
         raise
-    except (ChargeflowError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+    except _MALFORMED as exc:
         raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
     # a planar pair that differs from the rebuild: name the offending
     # coefficient when it is no equilibrium at all (cylinder pairs are
     # float shadows, and a float field in a planar document has no exact
-    # residual; the field comparison below rejects both)
+    # residual; the document comparison below rejects both)
     exact_pair = cert.sys.exact and cert.p.exact and cert.q.exact and is_exact((cert.lam,))
     if exact_pair and (cert.p, cert.q) != (fresh.p, fresh.q):
         exact_zero, norm, idx = _exact_residual(cert.sys, cert.p, cert.q, cert.lam)
@@ -427,13 +443,37 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
             raise CertificationFailure(
                 f"bilinear residual nonzero (norm {norm:.3e})", coefficient_index=idx
             )
-    _check_stored(_stored_fields(cert), _stored_fields(fresh), "recipe params")
-    if not _same_reduced(cert.reduced, fresh.reduced):
-        raise CertificationFailure("stored 'reduced' does not match the recipe params")
-    if not _same_inventory(cert.inventory, fresh.inventory):
-        raise CertificationFailure("stored 'inventory' does not match the recipe params")
+    stored, rebuilt = cert.to_json(), fresh.to_json()
+    for doc in (stored, rebuilt):
+        doc["notes"].pop("gradient_max", None)  # recomputed, not stored
+    for key in dict.fromkeys([*_DOC_KEYS, *stored, *rebuilt]):
+        if not _same_field(key, stored.get(key), rebuilt.get(key)):
+            raise CertificationFailure(f"stored {key!r} does not match the recipe params")
     cert.notes["gradient_max"] = fresh.notes["gradient_max"]
     return cert
+
+
+def _same_field(key, stored, fresh) -> bool:
+    """Whether a field of the stored document equals the rebuild's.
+    Numeric roots may differ in the last bits between numpy builds, so the
+    fields built from them are compared within reduce_pair's cluster
+    tolerance: inventory positions (their charges exactly), and a float
+    (cylinder) reduced pair coefficient by coefficient."""
+    if key == "inventory":
+        charges = [[e["net_charge"] for e in doc] for doc in (stored, fresh)]
+        positions = [[e["position"] for e in doc] for doc in (stored, fresh)]
+        return charges[0] == charges[1] and _close(*positions)
+    if key == "reduced" and stored is not None and not any(poly["exact"] for poly in (*stored, *fresh)):
+        return all(_close(s["coeffs"], f["coeffs"]) for s, f in zip(stored, fresh))
+    return stored == fresh
+
+
+def _close(stored, fresh) -> bool:
+    """Equally many [re, im] points, each stored one at most CLUSTER_TOL
+    times the largest fresh modulus away from its fresh counterpart."""
+    stored, fresh = [complex(*z) for z in stored], [complex(*z) for z in fresh]
+    tol = CLUSTER_TOL * max((abs(z) for z in fresh), default=0.0)
+    return len(stored) == len(fresh) and all(abs(s - f) <= tol for s, f in zip(stored, fresh))
 
 
 def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
@@ -474,45 +514,6 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
                 )
     cert.notes["gradient_max"] = worst
     return cert
-
-
-def _stored_fields(cert: EquilibriumCertificate) -> dict:
-    """The fields a rebuild must reproduce exactly, in checking order; the
-    notes without the recomputed ``gradient_max``."""
-    names = ("degrees", "p", "q", "residual_exact_zero", "residual_norm", "bivariate")
-    fields = {"P": cert.sys.P, "U": cert.sys.U, "lambda": cert.lam, **{n: getattr(cert, n) for n in names}}
-    fields["notes"] = _jsonify({k: v for k, v in cert.notes.items() if k != "gradient_max"})
-    return fields
-
-
-def _check_stored(stored: dict, recomputed: dict, what: str):
-    """Raise CertificationFailure naming the first stored field that
-    differs from its recomputed value."""
-    for name, value in recomputed.items():
-        if stored[name] != value:
-            raise CertificationFailure(f"stored {name!r} does not match the {what}")
-
-
-def _same_reduced(stored, fresh) -> bool:
-    """Equal exact reduced pairs; a float pair (a cylinder's, built from
-    numeric roots like the inventory) coefficient by coefficient within
-    reduce_pair's cluster tolerance, relative to each polynomial's
-    largest coefficient."""
-    if stored is None or any(poly.exact for poly in (*stored, *fresh)):
-        return stored == fresh
-    return all(
-        s.degree == f.degree
-        and max(abs(a - b) for a, b in zip(s.coeffs, f.coeffs)) <= CLUSTER_TOL * max(abs(c) for c in f.coeffs)
-        for s, f in zip(stored, fresh)
-    )
-
-
-def _same_inventory(stored, fresh) -> bool:
-    """Equal charges, and positions within reduce_pair's cluster tolerance
-    (numeric roots may differ in the last bits between numpy builds)."""
-    tol = CLUSTER_TOL * max((abs(z) for z, _ in fresh), default=0.0)
-    close = (c == cf and abs(z - zf) <= tol for (z, c), (zf, cf) in zip(stored, fresh))
-    return len(stored) == len(fresh) and all(close)
 
 
 def _inventory_gradient(inventory, sys):

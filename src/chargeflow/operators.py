@@ -124,12 +124,6 @@ class SystemCoefficients:
         return self.P.exact and self.U.exact and is_exact(self.charges or ())
 
     @property
-    def mode(self):
-        if self.charges is None:
-            return "linear"
-        return "bilinear" if len(self.charges) == 2 else "polylinear"
-
-    @property
     def Lambda(self):
         """Charge ratio for the two-species case (charges {+1, -Lambda})."""
         if self.charges is None or len(self.charges) != 2:
@@ -193,7 +187,7 @@ def _forced_cubic(sys: SystemCoefficients, n: int):
 def linear_L(sys: SystemCoefficients, n: int, p: Polynomial) -> Polynomial:
     """P p'' + U p' - (n/2) U' p - (n(n-1)/6) P'' p on polynomials of
     degree <= n; the quartic/cubic coefficient coupling is validated."""
-    if sys.mode != "linear":
+    if sys.charges is not None:
         raise ValidationError("linear_L needs a linear-mode system")
     if p.degree > n:
         raise DegreeViolation(f"deg(p)={p.degree} exceeds n={n}")

@@ -221,7 +221,7 @@ def test_criterion_05_cylinder_construction():
 def test_criterion_06_identity_lemma():
     rng = np.random.default_rng(77)
     worst_i1 = worst_i2 = 0.0
-    for name, phi in (("inverse", lambda x: 1.0 / x), ("coth", lambda x: 1.0 / math.tanh(x))):
+    for name, phi in (("inverse", lambda x: 1.0 / x), ("coth", lambda x: 1.0 / np.tanh(x))):
         for _ in range(100):
             n = int(rng.integers(2, 7))
             m = int(rng.integers(1, 7))

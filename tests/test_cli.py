@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from chargeflow import cli
+from chargeflow.dynamics import FlowSpec
 from chargeflow.errors import ValidationError
+from chargeflow.operators import SystemCoefficients
 from chargeflow.polynomials import _distance, pair_matrix
 
 
@@ -268,32 +270,39 @@ def test_cli_config_file_roundtrip(tmp_path):
     assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
-def test_system_config_roundtrip():
-    from chargeflow.cli import system_to_config
-    from chargeflow.dynamics import FlowSpec
-    from chargeflow.operators import SystemCoefficients
+@pytest.mark.parametrize(
+    "block,expected",
+    [
+        ({"kind": "rational_omega", "omega": 1.4, "Lambda": 0.8, "n": 3, "m": 2},
+         FlowSpec.rational_omega(1.4, 0.8, 3, 2)),
+        ({"kind": "angular", "n": 2, "m": 2}, FlowSpec.angular(2, 2)),
+        ({"kind": "bilinear", "P": [1.0, [0.5, 0.0]], "U": [0.2, -1.0], "Lambda": 1.5, "n": 3, "m": 1},
+         FlowSpec.bilinear(SystemCoefficients.bilinear([1.0, 0.5], [0.2, -1.0], Lambda=1.5), 3, 1)),
+        ({"kind": "polylinear", "P": [1.0], "U": [0.0, 1.0], "charges": [1.0, 2.0, -1.0], "sizes": [1, 2, 2]},
+         FlowSpec.polylinear(SystemCoefficients.polylinear([1.0], [0.0, 1.0], [1.0, 2.0, -1.0]), (1, 2, 2))),
+        ({"kind": "linear", "P": [1], "U": [0, -2], "n": 4},
+         FlowSpec.linear(SystemCoefficients.linear([1.0], [0.0, -2.0]), 4)),
+    ],
+    ids=["rational_omega", "angular", "bilinear", "polylinear", "linear"],
+)
+def test_build_flow_of_each_system_kind(block, expected):
+    flow = build_flow(block)
+    assert flow == expected  # kind, sizes and the system's P, U, charges, lambda, omega
+    assert flow.charges == expected.charges
 
-    flows = [
-        FlowSpec.rational_omega(1.4, 0.8, 3, 2),
-        FlowSpec.angular(2, 2),
-        FlowSpec.bilinear(
-            SystemCoefficients.bilinear([1.0, 0.5], [0.2, -1.0], Lambda=1.5), 3, 1
-        ),
-        FlowSpec.polylinear(
-            SystemCoefficients.polylinear([1.0], [0.0, 1.0], [1.0, 2.0, -1.0]),
-            (1, 2, 2),
-        ),
-        FlowSpec.linear(SystemCoefficients.linear([1.0], [0.0, -2.0]), 4),
-    ]
-    for flow in flows:
-        doc = system_to_config(flow)
-        back = build_flow(doc)
-        assert back.kind == flow.kind
-        assert back.sizes == flow.sizes
-        if flow.sys is not None:
-            assert back.sys.P.coeffs == (
-                flow.sys.P.to_float() if flow.sys.P.exact else flow.sys.P
-            ).coeffs
+
+@pytest.mark.parametrize(
+    "block,lam",
+    [
+        ({"kind": "bilinear", "P": [1.0], "U": [0, -2.0], "Lambda": 1.0, "lambda": 3.0, "n": 2, "m": 1}, 3.0),
+        ({"kind": "polylinear", "P": [1.0], "U": [0.0, 1.0], "lambda": [-1.5, 0.5],
+          "charges": [1.0, 2.0, -1.0], "sizes": [1, 2, 2]}, -1.5 + 0.5j),
+    ],
+    ids=["bilinear", "polylinear"],
+)
+def test_build_flow_keeps_lambda(block, lam):
+    assert build_flow(block).sys.lam == lam
+    assert build_flow({**block, "lambda": None}).sys.lam is None
 
 
 def test_jobs_seed_sweep(tmp_path):
@@ -548,26 +557,6 @@ def test_adler_moser_whose_horner_overflows_exits_nonconvergence(tmp_path, capsy
     argv = ["equilibrium", "--recipe", "adler_moser", "--k", "3", "--ts", "1e100,1,1e-300"]
     assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_NONCONVERGENCE
     assert capsys.readouterr().err.startswith("non-convergence: ")
-
-
-def test_system_config_roundtrip_keeps_lambda():
-    from chargeflow.dynamics import FlowSpec
-    from chargeflow.operators import SystemCoefficients
-
-    flows = [
-        FlowSpec.bilinear(
-            SystemCoefficients.bilinear([1.0], [0, -2.0], Lambda=1.0, lam=3.0), 2, 1
-        ),
-        FlowSpec.polylinear(
-            SystemCoefficients.polylinear(
-                [1.0], [0.0, 1.0], [1.0, 2.0, -1.0], lam=-1.5 + 0.5j
-            ),
-            (1, 2, 2),
-        ),
-    ]
-    for flow in flows:
-        back = build_flow(cli.system_to_config(flow))
-        assert back.sys.lam == flow.sys.lam
 
 
 @pytest.mark.parametrize("mode", ["period", "conserved"])

@@ -521,7 +521,7 @@ def test_identity_sums_coth_with_offsets():
     # coth satisfies the pair product equation with constant -1, which
     # shifts I1 by 2 C(n,3) and I2 by n m (m - n)
     rng = np.random.default_rng(8)
-    phi = lambda x: 1.0 / math.tanh(x)
+    phi = lambda x: 1.0 / np.tanh(x)
     for _ in range(20):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 7))
@@ -532,6 +532,74 @@ def test_identity_sums_coth_with_offsets():
         assert abs(i1 - pair - offset1) < 1e-9
         i2 = phi_identity_i2(xs, ys, phi)
         assert abs(i2 - n * m * (m - n)) < 1e-9
+
+
+def _i1_by_loops(xs, phi):
+    """phi_identity_i1 as the scalar loops it replaced: the reference."""
+    n = len(xs)
+    total = 0.0
+    for c in range(n):
+        acc = 0.0
+        for i in range(n):
+            if i != c:
+                acc += phi(xs[c] - xs[i])
+        total += acc * acc
+    pair = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair += phi(xs[i] - xs[j]) ** 2
+    return total, 2.0 * pair
+
+
+def _i2_terms_by_loops(xs, ys, phi):
+    """The four triple sums T1..T4 of phi_identity_i2 = 2 T1 - 2 T2 + T3 - T4
+    as the scalar loops it replaced: the reference."""
+    N, M = len(xs), len(ys)
+    t1 = 0.0
+    for m in range(M):
+        for i in range(N):
+            for j in range(N):
+                if j != i:
+                    t1 += phi(xs[j] - ys[m]) * phi(xs[i] - xs[j])
+    t2 = 0.0
+    for m in range(N):
+        for i in range(M):
+            for j in range(M):
+                if j != i:
+                    t2 += phi(ys[j] - xs[m]) * phi(ys[i] - ys[j])
+    t3 = 0.0
+    for m in range(N):
+        for i in range(N):
+            for j in range(M):
+                t3 += phi(ys[j] - xs[m]) * phi(xs[i] - ys[j])
+    t4 = 0.0
+    for m in range(M):
+        for i in range(M):
+            for j in range(N):
+                t4 += phi(xs[j] - ys[m]) * phi(ys[i] - xs[j])
+    return t1, t2, t3, t4
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [lambda x: 1.0 / x, lambda x: 1.0 / np.tanh(x), lambda x: np.exp(0.3 * x) + x * x],
+    ids=["inverse", "coth", "neither_odd_nor_even"],
+)
+def test_identity_sums_match_the_scalar_loops(phi):
+    # within 1e-12 of the sum of the terms' moduli (I2 cancels to about 0
+    # for the first two phi, which satisfy the functional equation)
+    rng = np.random.default_rng(11)
+    size = lambda x: np.abs(phi(x))
+    for _ in range(40):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(0, 9))
+        xs, ys = rng.normal(size=n) * 1.5, rng.normal(size=m) * 1.5 + 4.0
+        (i1, pair), (ref_i1, ref_pair) = phi_identity_i1(xs, phi), _i1_by_loops(xs, phi)
+        assert abs(i1 - ref_i1) <= 1e-12 * _i1_by_loops(xs, size)[0]
+        assert abs(pair - ref_pair) <= 1e-12 * ref_pair
+        t1, t2, t3, t4 = _i2_terms_by_loops(xs, ys, phi)
+        s1, s2, s3, s4 = _i2_terms_by_loops(xs, ys, size)
+        ref_i2 = 2.0 * t1 - 2.0 * t2 + t3 - t4
+        assert abs(phi_identity_i2(xs, ys, phi) - ref_i2) <= 1e-12 * (2.0 * s1 + 2.0 * s2 + s3 + s4)
 
 
 # -- Hamiltonian embedding (finite differences) ----------------------------------

@@ -264,6 +264,15 @@ def test_adler_moser_consecutive_only():
     assert not resid.is_zero
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_adler_moser_last_parameter_moves_the_pair_exactly_at_odd_k(k):
+    # at even k it adds a multiple of psi_1 = z to psi_{k+1}: no Wronskian sees it
+    ts = [Fraction(j + 1, 2) for j in range(k)]
+    base, moved = adler_moser(k, ts), adler_moser(k, ts[:-1] + [ts[-1] + 3])
+    assert ((base.p, base.q) != (moved.p, moved.q)) == (k % 2 == 1)
+    assert base.q == moved.q
+
+
 def test_adler_moser_wrong_parameter_count():
     with pytest.raises(ValidationError):
         adler_moser(2, [Fraction(1)])
@@ -584,6 +593,23 @@ def test_planar_certificate_rejects_changed_params(name, params, field):
     certify(EquilibriumCertificate.from_json(doc))  # the untouched file certifies
     doc["params"].update(params)
     with pytest.raises(CertificationFailure, match=f"stored '{field}' does not match the recipe"):
+        certify(EquilibriumCertificate.from_json(doc))
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("hermite_124", {"b": -2}),
+        ("monomial_134", {"b": "2/4"}),
+        ("adler_moser_4", {"ts": ["1/2", "2", "-1", "3.0"]}),
+    ],
+    ids=["number_b", "unreduced_b", "decimal_t"],
+)
+def test_planar_certificate_rejects_non_canonical_params(name, params):
+    # the same recipe parameters as the stored ones, not as to_json writes them
+    doc = json.loads((GOLDEN / name / "certificate.json").read_text())
+    doc["params"].update(params)
+    with pytest.raises(CertificationFailure, match="stored 'params' does not match the recipe"):
         certify(EquilibriumCertificate.from_json(doc))
 
 

@@ -8,7 +8,6 @@ deliberate change of the certificate format, regenerate the files with
     PYTHONPATH=src python tests/test_golden_certs.py
 """
 
-import copy
 import json
 import math
 import os
@@ -73,6 +72,7 @@ def _top_three(poly):
 
 
 _SEVEN = {"re": ["7", "1"], "im": ["0", "1"]}
+_DROP = object()  # a change that deletes the key
 
 # field path -> new value from the old one (None where a dict lacks the key)
 TAMPERS = {
@@ -90,24 +90,47 @@ TAMPERS = {
     "notes_leading_p": (("notes", "leading_p"), lambda lead: _SEVEN),
     # planar certificates carry no (X, Y) payload, so any is foreign to them
     "bivariate": (("bivariate",), lambda xy: {**(xy or {}), "degree_p": (xy or {}).get("degree_p", 0) + 1}),
+    # documents to_json could not have written, which from_json rejects
+    "p_exact_tag": (("p", "exact"), lambda tag: not tag),
+    "missing_key": (("residual_norm",), lambda norm: _DROP),
+    "malformed_value": (("inventory", 0, "position"), lambda position: ["x", "y"]),
+    "unknown_key": (("comment",), lambda nothing: "checked by hand"),
 }
+LOAD_TAMPERS = ["p_exact_tag", "missing_key", "malformed_value", "unknown_key"]
+
+
+def _tampered(name, tamper):
+    doc = _golden(name)
+    path, change = TAMPERS[tamper]
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    key = path[-1]
+    new = change(target[key] if isinstance(target, list) else target.get(key))
+    if new is _DROP:
+        del target[key]
+    else:
+        target[key] = new
+    return doc
 
 
 @pytest.mark.parametrize("tamper", sorted(TAMPERS))
 def test_every_golden_with_one_tampered_field_fails_certify(tamper):
     for name in sorted(CASES):
-        golden = json.loads((DATA / name / "certificate.json").read_text())
-        doc = copy.deepcopy(golden)
-        path, change = TAMPERS[tamper]
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        key = path[-1]
-        target[key] = change(target[key] if isinstance(target, list) else target.get(key))
-        assert doc != golden, name
+        doc = _tampered(name, tamper)
+        assert doc != _golden(name), name
         with pytest.raises(CertificationFailure):
             certify(EquilibriumCertificate.from_json(doc))
 
+
+@pytest.mark.parametrize("tamper", LOAD_TAMPERS)
+def test_every_golden_with_a_foreign_document_fails_to_load(tamper):
+    # before, a flipped tag raised TypeError (hermite_124) or
+    # ZeroDivisionError (cylinder_12), a missing key KeyError, and an
+    # unknown key loaded and certified
+    for name in sorted(CASES):
+        with pytest.raises(CertificationFailure, match="malformed certificate document"):
+            EquilibriumCertificate.from_json(_tampered(name, tamper))
 
 
 def _golden(name):
@@ -116,12 +139,12 @@ def _golden(name):
 
 def _fields(doc, path=()):
     """(path, value) of every scalar field: a number, a string, a flag, or
-    a rational [numerator, denominator] pair of strings.  The ``exact``
-    tags are format, not values: they choose how ``from_json`` parses a
-    coefficient list."""
+    a rational [numerator, denominator] pair of strings.  The ``exact`` tag
+    of an empty coefficient list is left out: the zero polynomial has no
+    ring, and older certificates wrote a zero ``U`` as a float one."""
     if isinstance(doc, dict):
         for key, value in doc.items():
-            if key != "exact":
+            if key != "exact" or doc["coeffs"]:
                 yield from _fields(value, path + (key,))
     elif isinstance(doc, list) and not (len(doc) == 2 and all(isinstance(x, str) for x in doc)):
         for i, value in enumerate(doc):
