@@ -457,11 +457,14 @@ def _out_path(doc, name):
 
 def _lane_plan(doc: dict):
     """The flow, the initial state and the ``integrate`` settings of a
-    config; a period config's base period is resolved first, so a config
-    without one fails before anything is integrated."""
+    config.  A period run reads only the states at t = 0 and at each
+    multiple j T of the base period, so its settings are those of
+    ``integrate_lanes``, with output at 0, each j T below t_end and t_end
+    (a collision after the last j T still ends the run).  Its base period
+    is resolved first, so a config without one fails before anything is
+    integrated, and its period count is capped as the sample count is."""
     flow = _build_flow(doc["system"])
-    if doc["mode"] == "period":
-        _base_period(doc, flow)
+    base = _base_period(doc, flow) if doc["mode"] == "period" else None
     init = _build_initial(flow, doc["initial"])
     block = doc["integration"]
     t_end, n_samples = block["t_end"], block["samples"]
@@ -478,8 +481,19 @@ def _lane_plan(doc: dict):
                 f"up to the cap of {MAX_SAMPLES} samples per run"
             )
         n_samples = max(2, int(round(count)) + 1)
-    return flow, init, {"t_end": t_end, "rtol": block["rtol"], "atol": block["atol"],
-                      "n_samples": n_samples}
+    tolerances = {"rtol": block["rtol"], "atol": block["atol"]}
+    if base is None:
+        return flow, init, {"t_end": t_end, "n_samples": n_samples, **tolerances}
+    periods = t_end / base
+    if not periods <= MAX_SAMPLES - 1:
+        raise ValidationError(
+            f"integration over {periods:g} base periods exceeds the cap of "
+            f"{MAX_SAMPLES} samples per run"
+        )
+    # the multiples detect_period reads, computed as it computes them
+    j_max = int(math.floor(max(periods, 0.0) + 1e-9))
+    multiples = [j * base for j in range(1, j_max + 1) if j * base < t_end]
+    return flow, init, {"times": [0.0, *multiples, t_end] if t_end else [0.0], **tolerances}
 
 
 def _integrate_doc(doc: dict) -> Trajectory:
@@ -536,7 +550,8 @@ def _run_conserved(doc: dict) -> int:
 
 
 def _run_period(doc: dict) -> int:
-    return _write_period(doc, _integrate_doc(doc))
+    (code,) = _period_lanes([(doc, _lane_plan(doc))])
+    return code
 
 
 def _base_period(doc: dict, flow: FlowSpec) -> float:
@@ -662,34 +677,44 @@ def _sweep(doc: dict, seeds: list) -> list:
     """Exit codes of a period sweep, in seed order.
 
     Each seed's config is validated and its start drawn as a run of its
-    own would; the valid starts are then integrated as lanes of one
-    stepper, in chunks of at most ``MAX_SAMPLES`` samples, and each lane's
-    period is detected and written.  A lane is bit-identical to its seed
-    run alone, so every seed writes what ``run`` would write for it."""
+    own would; the valid starts are then run by ``_period_lanes``, as a
+    run alone runs its one start.  A lane is bit-identical to its start
+    integrated alone, so every seed writes what ``run`` would write for
+    it."""
     codes = [None] * len(seeds)
-    plans = []
+    plans = {}
     for i, seed in enumerate(seeds):
         try:
             seed_doc = validate_config(_seed_doc(doc, seed))
-            plans.append((i, seed_doc, _lane_plan(seed_doc)))
+            plans[i] = (seed_doc, _lane_plan(seed_doc))
         except ChargeflowError as exc:
             codes[i] = _exit_code(exc)
+    for i, code in zip(plans, _period_lanes(list(plans.values()))):
+        codes[i] = code
+    return codes
+
+
+def _period_lanes(plans: list) -> list:
+    """Exit codes of period runs, (config, ``_lane_plan``) pairs that
+    differ only in their start and output prefix, so that every lane
+    shares the first one's flow and settings.  The starts are integrated
+    as lanes of one stepper, in chunks of at most ``MAX_SAMPLES`` output
+    states, and each lane's period is detected and written."""
     if not plans:
-        return codes
-    # the seeds differ only in their draw and output prefix, so every lane
-    # shares the first seed's flow and settings
-    flow, _, settings = plans[0][2]
-    chunk = max(1, MAX_SAMPLES // settings["n_samples"])
+        return []
+    flow, _, settings = plans[0][1]
+    chunk = max(1, MAX_SAMPLES // len(settings["times"]))
+    codes = []
     for lo in range(0, len(plans), chunk):
         part = plans[lo : lo + chunk]
-        starts = np.array([init.all_positions() for _, _, (_, init, _) in part], dtype=complex)
-        for (i, seed_doc, _), out in zip(part, integrate_lanes(flow, starts, **settings)):
+        starts = np.array([init.all_positions() for _, (_, init, _) in part], dtype=complex)
+        for (doc, _), out in zip(part, integrate_lanes(flow, starts, **settings)):
             try:
                 if isinstance(out, ChargeflowError):
                     raise out
-                codes[i] = _write_period(seed_doc, out)
+                codes.append(_write_period(doc, out))
             except ChargeflowError as exc:
-                codes[i] = _exit_code(exc)
+                codes.append(_exit_code(exc))
     return codes
 
 

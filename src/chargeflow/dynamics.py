@@ -9,23 +9,23 @@ with K = 1/dz for the planar flows and cot dz for the angular flow, q the
 per-particle charges and w_i = q_i/2 for charged flows (0 otherwise).
 The float data it needs is derived once per ``FlowSpec``.  The
 integrator is an embedded Dormand-Prince 5(4) pair with step control,
-fourth-order dense output on a fixed sample grid and collision
-detection with event localization.  It steps a stack of B starts (B, N)
-as lanes: each lane has its own time, step size, step control, collision
-check and sample grid cursor, and each stage is one stacked right-hand
-side call over the lanes still running.  A lane is bit-identical to its
-start integrated alone, so a seed sweep is one ``integrate_lanes`` call
-and a single run (``integrate``) is the one-lane case.  A step is cheap in
-numpy calls, not in arithmetic: each stage's state sum is one ordered
-``np.add.reduce`` that rounds as the term-by-term sum does, and each lane
-carries a rigorous lower bound on its separation, so the exact O(N^2)
-check runs only when that bound reaches the collision distance.  Each
-result carries the lane's step statistics.  A trajectory is
-a times vector and an (S, N) position array; its per-sample monitors are
-computed as columns in a separate step, ``monitors``, by the callers
-that read them.  Each column is one computation on a block of states
-(S, N): the right-hand side and the separation measure take one state or
-a stack through the same code.
+fourth-order dense output at the times its caller asks for and
+collision detection with event localization.  It steps a stack of B
+starts (B, N) as lanes: each lane has its own time, step size, step
+control, collision check and output cursor, and each stage is one
+stacked right-hand side call over the lanes still running.  A lane is
+bit-identical to its start integrated alone, so a seed sweep is one
+``integrate_lanes`` call and a single run (``integrate``) is the
+one-lane case.  A step is cheap in numpy calls, not in arithmetic: each
+stage's state sum is one ordered ``np.add.reduce`` that rounds as the
+term-by-term sum does, and each lane carries a rigorous lower bound on
+its separation, so the exact O(N^2) check runs only when that bound
+reaches the collision distance.  Each result carries the lane's step
+statistics.  A trajectory is a times vector and an (S, N) position
+array; its per-sample monitors are computed as columns in a separate
+step, ``monitors``, by the callers that read them.  Each column is one
+computation on a block of states (S, N): the right-hand side and the
+separation measure take one state or a stack through the same code.
 
 The holomorphic equations are integrated exactly as written: velocities,
 not conjugated velocities, appear on the left-hand side.  Off the real
@@ -303,11 +303,11 @@ def integrate(
     a step size underflow (below 1e-13 * t_end) or exceeding the step cap
     raises ``NonConvergence``.  The trajectory, or the error raised, has
     the run's step statistics in ``stats``.  This is the one-lane case of
-    ``integrate_lanes``.
+    ``integrate_lanes`` on the grid ``linspace(0, t_end, max(2, n_samples))``
+    (only t = 0 when ``t_end`` is 0).
     """
-    (out,) = integrate_lanes(
-        flow, _flatten(init)[None, :], t_end, rtol, atol, n_samples, fixed_step
-    )
+    times = np.linspace(0.0, t_end, max(2, n_samples)) if t_end else np.zeros(1)
+    (out,) = integrate_lanes(flow, _flatten(init)[None, :], times, rtol, atol, fixed_step)
     if isinstance(out, ChargeflowError):
         raise out
     return out
@@ -316,22 +316,27 @@ def integrate(
 def integrate_lanes(
     flow: FlowSpec,
     Z0: np.ndarray,
-    t_end: float,
+    times: Sequence[float],
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    n_samples: int = 257,
     fixed_step: Optional[float] = None,
 ) -> list:
-    """Integrate B starts ``Z0`` (B, N) of one flow as lanes of one stepper.
+    """Integrate B starts ``Z0`` (B, N) of one flow as lanes of one stepper
+    from t = 0 to t_end = ``times[-1]``, with output at the strictly
+    increasing ``times`` (S,), which start at 0.
 
     Each lane keeps its own time, step size and step control, error norm,
-    collision check and localization, step cap and sample cursor; each
+    collision check and localization, step cap and output cursor; each
     stage is one stacked ``rhs_flat`` call over the lanes still running.
-    Entry b of the returned list is the ``Trajectory`` of ``Z0[b]``, or the
+    The steps depend on ``times`` only through t_end, and each output is
+    a step's endpoint or its dense output, so a lane's state at a time
+    does not depend on the other times asked for.  Entry b of the returned
+    list is the ``Trajectory`` of ``Z0[b]`` at ``times``, or the
     ``Collision`` / ``NonConvergence`` that ends it, and is bit-identical
-    to what ``integrate`` gives for that start alone: every operation acts
-    on each lane's own rows, and the step factor is a Python float power
-    per lane.  Settings are those of ``integrate``.
+    to what a run of that start alone on the same times gives: every
+    operation acts on each lane's own rows, and the step factor is a
+    Python float power per lane.  The other settings are those of
+    ``integrate``.
 
     A stage state z + h * sum_j a_j k_j takes its sum in one multiply and
     one ``np.add.reduce`` over the stage axis of the products.  That axis
@@ -358,14 +363,17 @@ def integrate_lanes(
     checks, the start's included).
     """
     Z = np.array(Z0, dtype=complex)
+    t_out = np.array(times, dtype=float)
+    grid = t_out.tolist()
+    t_end = grid[-1]
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
+    if grid[0] != 0.0 or not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ValidationError("output times must increase strictly from 0")
     B, N = Z.shape
     reach = _scale(Z).tolist()  # bounds on max(1, max |z|) of each lane
     deltas = [_COLLISION_REL * r for r in reach]
-    t_grid = np.linspace(0.0, t_end, max(2, n_samples)) if t_end > 0 else np.array([0.0])
-    grid = t_grid.tolist()
-    samples = np.empty((B, len(t_grid), N), dtype=complex)
+    samples = np.empty((B, len(grid), N), dtype=complex)
     samples[:, 0] = Z
     bounds = _min_separation(flow, Z).tolist()  # separation lower bound per lane
     results = [
@@ -495,7 +503,7 @@ def integrate_lanes(
             "sep_checks": checks[b],
         }
         if result is None:
-            result = Trajectory(t_grid, samples[b], flow, stats)
+            result = Trajectory(t_out, samples[b], flow, stats)
         else:
             result.stats = stats
         out.append(result)

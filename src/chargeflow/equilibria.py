@@ -112,7 +112,10 @@ class EquilibriumCertificate:
     def from_json(doc):
         """The certificate of a ``to_json`` document; raises
         CertificationFailure where ``to_json`` could not have written it:
-        a missing or malformed value, or a key it never writes."""
+        a missing or malformed value, a key it never writes (at the top or
+        in a nested entry), or a value of another JSON type, such as a
+        float or flag for an integer, which certify's == would equate with
+        the value it compares."""
         try:
             unknown = set(doc) - set(_DOC_KEYS)
             if unknown:
@@ -120,24 +123,24 @@ class EquilibriumCertificate:
             cert = EquilibriumCertificate(
                 recipe=doc["recipe"],
                 params=doc["params"],
-                p=Polynomial.from_json(doc["p"]),
-                q=Polynomial.from_json(doc["q"]),
-                degrees=tuple(doc["degrees"]),
+                p=_polynomial(doc["p"]),
+                q=_polynomial(doc["q"]),
+                degrees=tuple(_typed(d, int) for d in doc["degrees"]),
                 # to_json writes no charge ratio: certify rejects a U or
                 # lambda that implies another one than the rebuild's
                 sys=SystemCoefficients.bilinear(
-                    Polynomial.from_json(doc["P"]), Polynomial.from_json(doc["U"]), Lambda=1
+                    _polynomial(doc["P"]), _polynomial(doc["U"]), Lambda=1
                 ),
                 lam=_scalar_from_json(doc["lambda"]),
-                inventory=[(_point(e["position"]), e["net_charge"]) for e in doc["inventory"]],
-                residual_exact_zero=doc["residual_exact_zero"],
-                residual_norm=doc["residual_norm"],
-                bivariate=doc.get("bivariate"),
+                inventory=[_site(entry) for entry in doc["inventory"]],
+                residual_exact_zero=_typed(doc["residual_exact_zero"], bool),
+                residual_norm=_typed(doc["residual_norm"], float),
+                bivariate=_bivariate(doc.get("bivariate")),
                 notes={**doc["notes"]},
             )
             if "reduced" in doc:
                 p_bar, q_bar = doc["reduced"]
-                cert.reduced = (Polynomial.from_json(p_bar), Polynomial.from_json(q_bar))
+                cert.reduced = (_polynomial(p_bar), _polynomial(q_bar))
             return cert
         except _MALFORMED as exc:
             raise CertificationFailure(f"malformed certificate document: {exc!r}") from exc
@@ -165,6 +168,47 @@ def _scalar_json(value):
     return {"float": [value.real, value.imag]}
 
 
+def _typed(value, kind):
+    """``value``, which must be a ``kind``; a bool is no int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{value!r} is not of type {kind.__name__}")
+    return value
+
+
+def _keys(entry, keys):
+    """Raises unless ``entry`` is a mapping with exactly the ``keys``."""
+    if set(_typed(entry, dict)) != set(keys):
+        raise KeyError(f"keys {sorted(entry)}, not {sorted(keys)}")
+
+
+def _polynomial(doc) -> Polynomial:
+    """``Polynomial.from_json`` of a document with exactly its two keys and
+    a flag for its ``exact`` tag."""
+    _keys(doc, ("exact", "coeffs"))
+    _typed(doc["exact"], bool)
+    return Polynomial.from_json(doc)
+
+
+# the keys of the cylinder payload and the type of each
+_BIVARIATE = {"degree_p": int, "degree_q": int, "p_xy": list, "q_xy": list,
+              "residual_norm_at_ts": float}
+
+
+def _bivariate(doc) -> Optional[dict]:
+    """None, or a cylinder payload with exactly its keys, each typed."""
+    if doc is not None:
+        _keys(doc, _BIVARIATE)
+        for key, kind in _BIVARIATE.items():
+            _typed(doc[key], kind)
+    return doc
+
+
+def _site(entry) -> Tuple[complex, int]:
+    """An inventory entry: exactly a position and an integer net charge."""
+    _keys(entry, ("position", "net_charge"))
+    return _point(entry["position"]), _typed(entry["net_charge"], int)
+
+
 def _point(pair) -> complex:
     re, im = pair  # exactly two parts
     return complex(re, im)
@@ -172,7 +216,9 @@ def _point(pair) -> complex:
 
 def _scalar_from_json(doc):
     if "float" in doc:
+        _keys(doc, ("float",))
         return _point(doc["float"])
+    _keys(doc, ("re", "im"))
     return GaussianRational(*(Fraction(*map(int, doc[part])) for part in ("re", "im")))
 
 

@@ -201,6 +201,46 @@ def test_period_mode(tmp_path):
     assert out["mismatch"] < 1e-6
 
 
+def _period_doc(tmp_path, **blocks):
+    return {
+        "mode": "period",
+        "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 3, "m": 1},
+        "initial": {"random": {"seed": 5}},
+        "output": {"dir": str(tmp_path)},
+        **blocks,
+    }
+
+
+def test_period_off_the_sample_grid_is_read_at_its_time(tmp_path):
+    # 17 samples over 1.01 trap periods miss t = 2 pi by 0.06; reading the
+    # nearest sample gave "no return within 1 periods; best mismatch 6.381e-02"
+    doc = _period_doc(tmp_path, integration={"t_end": 1.01 * 2 * math.pi, "samples_per_period": 16})
+    assert cli.run(doc) == cli.EXIT_OK
+    out = json.loads((tmp_path / "period.json").read_text())
+    assert out["k"] == 1 and out["mismatch"] < 1e-8
+
+
+def test_period_before_the_first_sample_is_not_read_as_the_start(tmp_path, capsys):
+    # with samples at 0 and 0.05 only, the state at j T = 0.02 used to be
+    # read from the t = 0 sample: k = 1 with mismatch 0
+    doc = _period_doc(tmp_path, integration={"t_end": 0.05, "samples_per_period": 16},
+                      period={"base_period": 0.02})
+    assert cli.run(doc) == cli.EXIT_VALIDATION
+    assert "no return within 2 periods" in capsys.readouterr().err
+    assert not (tmp_path / "period.json").exists()
+
+
+def test_period_count_is_capped_as_the_sample_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 9)
+    doc = _period_doc(tmp_path, integration={"periods": 1, "samples_per_period": 4, "samples": 5},
+                      period={"base_period": 2 * math.pi / 8})
+    assert cli.run(doc) == cli.EXIT_OK  # output at 0 and j T, j = 1 .. 8
+    assert json.loads((tmp_path / "period.json").read_text())["k"] == 8
+    doc["period"]["base_period"] = 2 * math.pi / 9
+    assert cli.run(doc) == cli.EXIT_VALIDATION
+    assert "base periods exceeds the cap of 9 samples" in capsys.readouterr().err
+
+
 def test_period_without_base_period_exits_before_integrating(tmp_path, monkeypatch, capsys):
     # the angular flow has no omega, so its period config needs base_period
     from chargeflow import dynamics

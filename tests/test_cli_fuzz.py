@@ -59,9 +59,14 @@ BASES = [
         "output": _OUTPUT,
     },
     {
+        # the certified inventory of hermite_pair([1, 2], b=1) is a fixed
+        # point of the trap flow at omega = b, so it returns at every j T
         "mode": "period",
         "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 2, "m": 1},
-        "initial": {"species": _SPECIES},
+        "initial": {"species": [
+            {"charge": 1.0, "positions": [[-1.0, 0.0], [1.0, 0.0]]},
+            {"positions": [[0.0, 0.0]]},
+        ]},
         "integration": _INTEGRATION,
         "period": {"tol": 1e-5, "base_period": 0.02},
         "output": _OUTPUT,

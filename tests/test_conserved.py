@@ -176,6 +176,17 @@ def test_hamiltonians_match_double_loops(flow):
         assert H.h_plus is None and H.h_minus is None
 
 
+def test_hamiltonians_of_an_exact_system_equal_the_float_systems():
+    # the exact system's charges are GaussianRationals, which complex()
+    # refused: a TypeError before
+    state = two_species([1.0, -1.0 + 0.5j], [0.3 - 1.0j])
+    vel = [0.1, 0.2, 0.3]
+    exact = hamiltonians(state, SystemCoefficients.bilinear([1], [0, -2], Lambda=1), vel)
+    floats = hamiltonians(state, SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0), vel)
+    assert exact == floats
+    assert abs(floats.h_total - (-6.1704498 + 0.3570934j)) < 1e-7
+
+
 def test_split_potential_matches_double_loop():
     rng = np.random.default_rng(9)
     sysb = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=1.0)

@@ -95,8 +95,21 @@ TAMPERS = {
     "missing_key": (("residual_norm",), lambda norm: _DROP),
     "malformed_value": (("inventory", 0, "position"), lambda position: ["x", "y"]),
     "unknown_key": (("comment",), lambda nothing: "checked by hand"),
+    # values == equates with the written ones, and keys inside an entry
+    "degrees_float": (("degrees", 0), float),
+    "net_charge_flag": (("inventory", 0, "net_charge"), lambda charge: charge == 1),
+    "net_charge_float": (("inventory", 0, "net_charge"), float),
+    "residual_exact_zero_int": (("residual_exact_zero",), int),
+    "residual_norm_int": (("residual_norm",), int),
+    "p_exact_tag_int": (("p", "exact"), int),
+    "p_unknown_key": (("p", "comment"), lambda nothing: "checked by hand"),
+    "inventory_unknown_key": (("inventory", 0, "extra"), lambda nothing: 0),
 }
-LOAD_TAMPERS = ["p_exact_tag", "missing_key", "malformed_value", "unknown_key"]
+LOAD_TAMPERS = [
+    "p_exact_tag", "missing_key", "malformed_value", "unknown_key", "degrees_float",
+    "net_charge_flag", "net_charge_float", "residual_exact_zero_int", "residual_norm_int",
+    "p_exact_tag_int", "p_unknown_key", "inventory_unknown_key",
+]
 
 
 def _tampered(name, tamper):
@@ -118,7 +131,7 @@ def _tampered(name, tamper):
 def test_every_golden_with_one_tampered_field_fails_certify(tamper):
     for name in sorted(CASES):
         doc = _tampered(name, tamper)
-        assert doc != _golden(name), name
+        assert json.dumps(doc) != json.dumps(_golden(name)), name
         with pytest.raises(CertificationFailure):
             certify(EquilibriumCertificate.from_json(doc))
 
@@ -127,7 +140,9 @@ def test_every_golden_with_one_tampered_field_fails_certify(tamper):
 def test_every_golden_with_a_foreign_document_fails_to_load(tamper):
     # before, a flipped tag raised TypeError (hermite_124) or
     # ZeroDivisionError (cylinder_12), a missing key KeyError, and an
-    # unknown key loaded and certified
+    # unknown key loaded and certified; so did a degree 4.0, a net charge
+    # true (where it is 1), a residual flag 1 or an unknown key in p or in
+    # an inventory entry, and the certificate wrote those values back
     for name in sorted(CASES):
         with pytest.raises(CertificationFailure, match="malformed certificate document"):
             EquilibriumCertificate.from_json(_tampered(name, tamper))
@@ -168,12 +183,29 @@ def _other_rational(value):
     return st.fractions(-20, 20, max_denominator=9).filter(lambda f: f != value)
 
 
+def _dicts(doc, path=()):
+    """The path of every mapping in ``doc``, the document's own included."""
+    if isinstance(doc, dict):
+        yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _dicts(value, path + (key,))
+
+
+_NEW_KEY = object()  # a field that is not there: a key no writer writes
+
+
 def _mutation(doc, path, value):
-    """A strategy for a different value of the field at ``path``."""
+    """A strategy for a different value of the field at ``path``; an
+    integer or flag may also keep its value as another JSON type, which
+    Python's == equates with it."""
+    if value is _NEW_KEY:
+        return st.just("checked by hand")
     if isinstance(value, bool):
-        return st.just(not value)
+        return st.sampled_from([not value, int(value)])
     if isinstance(value, int):
-        return st.integers(-3, 3).filter(bool).map(lambda d: value + d)
+        retyped = st.sampled_from([float(value), True, False])
+        return st.one_of(st.integers(-3, 3).filter(bool).map(lambda d: value + d), retyped)
     if isinstance(value, float):
         if path[:2] == ("params", "ts"):  # a phase moved by less is the same float pair
             return st.floats(1e-3, 3.0).flatmap(lambda d: st.sampled_from([value - d, value + d]))
@@ -199,9 +231,10 @@ def _mutation(doc, path, value):
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(sorted(CASES)), data=st.data())
 def test_golden_with_one_field_mutated_fails_certify(name, data):
-    """Any single scalar field of a golden set to another value fails
-    certify, except where certify tolerates a change by design, which the
-    search does not draw:
+    """Any single scalar field of a golden set to another value, an
+    integer or flag retyped, or a new key in any mapping fails certify,
+    except where certify tolerates a change by design, which the search
+    does not draw:
 
     * inventory positions within ``CLUSTER_TOL`` of the largest inventory
       modulus (numeric roots may differ in the last bits between builds);
@@ -217,6 +250,7 @@ def test_golden_with_one_field_mutated_fails_certify(name, data):
     smaller move may round to the same float pair."""
     doc = _golden(name)
     fields = [(path, value) for path, value in _fields(doc) if path != ("notes", "gradient_max")]
+    fields += [(path + ("comment",), _NEW_KEY) for path in _dicts(doc)]
     path, value = data.draw(st.sampled_from(fields))
     new = data.draw(_mutation(doc, path, value))
     target = doc

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from chargeflow import cli, dynamics
 from chargeflow.dynamics import FlowSpec, integrate, integrate_lanes
-from chargeflow.errors import ChargeflowError, Collision
+from chargeflow.errors import ChargeflowError, Collision, ValidationError
 from chargeflow.operators import ChargeConfiguration, Species
 
 
@@ -36,6 +36,17 @@ def _same(a, b):
     )
 
 
+def _grid(t_end, n_samples=257, **settings):
+    """The output times ``integrate`` asks for, and its other settings."""
+    return np.linspace(0.0, t_end, max(2, n_samples)) if t_end else np.zeros(1), settings
+
+
+def _lanes(flow, starts, t_end, **settings):
+    """``integrate_lanes`` on the uniform grid of ``integrate``."""
+    times, settings = _grid(t_end, **settings)
+    return integrate_lanes(flow, starts, times, **settings)
+
+
 def _random_starts(n_total, count, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     shape = (count, n_total)
@@ -46,11 +57,11 @@ def test_integrate_equals_lane_zero_of_stack():
     flow = FlowSpec.rational_omega(1.0, 1.213579, 6, 1)
     starts = _random_starts(7, 4, seed=3, scale=1.8)
     settings = {"rtol": 1e-10, "atol": 1e-12, "n_samples": 65}
-    lanes = integrate_lanes(flow, starts, 2 * math.pi, **settings)
+    lanes = _lanes(flow, starts, 2 * math.pi, **settings)
     for z, lane in zip(starts, lanes):
         assert _same(_solo(flow, z, 2 * math.pi, **settings), lane)
     for order in ([2, 0, 3, 1], [3], [1, 3]):
-        for b, lane in zip(order, integrate_lanes(flow, starts[order], 2 * math.pi, **settings)):
+        for b, lane in zip(order, _lanes(flow, starts[order], 2 * math.pi, **settings)):
             assert _same(lanes[b], lane)
 
 
@@ -62,7 +73,7 @@ def test_colliding_lane_leaves_the_others_unchanged():
     touching = np.array([0.2, 0.2 + 1e-9, 1.6, 2.6, 3.9], dtype=complex)
     starts = np.vstack([colliding, _random_starts(5, 3, seed=8, scale=0.5), touching])
     settings = {"rtol": 1e-11, "atol": 1e-13, "n_samples": 11}
-    lanes = integrate_lanes(flow, starts, 0.5, **settings)
+    lanes = _lanes(flow, starts, 0.5, **settings)
     assert isinstance(lanes[0], Collision) and 0.0 < lanes[0].time < 0.5
     assert isinstance(lanes[-1], Collision) and lanes[-1].time == 0.0
     assert not any(isinstance(lane, ChargeflowError) for lane in lanes[1:-1])
@@ -74,8 +85,28 @@ def test_fixed_step_and_zero_time_lanes_match_solo():
     flow = FlowSpec.rational_omega(1.0, 1.0, 3, 1)
     starts = _random_starts(4, 3, seed=5)
     for t_end, settings in ((1.0, {"fixed_step": 0.01, "n_samples": 9}), (0.0, {})):
-        for z, lane in zip(starts, integrate_lanes(flow, starts, t_end, **settings)):
+        for z, lane in zip(starts, _lanes(flow, starts, t_end, **settings)):
             assert _same(_solo(flow, z, t_end, **settings), lane)
+
+
+def test_states_at_requested_times_equal_the_grid_runs_where_they_share_a_time():
+    flow = FlowSpec.rational_omega(1.0, 1.213579, 6, 1)
+    starts = _random_starts(7, 3, seed=3, scale=1.8)
+    grid, _ = _grid(2 * math.pi, 17)
+    # every fourth grid time, and times between grid times
+    times = np.union1d(grid[::4], [0.1, 1.0, 2.0, 3.0, 0.9 * 2 * math.pi])
+    shared = np.isin(times, grid)
+    for on_grid, lane in zip(integrate_lanes(flow, starts, grid), integrate_lanes(flow, starts, times)):
+        assert lane.times.tobytes() == times.tobytes()
+        assert lane.positions[shared].tobytes() == on_grid.positions[np.isin(grid, times)].tobytes()
+        assert lane.stats == on_grid.stats
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.5, 1.0], [0.0, 2.0, 1.0], [0.0, -1.0]])
+def test_output_times_must_increase_strictly_from_zero(times):
+    flow = FlowSpec.rational_omega(1.0, 1.0, 3, 1)
+    with pytest.raises(ValidationError):
+        integrate_lanes(flow, _random_starts(4, 2, seed=5), times)
 
 
 def _sweep_start(seed):
@@ -110,7 +141,7 @@ def test_rejected_step_restarts_from_the_accepted_state():
 # -- seed sweeps through the CLI -----------------------------------------------------
 
 
-def _sweep_config(tmp_path, min_separation=0.25):
+def _sweep_config(tmp_path, min_separation=0.25, period=None):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({
         "system": {"kind": "rational_omega", "omega": 1.0, "Lambda": 1.0, "n": 3, "m": 1},
@@ -118,6 +149,7 @@ def _sweep_config(tmp_path, min_separation=0.25):
         # samples_per_period sets the 17 samples of a trap run; "samples"
         # is not used then, but must fit under a lowered MAX_SAMPLES
         "integration": {"periods": 1, "samples_per_period": 16, "samples": 17},
+        "period": period or {},
     }))
     return str(path)
 
@@ -180,17 +212,19 @@ def test_failing_lanes_leave_other_seeds_unchanged(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("cap,chunks", [(2 * 17 + 1, [2, 2, 1]), (17, [1] * 5)])
 def test_chunked_sweep_equals_unchunked(tmp_path, capsys, monkeypatch, cap, chunks):
-    cfg = _sweep_config(tmp_path)
+    # a period run reads t = 0 and each multiple of the base period: a
+    # sixteenth of the trap period gives each lane 17 output times
+    cfg = _sweep_config(tmp_path, period={"base_period": 2 * math.pi / 16})
     seeds = [4, 9, 2, 17, 6]
     assert _sweep(cfg, tmp_path / "whole", seeds, capsys) == [0] * 5
     sizes = []
 
-    def recording(flow, starts, **settings):
+    def recording(flow, starts, times, **settings):
         sizes.append(len(starts))
-        return integrate_lanes(flow, starts, **settings)
+        return integrate_lanes(flow, starts, times, **settings)
 
     monkeypatch.setattr(cli, "integrate_lanes", recording)
-    monkeypatch.setattr(cli, "MAX_SAMPLES", cap)  # each lane holds 17 samples
+    monkeypatch.setattr(cli, "MAX_SAMPLES", cap)
     assert _sweep(cfg, tmp_path / "chunked", seeds, capsys) == [0] * 5
     assert sizes == chunks
     for seed in seeds:

@@ -4,7 +4,7 @@ the lane integrator.
 Each step is written out term by term: a stage state is z + h * acc with
 acc = a_0 k_0; acc += a_j k_j over the nonzero a_j, the polynomials are
 Horner loops from 0j with the P' term always subtracted, the error norm
-goes through ``np.mean``, the sample cursor reads numpy grid times, and
+goes through ``np.mean``, the output cursor reads numpy times, and
 the separation of every accepted state is computed exactly.  The arrays
 keep the lane stepper's shapes (a lane axis of length 1), so that every
 matrix product rounds as it does there.  ``integrate`` and
@@ -59,13 +59,26 @@ def _localize(flow, interp, t0, t1, delta):
     return hi
 
 
-def oracle(flow, z0, t_end, rtol=1e-10, atol=1e-12, n_samples=257, fixed_step=None):
-    """(times, positions) of one start, or the Collision / NonConvergence."""
+def _grid(t_end, n_samples=257):
+    """The output times ``integrate`` asks for."""
+    return np.linspace(0.0, t_end, max(2, n_samples)) if t_end else np.zeros(1)
+
+
+def _on_grid(t_end, settings):
+    """The output times and the other settings of ``integrate`` settings."""
+    settings = dict(settings)
+    return _grid(t_end, settings.pop("n_samples", 257)), settings
+
+
+def oracle(flow, z0, times, rtol=1e-10, atol=1e-12, fixed_step=None):
+    """(times, positions) of one start at the output ``times``, which
+    run from 0 to t_end, or the Collision / NonConvergence."""
     sep_of = dynamics._min_separation
     z = np.array(z0, dtype=complex)[None, :]
     N = z.shape[1]
     delta = (dynamics._COLLISION_REL * dynamics._scale(z)).tolist()[0]
-    t_grid = np.linspace(0.0, t_end, max(2, n_samples)) if t_end > 0 else np.array([0.0])
+    t_grid = np.asarray(times, dtype=float)
+    t_end = float(t_grid[-1])
     samples = np.empty((len(t_grid), N), dtype=complex)
     samples[0] = z[0]
     if sep_of(flow, z).tolist()[0] <= delta:
@@ -204,12 +217,21 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_integrators_match_the_oracle_bit_for_bit(case):
     for flow, starts, t_end, settings in CASES[case]():
-        lanes = integrate_lanes(flow, starts, t_end, **settings)
+        times, lane_settings = _on_grid(t_end, settings)
+        lanes = integrate_lanes(flow, starts, times, **lane_settings)
         assert isinstance(lanes[0], Collision) == (case == "collision")
         for z, lane in zip(starts, lanes):
-            expected = oracle(flow, z, t_end, **settings)
+            expected = oracle(flow, z, times, **lane_settings)
             _assert_matches(expected, lane)
             _assert_matches(expected, _solo(flow, z, t_end, **settings))
+
+
+def test_requested_times_match_the_oracle_bit_for_bit():
+    # times off any uniform grid: inside steps, and one period's end
+    flow, starts = _sweep_starts([11, 5])
+    times = [0.0, 1e-9, 0.3, 1.0, math.pi, 2 * math.pi - 1e-6, 2 * math.pi]
+    for z, lane in zip(starts, integrate_lanes(flow, starts, times)):
+        _assert_matches(oracle(flow, z, np.array(times)), lane)
 
 
 # -- the carried separation bound -------------------------------------------------
@@ -247,7 +269,7 @@ def test_carried_bound_never_exceeds_the_exact_separation(seed, lanes, sizes, La
     flow = FlowSpec.rational_omega(1.0, Lambda, *sizes)
     starts = _separated(np.random.default_rng(seed), lanes, sum(sizes), 1.5, 0.15)
     with _recording_separations() as calls:
-        integrate_lanes(flow, starts, 1.0, n_samples=9)
+        integrate_lanes(flow, starts, _grid(1.0, 9))
     rows = [row for call in calls for row in call]
     assert rows
     for value, exact, checked, delta in rows:
@@ -257,7 +279,7 @@ def test_carried_bound_never_exceeds_the_exact_separation(seed, lanes, sizes, La
 def test_bound_crosses_delta_and_is_recomputed():
     flow, starts = _sweep_starts([11])
     with _recording_separations() as calls:
-        (traj,) = integrate_lanes(flow, starts, 2 * math.pi, n_samples=129)
+        (traj,) = integrate_lanes(flow, starts, _grid(2 * math.pi, 129))
     checked = [row[2] for call in calls for row in call]
     assert checked.count(False) > 0 and checked.count(True) > 0
     # the start's check, and one for each time the bound fell to delta
@@ -272,10 +294,11 @@ def test_lane_driven_within_delta_reports_the_oracles_collision(monkeypatch):
     monkeypatch.setattr(dynamics, "_COLLISION_REL", 0.02)
     flow, starts, t_end, settings = _collisions()[1]
     starts = np.vstack([starts, _separated(np.random.default_rng(2), 2, 4, 1.0, 0.3)])
-    lanes = integrate_lanes(flow, starts, t_end, **settings)
+    times, settings = _on_grid(t_end, settings)
+    lanes = integrate_lanes(flow, starts, times, **settings)
     assert isinstance(lanes[0], Collision) and str(lanes[0]).startswith("charges within")
     for z, lane in zip(starts, lanes):
-        _assert_matches(oracle(flow, z, t_end, **settings), lane)
+        _assert_matches(oracle(flow, z, times, **settings), lane)
 
 
 # -- integrator statistics ---------------------------------------------------------
@@ -283,7 +306,7 @@ def test_lane_driven_within_delta_reports_the_oracles_collision(monkeypatch):
 
 def test_stats_count_the_lanes_work():
     flow, starts = _sweep_starts([11, 5])
-    trajs = integrate_lanes(flow, starts, 2 * math.pi, n_samples=129)
+    trajs = integrate_lanes(flow, starts, _grid(2 * math.pi, 129))
     for traj in trajs:
         s = traj.stats
         assert s["accepted"] > 0 and s["rejected"] >= 0
@@ -301,6 +324,6 @@ def test_stats_ride_on_the_errors_that_end_lanes():
         integrate(flow, _config(flow, starts[0]), t_end, **settings)
     assert err.value.stats["accepted"] > 0
     touching = np.array([[0.2, 0.2 + 1e-9, 1.6, 2.6, 3.9]], dtype=complex)
-    (initial,) = integrate_lanes(flow, touching, t_end, **settings)
+    (initial,) = integrate_lanes(flow, touching, *_on_grid(t_end, settings))
     assert initial.stats == {"accepted": 0, "rejected": 0, "rhs_evals": 0,
                              "h_min": None, "h_max": None, "sep_checks": 1}
