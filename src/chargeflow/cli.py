@@ -358,6 +358,16 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _write(doc: dict, name: str, content):
+    """Write the artifact ``name`` of a run atomically into its output
+    directory, under its prefix, and report its path; ``content`` is text,
+    or a document written as indent-1 JSON."""
+    out = doc["output"]
+    path = os.path.join(out["dir"], out["prefix"] + name)
+    _atomic_write(path, content if isinstance(content, str) else json.dumps(content, indent=1))
+    print(f"wrote {path}")
+
+
 def trajectory_csv(traj: Trajectory, mon: dict) -> str:
     """Times, (re, im) column pairs per particle, then the columns of ``mon``."""
     header = ["t"]
@@ -450,11 +460,6 @@ def plot_svg(traj: Trajectory) -> str:
 # -- mode runners -------------------------------------------------------------
 
 
-def _out_path(doc, name):
-    out = doc["output"]
-    return os.path.join(out["dir"], out["prefix"] + name)
-
-
 def _lane_plan(doc: dict):
     """The flow, the initial state and the ``integrate`` settings of a
     config.  A period run reads only the states at t = 0 and at each
@@ -507,18 +512,11 @@ def _run_simulate(doc: dict) -> int:
     mon = monitors(traj)
     formats = doc["output"]["formats"]
     if "csv" in formats:
-        path = _out_path(doc, "trajectory.csv")
-        _atomic_write(path, trajectory_csv(traj, mon))
-        print(f"wrote {path}")
+        _write(doc, "trajectory.csv", trajectory_csv(traj, mon))
     if "json" in formats and "conserved" in mon:
-        path = _out_path(doc, "conserved.json")
-        report = conserved_report(traj.times, mon["conserved"])
-        _atomic_write(path, json.dumps(report, indent=1))
-        print(f"wrote {path}")
+        _write(doc, "conserved.json", conserved_report(traj.times, mon["conserved"]))
     if doc["output"]["svg"]:
-        path = _out_path(doc, "trajectory.svg")
-        _atomic_write(path, plot_svg(traj))
-        print(f"wrote {path}")
+        _write(doc, "trajectory.svg", plot_svg(traj))
     if "bilinear_residual" in mon:
         print(f"monitor residual: max {max(mon['bilinear_residual']):.3e}")
     print(f"monitor min_separation: {min(mon['min_separation']):.6g}")
@@ -539,9 +537,7 @@ def _run_conserved(doc: dict) -> int:
         except NoReturnFound:
             period_info = None
     report = conserved_report(traj.times, traces, period_info)
-    path = _out_path(doc, "conserved.json")
-    _atomic_write(path, json.dumps(report, indent=1))
-    print(f"wrote {path}")
+    _write(doc, "conserved.json", report)
     if report["drift"]:
         print(f"monitor trace drift: max {max(report['drift']):.3e}")
     if period_info:
@@ -567,9 +563,7 @@ def _base_period(doc: dict, flow: FlowSpec) -> float:
 def _write_period(doc: dict, traj: Trajectory) -> int:
     """Detect the return period of ``traj`` and write ``period.json``."""
     k, mismatch = detect_period(traj, _base_period(doc, traj.flow), doc["period"]["tol"])
-    path = _out_path(doc, "period.json")
-    _atomic_write(path, json.dumps({"k": k, "mismatch": mismatch}, indent=1))
-    print(f"wrote {path}")
+    _write(doc, "period.json", {"k": k, "mismatch": mismatch})
     print(f"monitor period: k={k} mismatch={mismatch:.3e}")
     return EXIT_OK
 
@@ -577,9 +571,7 @@ def _write_period(doc: dict, traj: Trajectory) -> int:
 def _run_equilibrium(doc: dict) -> int:
     params = dict(doc["equilibrium"])
     cert = equilibria.check_built(_RECIPES[params.pop("recipe")][0](**params))
-    path = _out_path(doc, "certificate.json")
-    _atomic_write(path, json.dumps(cert.to_json(), indent=1))
-    print(f"wrote {path}")
+    _write(doc, "certificate.json", cert.to_json())
     print(
         f"certificate: recipe={cert.recipe} degrees={cert.degrees} "
         f"exact_zero={cert.residual_exact_zero} charges={len(cert.inventory)}"
@@ -611,15 +603,12 @@ def _run_identities(doc: dict) -> int:
         i2 = phi_identity_i2(xs, ys, phi)
         worst_i1 = max(worst_i1, abs(i1 - pair - i1_offset(n)))
         worst_i2 = max(worst_i2, abs(i2 - i2_offset(n, m)))
-    doc_out = {
+    _write(doc, "identities.json", {
         "phi": phi_name,
         "trials": trials,
         "max_I1_deviation": worst_i1,
         "max_I2_deviation": worst_i2,
-    }
-    path = _out_path(doc, "identities.json")
-    _atomic_write(path, json.dumps(doc_out, indent=1))
-    print(f"wrote {path}")
+    })
     print(f"monitor identities: |I1 dev| {worst_i1:.3e}  |I2 dev| {worst_i2:.3e}")
     return EXIT_OK
 

@@ -10,8 +10,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import CoincidentPositions, NoReturnFound, PZero, ValidationError
-from .operators import ChargeConfiguration, SystemCoefficients
+from .errors import NoReturnFound, ValidationError
+from .operators import ChargeConfiguration, SystemCoefficients, _check_sites, _scale
 from .dynamics import FlowSpec, Trajectory, rhs_flat
 from .polynomials import _distance, pair_matrix
 from .scalars import to_complex
@@ -34,21 +34,6 @@ class HamiltonianValues:
     h_plus: Optional[complex]
     h_minus: Optional[complex]
     h_total: complex
-
-
-def _scale(z: np.ndarray):
-    """Largest |z_i| of each state in ``z`` (..., N), 1 when all vanish;
-    rounded as ChargeConfiguration.scale()."""
-    top = np.max(_distance(z), axis=-1, initial=0.0)
-    return np.where(top > 0, top, 1.0)
-
-
-def _pairwise_check(z: np.ndarray):
-    """Raise CoincidentPositions when two positions of any state in ``z``
-    (..., N) are closer than 1e-13 times that state's ``_scale``."""
-    limit = 1e-13 * _scale(z)[..., None, None]
-    if np.any(pair_matrix(z, _distance, diagonal=np.inf) < limit):
-        raise CoincidentPositions("coincident positions")
 
 
 def _field_pairs(z: np.ndarray, pz: np.ndarray) -> np.ndarray:
@@ -86,14 +71,10 @@ def hamiltonians(
     P, U = sys.P.to_float(), sys.U.to_float()
     dP = P.derivative()
 
-    z = np.array(state.all_positions(), dtype=complex)
-    q = np.array([site[1] for site in state.flat()], dtype=complex)
+    z, q, _ = state.sites()
     v = np.array(velocities, dtype=complex)
-    _pairwise_check(z)
     pz = P(z)
-    zero = np.abs(pz) < 1e-14
-    if zero.any():
-        raise PZero(f"P vanishes at {z[np.argmax(zero)]}")
+    _check_sites(z, 1e-13, pz)
     uq = U(z) + q * dP(z) / 2.0
     total = np.sum(q / (2.0 * pz) * v * v - q * uq * uq / (2.0 * pz))
     total -= np.sum(np.outer(q, q) * (q[:, None] + q[None, :]) * _field_pairs(z, pz))
@@ -161,7 +142,7 @@ def lax(z: np.ndarray, flow: FlowSpec) -> np.ndarray:
     and zero across species."""
     if not has_lax_pair(flow):
         raise ValidationError("lax applies to the harmonic-trap flow at charge ratio 1")
-    _pairwise_check(z)
+    _check_sites(z, 1e-13)
     diagonal = 0.5 * (1j * rhs_flat(flow, z) + flow.sys.omega * z)
     species = np.repeat(np.arange(len(flow.sizes)), flow.sizes)
     same = species[:, None] == species[None, :]

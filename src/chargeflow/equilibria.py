@@ -12,6 +12,7 @@ formal, which makes the residual exact for every phase choice at once.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .operators import (
     ChargeConfiguration,
     Species,
     SystemCoefficients,
+    _scale,
     eigenpoly,
     gradient_with_scale,
     lambda_poly,
@@ -504,7 +506,12 @@ def _same_field(key, stored, fresh) -> bool:
     Numeric roots may differ in the last bits between numpy builds, so the
     fields built from them are compared within reduce_pair's cluster
     tolerance: inventory positions (their charges exactly), and a float
-    (cylinder) reduced pair coefficient by coefficient."""
+    (cylinder) reduced pair coefficient by coefficient.  ``params`` and
+    ``notes``, which ``from_json`` stores as given, are compared as JSON
+    text, so that a value must also keep its JSON type (1, 1.0 and true,
+    which == equates, differ)."""
+    if key in ("params", "notes"):
+        return json.dumps(stored, sort_keys=True) == json.dumps(fresh, sort_keys=True)
     if key == "inventory":
         charges = [[e["net_charge"] for e in doc] for doc in (stored, fresh)]
         positions = [[e["position"] for e in doc] for doc in (stored, fresh)]
@@ -544,7 +551,7 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
         )
     inventory = cert.inventory
     grad, size = _inventory_gradient(inventory, cert.sys)
-    scale = max((abs(z) for z, _ in inventory), default=1.0) or 1.0
+    scale = float(_scale(np.array([z for z, _ in inventory], dtype=complex)))
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
     # Elsewhere the gradient must cancel to GRADIENT_TOL of its terms'

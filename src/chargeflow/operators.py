@@ -163,17 +163,37 @@ class ChargeConfiguration:
     def all_positions(self):
         return [z for s in self.species for z in s.positions]
 
-    def flat(self):
-        """(position, species charge, multiplicity) triples."""
-        out = []
-        for s in self.species:
-            for z, m in zip(s.positions, s.mults):
-                out.append((z, to_complex(s.charge), m))
-        return out
+    def sites(self):
+        """Complex arrays (z, q, c), one entry per site: the positions, the
+        species charges and the multiplicity-weighted charges."""
+        z = np.array(self.all_positions(), dtype=complex)
+        q = np.array([to_complex(s.charge) for s in self.species for _ in s.positions], dtype=complex)
+        c = q * np.array([m for s in self.species for m in s.mults], dtype=int)
+        return z, q, c
 
     def scale(self):
-        pts = self.all_positions()
-        return max((abs(z) for z in pts), default=0.0) or 1.0
+        return float(_scale(np.array(self.all_positions(), dtype=complex)))
+
+
+def _scale(z: np.ndarray):
+    """Largest |z_i| of each state in ``z`` (..., N), rounded as abs()
+    rounds (``_distance``), or 1 where all positions vanish."""
+    top = np.max(_distance(z), axis=-1, initial=0.0)
+    return np.where(top > 0, top, 1.0)
+
+
+def _check_sites(z: np.ndarray, rel: float, pz: Optional[np.ndarray] = None):
+    """Raise CoincidentPositions when two positions of a state in ``z``
+    (..., N) are closer than ``rel`` times its ``_scale``, and PZero where
+    |P| at a position, ``pz`` shaped as ``z``, is below 1e-14."""
+    close = pair_matrix(z, _distance, diagonal=np.inf) < rel * _scale(z)[..., None, None]
+    if close.any():
+        *_, r, s = np.argwhere(close)[0]
+        raise CoincidentPositions(f"positions {r} and {s} coincide")
+    if pz is not None:
+        zero = np.abs(pz) < 1e-14
+        if zero.any():
+            raise PZero(f"P vanishes at position {z[np.argmax(zero)]}")
 
 
 # -- linear operator ---------------------------------------------------------
@@ -347,16 +367,6 @@ def eigenpoly(sys: SystemCoefficients, n: int, leading=1) -> Polynomial:
 # -- equilibrium gradient and energy ------------------------------------------
 
 
-def _weighted_sites(cfg: ChargeConfiguration):
-    """Positions, species charges and multiplicity-weighted charges, one
-    entry per site."""
-    sites = cfg.flat()
-    z = np.array([site[0] for site in sites], dtype=complex)
-    q = np.array([site[1] for site in sites], dtype=complex)
-    c = q * np.array([site[2] for site in sites], dtype=int)
-    return z, q, c
-
-
 def gradient_with_scale(cfg: ChargeConfiguration, sys: SystemCoefficients):
     """``equilibrium_gradient`` as a complex array (n,), with the size its
     terms cancel from at each site as a float array (n,):
@@ -366,12 +376,9 @@ def gradient_with_scale(cfg: ChargeConfiguration, sys: SystemCoefficients):
 
     A gradient at rounding level is a tiny multiple of this size, however
     the pair is scaled."""
-    z, q, c = _weighted_sites(cfg)
+    z, q, c = cfg.sites()
+    _check_sites(z, 1e-14)
     P, U = sys.P.to_float(), sys.U.to_float()
-    close = pair_matrix(z, _distance, diagonal=np.inf) < 1e-14 * cfg.scale()
-    if close.any():
-        r, s = np.argwhere(close)[0]
-        raise CoincidentPositions(f"positions {r} and {s} coincide")
     # row sums rather than ``@``: BLAS starts threads for n >= 64 or so
     pulls = pair_matrix(z) * c
     Pz, Uz, self_term = P(z), U(z), (c - q / 2.0) * P.derivative()(z)
@@ -439,14 +446,10 @@ def energy(cfg: ChargeConfiguration, sys: SystemCoefficients) -> complex:
     gradient relation d H / d z_r = -c_r g_r / P(z_r) ties it to
     ``equilibrium_gradient``.
     """
-    z, q, c = _weighted_sites(cfg)
+    z, q, c = cfg.sites()
     P, U = sys.P.to_float(), sys.U.to_float()
     pz = P(z)
-    zero = np.abs(pz) < 1e-14
-    if zero.any():
-        raise PZero(f"P vanishes at position {z[np.argmax(zero)]}")
-    if np.any(pair_matrix(z, _distance, diagonal=np.inf) < 1e-14 * cfg.scale()):
-        raise CoincidentPositions("coincident positions in energy")
+    _check_sites(z, 1e-14, pz)
     # the diagonal (1 / P_r^2) is finite and dropped by triu
     ratio = pair_matrix(z, np.square, diagonal=1.0) / np.outer(pz, pz)
     total = np.sum(np.triu(np.outer(c, c) * np.log(ratio), 1))

@@ -9,9 +9,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from chargeflow import cli
-from chargeflow.dynamics import FlowSpec
-from chargeflow.errors import ValidationError
+from chargeflow import cli, conserved
+from chargeflow.dynamics import FlowSpec, Trajectory
+from chargeflow.errors import NoReturnFound, ValidationError
 from chargeflow.operators import SystemCoefficients
 from chargeflow.polynomials import _distance, pair_matrix
 
@@ -228,6 +228,40 @@ def test_period_before_the_first_sample_is_not_read_as_the_start(tmp_path, capsy
     assert cli.run(doc) == cli.EXIT_VALIDATION
     assert "no return within 2 periods" in capsys.readouterr().err
     assert not (tmp_path / "period.json").exists()
+
+
+def _period_reads(monkeypatch, times, base):
+    """The output times at which ``detect_period`` reads a state, on a
+    one-particle trajectory whose position is its time and never returns."""
+    traj = Trajectory(np.array(times), np.array(times, dtype=complex)[:, None],
+                      FlowSpec.rational_omega(1.0, 1.0, 1, 0))
+    reads = []
+    monkeypatch.setattr(conserved, "multiset_distance", lambda a, b: reads.append(b[0].real) or math.inf)
+    with pytest.raises(NoReturnFound):
+        conserved.detect_period(traj, base, tol=0.0)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "base, t_end, count",
+    [
+        (2 * math.pi, 3 * (2 * math.pi), 3),  # a multiple
+        (2 * math.pi, 2.5 * (2 * math.pi), 2),  # not a multiple
+        (0.7, 4 * 0.7 + 5e-10, 4),  # within 1e-9 above a multiple
+        (0.7, 4 * 0.7 - 5e-10, 4),  # within 1e-9 below a multiple
+        (0.1, 1.0, 10),  # 10 * 0.1 == 1.0, though 0.1 is not exact
+        (1 / 3, 7.3, 21),
+    ],
+    ids=["multiple", "between", "just_above", "just_below", "decimal", "thirds"],
+)
+def test_period_plan_asks_for_every_multiple_detect_period_reads(tmp_path, monkeypatch, base, t_end, count):
+    # _lane_plan computes the multiples as detect_period does, so each
+    # j T that detect_period reads is an output time, bit for bit; a j T
+    # past t_end by less than 1e-9 periods, which detect_period still
+    # counts, is read at t_end, where the run stops
+    doc = cli.validate_config(_period_doc(tmp_path, integration={"t_end": t_end}, period={"base_period": base}))
+    times = cli._lane_plan(doc)[2]["times"]
+    assert _period_reads(monkeypatch, times, base) == [min(j * base, t_end) for j in range(1, count + 1)]
 
 
 def test_period_count_is_capped_as_the_sample_count(tmp_path, monkeypatch, capsys):

@@ -12,8 +12,14 @@ from chargeflow.conserved import (
     split_potential,
 )
 from chargeflow.dynamics import _SAMPLE_BLOCK, FlowSpec, integrate, over_samples, rhs_flat
-from chargeflow.errors import CoincidentPositions, NoReturnFound, ValidationError
-from chargeflow.operators import ChargeConfiguration, Species, SystemCoefficients
+from chargeflow.errors import CoincidentPositions, NoReturnFound, PZero, ValidationError
+from chargeflow.operators import (
+    ChargeConfiguration,
+    Species,
+    SystemCoefficients,
+    energy,
+    equilibrium_gradient,
+)
 from chargeflow.polynomials import hermite, find_roots
 
 BASE = 2 * math.pi
@@ -257,10 +263,32 @@ def test_lax_checks_every_state_of_a_stack():
     Z = np.array([[1e6, 0.5, -0.3], [1.0, 1.0 + 1e-9, 0.5], [0.2, -0.7, 0.9]], dtype=complex)
     lax(Z, flow)  # 1e-9 apart passes at its own state's scale 1, not at 1e6
     Z[2, 2] = Z[2, 0]  # a cross-species coincidence in the last state only
-    with pytest.raises(CoincidentPositions):
+    with pytest.raises(CoincidentPositions, match="positions 0 and 2 coincide"):
         lax(Z, flow)
     with pytest.raises(ValidationError):
         lax(Z[:2], FlowSpec.rational_omega(1.0, 1.25, 2, 1))
+
+
+def test_positions_5e_14_of_the_scale_apart_coincide_at_1e_13_only():
+    # hamiltonians and lax check coincidence at 1e-13 of the scale, the
+    # gradient and the energy at 1e-14; one check serves all four
+    flow = FlowSpec.rational_omega(1.0, 1.0, 2, 1)
+    state = two_species([1.0, 1.0 + 5e-14], [-0.5 + 0.5j])
+    with pytest.raises(CoincidentPositions, match="positions 0 and 1 coincide"):
+        hamiltonians(state, flow.sys, np.zeros(3))
+    with pytest.raises(CoincidentPositions, match="positions 0 and 1 coincide"):
+        lax(flat(state), flow)
+    assert np.all(np.isfinite(equilibrium_gradient(state, flow.sys)))
+    assert np.isfinite(energy(state, flow.sys))
+
+
+@pytest.mark.parametrize(
+    "check", [lambda state, sys: hamiltonians(state, sys, np.zeros(3)), energy], ids=["hamiltonians", "energy"]
+)
+def test_a_site_on_a_zero_of_p_raises_pzero(check):
+    sys = SystemCoefficients.bilinear([0.0, 1.0], [0.0, 1.0], Lambda=1.0)  # P = z
+    with pytest.raises(PZero, match="P vanishes at position 0j"):
+        check(two_species([0.0, 1.0], [-0.5 + 0.5j]), sys)
 
 
 # -- trace integrals ----------------------------------------------------------------

@@ -263,7 +263,19 @@ def test_golden_with_one_field_mutated_fails_certify(name, data):
         return
     assert path[0] == "params", path
     rebuilt = equilibria.check_built(equilibria._RECIPES[cert.recipe](**cert.params))
-    assert json.loads(json.dumps(rebuilt.to_json())) == doc
+    # as JSON text, so that a retyped value (1.0 or true for 1) is no match
+    assert json.dumps(rebuilt.to_json(), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("retype", [float, bool], ids=["float", "flag"])
+@pytest.mark.parametrize("name", sorted(n for n in CASES if "indices" in CASES[n]))
+def test_golden_with_a_retyped_recipe_index_fails_certify(name, retype):
+    # before, == equated the stored index 1.0 or true with the rebuild's 1:
+    # the document certified, and the certificate wrote the retype back
+    doc = _golden(name)
+    doc["params"]["indices"][0] = retype(doc["params"]["indices"][0])
+    with pytest.raises(CertificationFailure, match="stored 'params' does not match"):
+        certify(EquilibriumCertificate.from_json(doc))
 
 
 @pytest.mark.parametrize("name", CYLINDERS)

@@ -27,7 +27,7 @@ from chargeflow.operators import (
     polylinear_H,
 )
 from chargeflow.polynomials import Polynomial, hermite, laguerre
-from chargeflow.scalars import GaussianRational, exactify
+from chargeflow.scalars import GaussianRational, exactify, to_complex
 
 
 def P(*coeffs):
@@ -400,6 +400,21 @@ def test_gradient_coincidence_names_first_pair():
     sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     with pytest.raises(CoincidentPositions, match="positions 1 and 3 coincide"):
         equilibrium_gradient(cfg, sys)
+
+
+def test_sites_are_the_site_by_site_arrays_bit_for_bit():
+    cfg = ChargeConfiguration((
+        Species(Fraction(3, 2), (0.5 + 1j, -0.25, 2.0 - 0.5j), (2, 1, 3)),
+        Species(Fraction(-1, 3), (0.1 - 0.7j, 1.3j)),
+        Species(GaussianRational(Fraction(2, 7), 0), ()),
+    ))
+    # the arrays as built from (position, species charge, multiplicity) triples
+    triples = [(z, to_complex(s.charge), m) for s in cfg.species for z, m in zip(s.positions, s.mults)]
+    z = np.array([t[0] for t in triples], dtype=complex)
+    q = np.array([t[1] for t in triples], dtype=complex)
+    c = q * np.array([t[2] for t in triples], dtype=int)
+    for got, want in zip(cfg.sites(), (z, q, c)):
+        assert got.dtype == complex and got.tobytes() == want.tobytes()
 
 
 def test_energy_two_charges():
