@@ -17,21 +17,21 @@ import os
 import sys as _sys
 import tempfile
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import equilibria
-from .conserved import detect_period, has_lax_pair, integrals
+from .conserved import detect_period, has_lax_pair, integrals, period_multiples
 from .dynamics import (
     FlowSpec,
     Trajectory,
-    integrate,
     integrate_lanes,
     monitors,
     over_samples,
     phi_identity_i1,
     phi_identity_i2,
+    uniform_grid,
 )
 from .errors import (
     CertificationFailure,
@@ -255,23 +255,23 @@ def validate_config(doc: dict) -> dict:
 
 def _build_flow(system: dict) -> FlowSpec:
     """The flow of a validated ``system`` block; it must move a particle."""
-    kind, n, m = system["kind"], system.get("n"), system.get("m")
+    kind = system["kind"]
     if kind == "rational_omega":
-        flow = FlowSpec.rational_omega(system["omega"], system["Lambda"], n, m)
+        sys_c = SystemCoefficients.rational_omega(system["omega"], system["Lambda"])
     elif kind == "angular":
-        flow = FlowSpec.angular(n, m)
+        sys_c = None
     elif kind == "linear":
-        flow = FlowSpec.linear(SystemCoefficients.linear(system["P"], system["U"]), n)
+        sys_c = SystemCoefficients.linear(system["P"], system["U"])
     elif kind == "bilinear":
         sys_c = SystemCoefficients.bilinear(
             system["P"], system["U"], Lambda=system["Lambda"], lam=system["lambda"]
         )
-        flow = FlowSpec.bilinear(sys_c, n, m)
     else:
         sys_c = SystemCoefficients.polylinear(
             system["P"], system["U"], system["charges"], lam=system["lambda"]
         )
-        flow = FlowSpec.polylinear(sys_c, system["sizes"])
+    sizes = system.get("sizes", [system[key] for key in ("n", "m") if key in system])
+    flow = FlowSpec(sys_c, tuple(sizes))
     if not sum(flow.sizes):
         raise ValidationError("system has no particles")
     return flow
@@ -460,55 +460,64 @@ def plot_svg(traj: Trajectory) -> str:
 # -- mode runners -------------------------------------------------------------
 
 
-def _lane_plan(doc: dict):
-    """The flow, the initial state and the ``integrate`` settings of a
-    config.  A period run reads only the states at t = 0 and at each
-    multiple j T of the base period, so its settings are those of
-    ``integrate_lanes``, with output at 0, each j T below t_end and t_end
-    (a collision after the last j T still ends the run).  Its base period
-    is resolved first, so a config without one fails before anything is
-    integrated, and its period count is capped as the sample count is."""
+class _Plan(NamedTuple):
+    """A run's flow, start, ``integrate_lanes`` settings (output ``times``
+    and tolerances), sample ``grid`` and base period (None without one)."""
+
+    flow: FlowSpec
+    init: ChargeConfiguration
+    settings: dict
+    grid: np.ndarray
+    base: Optional[float]
+
+
+def _lane_plan(doc: dict) -> _Plan:
+    """The plan of a simulate, conserved or period config.  Its samples
+    are on ``integrate``'s uniform grid.  A period run reads only the
+    states at 0 and at each multiple j T of the base period, so its output
+    times are 0, each j T below t_end and t_end (a collision after the
+    last j T still ends the run); a conserved run adds those j T to its
+    grid.  The base period (the configured one, else 2 pi / omega) is
+    resolved first, so a period config without one fails before anything
+    is integrated, and its period count is capped as the sample count is."""
     flow = _build_flow(doc["system"])
-    base = _base_period(doc, flow) if doc["mode"] == "period" else None
+    mode = doc["mode"]
+    trap = 2 * math.pi / flow.omega if flow.omega else None
+    base = doc["period"]["base_period"] or trap
+    if base is None and mode == "period":
+        raise ValidationError("period mode needs omega or base_period")
     init = _build_initial(flow, doc["initial"])
     block = doc["integration"]
     t_end, n_samples = block["t_end"], block["samples"]
-    omega = flow.sys.omega if flow.sys is not None else None
     if t_end is None:
-        if block["periods"] is None or not omega:
+        if block["periods"] is None or not trap:
             raise ValidationError("integration block needs t_end or periods")
-        t_end = block["periods"] * 2 * math.pi / omega
-    if omega:
-        count = t_end / (2 * math.pi / omega) * block["samples_per_period"]
+        t_end = block["periods"] * trap
+    if trap:
+        count = t_end / trap * block["samples_per_period"]
         if not count <= MAX_SAMPLES - 1:
             raise ValidationError(
                 f"integration over t_end {t_end} has no finite sample count "
                 f"up to the cap of {MAX_SAMPLES} samples per run"
             )
         n_samples = max(2, int(round(count)) + 1)
-    tolerances = {"rtol": block["rtol"], "atol": block["atol"]}
-    if base is None:
-        return flow, init, {"t_end": t_end, "n_samples": n_samples, **tolerances}
-    periods = t_end / base
-    if not periods <= MAX_SAMPLES - 1:
-        raise ValidationError(
-            f"integration over {periods:g} base periods exceeds the cap of "
-            f"{MAX_SAMPLES} samples per run"
-        )
-    # the multiples detect_period reads, computed as it computes them
-    j_max = int(math.floor(max(periods, 0.0) + 1e-9))
-    multiples = [j * base for j in range(1, j_max + 1) if j * base < t_end]
-    return flow, init, {"times": [0.0, *multiples, t_end] if t_end else [0.0], **tolerances}
+    if t_end < 0:
+        raise ValidationError("t_end must be >= 0")
+    grid = uniform_grid(t_end, n_samples)
+    times = uniform_grid(t_end, 2) if mode == "period" else grid
+    if base is not None and mode != "simulate":
+        periods = t_end / base
+        if not periods <= MAX_SAMPLES - 1:
+            raise ValidationError(
+                f"integration over {periods:g} base periods exceeds the cap of "
+                f"{MAX_SAMPLES} samples per run"
+            )
+        times = np.union1d(times, [t for t in period_multiples(base, t_end) if t < t_end])
+    settings = {"times": times, "rtol": block["rtol"], "atol": block["atol"]}
+    return _Plan(flow, init, settings, grid, base)
 
 
-def _integrate_doc(doc: dict) -> Trajectory:
-    """The flow, initial state and integration settings of a config, run."""
-    flow, init, settings = _lane_plan(doc)
-    return integrate(flow, init, **settings)
-
-
-def _run_simulate(doc: dict) -> int:
-    traj = _integrate_doc(doc)
+def _write_simulate(doc: dict, plan: _Plan, traj: Trajectory) -> int:
     mon = monitors(traj)
     formats = doc["output"]["formats"]
     if "csv" in formats:
@@ -523,20 +532,21 @@ def _run_simulate(doc: dict) -> int:
     return EXIT_OK
 
 
-def _run_conserved(doc: dict) -> int:
-    traj = _integrate_doc(doc)
+def _write_conserved(doc: dict, plan: _Plan, traj: Trajectory) -> int:
+    """Write the Lax traces at the grid times and, with a base period, the
+    return period; a run that does not return writes no period."""
     flow = traj.flow
     traces = None
     if has_lax_pair(flow):
-        traces = over_samples(lambda Z: integrals(Z, flow), traj.positions)
+        on_grid = traj.positions[np.isin(traj.times, plan.grid)]
+        traces = over_samples(lambda Z: integrals(Z, flow), on_grid)
     period_info = None
-    if flow.sys is not None and flow.sys.omega:
-        base = 2 * math.pi / flow.sys.omega
+    if plan.base is not None:
         try:
-            period_info = detect_period(traj, base, doc["period"]["tol"])
+            period_info = detect_period(traj, plan.base, doc["period"]["tol"])
         except NoReturnFound:
-            period_info = None
-    report = conserved_report(traj.times, traces, period_info)
+            pass
+    report = conserved_report(plan.grid, traces, period_info)
     _write(doc, "conserved.json", report)
     if report["drift"]:
         print(f"monitor trace drift: max {max(report['drift']):.3e}")
@@ -545,24 +555,9 @@ def _run_conserved(doc: dict) -> int:
     return EXIT_OK
 
 
-def _run_period(doc: dict) -> int:
-    (code,) = _period_lanes([(doc, _lane_plan(doc))])
-    return code
-
-
-def _base_period(doc: dict, flow: FlowSpec) -> float:
-    """The configured ``base_period``, else the trap period 2 pi / omega."""
-    base = doc["period"]["base_period"]
-    if base is None:
-        if flow.sys is None or not flow.sys.omega:
-            raise ValidationError("period mode needs omega or base_period")
-        base = 2 * math.pi / flow.sys.omega
-    return base
-
-
-def _write_period(doc: dict, traj: Trajectory) -> int:
+def _write_period(doc: dict, plan: _Plan, traj: Trajectory) -> int:
     """Detect the return period of ``traj`` and write ``period.json``."""
-    k, mismatch = detect_period(traj, _base_period(doc, traj.flow), doc["period"]["tol"])
+    k, mismatch = detect_period(traj, plan.base, doc["period"]["tol"])
     _write(doc, "period.json", {"k": k, "mismatch": mismatch})
     print(f"monitor period: k={k} mismatch={mismatch:.3e}")
     return EXIT_OK
@@ -613,10 +608,8 @@ def _run_identities(doc: dict) -> int:
     return EXIT_OK
 
 
+_WRITERS = {"simulate": _write_simulate, "conserved": _write_conserved, "period": _write_period}
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "conserved": _run_conserved,
-    "period": _run_period,
     "equilibrium": _run_equilibrium,
     "verify-identities": _run_identities,
 }
@@ -643,6 +636,8 @@ def run(doc: dict) -> int:
     """Validate and execute one experiment config; returns the exit code."""
     try:
         doc = validate_config(doc)
+        if doc["mode"] in _WRITERS:
+            return _lanes([(doc, _lane_plan(doc))])[0]
         return _RUNNERS[doc["mode"]](doc)
     except ChargeflowError as exc:
         return _exit_code(exc)
@@ -666,8 +661,8 @@ def _sweep(doc: dict, seeds: list) -> list:
     """Exit codes of a period sweep, in seed order.
 
     Each seed's config is validated and its start drawn as a run of its
-    own would; the valid starts are then run by ``_period_lanes``, as a
-    run alone runs its one start.  A lane is bit-identical to its start
+    own would; the valid starts are then run by ``_lanes``, as a run
+    alone runs its one start.  A lane is bit-identical to its start
     integrated alone, so every seed writes what ``run`` would write for
     it."""
     codes = [None] * len(seeds)
@@ -678,30 +673,31 @@ def _sweep(doc: dict, seeds: list) -> list:
             plans[i] = (seed_doc, _lane_plan(seed_doc))
         except ChargeflowError as exc:
             codes[i] = _exit_code(exc)
-    for i, code in zip(plans, _period_lanes(list(plans.values()))):
+    for i, code in zip(plans, _lanes(list(plans.values()))):
         codes[i] = code
     return codes
 
 
-def _period_lanes(plans: list) -> list:
-    """Exit codes of period runs, (config, ``_lane_plan``) pairs that
-    differ only in their start and output prefix, so that every lane
-    shares the first one's flow and settings.  The starts are integrated
-    as lanes of one stepper, in chunks of at most ``MAX_SAMPLES`` output
-    states, and each lane's period is detected and written."""
+def _lanes(plans: list) -> list:
+    """Exit codes of integrating runs, (config, ``_lane_plan``) pairs of
+    one mode that differ only in their start and output prefix, so that
+    every lane shares the first one's flow and settings.  The starts are
+    integrated as lanes of one stepper, in chunks of at most
+    ``MAX_SAMPLES`` output states, and each lane's trajectory goes to its
+    mode's writer."""
     if not plans:
         return []
-    flow, _, settings = plans[0][1]
+    flow, settings = plans[0][1].flow, plans[0][1].settings
     chunk = max(1, MAX_SAMPLES // len(settings["times"]))
     codes = []
     for lo in range(0, len(plans), chunk):
         part = plans[lo : lo + chunk]
-        starts = np.array([init.all_positions() for _, (_, init, _) in part], dtype=complex)
-        for (doc, _), out in zip(part, integrate_lanes(flow, starts, **settings)):
+        starts = np.array([plan.init.all_positions() for _, plan in part], dtype=complex)
+        for (doc, plan), out in zip(part, integrate_lanes(flow, starts, **settings)):
             try:
                 if isinstance(out, ChargeflowError):
                     raise out
-                codes.append(_write_period(doc, out))
+                codes.append(_WRITERS[doc["mode"]](doc, plan, out))
             except ChargeflowError as exc:
                 codes.append(_exit_code(exc))
     return codes

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,6 +25,7 @@ __all__ = [
     "lax",
     "integrals",
     "detect_period",
+    "period_multiples",
     "multiset_distance",
 ]
 
@@ -130,8 +131,7 @@ def linear_potential(positions: Sequence[complex], sys: SystemCoefficients) -> c
 def has_lax_pair(flow: FlowSpec) -> bool:
     """The coordinate-only Lax pair exists for the harmonic trap at
     charge ratio 1."""
-    trap = flow.sys is not None and flow.sys.omega is not None
-    return trap and abs(flow.sys.Lambda - 1.0) < 1e-12
+    return flow.omega is not None and abs(flow.sys.Lambda - 1.0) < 1e-12
 
 
 def lax(z: np.ndarray, flow: FlowSpec) -> np.ndarray:
@@ -143,7 +143,7 @@ def lax(z: np.ndarray, flow: FlowSpec) -> np.ndarray:
     if not has_lax_pair(flow):
         raise ValidationError("lax applies to the harmonic-trap flow at charge ratio 1")
     _check_sites(z, 1e-13)
-    diagonal = 0.5 * (1j * rhs_flat(flow, z) + flow.sys.omega * z)
+    diagonal = 0.5 * (1j * rhs_flat(flow, z) + flow.omega * z)
     species = np.repeat(np.arange(len(flow.sizes)), flow.sizes)
     same = species[:, None] == species[None, :]
     return np.where(same, pair_matrix(z, diagonal=diagonal), 0.0)
@@ -176,25 +176,30 @@ def multiset_distance(a: Sequence[complex], b: Sequence[complex]) -> float:
     return float(cost[rows, cols].max())
 
 
+def period_multiples(base_period: float, t_end: float) -> Iterator[float]:
+    """The times j*base_period, j = 1, 2, ..., that ``detect_period`` reads
+    on a trajectory ending at t_end, in order: every multiple up to t_end,
+    and one past it by less than 1e-9 base periods."""
+    j_max = int(math.floor(t_end / base_period + 1e-9))
+    return (j * base_period for j in range(1, j_max + 1))
+
+
 def detect_period(
     traj: Trajectory, base_period: float, tol: float = 1e-5
 ) -> Tuple[int, float]:
     """Smallest integer j such that the configuration at t = j*base_period
     returns to the initial root multiset (per species) within tol*scale.
+    Each j*base_period (``period_multiples``) is read at the output time
+    nearest to it.
 
     Raises NoReturnFound if no multiple inside the trajectory span matches.
     """
     times = traj.times
-    t_end = float(times[-1])
     split = np.cumsum(traj.flow.sizes)[:-1]
     init = np.split(traj.positions[0], split)
     scale = _scale(traj.positions[0])
-    j_max = int(math.floor(t_end / base_period + 1e-9))
-    if j_max < 1:
-        raise NoReturnFound("trajectory shorter than one base period")
-    best_mismatch = math.inf
-    for j in range(1, j_max + 1):
-        target = j * base_period
+    best_mismatch, j = math.inf, 0
+    for j, target in enumerate(period_multiples(base_period, float(times[-1])), start=1):
         idx = int(np.argmin(np.abs(times - target)))
         mismatch = 0.0
         for sp0, sp1 in zip(init, np.split(traj.positions[idx], split)):
@@ -203,6 +208,8 @@ def detect_period(
         best_mismatch = min(best_mismatch, mismatch)
         if mismatch < tol * scale:
             return j, mismatch
+    if not j:
+        raise NoReturnFound("trajectory shorter than one base period")
     raise NoReturnFound(
-        f"no return within {j_max} periods; best mismatch {best_mismatch:.3e}"
+        f"no return within {j} periods; best mismatch {best_mismatch:.3e}"
     )

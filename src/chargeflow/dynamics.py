@@ -36,7 +36,6 @@ system's.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -55,11 +54,11 @@ from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matri
 from .scalars import to_complex
 
 __all__ = [
-    "FlowKind",
     "FlowSpec",
     "Trajectory",
     "rhs",
     "integrate",
+    "uniform_grid",
     "integrate_lanes",
     "monitors",
     "over_samples",
@@ -70,27 +69,25 @@ __all__ = [
 ]
 
 
-class FlowKind(enum.Enum):
-    LINEAR = "linear"
-    CHARGED = "charged"
-    ANGULAR = "angular"
-
-
 def _cot(d):
     return 1.0 / np.tan(d)
 
 
+def _sine_distance(d):
+    return np.abs(np.sin(d.real))
+
+
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which evolution to integrate, its coefficients, and species sizes.
+    """A flow is its system and species sizes.  ``sys`` None is the
+    angular flow (P = 1, U = 0, charges +1 and -1, kernel cot dz, metric
+    |sin(Re dz)|); a system without charges is the linear flow (charge 1,
+    w = 0); any other system is a charged flow (w = q/2).  The remaining
+    fields are derived once from these two: the species ``charges``,
+    per-particle charges ``q``, float ``P``, ``U``, ``dP``, the P' weight
+    ``w``, the pair ``kernel``, the separation ``metric`` and the trap
+    frequency ``omega`` (None without a trap)."""
 
-    The remaining fields are derived once from these three: the species
-    charges, the per-particle charge vector ``q``, the float polynomials
-    ``P``, ``U``, ``dP`` (angular: P = 1, U = 0), the P' weight ``w``
-    (q/2 for charged flows, 0 otherwise) and the pair ``kernel``.
-    """
-
-    kind: FlowKind
     sys: Optional[SystemCoefficients]
     sizes: Tuple[int, ...]
     charges: Tuple[float, ...] = field(init=False, compare=False, repr=False)
@@ -100,55 +97,56 @@ class FlowSpec:
     dP: Polynomial = field(init=False, compare=False, repr=False)
     w: np.ndarray = field(init=False, compare=False, repr=False)
     kernel: Callable = field(init=False, compare=False, repr=False)
+    metric: Callable = field(init=False, compare=False, repr=False)
+    omega: Optional[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind is FlowKind.ANGULAR:
+        sys = self.sys
+        if sys is None:
             charges = (1.0, -1.0)
             P, U = Polynomial([1.0]), Polynomial.zero()
         else:
-            charges = (
-                (1.0,)
-                if self.kind is FlowKind.LINEAR
-                else tuple(to_complex(q).real for q in self.sys.charges)
-            )
-            P, U = self.sys.P.to_float(), self.sys.U.to_float()
+            charges = tuple(to_complex(q).real for q in sys.charges or (1.0,))
+            P, U = sys.P.to_float(), sys.U.to_float()
         if len(charges) != len(self.sizes):
             raise ValidationError(
                 f"{len(self.sizes)} species sizes for {len(charges)} charges"
             )
         q = np.repeat(np.array(charges, dtype=complex), self.sizes)
+        charged = sys is not None and sys.charges is not None
         derived = {
             "charges": charges,
             "q": q,
             "P": P,
             "U": U,
             "dP": P.derivative(),
-            "w": 0.5 * q if self.kind is FlowKind.CHARGED else np.zeros_like(q),
-            "kernel": _cot if self.kind is FlowKind.ANGULAR else _inverse,
+            "w": 0.5 * q if charged else np.zeros_like(q),
+            "kernel": _cot if sys is None else _inverse,
+            "metric": _sine_distance if sys is None else _distance,
+            "omega": None if sys is None else sys.omega,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     @staticmethod
     def linear(sys: SystemCoefficients, n: int):
-        return FlowSpec(FlowKind.LINEAR, sys, (n,))
+        return FlowSpec(sys, (n,))
 
     @staticmethod
     def bilinear(sys: SystemCoefficients, n: int, m: int):
-        return FlowSpec(FlowKind.CHARGED, sys, (n, m))
+        return FlowSpec(sys, (n, m))
 
     @staticmethod
     def polylinear(sys: SystemCoefficients, sizes: Sequence[int]):
-        return FlowSpec(FlowKind.CHARGED, sys, tuple(sizes))
+        return FlowSpec(sys, tuple(sizes))
 
     @staticmethod
     def rational_omega(omega: float, Lambda: float, n: int, m: int):
-        sys = SystemCoefficients.rational_omega(omega, Lambda)
-        return FlowSpec(FlowKind.CHARGED, sys, (n, m))
+        return FlowSpec(SystemCoefficients.rational_omega(omega, Lambda), (n, m))
 
     @staticmethod
     def angular(n: int, m: int):
-        return FlowSpec(FlowKind.ANGULAR, None, (n, m))
+        return FlowSpec(None, (n, m))
 
 
 @dataclass
@@ -208,14 +206,9 @@ def rhs(flow: FlowSpec, state: ChargeConfiguration):
 # -- separation measure ---------------------------------------------------------
 
 
-def _sine_distance(d):
-    return np.abs(np.sin(d.real))
-
-
 def _min_separation(flow: FlowSpec, z: np.ndarray):
-    """Smallest pair distance of each state: |sin(Re dz)| for angles, |dz| otherwise."""
-    metric = _sine_distance if flow.kind is FlowKind.ANGULAR else _distance
-    return pair_matrix(z, metric, diagonal=np.inf).min(axis=(-2, -1), initial=np.inf)[()]
+    """Smallest pair distance of each state in the flow's ``metric``."""
+    return pair_matrix(z, flow.metric, diagonal=np.inf).min(axis=(-2, -1), initial=np.inf)[()]
 
 
 # -- Dormand-Prince 5(4) ----------------------------------------------------------
@@ -303,14 +296,19 @@ def integrate(
     a step size underflow (below 1e-13 * t_end) or exceeding the step cap
     raises ``NonConvergence``.  The trajectory, or the error raised, has
     the run's step statistics in ``stats``.  This is the one-lane case of
-    ``integrate_lanes`` on the grid ``linspace(0, t_end, max(2, n_samples))``
-    (only t = 0 when ``t_end`` is 0).
+    ``integrate_lanes`` on ``uniform_grid(t_end, n_samples)``.
     """
-    times = np.linspace(0.0, t_end, max(2, n_samples)) if t_end else np.zeros(1)
+    times = uniform_grid(t_end, n_samples)
     (out,) = integrate_lanes(flow, _flatten(init)[None, :], times, rtol, atol, fixed_step)
     if isinstance(out, ChargeflowError):
         raise out
     return out
+
+
+def uniform_grid(t_end: float, n_samples: int) -> np.ndarray:
+    """The output grid of ``integrate``: ``linspace(0, t_end, max(2,
+    n_samples))``, or only t = 0 when ``t_end`` is 0."""
+    return np.linspace(0.0, t_end, max(2, n_samples)) if t_end else np.zeros(1)
 
 
 def integrate_lanes(
@@ -566,9 +564,10 @@ def monitors(traj: Trajectory) -> dict:
 
     flow = traj.flow
     columns = {"min_separation": lambda Z: _min_separation(flow, Z)}
-    if flow.kind is not FlowKind.LINEAR:
+    charged = flow.sys is not None and flow.sys.charges is not None
+    if charged or flow.sys is None:  # every flow but the linear one
         columns["charge_moment"] = lambda Z: Z @ flow.q
-    if flow.kind is FlowKind.CHARGED:
+    if charged:
         columns["bilinear_residual"] = lambda Z: state_residual(flow, Z)
     if has_lax_pair(flow):
         columns["conserved"] = lambda Z: integrals(Z, flow)
@@ -687,10 +686,10 @@ def reduced_velocity_residual(flow: FlowSpec, z: np.ndarray) -> float:
 
     along a symmetric harmonic-trap trajectory; returns the max deviation.
     """
-    if flow.sys is None or flow.sys.omega is None:
+    if flow.omega is None:
         raise ValidationError("reduction applies to the harmonic-trap flow")
     Lambda = -flow.charges[1]
-    omega = flow.sys.omega
+    omega = flow.omega
     xs = z[: flow.sizes[0]]
     zs = np.array(symmetric_reduce(z, flow))
     vel = rhs_flat(flow, z)[: len(xs)]

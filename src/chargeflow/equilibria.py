@@ -155,10 +155,6 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, GaussianRational):
-        return _scalar_json(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     return obj
 
 

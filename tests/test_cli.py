@@ -298,6 +298,52 @@ def test_period_without_base_period_exits_before_integrating(tmp_path, monkeypat
     assert calls  # the counter sees the integrator once a base period is given
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        # 17 samples over 1.01 periods miss t = 2 pi; conserved mode used to
+        # read the nearest sample and write no period entry
+        {"integration": {"t_end": 1.01 * 2 * math.pi, "samples_per_period": 16}},
+        # conserved mode used to ignore base_period and report k = 1
+        {"integration": {"periods": 2, "samples_per_period": 16}, "period": {"base_period": math.pi}},
+    ],
+    ids=["off_grid", "base_period"],
+)
+def test_conserved_reads_the_period_that_period_mode_reads(tmp_path, blocks):
+    periods = {}
+    for mode, artifact in (("period", "period.json"), ("conserved", "conserved.json")):
+        out = tmp_path / mode
+        assert cli.run({**_period_doc(out, **blocks), "mode": mode}) == cli.EXIT_OK
+        doc = json.loads((out / artifact).read_text())
+        periods[mode] = doc if mode == "period" else doc["period"]
+    assert periods["conserved"] == periods["period"]
+    assert periods["period"]["k"] == (2 if "period" in blocks else 1)
+
+
+def test_conserved_traces_stay_on_the_sample_grid(tmp_path):
+    # 7 periods at 3 samples per period: the 22-point grid misses 5 T by
+    # one ulp, so the run also integrates to 5 T, and no trace row is
+    # written for that extra output time
+    doc = _period_doc(tmp_path, integration={"periods": 7, "samples_per_period": 3})
+    assert cli.run({**doc, "mode": "conserved"}) == cli.EXIT_OK
+    grid = np.linspace(0.0, 7 * 2 * math.pi, 22)
+    assert grid[15] != 5 * 2 * math.pi
+    out = json.loads((tmp_path / "conserved.json").read_text())
+    assert [row[0] for row in out["integrals"]] == grid.tolist()
+
+
+@pytest.mark.parametrize("integration", [{"t_end": -1.0}, {"periods": -1}], ids=["t_end", "periods"])
+def test_sweep_with_negative_end_time_exits_validation(tmp_path, capsys, integration):
+    # each seed's plan rejects the end time; the sweep used to end in an
+    # uncaught ValidationError from integrate_lanes
+    cfg = write_config(tmp_path, {**_period_doc(tmp_path), "integration": integration})
+    argv = ["period", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,2"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["seed 1: exit 3", "seed 2: exit 3"]
+    assert captured.err.count("t_end must be >= 0") == 2
+
+
 def test_verify_identities_mode(tmp_path):
     for phi in ("inverse", "coth"):
         doc = {

@@ -18,7 +18,7 @@ from chargeflow.dynamics import (
     state_residual,
     symmetric_reduce,
 )
-from chargeflow.errors import Collision, SymmetryViolation
+from chargeflow.errors import Collision, SymmetryViolation, ValidationError
 from chargeflow.operators import ChargeConfiguration, Species, SystemCoefficients
 from chargeflow.polynomials import find_roots, hermite
 
@@ -211,6 +211,20 @@ def test_flowspec_derived_data_outside_equality():
     assert np.array_equal(a.w, 0.5 * a.q)
     assert FlowSpec.angular(2, 1).charges == (1.0, -1.0)
     assert not np.any(FlowSpec.linear(_QUARTIC, 3).w)
+
+
+def test_flow_and_its_system_cannot_disagree():
+    # a linear flow of a charged system used to drop its charges silently,
+    # and a two-species flow of a linear system failed with a TypeError
+    charged = SystemCoefficients.bilinear([1.0], [0, -2.0], Lambda=1.5)
+    with pytest.raises(ValidationError, match="1 species sizes for 2 charges"):
+        FlowSpec.linear(charged, 3)
+    with pytest.raises(ValidationError, match="2 species sizes for 1 charges"):
+        FlowSpec.bilinear(SystemCoefficients.linear([1.0], [0, -2.0]), 2, 1)
+    assert FlowSpec(charged, (3, 1)) == FlowSpec.bilinear(charged, 3, 1)
+    assert FlowSpec.linear(_QUARTIC, 3).omega is None
+    assert FlowSpec.rational_omega(1.3, 0.8, 3, 2).omega == 1.3
+    assert FlowSpec.angular(2, 1).omega is None
 
 
 def test_rhs_collision_guard():

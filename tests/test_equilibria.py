@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import json
 import math
 import pathlib
@@ -155,6 +157,30 @@ def test_check_built_rejects_an_inventory_moved_by_1e_6(indices, b):
         cert.inventory = sites[:i] + [(z + 1e-6 * scale, c)] + sites[i + 1 :]
         with pytest.raises(CertificationFailure, match="equilibrium gradient"):
             check_built(cert)
+
+
+def test_check_built_rejects_a_nonzero_planar_residual():
+    cert = hermite_pair([2, 4, 6], -2)
+    p = cert.p + Polynomial([1])
+    exact_zero, norm, idx = equilibria._exact_residual(cert.sys, p, cert.q, cert.lam)
+    assert not exact_zero and idx is not None
+    notes = {**cert.notes, "first_nonzero_residual_index": idx}
+    bad = dataclasses.replace(cert, p=p, residual_exact_zero=False, residual_norm=norm, notes=notes)
+    with pytest.raises(CertificationFailure, match="bilinear residual nonzero") as info:
+        check_built(bad)
+    assert info.value.coefficient_index == idx
+
+
+def test_check_built_rejects_a_cylinder_pair_it_cannot_verify():
+    cert = cylinder_pair([1, 2], [0.3, 1.1])
+    with pytest.raises(CertificationFailure, match="cylinder residual not exactly zero"):
+        check_built(dataclasses.replace(cert, residual_exact_zero=False))
+    sites = list(cert.inventory)
+    z, c = sites[0]
+    sites[0] = (z * cmath.exp(1e-3j), c)  # one root angle moved by 5e-4
+    with pytest.raises(CertificationFailure, match="cylinder gradient .* too large"):
+        check_built(dataclasses.replace(cert, inventory=sites))
+    assert check_built(cert).notes["gradient_max"] <= 1e-7
 
 
 def test_laguerre_pair_badk():

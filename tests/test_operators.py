@@ -475,6 +475,7 @@ def test_energy_stationary_at_certified_configuration():
         ([1.0], [0.0, -2.0]),
         ([0.0, 1.0], [0.0, 1.5]),
         ([1.0, 0.5, -0.8], [0.3, 1.1]),
+        ([1.0, -2.0, 1.0], [0.3, 1.1]),  # (z - 1)^2: the repeated-root term
     ],
 )
 def test_gradient_is_energy_gradient(P_coeffs, U_coeffs):

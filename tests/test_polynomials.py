@@ -530,6 +530,18 @@ def test_to_float_commutes_with_ring_operations(p, q, x):
     assert abs(p(x).to_complex() - pf(xf)) <= 1e-12 * bound
 
 
+def test_monic_of_a_float_polynomial_divides_by_its_leading_coefficient():
+    p = Polynomial([2.0, 1j, 4.0]).monic()
+    assert not p.exact and p.floats == (0.5 + 0j, 0.25j, 1 + 0j)
+
+
+def test_to_float_drops_top_coefficients_below_the_float_range():
+    # 10^-400 rounds to 0.0, so the float shadow has a lower degree
+    f = Polynomial([Fraction(3), Fraction(1, 2), Fraction(1, 10**400)]).to_float()
+    assert not f.exact and f.degree == 1 and f.floats == (3 + 0j, 0.5 + 0j)
+    assert Polynomial([Fraction(1, 10**400), Fraction(-1, 10**500)]).to_float().is_zero
+
+
 def test_coefficients_decide_the_ring():
     assert Polynomial([1, Fraction(1, 2)]).exact
     assert Polynomial([1, Fraction(1, 2)]).coeffs == (GaussianRational(1), GaussianRational(Fraction(1, 2)))
