@@ -261,7 +261,10 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
     + P'/2 sum Q_i^2 q_i' prod + U sum Q_i q_i' prod + lam prod, each prod
     over the q_n not differentiated.  With two species and charges
     (+1, -Lambda) it is the bilinear operator
-    (f''g - 2L f'g' + L^2 g''f) P + (f'g + L^2 g'f) P'/2 + (f'g - L g'f) U + lam f g."""
+    (f''g - 2L f'g' + L^2 g''f) P + (f'g + L^2 g'f) P'/2 + (f'g - L g'f) U + lam f g.
+    Evaluated by the product rule, with no q'': (sum Q_i^2 q_i' prod)' holds
+    each Q_i^2 q_i'' prod and (Q_i^2 + Q_j^2) q_i'q_j' prod per pair i < j, so
+    the P factor is that derivative minus sum_{i<j} (Q_i - Q_j)^2 q_i'q_j' prod."""
     if sys.charges is None:
         raise ValidationError("polylinear_H needs species charges")
     qs = list(qs)
@@ -276,23 +279,19 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
     l = len(qs)
     Q = sys.charges
     dqs = [q.derivative() for q in qs]
-    rests = [_product(qs[:i] + qs[i + 1 :]) for i in range(l)]
 
-    second = Polynomial.zero()
+    sym = anti = Polynomial.zero()
     for i in range(l):
-        second = second + (dqs[i].derivative() * rests[i]).scale(Q[i] * Q[i])
-    for i in range(l):
-        for j in range(i + 1, l):
-            others = [q for k, q in enumerate(qs) if k != i and k != j]
-            term = dqs[i] * dqs[j] * _product(others)
-            second = second + term.scale(Q[i] * Q[j]).scale(2)
-
-    sym = Polynomial.zero()
-    anti = Polynomial.zero()
-    for i in range(l):
-        slope = dqs[i] * rests[i]  # q_i' prod_{n != i} q_n
+        slope = _product([dqs[i]] + qs[:i] + qs[i + 1 :])  # q_i' prod_{n != i} q_n
         sym = sym + slope.scale(Q[i] * Q[i])
         anti = anti + slope.scale(Q[i])
+
+    second = sym.derivative()
+    for i in range(l):
+        for j in range(i + 1, l):
+            others = [q for k, q in enumerate(qs) if k not in (i, j)]
+            gap = Q[i] - Q[j]
+            second = second - _product([dqs[i], dqs[j]] + others).scale(gap * gap)
 
     return (
         second * sys.P

@@ -154,7 +154,7 @@ class Polynomial:
             re = [r.numerator * (den // r.denominator) for r, _ in parts]
             return _canonical(den, re, [i.numerator * (den // i.denominator) for _, i in parts])
         floats = tuple(v if isinstance(v, np.ndarray) else complex(v) for v in coeffs)
-        while floats and not np.any(floats[-1]):
+        while floats and not (floats[-1].any() if isinstance(floats[-1], np.ndarray) else floats[-1]):
             floats = floats[:-1]
         return _stored(None, None, None, floats) if floats else _canonical(1, ())
 

@@ -9,6 +9,7 @@ from chargeflow.dynamics import (
     FlowSpec,
     _min_separation,
     integrate,
+    integrate_lanes,
     monitors,
     phi_identity_i1,
     phi_identity_i2,
@@ -299,6 +300,70 @@ def test_integrate_tolerance_halving_monotone():
                          n_samples=2)
         errs.append(abs(traj.positions[-1, 0] - 1.0))
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+# -- half-period return at Lambda = 1 --------------------------------------------
+
+# ROADMAP item 2's table: relative half-period error max|z(pi) + z0| / max|z0|
+# over three starts per N, at atol = rtol / 100, as (lowest, highest)
+_HALF_PERIOD_TABLE = {
+    7: {1e-6: (5.6e-6, 7.2e-6), 1e-8: (5.1e-8, 8.9e-8), 1e-10: (3.2e-10, 1.1e-9), 1e-12: (2.9e-12, 1.1e-11)},
+    30: {1e-6: (2.6e-4, 1.8e-3), 1e-8: (2.8e-7, 1.0e-6), 1e-10: (2.5e-9, 7.4e-9), 1e-12: (1.9e-11, 6.0e-11)},
+}
+
+
+def _separated_starts(n_total, count, seed, scale=1.8, min_sep=0.36):
+    """``count`` Gaussian starts (per-axis sd ``scale``) whose pair
+    distances all exceed ``min_sep``, as the trap benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    while len(starts) < count:
+        z = rng.normal(size=n_total) * scale + 1j * rng.normal(size=n_total) * scale
+        dist = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(n_total, np.inf))
+        if dist.min() > min_sep:
+            starts.append(z)
+    return np.array(starts)
+
+
+def _half_period_errors(flow, Z0, rtol):
+    """Per start, the largest per-species ``multiset_distance`` between
+    z(pi / omega) and -z0, over max|z0|."""
+    lanes = integrate_lanes(flow, Z0, [0.0, math.pi / flow.omega], rtol=rtol, atol=rtol / 100)
+    split = np.cumsum(flow.sizes)[:-1]
+    errs = []
+    for z0, traj in zip(Z0, lanes):
+        assert not isinstance(traj, Exception), traj
+        pairs = zip(np.split(traj.positions[-1], split), np.split(-z0, split))
+        errs.append(max(multiset_distance(a, b) for a, b in pairs) / np.max(np.abs(z0)))
+    return errs
+
+
+@pytest.mark.parametrize(
+    "omega, n, m", [(1.0, 6, 1), (1.0, 3, 2), (1.0, 4, 4), (1.0, 20, 10), (0.5, 5, 3), (2.0, 5, 3)]
+)
+def test_lambda_one_trap_returns_to_minus_start_at_half_period(omega, n, m):
+    # at rtol 1e-10: 10x the table's highest N = 7 reading for N <= 8, and
+    # 100x its highest N = 30 one, since three starts understate that
+    # column's spread (twenty starts drawn this way read up to 3.3e-7)
+    flow = FlowSpec.rational_omega(omega, 1.0, n, m)
+    column = 7 if n + m <= 8 else 30
+    bound = (10 if column == 7 else 100) * _HALF_PERIOD_TABLE[column][1e-10][1]
+    assert max(_half_period_errors(flow, _separated_starts(n + m, 3, seed=100 * n + m), 1e-10)) < bound
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (20, 10)])
+def test_half_period_error_falls_with_rtol(n, m):
+    # each 100x tighter rtol cuts every start's error more than 10x (twenty
+    # starts read at least 36x), and each reading stays within 100x of the
+    # table's range for its rtol
+    flow = FlowSpec.rational_omega(1.0, 1.0, n, m)
+    table = _HALF_PERIOD_TABLE[n + m]
+    starts = _separated_starts(n + m, 3, seed=n + m)
+    errs = [_half_period_errors(flow, starts, rtol) for rtol in table]
+    for (lo, hi), row in zip(table.values(), errs):
+        assert all(lo / 100 <= e <= 100 * hi for e in row), row
+    for loose, tight in zip(errs, errs[1:]):
+        assert all(a > 10 * b for a, b in zip(loose, tight)), (loose, tight)
 
 
 def test_collision_during_integration_localized():

@@ -1,5 +1,6 @@
 import cmath
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chargeflow.errors import (
 )
 from chargeflow.operators import (
     ChargeConfiguration,
+    _product,
     Species,
     SystemCoefficients,
     eigenpoly,
@@ -289,6 +291,123 @@ def test_polylinear_two_species_matches_sympy_oracle():
             for sys in systems:
                 ours = _sympy_poly(polylinear_H(sys, [f, g]), z)
                 assert sympy.expand(ours - oracle) == 0
+
+
+def _paper_form_H(sys, qs, lam=None):
+    """The operator as the paper writes it, with each q_i'' formed: the body
+    ``polylinear_H`` had before it used the product rule, kept here as the
+    reference it must equal."""
+    if sys.charges is None:
+        raise ValidationError("polylinear_H needs species charges")
+    qs = list(qs)
+    if len(qs) != len(sys.charges):
+        raise ArityMismatch(
+            f"got {len(qs)} polynomials for {len(sys.charges)} species"
+        )
+    if lam is None:
+        lam = sys.lam
+    if lam is None:
+        lam = lambda_poly([q.degree for q in qs], sys)
+    l = len(qs)
+    Q = sys.charges
+    dqs = [q.derivative() for q in qs]
+    rests = [_product(qs[:i] + qs[i + 1 :]) for i in range(l)]
+
+    second = Polynomial.zero()
+    for i in range(l):
+        second = second + (dqs[i].derivative() * rests[i]).scale(Q[i] * Q[i])
+    for i in range(l):
+        for j in range(i + 1, l):
+            others = [q for k, q in enumerate(qs) if k != i and k != j]
+            term = dqs[i] * dqs[j] * _product(others)
+            second = second + term.scale(Q[i] * Q[j]).scale(2)
+
+    sym = Polynomial.zero()
+    anti = Polynomial.zero()
+    for i in range(l):
+        slope = dqs[i] * rests[i]  # q_i' prod_{n != i} q_n
+        sym = sym + slope.scale(Q[i] * Q[i])
+        anti = anti + slope.scale(Q[i])
+
+    return (
+        second * sys.P
+        + sym.scale(Fraction(1, 2)) * sys.P.derivative()
+        + anti * sys.U
+        + _product(qs).scale(lam)
+    )
+
+
+_small = st.fractions(-4, 4, max_denominator=6)
+_exact_scalars = st.one_of(_small, st.builds(GaussianRational, _small, _small))
+
+
+def _exact_polys(max_degree):
+    return st.lists(_exact_scalars, max_size=max_degree + 1).map(Polynomial)
+
+
+_eigenconstants = st.one_of(st.none(), _exact_scalars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _exact_polys(2), _exact_polys(1), _small.filter(lambda L: L != -1), _eigenconstants,
+    _exact_polys(8), _exact_polys(8),
+)
+def test_polylinear_equals_the_paper_form_on_exact_pairs(P_, U_, Lam, lam, f, g):
+    sys = SystemCoefficients.bilinear(P_, U_, Lambda=Lam, lam=lam)
+    assert polylinear_H(sys, [f, g]) == _paper_form_H(sys, [f, g])
+
+
+_THREE_CHARGES = [
+    (1, Fraction(-2, 3), Fraction(5, 2)),
+    (GaussianRational(0, 1), GaussianRational(1, Fraction(-1, 2)), Fraction(-3)),
+    (GaussianRational(2, 1), GaussianRational(2, -1), 1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_THREE_CHARGES), _exact_polys(2), _exact_polys(1), _eigenconstants,
+    st.lists(_exact_polys(5), min_size=3, max_size=3),
+)
+def test_polylinear_equals_the_paper_form_with_three_species(charges, P_, U_, lam, qs):
+    sys = SystemCoefficients.polylinear(P_, U_, charges, lam=lam)
+    assert polylinear_H(sys, qs) == _paper_form_H(sys, qs)
+
+
+def _abs_poly(p):
+    return Polynomial([np.abs(c) for c in p.coeffs])
+
+
+@pytest.mark.parametrize(
+    "sys, degrees",
+    [
+        (SystemCoefficients.rational_omega(1.0, 1.0), (20, 10)),
+        (SystemCoefficients.rational_omega(2.0, 1.213579), (6, 1)),
+        (SystemCoefficients.polylinear([0.5, -1.0, 2.0j], [1.0, -0.25], (1.0, -0.7, 2.5)), (4, 3, 2)),
+    ],
+)
+def test_polylinear_agrees_with_the_paper_form_on_float_stacks(sys, degrees):
+    # monic polynomials with (S,) coefficient arrays, as ``state_residual`` builds
+    rng = np.random.default_rng(sum(degrees))
+    S = 16
+    qs = [
+        Polynomial([rng.normal(size=S) + 1j * rng.normal(size=S) for _ in range(d)] + [np.ones(S)])
+        for d in degrees
+    ]
+    ours, ref = polylinear_H(sys, qs), _paper_form_H(sys, qs)
+    # rounding bound: 16 eps times the paper form of the absolute values
+    # with every charge at max |Q_i|, which bounds each term either form
+    # adds up to a factor 3 ((Q_i^2 + Q_j^2) and (Q_i - Q_j)^2 per pair);
+    # these stacks read at most 1 eps
+    top = max(abs(c) for c in sys.charges)
+    size = _paper_form_H(
+        SimpleNamespace(P=_abs_poly(sys.P), U=_abs_poly(sys.U), charges=(top,) * len(qs)),
+        [_abs_poly(q) for q in qs],
+        lam=abs(lambda_poly(degrees, sys)),
+    )
+    for k in range(size.degree + 1):
+        assert np.all(np.abs(ours.coeff(k) - ref.coeff(k)) <= 16 * np.finfo(float).eps * size.coeff(k).real)
 
 
 def test_polylinear_single_species():

@@ -555,6 +555,40 @@ def test_coefficients_decide_the_ring():
     assert Polynomial([1.0, 2.0]).scale(Fraction(1, 2)) == Polynomial([0.5, 1.0])
 
 
+# trailing float coefficients: the signed zeros, NaNs in either part, a
+# tiny nonzero, and (S,) arrays that are zero, hold a NaN or a tiny entry
+_TRAILING = [
+    0j, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), math.nan, complex(0.0, math.nan), 1e-300,
+    np.zeros(3), np.array([0.0, -0.0, -0j]), np.array([0.0, math.nan, 0.0]), np.array([0.0, 1e-300, 0.0]),
+]
+
+
+def _np_any_strip(coeffs):
+    """The float coefficients left after dropping trailing ones that
+    ``np.any`` finds zero, the rule the constructor follows."""
+    floats = [v if isinstance(v, np.ndarray) else complex(v) for v in coeffs]
+    while floats and not np.any(floats[-1]):
+        floats.pop()
+    return floats
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([[], [2.5], [np.array([1.0, 0.0, -2.0])]]),
+    st.lists(st.sampled_from(range(len(_TRAILING))), max_size=4),
+)
+def test_float_trailing_zeros_strip_as_np_any_finds_them(head, tail):
+    coeffs = head + [_TRAILING[i] for i in tail]
+    p, want = Polynomial(coeffs), _np_any_strip(coeffs)
+    if not want:
+        assert _fields(p) == _fields(Polynomial.zero())
+        return
+    assert not p.exact and len(p.floats) == len(want)
+    for got, ref in zip(p.floats, want):
+        assert type(got) is type(ref)
+        assert np.array_equal(got, ref, equal_nan=True)
+
+
 def test_mixing_rings_raises():
     exact, flt = P(1, 2, 3), Polynomial([1.0, 2.0, 3.0])
     with pytest.raises(TypeError):
