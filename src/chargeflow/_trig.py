@@ -71,7 +71,11 @@ def laplace_residual(wp: Fourier, wq: Fourier, indices: Sequence[int], n: int, m
     a_f b_g [(n-m)**2 - (f-g)**2] e^{i (f+g) phi}.  The r**d e^{i h phi}
     are a basis of the degree-d homogeneous polynomials, so this vanishes
     exactly when the (X, Y) residual does.  Its unit is the product of the
-    two (nonzero) units, so the integer convolution decides the zero."""
+    two (nonzero) units, so the integer convolution decides the zero.
+    In w = e^{2 i phi} (``substitute``) it is 4/w times ``polylinear_H``
+    of the pair under the field P = -w**2, U = (n - m) w, lambda = 0, with
+    the amplitudes and phases formal: there a term w**a of p and w**b of q
+    contribute ((n - m)**2 - (f - g)**2) w**(a + b) / 4."""
     out: Dict[Tuple[int, ...], int] = {}
     q_terms = [(u, b, _freq(u, indices)) for u, b in wq.amps.items()]
     for s, a in wp.amps.items():

@@ -14,7 +14,6 @@ from .errors import NoReturnFound, ValidationError
 from .operators import ChargeConfiguration, SystemCoefficients, _check_sites, _scale
 from .dynamics import FlowSpec, Trajectory, rhs_flat
 from .polynomials import _distance, pair_matrix
-from .scalars import to_complex
 
 __all__ = [
     "HamiltonianValues",
@@ -85,7 +84,7 @@ def hamiltonians(
 
     h_plus = h_minus = None
     if len(sys.charges) == 2 and len(state.species) == 2:
-        lam_val = -to_complex(sys.charges[1]) / to_complex(sys.charges[0])
+        lam_val = -complex(sys.charges[1]) / complex(sys.charges[0])
         if abs(lam_val - 1.0) < 1e-12:
             n = len(state.species[0].positions)
             (vx, vy), (px, py) = np.split(v, [n]), np.split(pz, [n])

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .operators import ChargeConfiguration, SystemCoefficients, _product, polylinear_H
 from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
-from .scalars import to_complex
 
 __all__ = [
     "FlowSpec",
@@ -106,7 +105,7 @@ class FlowSpec:
             charges = (1.0, -1.0)
             P, U = Polynomial([1.0]), Polynomial.zero()
         else:
-            charges = tuple(to_complex(q).real for q in sys.charges or (1.0,))
+            charges = tuple(complex(q).real for q in sys.charges or (1.0,))
             P, U = sys.P.to_float(), sys.U.to_float()
         if len(charges) != len(self.sizes):
             raise ValidationError(

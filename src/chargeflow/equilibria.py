@@ -1,13 +1,13 @@
 """Construction and exact certification of equilibrium polynomial pairs.
 
-Every planar constructor returns a pair (p, q) of exact polynomials
-together with a governing system (P, U, charge ratio 1, eigenconstant
-lambda) for which the two-argument operator annihilates the pair
-bit-exactly.  The cylinder constructor writes its two trigonometric
-Wronskians in closed form, as integer Fourier amplitudes on formal phase
-units (``_trig``), and certifies the rotationally homogeneous analog on
-them, which is equivalent to the bivariate (X, Y) form; the phases stay
-formal, which makes the residual exact for every phase choice at once.
+Every constructor returns a pair (p, q) together with a governing
+system (P, U, charge ratio 1, eigenconstant lambda) for which the
+two-argument operator annihilates the pair bit-exactly.  The planar pairs
+are exact polynomials.  The cylinder constructor writes its two
+trigonometric Wronskians in closed form, as integer Fourier amplitudes on
+formal phase units (``_trig``); in w = exp(2 i phi) they are the float
+pair of the monomial field P = -w**2, U = (n - m) w, whose residual is
+w/4 times the formal one, exact for every phase choice at once.
 """
 
 from __future__ import annotations
@@ -28,18 +28,9 @@ from .errors import (
     DegenerateWronskian,
     ValidationError,
 )
-from .operators import (
-    ChargeConfiguration,
-    Species,
-    SystemCoefficients,
-    _scale,
-    eigenpoly,
-    gradient_with_scale,
-    lambda_poly,
-    polylinear_H,
-)
-from .polynomials import CLUSTER_TOL, Polynomial, _ratio_json, is_exact
-from .polynomials import leading_wronskians, pair_matrix, reduce_pair
+from .operators import SystemCoefficients, _scale, _site_gradient, eigenpoly, lambda_poly, polylinear_H
+from .polynomials import CLUSTER_TOL, Polynomial, _distance, _ratio_json, is_exact
+from .polynomials import leading_wronskians, reduce_pair
 from .scalars import GaussianRational, exactify
 
 __all__ = [
@@ -188,8 +179,7 @@ def _polynomial(doc) -> Polynomial:
 
 
 # the keys of the cylinder payload and the type of each
-_BIVARIATE = {"degree_p": int, "degree_q": int, "p_xy": list, "q_xy": list,
-              "residual_norm_at_ts": float}
+_BIVARIATE = {"degree_p": int, "degree_q": int, "p_xy": list, "q_xy": list}
 
 
 def _bivariate(doc) -> Optional[dict]:
@@ -224,11 +214,15 @@ def _scalar_from_json(doc):
 
 
 def _exact_residual(sys, p, q, lam):
-    resid = polylinear_H(sys, [p, q], lam=lam)
+    return _residual_status(polylinear_H(sys, [p, q], lam=lam), p, q)
+
+
+def _residual_status(resid, p, q):
+    """(whether the residual polynomial is zero, its largest coefficient
+    over the largest of p q, its first nonzero coefficient index or None)."""
     if resid.is_zero:
         return True, 0.0, None
-    # first offending coefficient index and a float norm for reporting
-    idx = next(k for k, c in enumerate(resid.coeffs) if not c.is_zero)
+    idx = next(k for k, c in enumerate(resid.coeffs) if c)
     denom = max((abs(c) for c in (p * q).to_float().coeffs), default=1.0)
     norm = max(abs(c) for c in resid.to_float().coeffs) / denom
     return False, norm, idx
@@ -244,7 +238,14 @@ def _finish_planar(recipe, params, sys, degrees, eigenfunctions, prefactors=(1, 
     if (p.degree, q.degree) != degrees:
         raise DegenerateWronskian(f"degree drop: got {(p.degree, q.degree)}, expected {degrees}")
     lam = lambda_poly(degrees, sys)
-    exact_zero, norm, idx = _exact_residual(sys, p, q, lam)
+    return _certificate(recipe, params, sys, lam, degrees, p, q, _exact_residual(sys, p, q, lam), notes)
+
+
+def _certificate(recipe, params, sys, lam, degrees, p, q, residual, notes=None, bivariate=None):
+    """The certificate of the pair (p, q) under ``sys`` and ``lam``, with
+    its residual status (``_residual_status``), reduced pair and
+    inventory."""
+    exact_zero, norm, idx = residual
     pbar, qbar, inventory = reduce_pair(p, q)
     cert = EquilibriumCertificate(
         recipe=recipe,
@@ -258,6 +259,7 @@ def _finish_planar(recipe, params, sys, degrees, eigenfunctions, prefactors=(1, 
         inventory=inventory,
         residual_exact_zero=exact_zero,
         residual_norm=0.0 if exact_zero else norm,
+        bivariate=bivariate,
         notes=notes or {},
     )
     cert.notes.setdefault("leading_p", _scalar_json(p.leading()))
@@ -395,12 +397,14 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
 
     Builds the sin(i_j phi + t_j) Wronskians in closed form (``_trig``);
     with the radial powers r**n, r**m (n, m the index sums) they are
-    homogeneous (X, Y) polynomials p, q, and the pair certifies
-    q Lap p - 2 (grad q, grad p) + p Lap q = 0.
-    The residual is checked, with formal phases, on the Fourier amplitudes
-    of the Wronskians, which is equivalent to the (X, Y) form, so the zero
-    is exact for every ts; the stored float pair and (X, Y) coefficients
-    materialize the requested phases.
+    homogeneous (X, Y) polynomials, and the pair certifies
+    q Lap p - 2 (grad q, grad p) + p Lap q = 0.  The residual is checked,
+    with formal phases, on the Fourier amplitudes of the Wronskians, which
+    is equivalent to the (X, Y) form, so the zero is exact for every ts.
+    The stored pair is the Wronskians' float polynomials in
+    w = exp(2 i phi) at the requested phases, under the monomial field
+    P = -w**2, U = (n - m) w; their ``polylinear_H`` is w/4 times that
+    residual.  The (X, Y) coefficients go into ``bivariate``.
     """
     indices = _check_index_set(indices)
     ts = [float(t) for t in ts]
@@ -411,44 +415,23 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
     wp = _trig.trig_wronskian(indices, kp1)
     wq = _trig.trig_wronskian(indices[:k], kp1)
     n, m = sum(indices), sum(indices[:k])
-    resid = _trig.laplace_residual(wp, wq, indices, n, m)
-    exact_zero = not resid.amps
-
-    # materialize requested phases
     p_num = _trig.xy_coeffs(wp, indices, n, ts)
     q_num = _trig.xy_coeffs(wq, indices, m, ts)
     if max(abs(c) for c in p_num) < 1e-14 or max(abs(c) for c in q_num) < 1e-14:
         raise DegenerateWronskian("chosen phases collapse the Wronskian")
-    resid_num = _trig.substitute(resid, indices, n + m - 2, ts).floats
-    denom = max(abs(c) for c in p_num) * max(abs(c) for c in q_num)
-    norm = max((abs(c) for c in resid_num), default=0.0) / max(denom, 1e-300)
-
-    # univariate shadow in w = exp(2 i phi) for inventory and replays
     p_w = _trig.substitute(wp, indices, n, ts)
     q_w = _trig.substitute(wq, indices, m, ts)
-    pbar, qbar, inventory = reduce_pair(p_w, q_w)
-
-    cert = EquilibriumCertificate(
-        recipe="cylinder_wronskian",
-        params={"indices": indices, "ts": ts},
-        p=p_w,
-        q=q_w,
-        degrees=(n, m),
-        sys=SystemCoefficients.bilinear([0.0, 0.0, -1.0], [0.0, 0.0], Lambda=1.0),
-        lam=float((n - m) ** 2),
-        reduced=(pbar, qbar),
-        inventory=inventory,
-        residual_exact_zero=exact_zero,
-        residual_norm=0.0 if exact_zero else norm,
-        bivariate={
-            "degree_p": n,
-            "degree_q": m,
-            "p_xy": [[c.real, c.imag] for c in p_num],
-            "q_xy": [[c.real, c.imag] for c in q_num],
-            "residual_norm_at_ts": norm,
-        },
-    )
-    return cert
+    sys = SystemCoefficients.bilinear([0.0, 0.0, -1.0], [0.0, float(n - m)], Lambda=1.0)
+    # the formal residual decides the zero; at the phases, w/4 times it
+    # is the field's polylinear_H, whose size and first term are reported
+    resid = _trig.laplace_residual(wp, wq, indices, n, m)
+    H = _trig.substitute(resid, indices, n + m - 2, ts).shift(1).scale(0.25)
+    _, norm, idx = _residual_status(H, p_w, q_w)
+    xy = {"degree_p": n, "degree_q": m, "p_xy": [[c.real, c.imag] for c in p_num],
+          "q_xy": [[c.real, c.imag] for c in q_num]}
+    params, lam = {"indices": indices, "ts": ts}, lambda_poly((n, m), sys)
+    return _certificate("cylinder_wronskian", params, sys, lam, (n, m), p_w, q_w, (not resid.amps, norm, idx),
+                        bivariate=xy)
 
 
 # each recipe's constructor, which ``certify`` calls with the stored params
@@ -476,10 +459,10 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
         raise
     except _MALFORMED as exc:
         raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
-    # a planar pair that differs from the rebuild: name the offending
-    # coefficient when it is no equilibrium at all (cylinder pairs are
-    # float shadows, and a float field in a planar document has no exact
-    # residual; the document comparison below rejects both)
+    # an exact pair that differs from the rebuild: name the offending
+    # coefficient when it is no equilibrium at all (a float pair, such as
+    # a cylinder's, has no exact residual; the document comparison below
+    # rejects it)
     exact_pair = cert.sys.exact and cert.p.exact and cert.q.exact and is_exact((cert.lam,))
     if exact_pair and (cert.p, cert.q) != (fresh.p, fresh.q):
         exact_zero, norm, idx = _exact_residual(cert.sys, cert.p, cert.q, cert.lam)
@@ -531,60 +514,29 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     inventory, whose largest value goes into ``notes["gradient_max"]``.
     Raises CertificationFailure, or ValidationError when the field has no
     float form (``Polynomial.to_float``); returns ``cert``."""
-    if cert.recipe == "cylinder_wronskian":
-        if not cert.residual_exact_zero:
-            raise CertificationFailure("cylinder residual not exactly zero")
-        # gradient cross-check in angle variables via w = exp(2 i phi)
-        worst = _cylinder_gradient_max(cert)
-        if worst > 1e-7:
-            raise CertificationFailure(f"cylinder gradient {worst:.3e} too large")
-        cert.notes["gradient_max"] = worst
-        return cert
     if not cert.residual_exact_zero:
         raise CertificationFailure(
             f"bilinear residual nonzero (norm {cert.residual_norm:.3e})",
-            coefficient_index=cert.notes["first_nonzero_residual_index"],
+            coefficient_index=cert.notes.get("first_nonzero_residual_index"),
         )
-    inventory = cert.inventory
-    grad, size = _inventory_gradient(inventory, cert.sys)
-    scale = float(_scale(np.array([z for z, _ in inventory], dtype=complex)))
+    # a site of net charge c is |c| charges of the species c / |c|; the +1
+    # species goes first, as a configuration lists it, which fixes the
+    # order of the row sums
+    sites = sorted(cert.inventory, key=lambda site: site[1] < 0)
+    z = np.array([z for z, _ in sites], dtype=complex)
+    c = np.array([c for _, c in sites], dtype=complex)
+    grad, size, Pz = _site_gradient(z, np.where(c.real > 0, 1.0, -1.0), c, cert.sys)
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
     # Elsewhere the gradient must cancel to GRADIENT_TOL of its terms'
     # size, which scales with the pair as the rounding floor does.
-    Pf = cert.sys.P.to_float()
-    worst = 0.0
-    for (z, _), g, s in zip(inventory, grad, size):
-        if abs(Pf(z)) > 1e-10 * max(1.0, scale):
-            worst = max(worst, abs(g))
-            if abs(g) > GRADIENT_TOL * s:
-                raise CertificationFailure(
-                    f"equilibrium gradient {abs(g):.3e} exceeds {GRADIENT_TOL:g} of its terms' size {s:.3e}"
-                )
-    cert.notes["gradient_max"] = worst
+    free = _distance(Pz) > 1e-10 * max(1.0, float(_scale(z)))
+    grad, size = _distance(grad[free]), size[free]
+    over = np.flatnonzero(grad > GRADIENT_TOL * size)
+    if over.size:
+        g, s = grad[over[0]], size[over[0]]
+        raise CertificationFailure(
+            f"equilibrium gradient {g:.3e} exceeds {GRADIENT_TOL:g} of its terms' size {s:.3e}"
+        )
+    cert.notes["gradient_max"] = float(np.max(grad, initial=0.0))
     return cert
-
-
-def _inventory_gradient(inventory, sys):
-    """The equilibrium gradient at each inventory site and the size its
-    terms cancel from (``gradient_with_scale``), as lists in inventory
-    order (the configuration lists the +1 species' sites before the -1
-    ones)."""
-    plus = [i for i, (_, c) in enumerate(inventory) if c > 0]
-    minus = [i for i, (_, c) in enumerate(inventory) if c < 0]
-    species = tuple(
-        Species(q, tuple(inventory[i][0] for i in idx), tuple(abs(inventory[i][1]) for i in idx) or None)
-        for q, idx in ((1.0, plus), (-1.0, minus))
-    )
-    grad, size = gradient_with_scale(ChargeConfiguration(species), sys)
-    order = np.argsort(plus + minus)
-    return grad[order].tolist(), size[order].tolist()
-
-
-def _cylinder_gradient_max(cert: EquilibriumCertificate) -> float:
-    """Max cotangent-sum gradient over the reduced root angles."""
-    z = np.array([zi for zi, _ in cert.inventory], dtype=complex)
-    c = np.array([ci for _, ci in cert.inventory], dtype=float)
-    # cot(phi_i - phi_j) = i (w_i + w_j) / (w_i - w_j)
-    cot = 1j * (z[:, None] + z[None, :]) * pair_matrix(z)
-    return float(np.max(np.abs((cot * c).sum(axis=1)), initial=0.0))

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .polynomials import Polynomial, _canonical, _distance, is_exact, pair_matrix
-from .scalars import exactify, to_complex
+from .scalars import exactify
 
 __all__ = [
     "SystemCoefficients",
@@ -83,7 +83,7 @@ class SystemCoefficients:
             if self.U.degree > 3:
                 raise ValidationError("linear mode allows deg(U) <= 3")
         else:
-            to_ring = exactify if exact else (lambda c: to_complex(c).real)
+            to_ring = exactify if exact else (lambda c: complex(c).real)
             object.__setattr__(self, "charges", tuple(to_ring(c) for c in charges))
             if len(self.charges) < 1:
                 raise ValidationError("need at least one species charge")
@@ -167,7 +167,7 @@ class ChargeConfiguration:
         """Complex arrays (z, q, c), one entry per site: the positions, the
         species charges and the multiplicity-weighted charges."""
         z = np.array(self.all_positions(), dtype=complex)
-        q = np.array([to_complex(s.charge) for s in self.species for _ in s.positions], dtype=complex)
+        q = np.array([complex(s.charge) for s in self.species for _ in s.positions], dtype=complex)
         c = q * np.array([m for s in self.species for m in s.mults], dtype=int)
         return z, q, c
 
@@ -375,7 +375,13 @@ def gradient_with_scale(cfg: ChargeConfiguration, sys: SystemCoefficients):
 
     A gradient at rounding level is a tiny multiple of this size, however
     the pair is scaled."""
-    z, q, c = cfg.sites()
+    return _site_gradient(*cfg.sites(), sys)[:2]
+
+
+def _site_gradient(z: np.ndarray, q: np.ndarray, c: np.ndarray, sys: SystemCoefficients):
+    """``gradient_with_scale`` of the site arrays (z, q, c) that
+    ``ChargeConfiguration.sites`` reads, with P at the sites as a third
+    array."""
     _check_sites(z, 1e-14)
     P, U = sys.P.to_float(), sys.U.to_float()
     # row sums rather than ``@``: BLAS starts threads for n >= 64 or so
@@ -383,7 +389,7 @@ def gradient_with_scale(cfg: ChargeConfiguration, sys: SystemCoefficients):
     Pz, Uz, self_term = P(z), U(z), (c - q / 2.0) * P.derivative()(z)
     g = -2.0 * Pz * pulls.sum(axis=1) - Uz - self_term
     size = 2.0 * np.abs(Pz) * np.abs(pulls).sum(axis=1) + np.abs(Uz) + np.abs(self_term)
-    return g, size
+    return g, size, Pz
 
 
 def equilibrium_gradient(cfg: ChargeConfiguration, sys: SystemCoefficients):

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClusterAmbiguity, NonConvergence, ValidationError
-from .scalars import EXACT, GaussianRational, to_complex
+from .scalars import EXACT, GaussianRational
 
 __all__ = [
     "Polynomial",
@@ -153,7 +153,9 @@ class Polynomial:
             den = math.lcm(*(x.denominator for part in parts for x in part))
             re = [r.numerator * (den // r.denominator) for r, _ in parts]
             return _canonical(den, re, [i.numerator * (den // i.denominator) for _, i in parts])
-        floats = tuple(v if isinstance(v, np.ndarray) else complex(v) for v in coeffs)
+        if GaussianRational in map(type, coeffs):
+            raise TypeError("exact and float coefficients do not mix")
+        floats =tuple(v if isinstance(v, np.ndarray) else complex(v) for v in coeffs)
         while floats and not (floats[-1].any() if isinstance(floats[-1], np.ndarray) else floats[-1]):
             floats = floats[:-1]
         return _stored(None, None, None, floats) if floats else _canonical(1, ())
@@ -285,8 +287,9 @@ class Polynomial:
 
     def scale(self, scalar):
         """Multiply by a scalar, which first joins the coefficients' ring
-        (a ``Fraction`` scales a float polynomial as a complex; a float
-        scales an exact one as the constant polynomial would)."""
+        (a ``Fraction`` or ``GaussianRational`` scales a float polynomial
+        as a complex; a float scales an exact one as the constant
+        polynomial would)."""
         if not self.exact:
             if not isinstance(scalar, np.ndarray):
                 scalar = complex(scalar)
@@ -369,7 +372,7 @@ class Polynomial:
         else:
             acc, coeffs = 0j, self.to_float().floats
             if not array:
-                z = to_complex(z)
+                z = complex(z)
         for c in reversed(coeffs):
             acc = acc * z + c
         return acc

@@ -4,7 +4,7 @@ Exact values are pairs of arbitrary-precision rationals (re, im); float
 values are ordinary Python complex.  ``int`` and ``Fraction`` embed in
 the exact ring (``EXACT``), but a float or complex operand never does:
 ``coerce`` rejects it, so arithmetic that mixes the two rings raises
-``TypeError`` and conversion is always an explicit ``to_complex`` /
+``TypeError`` and conversion is always an explicit ``complex()`` /
 ``exactify`` call.
 """
 
@@ -45,7 +45,7 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     # -- arithmetic ---------------------------------------------------
@@ -116,10 +116,3 @@ EXACT = (GaussianRational, int, Fraction)
 def exactify(value) -> GaussianRational:
     """Explicit conversion of an int/Fraction/GaussianRational to exact form."""
     return GaussianRational.coerce(value)
-
-
-def to_complex(value) -> complex:
-    """Explicit conversion of any scalar (exact or float) to complex."""
-    if isinstance(value, GaussianRational):
-        return value.to_complex()
-    return complex(value)

@@ -657,6 +657,15 @@ def test_rational_parameter_past_the_float_range_exits_validation(tmp_path, caps
     assert capsys.readouterr().err.startswith("validation error: ")
 
 
+def test_cylinder_pair_with_proportional_phases_exits_certification(tmp_path, capsys):
+    # sin(phi + 0.1), sin(2 phi + 0.2), sin(3 phi + 0.3): the roots of p
+    # coincide in threes (ROADMAP item 1), and the gradient check refuses
+    argv = ["equilibrium", "--recipe", "cylinder", "--indices", "1,2,3", "--ts", "0.1,0.2,0.3"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_CERTIFICATION
+    assert "certification failure: equilibrium gradient" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_badly_scaled_hermite_pair_certifies(tmp_path):
     # roots of size 1e-50 next to coefficients of 1e100: the companion
     # eigenvalues start at the roots, where circle starts did not converge.

@@ -23,7 +23,15 @@ from chargeflow.equilibria import (
     monomial_pair,
 )
 from chargeflow.errors import BadK, CertificationFailure, ValidationError
-from chargeflow.operators import eigenpoly, lambda_poly, polylinear_H
+from chargeflow.operators import (
+    ChargeConfiguration,
+    Species,
+    SystemCoefficients,
+    eigenpoly,
+    gradient_with_scale,
+    lambda_poly,
+    polylinear_H,
+)
 from chargeflow.polynomials import Polynomial, hermite
 from chargeflow.scalars import GaussianRational
 
@@ -171,14 +179,48 @@ def test_check_built_rejects_a_nonzero_planar_residual():
     assert info.value.coefficient_index == idx
 
 
+def _configuration_gradient_max(cert):
+    """The gradient check's largest value through a ChargeConfiguration: a
+    site of net charge c as |c| charges of the species +-1, the +1 species
+    listed first, and a scalar test of P at each site."""
+    species = []
+    for q in (1.0, -1.0):
+        sites = [(z, abs(c)) for z, c in cert.inventory if c * q > 0]
+        species.append(Species(q, tuple(z for z, _ in sites), tuple(m for _, m in sites)))
+    grad = gradient_with_scale(ChargeConfiguration(species), cert.sys)[0].tolist()
+    sites = [z for s in species for z in s.positions]
+    scale = max([1.0] + [abs(z) for z in sites])
+    P = cert.sys.P.to_float()
+    return max([0.0] + [abs(g) for z, g in zip(sites, grad) if abs(P(z)) > 1e-10 * scale])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hermite_pair([0, 3, 5, 7, 10], -3),
+        lambda: laguerre_pair([1, 2, 4, 5, 7], 2),
+        lambda: monomial_pair([1, 3, 6, 8], 1),
+        lambda: adler_moser(4, [Fraction(1, 2), 2, -1, 3]),
+        lambda: cylinder_pair([2, 4, 5, 7, 8], [0.4, 0.9, 2.2, 1.3, 0.3]),
+    ],
+    ids=["hermite", "laguerre", "monomial", "adler_moser", "cylinder"],
+)
+def test_check_built_gradient_equals_the_configuration_route(build):
+    # check_built reads the inventory as arrays; the bits of its largest
+    # gradient are those of the configuration's, site by site
+    cert = build()
+    assert check_built(cert).notes["gradient_max"] == _configuration_gradient_max(cert)
+
+
 def test_check_built_rejects_a_cylinder_pair_it_cannot_verify():
+    # the planar checks: the exact-zero flag and the relative gradient bound
     cert = cylinder_pair([1, 2], [0.3, 1.1])
-    with pytest.raises(CertificationFailure, match="cylinder residual not exactly zero"):
+    with pytest.raises(CertificationFailure, match="bilinear residual nonzero"):
         check_built(dataclasses.replace(cert, residual_exact_zero=False))
     sites = list(cert.inventory)
     z, c = sites[0]
     sites[0] = (z * cmath.exp(1e-3j), c)  # one root angle moved by 5e-4
-    with pytest.raises(CertificationFailure, match="cylinder gradient .* too large"):
+    with pytest.raises(CertificationFailure, match="equilibrium gradient .* exceeds"):
         check_built(dataclasses.replace(cert, inventory=sites))
     assert check_built(cert).notes["gradient_max"] <= 1e-7
 
@@ -316,12 +358,71 @@ def test_cylinder_single_harmonic():
     assert abs(cert.bivariate["p_xy"][1][0] - 1.0) < 1e-15
 
 
+def field_residual(cert) -> float:
+    """max |polylinear_H| of the stored pair under its stored field and
+    lambda, over the largest coefficient of p q: 0 up to rounding for an
+    equilibrium of that field."""
+    H = polylinear_H(cert.sys, [cert.p, cert.q], lam=cert.lam)
+    return max(map(abs, H.to_float().coeffs), default=0.0) / max(map(abs, (cert.p * cert.q).to_float().coeffs))
+
+
 def test_cylinder_pair_12():
     for ts in ([0.0, math.pi / 6], [0.3, 1.1]):
         cert = cylinder_pair([1, 2], ts)
         assert cert.residual_exact_zero
         assert cert.degrees == (3, 1)
-        assert cert.bivariate["residual_norm_at_ts"] < 1e-10
+        assert field_residual(cert) < 1e-10
+
+
+def test_cylinder_pairs_are_equilibria_of_their_stored_field():
+    # before, the stored field (U = 0, lambda = (n - m)**2) left a
+    # residual of the size of p q itself
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        k = int(rng.integers(1, 6))
+        indices = sorted(int(i) for i in rng.choice(np.arange(1, 9), size=k, replace=False))
+        cert = cylinder_pair(indices, list(rng.uniform(0.0, math.pi, size=k)))
+        assert cert.residual_exact_zero and cert.sys.U.coeffs == (0j, complex(indices[-1]))
+        assert field_residual(cert) < 1e-12, (indices, field_residual(cert))
+
+
+def _exact_substitute(terms, indices, total, eps):
+    """_trig.substitute at exact phases eps_j: the Fourier sum as an exact
+    polynomial in w."""
+    unit = _i_times(terms.r, Fraction(1, 2**terms.e))
+    coeffs = [GaussianRational(0)] * (total + 1)
+    for s, amp in terms.amps.items():
+        factors = (eps[j] if x > 0 else 1 / eps[j] for j, x in enumerate(s) for _ in range(abs(x)))
+        phase = math.prod(factors, start=GaussianRational(1))  # eps**s
+        coeffs[(_trig._freq(s, indices) + total) // 2] += unit * amp * phase
+    return Polynomial(coeffs)
+
+
+def _unit_phase(s):
+    """The Gaussian rational exp(i t) at tan(t/2) = s."""
+    return GaussianRational(1 - s * s, 2 * s) / (1 + s * s)
+
+
+def test_laplace_residual_is_4_over_w_times_the_w_fields_polylinear_H():
+    # with any integer amplitudes, not only a Wronskian pair's, so that
+    # the residual is mostly nonzero
+    rng = np.random.default_rng(2027)
+    nonzero = 0
+    for _ in range(30):
+        k = int(rng.integers(1, 5))
+        indices = sorted(int(i) for i in rng.choice(np.arange(1, 8), size=k + 1, replace=False))
+        n, m = sum(indices), sum(indices[:k])
+        wp, wq = _trig.trig_wronskian(indices, k + 1), _trig.trig_wronskian(indices[:k], k + 1)
+        wp = wp._replace(amps={s: int(rng.integers(-5, 6)) for s in wp.amps})
+        wq = wq._replace(amps={s: int(rng.integers(-5, 6)) for s in wq.amps})
+        eps = [_unit_phase(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))) for _ in indices]
+        resid = _trig.laplace_residual(wp, wq, indices, n, m)
+        nonzero += bool(resid.amps)
+        sys = SystemCoefficients.bilinear([0, 0, -1], [0, n - m], Lambda=1)
+        p, q = _exact_substitute(wp, indices, n, eps), _exact_substitute(wq, indices, m, eps)
+        H = polylinear_H(sys, [p, q], lam=lambda_poly((n, m), sys))
+        assert H == _exact_substitute(resid, indices, n + m - 2, eps).shift(1).scale(Fraction(1, 4))
+    assert nonzero >= 20
 
 
 def test_cylinder_degree_formula():
@@ -440,14 +541,14 @@ def _xy_oracle(terms, indices, n, ts):
         for j in range(n + 1):
             c = sum((-1) ** (j - l) * math.comb(a, l) * math.comb(b, j - l) for l in range(j + 1))
             if c:
-                out[j] += (amp * _i_times(j, c)).to_complex() * unit
+                out[j] += complex(amp * _i_times(j, c)) * unit
     return out
 
 
 def _substitute_oracle(terms, indices, total, ts):
     coeffs = [0j] * (total + 1)
     for s, amp in _gaussian_amps(terms).items():
-        coeffs[(_trig._freq(s, indices) + total) // 2] += amp.to_complex() * _trig._phase(s, ts)
+        coeffs[(_trig._freq(s, indices) + total) // 2] += complex(amp) * _trig._phase(s, ts)
     return Polynomial(coeffs)
 
 
@@ -705,7 +806,7 @@ def test_float_zero_of_older_certificates_still_loads():
     # certificates written before the zero polynomial became ring-free
     # store a float zero U as {"exact": false, "coeffs": []}
     assert Polynomial.from_json({"exact": False, "coeffs": []}).is_zero
-    doc = json.loads((GOLDEN / "cylinder_12" / "certificate.json").read_text())
+    doc = json.loads((GOLDEN / "adler_moser_4" / "certificate.json").read_text())
     doc["U"] = {"exact": False, "coeffs": []}
     cert = certify(EquilibriumCertificate.from_json(doc))
     assert cert.residual_exact_zero

@@ -24,6 +24,7 @@ import chargeflow
 from chargeflow import cli, equilibria
 from chargeflow.equilibria import EquilibriumCertificate, certify
 from chargeflow.errors import CertificationFailure
+from chargeflow.operators import polylinear_H
 from chargeflow.polynomials import CLUSTER_TOL
 
 DATA = pathlib.Path(__file__).parent / "data" / "certs"
@@ -313,6 +314,30 @@ def test_cylinder_golden_with_reduced_moved_1e6_relative_fails_certify(name):
     entry[0] += 1e-6 * max(abs(x) for c in doc["reduced"][0]["coeffs"] for x in c)
     with pytest.raises(CertificationFailure, match="'reduced'"):
         certify(EquilibriumCertificate.from_json(doc))
+
+
+@pytest.mark.parametrize("name", CYLINDERS)
+def test_cylinder_golden_is_an_equilibrium_of_its_stored_field(name):
+    # before, the stored field (U = 0, lambda = (n - m)**2) left
+    # max |H| / max |p q| at 1 to 14.1 on these four
+    cert = EquilibriumCertificate.from_json(_golden(name))
+    H = polylinear_H(cert.sys, [cert.p, cert.q], lam=cert.lam)
+    size = max(map(abs, (cert.p * cert.q).coeffs))
+    assert max(map(abs, H.coeffs), default=0.0) < 1e-12 * size
+
+
+@pytest.mark.parametrize("name", CYLINDERS)
+def test_cylinder_golden_with_a_site_moved_1e6_relative_fails_the_gradient_bound(name):
+    doc = _golden(name)
+    entry = doc["inventory"][0]
+    x, y = entry["position"]
+    entry["position"] = [x + 1e-6 * math.hypot(x, y), y]
+    cert = EquilibriumCertificate.from_json(doc)
+    if len(doc["inventory"]) > 1:  # a lone charge is at rest anywhere: -U(w) - P'(w)/2 = 0
+        with pytest.raises(CertificationFailure, match="equilibrium gradient .* exceeds 1e-08 of its terms' size"):
+            equilibria.check_built(cert)
+    with pytest.raises(CertificationFailure, match="stored 'inventory'"):
+        certify(cert)
 
 
 # the writer in a fresh interpreter: builds every case under argv[1]

@@ -29,7 +29,7 @@ from chargeflow.operators import (
     polylinear_H,
 )
 from chargeflow.polynomials import Polynomial, hermite, laguerre
-from chargeflow.scalars import GaussianRational, exactify, to_complex
+from chargeflow.scalars import GaussianRational, exactify
 
 
 def P(*coeffs):
@@ -528,7 +528,7 @@ def test_sites_are_the_site_by_site_arrays_bit_for_bit():
         Species(GaussianRational(Fraction(2, 7), 0), ()),
     ))
     # the arrays as built from (position, species charge, multiplicity) triples
-    triples = [(z, to_complex(s.charge), m) for s in cfg.species for z, m in zip(s.positions, s.mults)]
+    triples = [(z, complex(s.charge), m) for s in cfg.species for z, m in zip(s.positions, s.mults)]
     z = np.array([t[0] for t in triples], dtype=complex)
     q = np.array([t[1] for t in triples], dtype=complex)
     c = q * np.array([t[2] for t in triples], dtype=int)

@@ -525,9 +525,9 @@ def test_to_float_commutes_with_ring_operations(p, q, x):
     _assert_close(p - q, pf - qf, _size(p) + _size(q))
     _assert_close(p * q, pf * qf, 5 * _size(p) * _size(q))
     _assert_close(p.derivative(), pf.derivative(), 5 * _size(p))
-    xf = x.to_complex()
+    xf = complex(x)
     bound = sum(abs(c) * abs(xf) ** k for k, c in enumerate(pf.coeffs))
-    assert abs(p(x).to_complex() - pf(xf)) <= 1e-12 * bound
+    assert abs(complex(p(x)) - pf(xf)) <= 1e-12 * bound
 
 
 def test_monic_of_a_float_polynomial_divides_by_its_leading_coefficient():
@@ -685,7 +685,7 @@ def test_every_route_reaches_the_one_canonical_form(p, q, c):
     assert p.im is None or (any(p.im) and len(p.im) == len(p.re))
     assert p.is_zero or p.re[-1] or p.im[-1]
     # to_float rounds each part as float(Fraction) does
-    assert p.to_float().coeffs == tuple(x.to_complex() for x in p.coeffs)
+    assert p.to_float().coeffs == tuple(complex(x) for x in p.coeffs)
 
 
 def _oracle(p):
@@ -941,6 +941,15 @@ def test_scale_equals_the_product_with_the_constant(p, c):
     got, want = p.scale(c), p * Polynomial((c,))
     assert _fields(got) == _fields(want) and hash(got) == hash(want)
     assert got is p or c != 1
+
+
+def test_float_polynomial_scaled_by_an_exact_scalar_is_float():
+    # a GaussianRational joins the float ring as a Fraction does; before,
+    # complex() refused it with a TypeError
+    flt = Polynomial([1.0, 2.0])
+    assert flt.scale(GaussianRational(1, 2)) == Polynomial([1 + 2j, 2 + 4j])
+    assert flt.scale(GaussianRational(Fraction(1, 2))) == flt.scale(Fraction(1, 2)) == Polynomial([0.5, 1.0])
+    assert complex(GaussianRational(Fraction(1, 3), -2)) == complex(1 / 3, -2.0)
 
 
 def test_exact_zero_scaled_by_a_float_is_the_exact_zero():
