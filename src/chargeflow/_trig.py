@@ -10,9 +10,9 @@ determinant in the i s_j i_j, so
 
 A Fourier sum is one unit 2**-e i**r, shared by all its terms, times
 integer amplitudes {s: a} on eps**s e^{i (s.i) phi}; the Wronskian's unit
-is (-1)**k 2**-k i**(k(k+1)/2).  With the phases formal, a residual that
-vanishes on it vanishes for every phase choice, so cylinder certificates
-are bit-exact.
+is (-1)**k 2**-k i**(k(k+1)/2).  ``substitute`` turns a sum into an exact
+polynomial in w = exp(2 i phi) at the phases, reading eps_j and 1/eps_j
+exactly from their doubles, so cylinder certificates are exact.
 """
 
 import cmath
@@ -21,7 +21,7 @@ import itertools
 import math
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .polynomials import Polynomial, _convolve
+from .polynomials import Polynomial, _canonical, _convolve
 
 
 class Fourier(NamedTuple):
@@ -36,12 +36,6 @@ def _freq(s: Sequence[int], indices: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(s, indices))
 
 
-def _rounded(a: int, e: int, r: int) -> complex:
-    """a 2**-e i**r, rounded once (int / int rounds correctly), zero part +0.0."""
-    x = a / (1 << e) if r % 4 < 2 else -a / (1 << e)
-    return complex(0.0, x) if r % 2 else complex(x, 0.0)
-
-
 @functools.lru_cache(maxsize=128)
 def _binomials(a: int, b: int) -> tuple:
     """The Y**j coefficients, j = 0..a+b, of (1 + Y)**a (1 - Y)**b."""
@@ -49,17 +43,26 @@ def _binomials(a: int, b: int) -> tuple:
                            [(-1) ** j * math.comb(b, j) for j in range(b + 1)]))
 
 
+def _i_power(r: int, x: int, y: int) -> Tuple[int, int]:
+    """i**r (x + i y) as (real, imaginary) integers."""
+    return ((x, y), (-y, x), (-x, -y), (y, -x))[r % 4]
+
+
+def _times(x: float, big: int) -> int:
+    """x big, for a power of two big that x's denominator divides."""
+    num, den = x.as_integer_ratio()
+    return num * (big // den)
+
+
 def trig_wronskian(indices: Sequence[int], nphases: int) -> Fourier:
     """W[sin(i_j phi + t_j), j < k], each s padded with zeros to ``nphases``;
-    all 2**k amplitudes are nonzero.  The terms are grouped by frequency in
-    first-appearance order, which fixes the order of the float sums."""
+    all 2**k amplitudes are nonzero."""
     k = len(indices)
-    groups: Dict[int, dict] = {}
+    amps = {}
     for s in itertools.product((1, -1), repeat=k):
         x = [a * b for a, b in zip(s, indices)]
         vandermonde = math.prod(x[b] - x[a] for a, b in itertools.combinations(range(k), 2))
-        groups.setdefault(sum(x), {})[s + (0,) * (nphases - k)] = math.prod(s) * vandermonde
-    amps = {s: a for terms in groups.values() for s, a in terms.items()}
+        amps[s + (0,) * (nphases - k)] = math.prod(s) * vandermonde
     return Fourier(k, k * (k + 1) // 2 + 2 * k, amps)  # (-1)**k = i**(2k)
 
 
@@ -73,9 +76,9 @@ def laplace_residual(wp: Fourier, wq: Fourier, indices: Sequence[int], n: int, m
     exactly when the (X, Y) residual does.  Its unit is the product of the
     two (nonzero) units, so the integer convolution decides the zero.
     In w = e^{2 i phi} (``substitute``) it is 4/w times ``polylinear_H``
-    of the pair under the field P = -w**2, U = (n - m) w, lambda = 0, with
-    the amplitudes and phases formal: there a term w**a of p and w**b of q
-    contribute ((n - m)**2 - (f - g)**2) w**(a + b) / 4."""
+    of the pair under the field P = -w**2, U = (n - m) w, lambda = 0: a
+    term w**a of p and w**b of q contribute ((n - m)**2 - (f - g)**2)
+    w**(a + b) / 4."""
     out: Dict[Tuple[int, ...], int] = {}
     q_terms = [(u, b, _freq(u, indices)) for u, b in wq.amps.items()]
     for s, a in wp.amps.items():
@@ -88,28 +91,47 @@ def laplace_residual(wp: Fourier, wq: Fourier, indices: Sequence[int], n: int, m
     return Fourier(wp.e + wq.e, (wp.r + wq.r) % 4, {e: c for e, c in out.items() if c})
 
 
-def _phase(s: Sequence[int], ts: Sequence[float]) -> complex:
-    """eps**s at eps_j = exp(i t_j)."""
-    return math.prod((cmath.exp(1j * p * t) for p, t in zip(s, ts) if p), start=1.0 + 0j)
-
-
-def xy_coeffs(terms: Fourier, indices: Sequence[int], n: int, ts: Sequence[float]) -> list[complex]:
-    """The X**(n-j) Y**j coefficients, j = 0..n, of r**n (Fourier sum) at the
-    phases ts: in r**n e^{i f phi} = z**a zbar**b (z = X + iY, a, b = (n +- f)/2)
-    it is i**j times the Y**j coefficient of (1 + Y)**a (1 - Y)**b."""
-    out = [0j] * (n + 1)
-    for s, amp in terms.amps.items():
-        f, unit = _freq(s, indices), _phase(s, ts)
-        for j, c in enumerate(_binomials((n + f) // 2, (n - f) // 2)):
-            if c:
-                out[j] += _rounded(amp * c, terms.e, terms.r + j) * unit
-    return out
-
-
 def substitute(terms: Fourier, indices: Sequence[int], total: int, ts: Sequence[float]) -> Polynomial:
-    """The Fourier sum at the phases ts as a polynomial in w = exp(2 i phi):
-    frequency f (f = total mod 2, |f| <= total) is its w**((f + total)/2) term."""
-    coeffs = [0j] * (total + 1)
+    """The Fourier sum at the phases ts as an exact polynomial in
+    w = exp(2 i phi): frequency f (f = total mod 2, |f| <= total) is its
+    w**((f + total)/2) term.
+
+    eps_j**+-1 are the doubles cmath.exp(+-i t_j), read exactly as Gaussian
+    integers over one shared 2**E, and eps**s is the product of the
+    |s_j|-th powers of the one of sign s_j.  Their product need not be 1,
+    yet in the residual of the two Wronskians a term's value depends on
+    its exponent vector s + u alone, which ``laplace_residual`` groups by:
+    s_j + u_j = 0 arises only as (1, -1) or (-1, 1), both eps_j eps_j**-1
+    (q's zero s_j pads the last phase, where p's is nonzero).  So when
+    that formal residual vanishes, the exact pair's ``polylinear_H`` does
+    too."""
+    units = [(cmath.exp(1j * t), cmath.exp(-1j * t)) for t in ts]
+    big = max(x.as_integer_ratio()[1] for pair in units for c in pair for x in (c.real, c.imag))  # 2**E
+    gauss = [[(_times(c.real, big), _times(c.imag, big)) for c in pair] for pair in units]
+    degree = max((sum(map(abs, s)) for s in terms.amps), default=0)
+    re, im = [0] * (total + 1), [0] * (total + 1)
     for s, amp in terms.amps.items():
-        coeffs[(_freq(s, indices) + total) // 2] += _rounded(amp, terms.e, terms.r) * _phase(s, ts)
-    return Polynomial(coeffs)
+        x, y = amp * big ** (degree - sum(map(abs, s))), 0  # over 2**(E degree)
+        for (plus, minus), power in zip(gauss, s):
+            u, v = plus if power > 0 else minus
+            for _ in range(abs(power)):
+                x, y = x * u - y * v, x * v + y * u
+        x, y = _i_power(terms.r, x, y)
+        slot = (_freq(s, indices) + total) // 2
+        re[slot] += x
+        im[slot] += y
+    return _canonical((1 << terms.e) * big**degree, re, im)
+
+
+def xy_coeffs(p_w: Polynomial, n: int) -> list:
+    """The X**(n-j) Y**j coefficients, j = 0..n, of the degree-n homogeneous
+    polynomial whose w-form is the exact p_w, each rounded once: w**a is
+    r**n e^{i (2a - n) phi} = z**a zbar**(n-a) (z = X + iY), whose term is
+    i**j times the Y**j coefficient of (1 + Y)**a (1 - Y)**(n-a)."""
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    for a, (x, y) in enumerate(zip(p_w.re, p_w.im or itertools.repeat(0))):
+        for j, c in enumerate(_binomials(a, n - a)):
+            re[j] += c * x
+            im[j] += c * y
+    turned = (_i_power(j, u, v) for j, (u, v) in enumerate(zip(re, im)))
+    return [complex(u / p_w.den, v / p_w.den) for u, v in turned]

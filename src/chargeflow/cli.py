@@ -708,12 +708,13 @@ def _comma_list(text: str) -> list:
 
 
 # Flags write their text into the config, where the schema table converts
-# it: flag, modes, block (None: top level), key, argparse keywords.
+# it: flag, the modes that read its key, block (None: top level), key,
+# argparse keywords.
 _FLAGS = (
     ("--out", _MODES, "output", "dir", {"help": "output directory override"}),
-    ("--format", _MODES, "output", "formats", {"action": "append"}),
-    ("--svg", _MODES, "output", "svg", {"action": "store_const", "const": True}),
-    ("--seed", _MODES, None, "seed", {}),
+    ("--format", ("simulate",), "output", "formats", {"action": "append"}),
+    ("--svg", ("simulate",), "output", "svg", {"action": "store_const", "const": True}),
+    ("--seed", ("verify-identities",), None, "seed", {}),
     ("--recipe", ("equilibrium",), "equilibrium", "recipe", {}),
     ("--indices", ("equilibrium",), "equilibrium", "indices",
      {"type": _comma_list, "help": "comma-separated index set"}),

@@ -1,13 +1,12 @@
 """Construction and exact certification of equilibrium polynomial pairs.
 
-Every constructor returns a pair (p, q) together with a governing
-system (P, U, charge ratio 1, eigenconstant lambda) for which the
-two-argument operator annihilates the pair bit-exactly.  The planar pairs
-are exact polynomials.  The cylinder constructor writes its two
-trigonometric Wronskians in closed form, as integer Fourier amplitudes on
-formal phase units (``_trig``); in w = exp(2 i phi) they are the float
-pair of the monomial field P = -w**2, U = (n - m) w, whose residual is
-w/4 times the formal one, exact for every phase choice at once.
+Every constructor returns an exact pair (p, q) together with an exact
+governing system (P, U, charge ratio 1, eigenconstant lambda) for which
+the two-argument operator annihilates the pair bit-exactly.  The
+cylinder constructor writes its two trigonometric Wronskians in closed
+form, as integer Fourier amplitudes on formal phase units (``_trig``);
+in w = exp(2 i phi), at the phases read exactly from their doubles, they
+are an exact pair of the monomial field P = -w**2, U = (n - m) w.
 """
 
 from __future__ import annotations
@@ -150,11 +149,8 @@ def _jsonify(obj):
 
 
 def _scalar_json(value):
-    if isinstance(value, (Fraction, GaussianRational)):
-        value = exactify(value)
-        return {part: _ratio_json(*getattr(value, part).as_integer_ratio()) for part in ("re", "im")}
-    value = complex(value)
-    return {"float": [value.real, value.imag]}
+    value = exactify(value)
+    return {part: _ratio_json(*getattr(value, part).as_integer_ratio()) for part in ("re", "im")}
 
 
 def _typed(value, kind):
@@ -194,18 +190,11 @@ def _bivariate(doc) -> Optional[dict]:
 def _site(entry) -> Tuple[complex, int]:
     """An inventory entry: exactly a position and an integer net charge."""
     _keys(entry, ("position", "net_charge"))
-    return _point(entry["position"]), _typed(entry["net_charge"], int)
-
-
-def _point(pair) -> complex:
-    re, im = pair  # exactly two parts
-    return complex(re, im)
+    re, im = entry["position"]  # exactly two parts
+    return complex(re, im), _typed(entry["net_charge"], int)
 
 
 def _scalar_from_json(doc):
-    if "float" in doc:
-        _keys(doc, ("float",))
-        return _point(doc["float"])
     _keys(doc, ("re", "im"))
     return GaussianRational(*(Fraction(*map(int, doc[part])) for part in ("re", "im")))
 
@@ -214,12 +203,10 @@ def _scalar_from_json(doc):
 
 
 def _exact_residual(sys, p, q, lam):
-    return _residual_status(polylinear_H(sys, [p, q], lam=lam), p, q)
-
-
-def _residual_status(resid, p, q):
-    """(whether the residual polynomial is zero, its largest coefficient
-    over the largest of p q, its first nonzero coefficient index or None)."""
+    """(whether the pair's residual polynomial is zero, its largest
+    coefficient over the largest of p q, its first nonzero coefficient
+    index or None)."""
+    resid = polylinear_H(sys, [p, q], lam=lam)
     if resid.is_zero:
         return True, 0.0, None
     idx = next(k for k, c in enumerate(resid.coeffs) if c)
@@ -243,7 +230,7 @@ def _finish_planar(recipe, params, sys, degrees, eigenfunctions, prefactors=(1, 
 
 def _certificate(recipe, params, sys, lam, degrees, p, q, residual, notes=None, bivariate=None):
     """The certificate of the pair (p, q) under ``sys`` and ``lam``, with
-    its residual status (``_residual_status``), reduced pair and
+    its residual status (``_exact_residual``), reduced pair and
     inventory."""
     exact_zero, norm, idx = residual
     pbar, qbar, inventory = reduce_pair(p, q)
@@ -400,11 +387,13 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
     homogeneous (X, Y) polynomials, and the pair certifies
     q Lap p - 2 (grad q, grad p) + p Lap q = 0.  The residual is checked,
     with formal phases, on the Fourier amplitudes of the Wronskians, which
-    is equivalent to the (X, Y) form, so the zero is exact for every ts.
-    The stored pair is the Wronskians' float polynomials in
-    w = exp(2 i phi) at the requested phases, under the monomial field
-    P = -w**2, U = (n - m) w; their ``polylinear_H`` is w/4 times that
-    residual.  The (X, Y) coefficients go into ``bivariate``.
+    is equivalent to the (X, Y) form.  The stored pair is the Wronskians'
+    exact polynomials in w = exp(2 i phi), with each exp(+-i t_j) read
+    exactly from its double (``_trig.substitute``), under the monomial
+    field P = -w**2, U = (n - m) w, lambda = 0.  Their ``polylinear_H``
+    is zero whenever the formal residual is, so only a nonzero one is
+    evaluated on the pair.  The (X, Y) coefficients, each rounded once, go
+    into ``bivariate``.
     """
     indices = _check_index_set(indices)
     ts = [float(t) for t in ts]
@@ -415,23 +404,19 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
     wp = _trig.trig_wronskian(indices, kp1)
     wq = _trig.trig_wronskian(indices[:k], kp1)
     n, m = sum(indices), sum(indices[:k])
-    p_num = _trig.xy_coeffs(wp, indices, n, ts)
-    q_num = _trig.xy_coeffs(wq, indices, m, ts)
-    if max(abs(c) for c in p_num) < 1e-14 or max(abs(c) for c in q_num) < 1e-14:
-        raise DegenerateWronskian("chosen phases collapse the Wronskian")
     p_w = _trig.substitute(wp, indices, n, ts)
     q_w = _trig.substitute(wq, indices, m, ts)
-    sys = SystemCoefficients.bilinear([0.0, 0.0, -1.0], [0.0, float(n - m)], Lambda=1.0)
-    # the formal residual decides the zero; at the phases, w/4 times it
-    # is the field's polylinear_H, whose size and first term are reported
+    p_xy, q_xy = _trig.xy_coeffs(p_w, n), _trig.xy_coeffs(q_w, m)
+    if max(map(abs, p_xy)) < 1e-14 or max(map(abs, q_xy)) < 1e-14:
+        raise DegenerateWronskian("chosen phases collapse the Wronskian")
+    sys = SystemCoefficients.bilinear([0, 0, -1], [0, n - m], Lambda=1)
+    lam = lambda_poly((n, m), sys)
     resid = _trig.laplace_residual(wp, wq, indices, n, m)
-    H = _trig.substitute(resid, indices, n + m - 2, ts).shift(1).scale(0.25)
-    _, norm, idx = _residual_status(H, p_w, q_w)
-    xy = {"degree_p": n, "degree_q": m, "p_xy": [[c.real, c.imag] for c in p_num],
-          "q_xy": [[c.real, c.imag] for c in q_num]}
-    params, lam = {"indices": indices, "ts": ts}, lambda_poly((n, m), sys)
-    return _certificate("cylinder_wronskian", params, sys, lam, (n, m), p_w, q_w, (not resid.amps, norm, idx),
-                        bivariate=xy)
+    status = _exact_residual(sys, p_w, q_w, lam) if resid.amps else (True, 0.0, None)
+    xy = {"degree_p": n, "degree_q": m, "p_xy": [[c.real, c.imag] for c in p_xy],
+          "q_xy": [[c.real, c.imag] for c in q_xy]}
+    params = {"indices": indices, "ts": ts}
+    return _certificate("cylinder_wronskian", params, sys, lam, (n, m), p_w, q_w, status, bivariate=xy)
 
 
 # each recipe's constructor, which ``certify`` calls with the stored params
@@ -460,9 +445,8 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     except _MALFORMED as exc:
         raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
     # an exact pair that differs from the rebuild: name the offending
-    # coefficient when it is no equilibrium at all (a float pair, such as
-    # a cylinder's, has no exact residual; the document comparison below
-    # rejects it)
+    # coefficient when it is no equilibrium at all (a stored float pair
+    # has no exact residual; the document comparison below rejects it)
     exact_pair = cert.sys.exact and cert.p.exact and cert.q.exact and is_exact((cert.lam,))
     if exact_pair and (cert.p, cert.q) != (fresh.p, fresh.q):
         exact_zero, norm, idx = _exact_residual(cert.sys, cert.p, cert.q, cert.lam)
@@ -482,30 +466,20 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
 
 def _same_field(key, stored, fresh) -> bool:
     """Whether a field of the stored document equals the rebuild's.
-    Numeric roots may differ in the last bits between numpy builds, so the
-    fields built from them are compared within reduce_pair's cluster
-    tolerance: inventory positions (their charges exactly), and a float
-    (cylinder) reduced pair coefficient by coefficient.  ``params`` and
-    ``notes``, which ``from_json`` stores as given, are compared as JSON
-    text, so that a value must also keep its JSON type (1, 1.0 and true,
-    which == equates, differ)."""
+    Numeric roots may differ in the last bits between numpy builds, so
+    each inventory position may lie within reduce_pair's cluster
+    tolerance of the largest fresh modulus (the charges must be equal).
+    ``params`` and ``notes``, which ``from_json`` stores as given, are
+    compared as JSON text, so that a value must also keep its JSON type
+    (1, 1.0 and true, which == equates, differ)."""
     if key in ("params", "notes"):
         return json.dumps(stored, sort_keys=True) == json.dumps(fresh, sort_keys=True)
     if key == "inventory":
         charges = [[e["net_charge"] for e in doc] for doc in (stored, fresh)]
-        positions = [[e["position"] for e in doc] for doc in (stored, fresh)]
-        return charges[0] == charges[1] and _close(*positions)
-    if key == "reduced" and stored is not None and not any(poly["exact"] for poly in (*stored, *fresh)):
-        return all(_close(s["coeffs"], f["coeffs"]) for s, f in zip(stored, fresh))
+        old, new = ([complex(*e["position"]) for e in doc] for doc in (stored, fresh))
+        tol = CLUSTER_TOL * max(map(abs, new), default=0.0)
+        return charges[0] == charges[1] and all(abs(s - f) <= tol for s, f in zip(old, new))
     return stored == fresh
-
-
-def _close(stored, fresh) -> bool:
-    """Equally many [re, im] points, each stored one at most CLUSTER_TOL
-    times the largest fresh modulus away from its fresh counterpart."""
-    stored, fresh = [complex(*z) for z in stored], [complex(*z) for z in fresh]
-    tol = CLUSTER_TOL * max((abs(z) for z in fresh), default=0.0)
-    return len(stored) == len(fresh) and all(abs(s - f) <= tol for s, f in zip(stored, fresh))
 
 
 def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:

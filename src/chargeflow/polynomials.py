@@ -10,7 +10,9 @@ decide the ring:
   equal fields) and every exact operation runs on it; a
   ``GaussianRational`` is made only where a value leaves a polynomial
   (``coeff``, ``leading``, ``coeffs``, exact evaluation);
-* float -- any other input; each scalar is stored as a ``complex``;
+* float -- ``float``, ``complex`` and ``int`` scalars, at least one not an
+  ``int``; each is stored as a ``complex``.  A ``Fraction`` or
+  ``GaussianRational`` among them raises ``TypeError``;
 * batched float -- a numpy (S,) array coefficient is stored unchanged,
   making the polynomial a batch of S float polynomials.
 
@@ -58,6 +60,11 @@ def _ratio_json(num: int, den: int):
     """[numerator, denominator] of num / den in lowest terms, as strings."""
     g = math.gcd(num, den)
     return [str(num // g), str(den // g)]
+
+
+# the exact scalar types a float polynomial may not hold (an int may be
+# either ring's)
+_EXACT_ONLY = frozenset((Fraction, GaussianRational))
 
 
 def _stored(*fields):
@@ -153,9 +160,9 @@ class Polynomial:
             den = math.lcm(*(x.denominator for part in parts for x in part))
             re = [r.numerator * (den // r.denominator) for r, _ in parts]
             return _canonical(den, re, [i.numerator * (den // i.denominator) for _, i in parts])
-        if GaussianRational in map(type, coeffs):
+        if not _EXACT_ONLY.isdisjoint(map(type, coeffs)):
             raise TypeError("exact and float coefficients do not mix")
-        floats =tuple(v if isinstance(v, np.ndarray) else complex(v) for v in coeffs)
+        floats = tuple(v if isinstance(v, np.ndarray) else complex(v) for v in coeffs)
         while floats and not (floats[-1].any() if isinstance(floats[-1], np.ndarray) else floats[-1]):
             floats = floats[:-1]
         return _stored(None, None, None, floats) if floats else _canonical(1, ())
@@ -719,38 +726,36 @@ def cluster_points(points, tol):
     return _components(pair_matrix(points, _distance) <= tol)
 
 
-def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = CLUSTER_TOL):
-    """Cancel common root clusters of p and q.
+def reduce_pair(p: Polynomial, q: Polynomial):
+    """Cancel the common factor of the exact polynomials p and q.
 
-    Returns ``(pbar, qbar, inventory)`` with monic reduced polynomials and
-    the inventory of distinct positions with net charge (multiplicity in p
-    minus multiplicity in q).  Exact inputs are reduced by exact gcd; the
-    inventory itself always comes from numeric roots.
+    Returns ``(pbar, qbar, inventory)``: the monic p and q over their exact
+    gcd, and the inventory of distinct positions with net charge
+    (multiplicity in p minus multiplicity in q), from numeric roots
+    clustered at CLUSTER_TOL relative.
 
-    Raises ClusterAmbiguity when clustering at ctol and at ctol/10 disagree,
-    i.e. some root gaps fall in the gray zone where the tolerance cannot
-    tell clusters apart.
+    Raises TypeError for a float input (``poly_gcd``), and
+    ClusterAmbiguity when clustering at CLUSTER_TOL and at CLUSTER_TOL/10
+    disagree, i.e. some root gaps fall in the gray zone where the
+    tolerance cannot tell clusters apart.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("reduce_pair needs nonzero polynomials")
-    if p.exact and q.exact:
-        g = poly_gcd(p, q)
-        pbar = p.div_exact(g).monic() if g.degree > 0 else p.monic()
-        qbar = q.div_exact(g).monic() if g.degree > 0 else q.monic()
-    else:
-        pbar = qbar = None  # built from clusters below
+    g = poly_gcd(p, q)
+    pbar = p.div_exact(g).monic() if g.degree > 0 else p.monic()
+    qbar = q.div_exact(g).monic() if g.degree > 0 else q.monic()
 
     proots = list(find_roots(p)) if p.degree >= 1 else []
     qroots = list(find_roots(q)) if q.degree >= 1 else []
     pts = proots + qroots
     if not pts:
-        return (p.monic(), q.monic(), [])
+        return (pbar, qbar, [])
     scale = max(abs(z) for z in pts)
     dist = pair_matrix(pts, _distance)
-    groups = _components(dist <= ctol * scale)
-    if groups != _components(dist <= (ctol / 10.0) * scale):
+    groups = _components(dist <= CLUSTER_TOL * scale)
+    if groups != _components(dist <= (CLUSTER_TOL / 10.0) * scale):
         raise ClusterAmbiguity(
-            f"root clusters overlap between {ctol/10:g} and {ctol:g} relative"
+            f"root clusters overlap between {CLUSTER_TOL/10:g} and {CLUSTER_TOL:g} relative"
         )
 
     sites = []  # (centroid, net charge) of each charged cluster, in cluster order
@@ -758,8 +763,5 @@ def reduce_pair(p: Polynomial, q: Polynomial, ctol: float = CLUSTER_TOL):
         net = sum(1 if i < len(proots) else -1 for i in grp)
         if net:
             sites.append((sum(pts[i] for i in grp) / len(grp), net))
-    if pbar is None:
-        pbar = from_roots([z for z, net in sites for _ in range(net)])
-        qbar = from_roots([z for z, net in sites for _ in range(-net)])
     inventory = sorted(sites, key=lambda t: (round(t[0].real, 10), round(t[0].imag, 10)))
     return (pbar, qbar, inventory)

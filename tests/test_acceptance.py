@@ -210,14 +210,10 @@ def test_criterion_05_cylinder_construction():
     c1 = cylinder_pair([1, 2], [0.0, math.pi / 6])
     rng = np.random.default_rng(9)
     c2 = cylinder_pair([1, 2], list(rng.uniform(0.1, 2.0, size=2)))
-    # the float pair under its stored field, relative to the size of p q
-    worst = max(
-        max(map(abs, polylinear_H(c.sys, [c.p, c.q], lam=c.lam).coeffs), default=0.0)
-        / max(map(abs, (c.p * c.q).coeffs))
-        for c in (c1, c2)
-    )
-    ok = c1.residual_exact_zero and c2.residual_exact_zero and worst < 1e-10
-    report(5, ok, f"index set {{1,2}} certifies exactly; float phases {worst:.1e} < 1e-10")
+    # the exact pair at the phases' doubles under its stored field
+    zero = all(c.p.exact and polylinear_H(c.sys, [c.p, c.q], lam=c.lam).is_zero for c in (c1, c2))
+    ok = c1.residual_exact_zero and c2.residual_exact_zero and zero
+    report(5, ok, f"index set {{1,2}} certifies exactly; exact pair at float phases annihilated: {zero}")
 
 
 def test_criterion_06_identity_lemma():

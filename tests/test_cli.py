@@ -874,13 +874,31 @@ def test_malformed_output_block_exits_validation(tmp_path, capsys, path, value, 
         (["verify-identities", "--trials", "x"], "identities 'trials' is malformed"),
         (["simulate", "--jobs", "x"], "argument --jobs"),
         (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+        # a flag of a mode that does not read its key: before, these were
+        # parsed and then ignored (the top-level seed seeds only
+        # verify-identities, and only simulate writes formats and an svg)
+        (["simulate", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["equilibrium", "--svg"], "unrecognized arguments: --svg"),
+        (["conserved", "--format", "csv"], "unrecognized arguments: --format csv"),
+        (["verify-identities", "--svg"], "unrecognized arguments: --svg"),
     ],
-    ids=["recipe", "k", "trials", "jobs", "unknown_flag"],
+    ids=["recipe", "k", "trials", "jobs", "unknown_flag", "simulate_seed", "equilibrium_svg",
+         "conserved_format", "identities_svg"],
 )
 def test_malformed_flag_exits_validation(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error") and message in err
+
+
+def test_flags_are_read_by_their_modes(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, _trap_doc(tmp_path, "simulate", {"species": _SPECIES_OK}))
+    argv = ["simulate", "--config", cfg, "--format", "csv", "--svg", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory.svg"]
+    argv = ["verify-identities", "--trials", "2", "--seed", "7", "--out", str(tmp_path / "id")]
+    assert cli.main(argv) == cli.EXIT_OK
 
 
 def test_help_exits_zero(capsys):

@@ -358,12 +358,11 @@ def test_cylinder_single_harmonic():
     assert abs(cert.bivariate["p_xy"][1][0] - 1.0) < 1e-15
 
 
-def field_residual(cert) -> float:
-    """max |polylinear_H| of the stored pair under its stored field and
-    lambda, over the largest coefficient of p q: 0 up to rounding for an
-    equilibrium of that field."""
-    H = polylinear_H(cert.sys, [cert.p, cert.q], lam=cert.lam)
-    return max(map(abs, H.to_float().coeffs), default=0.0) / max(map(abs, (cert.p * cert.q).to_float().coeffs))
+def annihilated(cert) -> bool:
+    """Whether the stored exact pair is an equilibrium of its stored field
+    and lambda: its polylinear_H is exactly zero."""
+    exact = cert.p.exact and cert.q.exact and cert.sys.exact
+    return exact and polylinear_H(cert.sys, [cert.p, cert.q], lam=cert.lam).is_zero
 
 
 def test_cylinder_pair_12():
@@ -371,28 +370,29 @@ def test_cylinder_pair_12():
         cert = cylinder_pair([1, 2], ts)
         assert cert.residual_exact_zero
         assert cert.degrees == (3, 1)
-        assert field_residual(cert) < 1e-10
+        assert annihilated(cert)
 
 
 def test_cylinder_pairs_are_equilibria_of_their_stored_field():
-    # before, the stored field (U = 0, lambda = (n - m)**2) left a
-    # residual of the size of p q itself
+    # before, the float pair left max |H| / max |p q| up to 2.1e-13; the
+    # phases' doubles need not lie on the unit circle, and the formal zero
+    # still holds at them (_trig.substitute)
     rng = np.random.default_rng(27)
     for _ in range(40):
         k = int(rng.integers(1, 6))
         indices = sorted(int(i) for i in rng.choice(np.arange(1, 9), size=k, replace=False))
         cert = cylinder_pair(indices, list(rng.uniform(0.0, math.pi, size=k)))
-        assert cert.residual_exact_zero and cert.sys.U.coeffs == (0j, complex(indices[-1]))
-        assert field_residual(cert) < 1e-12, (indices, field_residual(cert))
+        assert cert.residual_exact_zero and cert.sys.U.coeffs == (0, indices[-1])
+        assert annihilated(cert), indices
 
 
 def _exact_substitute(terms, indices, total, eps):
-    """_trig.substitute at exact phases eps_j: the Fourier sum as an exact
-    polynomial in w."""
+    """_trig.substitute with eps_j**+1 and eps_j**-1 the GaussianRationals
+    eps[j] = (plus, minus): the Fourier sum as an exact polynomial in w."""
     unit = _i_times(terms.r, Fraction(1, 2**terms.e))
     coeffs = [GaussianRational(0)] * (total + 1)
     for s, amp in terms.amps.items():
-        factors = (eps[j] if x > 0 else 1 / eps[j] for j, x in enumerate(s) for _ in range(abs(x)))
+        factors = (eps[j][x < 0] for j, x in enumerate(s) for _ in range(abs(x)))
         phase = math.prod(factors, start=GaussianRational(1))  # eps**s
         coeffs[(_trig._freq(s, indices) + total) // 2] += unit * amp * phase
     return Polynomial(coeffs)
@@ -401,6 +401,25 @@ def _exact_substitute(terms, indices, total, eps):
 def _unit_phase(s):
     """The Gaussian rational exp(i t) at tan(t/2) = s."""
     return GaussianRational(1 - s * s, 2 * s) / (1 + s * s)
+
+
+def test_cylinder_pair_with_a_wrong_amplitude_reports_its_exact_residual(monkeypatch):
+    # fault injection, the only way to a nonzero formal residual, which is
+    # then evaluated on the exact pair
+    build = _trig.trig_wronskian
+
+    def wrong(indices, nphases):
+        terms = build(indices, nphases)
+        if len(indices) < nphases:  # q's Wronskian stays right
+            return terms
+        s = next(iter(terms.amps))
+        return terms._replace(amps={**terms.amps, s: terms.amps[s] + 1})
+
+    monkeypatch.setattr(_trig, "trig_wronskian", wrong)
+    cert = cylinder_pair([1, 2], [0.3, 1.1])
+    assert not cert.residual_exact_zero and cert.residual_norm > 0
+    with pytest.raises(CertificationFailure, match="bilinear residual nonzero"):
+        check_built(cert)
 
 
 def test_laplace_residual_is_4_over_w_times_the_w_fields_polylinear_H():
@@ -415,7 +434,8 @@ def test_laplace_residual_is_4_over_w_times_the_w_fields_polylinear_H():
         wp, wq = _trig.trig_wronskian(indices, k + 1), _trig.trig_wronskian(indices[:k], k + 1)
         wp = wp._replace(amps={s: int(rng.integers(-5, 6)) for s in wp.amps})
         wq = wq._replace(amps={s: int(rng.integers(-5, 6)) for s in wq.amps})
-        eps = [_unit_phase(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))) for _ in indices]
+        units = [_unit_phase(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))) for _ in indices]
+        eps = [(u, 1 / u) for u in units]
         resid = _trig.laplace_residual(wp, wq, indices, n, m)
         nonzero += bool(resid.amps)
         sys = SystemCoefficients.bilinear([0, 0, -1], [0, n - m], Lambda=1)
@@ -479,11 +499,11 @@ def test_cylinder_fourier_residual_matches_xy_oracle(q_mode, m):
         )
     resid = _trig.laplace_residual(wp, wq, indices, n, m)
     assert (not resid.amps) == (q_mode is None)
-    amps = _trig.substitute(resid, indices, n + m - 2, ts).floats  # w**j: frequency 2j - (n+m-2)
+    amps = _trig.substitute(resid, indices, n + m - 2, ts).to_float().floats  # w**j: frequency 2j - (n+m-2)
 
     X, Y = sp.symbols("X Y", real=True)
-    P = _xy_poly(sp, _trig.xy_coeffs(wp, indices, n, ts), X, Y)
-    Q = _xy_poly(sp, _trig.xy_coeffs(wq, indices, m, ts), X, Y)
+    P = _xy_poly(sp, _trig.xy_coeffs(_trig.substitute(wp, indices, n, ts), n), X, Y)
+    Q = _xy_poly(sp, _trig.xy_coeffs(_trig.substitute(wq, indices, m, ts), m), X, Y)
     parts = [
         Q * (sp.diff(P, X, 2) + sp.diff(P, Y, 2)),
         -2 * (sp.diff(Q, X) * sp.diff(P, X) + sp.diff(Q, Y) * sp.diff(P, Y)),
@@ -527,29 +547,17 @@ def _i_times(j, c):
     return GaussianRational(*((c, 0), (0, c), (-c, 0), (0, -c))[j % 4])
 
 
-def _gaussian_amps(terms):
-    """Each amplitude as the exact GaussianRational a 2**-e i**r."""
-    return {s: _i_times(terms.r, Fraction(a, 2**terms.e)) for s, a in terms.amps.items()}
-
-
-def _xy_oracle(terms, indices, n, ts):
-    """xy_coeffs with every term an exact GaussianRational, rounded once."""
-    out = [0j] * (n + 1)
-    for s, amp in _gaussian_amps(terms).items():
-        f, unit = _trig._freq(s, indices), _trig._phase(s, ts)
-        a, b = (n + f) // 2, (n - f) // 2
-        for j in range(n + 1):
-            c = sum((-1) ** (j - l) * math.comb(a, l) * math.comb(b, j - l) for l in range(j + 1))
-            if c:
-                out[j] += complex(amp * _i_times(j, c)) * unit
+def _xy_oracle(p_w, n):
+    """xy_coeffs by GaussianRational arithmetic, rounded once: w**a is
+    (X + iY)**a (X - iY)**(n - a)."""
+    out = []
+    for j in range(n + 1):
+        total = GaussianRational(0)
+        for a, c in enumerate(p_w.coeffs):
+            y = sum((-1) ** (j - l) * math.comb(a, l) * math.comb(n - a, j - l) for l in range(j + 1))
+            total += c * _i_times(j, y)
+        out.append(complex(total))
     return out
-
-
-def _substitute_oracle(terms, indices, total, ts):
-    coeffs = [0j] * (total + 1)
-    for s, amp in _gaussian_amps(terms).items():
-        coeffs[(_trig._freq(s, indices) + total) // 2] += complex(amp) * _trig._phase(s, ts)
-    return Polynomial(coeffs)
 
 
 def _bits(values):
@@ -561,19 +569,22 @@ def _bits(values):
     indices=st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True).map(sorted),
     data=st.data(),
 )
-def test_trig_floats_match_gaussian_rational_oracle(indices, data):
-    """xy_coeffs and substitute round each exact term a 2**-e i**r once and
-    keep the +0.0 zero part, bit for bit as the GaussianRational terms
-    did; for the two Wronskians and a nonzero residual (wrong m)."""
+def test_trig_substitute_matches_gaussian_rational_oracle(indices, data):
+    """substitute is the GaussianRational sum of the terms at the doubles
+    exp(+-i t_j), read exactly, and xy_coeffs rounds each exact (X, Y)
+    coefficient once, bit for bit with a +0.0 zero part; for the two
+    Wronskians and a nonzero residual (wrong m, exponents up to 2)."""
     k = len(indices)
     ts = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=k, max_size=k))
+    eps = [tuple(GaussianRational(*map(Fraction, (c.real, c.imag))) for c in (cmath.exp(1j * t), cmath.exp(-1j * t)))
+           for t in ts]
     wp, wq = _trig.trig_wronskian(indices, k), _trig.trig_wronskian(indices[:-1], k)
     n, m = sum(indices), sum(indices[:-1])
     resid = _trig.laplace_residual(wp, wq, indices, n, m + 2)
     for terms, total in ((wp, n), (wq, m), (resid, n + m)):
-        assert _bits(_trig.xy_coeffs(terms, indices, total, ts)) == _bits(_xy_oracle(terms, indices, total, ts))
-        got, want = _trig.substitute(terms, indices, total, ts), _substitute_oracle(terms, indices, total, ts)
-        assert _bits(got.floats) == _bits(want.floats)
+        got = _trig.substitute(terms, indices, total, ts)
+        assert got == _exact_substitute(terms, indices, total, eps)
+        assert _bits(_trig.xy_coeffs(got, total)) == _bits(_xy_oracle(got, total))
 
 
 # -- inventory / charge counting ---------------------------------------------------
@@ -655,22 +666,23 @@ def test_cylinder_certificate_json_replay():
 
 
 @pytest.mark.parametrize(
-    "field,path,value",
+    "path,value,message",
     [
-        ("p", ("p", "coeffs", 0), [123.0, 0.0]),
-        ("q", ("q", "coeffs", 0), [123.0, 0.0]),
-        ("degrees", ("degrees", 0), 4),
-        ("bivariate", ("bivariate", "p_xy", 0), [123.0, 0.0]),
+        # an exact pair that is no equilibrium is named by its residual
+        (("p", "coeffs", 0), ["123", "1"], "bilinear residual nonzero"),
+        (("q", "coeffs", 0), ["123", "1"], "bilinear residual nonzero"),
+        (("degrees", 0), 4, "stored 'degrees'"),
+        (("bivariate", "p_xy", 0), [123.0, 0.0], "stored 'bivariate'"),
     ],
     ids=["p", "q", "degrees", "bivariate"],
 )
-def test_cylinder_certificate_rejects_mutated_field(field, path, value):
+def test_cylinder_certificate_rejects_mutated_field(path, value, message):
     doc = json.loads(json.dumps(certify(cylinder_pair([1, 2], [0.3, 1.1])).to_json()))
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    with pytest.raises(CertificationFailure, match=f"stored '{field}'"):
+    with pytest.raises(CertificationFailure, match=message):
         certify(EquilibriumCertificate.from_json(doc))
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "certs"

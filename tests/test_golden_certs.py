@@ -83,7 +83,7 @@ TAMPERS = {
     "q_top": (("q",), _top_three),
     "reduced": (("reduced", 0), _top_three),
     "degrees": (("degrees", 0), lambda n: n + 1),
-    "lambda": (("lambda",), lambda lam: {"float": [7.0, 0.0]} if "float" in lam else _SEVEN),
+    "lambda": (("lambda",), lambda lam: _SEVEN),
     "inventory_position": (("inventory", 0, "position", 0), lambda x: x + 0.5),
     "inventory_charge": (("inventory", 0, "net_charge"), lambda charge: 5),
     "residual_exact_zero": (("residual_exact_zero",), lambda flag: False),
@@ -171,12 +171,9 @@ def _fields(doc, path=()):
 
 def _tolerance(doc, path):
     """How far certify lets this field move: positions within the
-    clustering tolerance of the largest inventory modulus, and a float
-    ``reduced`` coefficient within it of its polynomial's largest one."""
+    clustering tolerance of the largest inventory modulus."""
     if path[0] == "inventory":
         return CLUSTER_TOL * max(math.hypot(*e["position"]) for e in doc["inventory"])
-    if path[0] == "reduced" and not doc["reduced"][path[1]]["exact"]:
-        return CLUSTER_TOL * max(math.hypot(*c) for c in doc["reduced"][path[1]]["coeffs"])
     return 0.0
 
 
@@ -239,8 +236,6 @@ def test_golden_with_one_field_mutated_fails_certify(name, data):
 
     * inventory positions within ``CLUSTER_TOL`` of the largest inventory
       modulus (numeric roots may differ in the last bits between builds);
-    * a float (cylinder) ``reduced`` coefficient within ``CLUSTER_TOL`` of
-      its polynomial's largest coefficient (built from those roots);
     * ``notes.gradient_max``, which certify recomputes and overwrites.
 
     A moved recipe parameter may leave the pair as it was: the last
@@ -297,33 +292,41 @@ def _ulps(x, n):
 @pytest.mark.parametrize("name", CYLINDERS)
 def test_cylinder_golden_with_roots_moved_4_ulps_recertifies(name):
     # a writer whose root finder rounds differently (an older one, another
-    # numpy build) stores the same float reduced pair and inventory up to
-    # the last bits of each coefficient and position
+    # numpy build) stores the same exact reduced pair and the inventory up
+    # to the last bits of each position
     doc = json.loads((DATA / name / "certificate.json").read_text())
-    for poly in doc["reduced"]:
-        poly["coeffs"] = [[_ulps(x, 4) for x in c] for c in poly["coeffs"]]
     for entry in doc["inventory"]:
         entry["position"] = [_ulps(x, 4) for x in entry["position"]]
     assert certify(EquilibriumCertificate.from_json(doc)).residual_exact_zero
 
 
 @pytest.mark.parametrize("name", CYLINDERS)
-def test_cylinder_golden_with_reduced_moved_1e6_relative_fails_certify(name):
+def test_cylinder_golden_with_reduced_off_by_one_fails_certify(name):
+    # before, a float reduced pair passed within CLUSTER_TOL of the rebuild
     doc = json.loads((DATA / name / "certificate.json").read_text())
     entry = doc["reduced"][0]["coeffs"][0]
-    entry[0] += 1e-6 * max(abs(x) for c in doc["reduced"][0]["coeffs"] for x in c)
+    real = entry[0] if isinstance(entry[0], list) else entry  # [numerator, denominator]
+    real[0] = str(int(real[0]) + 1)
     with pytest.raises(CertificationFailure, match="'reduced'"):
         certify(EquilibriumCertificate.from_json(doc))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_golden_stores_exact_fields(name):
+    # before, a cylinder certificate stored p, q, P, U, lambda and reduced
+    # as floats
+    doc = _golden(name)
+    polys = [doc[key] for key in ("p", "q", "P", "U")] + doc["reduced"]
+    assert all(poly["exact"] for poly in polys)
+    assert set(doc["lambda"]) == {"re", "im"}
+
+
 @pytest.mark.parametrize("name", CYLINDERS)
 def test_cylinder_golden_is_an_equilibrium_of_its_stored_field(name):
-    # before, the stored field (U = 0, lambda = (n - m)**2) left
-    # max |H| / max |p q| at 1 to 14.1 on these four
+    # before, the float pair left max |H| / max |p q| at 0 to 7.7e-15 on
+    # these four (1 to 14.1 under the field stored before that)
     cert = EquilibriumCertificate.from_json(_golden(name))
-    H = polylinear_H(cert.sys, [cert.p, cert.q], lam=cert.lam)
-    size = max(map(abs, (cert.p * cert.q).coeffs))
-    assert max(map(abs, H.coeffs), default=0.0) < 1e-12 * size
+    assert polylinear_H(cert.sys, [cert.p, cert.q], lam=cert.lam).is_zero
 
 
 @pytest.mark.parametrize("name", CYLINDERS)

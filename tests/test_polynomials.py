@@ -336,11 +336,13 @@ def test_reduce_pair_keeps_tiny_roots_apart():
     assert sorted((net, z.real * 1e50) for z, net in inv) == [(-1, 0.0), (1, -1.0), (1, 1.0)]
 
 
-def test_reduce_pair_cluster_ambiguity():
+def test_reduce_pair_rejects_float_input():
+    # before, a float pair was rebuilt from its root clusters
     p = from_roots([1.0, 1.0 + 3e-4])
-    q = from_roots([2.0])
-    with pytest.raises(ClusterAmbiguity):
-        reduce_pair(p, q, ctol=1e-3)
+    with pytest.raises(TypeError):
+        reduce_pair(p, from_roots([2.0]))
+    with pytest.raises(TypeError):
+        reduce_pair(P(-1, 1), p)
 
 
 def test_cluster_points():
@@ -603,6 +605,10 @@ def test_mixing_rings_raises():
         exact.scale(0.5)
     with pytest.raises(TypeError):
         Polynomial([GaussianRational(1), 0.5])
+    # before, a Fraction among floats was rounded into a float polynomial
+    for coeffs in ([Fraction(1, 3), 0.5], [1, 2j, Fraction(1, 3)]):
+        with pytest.raises(TypeError):
+            Polynomial(coeffs)
 
 
 def test_array_coefficients_are_a_batch_of_float_polynomials():
