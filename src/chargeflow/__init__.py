@@ -11,7 +11,6 @@ from .errors import (
     BadK,
     CertificationFailure,
     ChargeflowError,
-    ClusterAmbiguity,
     CoincidentPositions,
     Collision,
     DegenerateWronskian,

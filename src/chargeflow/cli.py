@@ -743,7 +743,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in _MODES:
-        sp = sub.add_parser(mode)
+        sp = sub.add_parser(mode, allow_abbrev=False)  # --seed is not --seeds
         sp.add_argument("--config", help="JSON experiment config")
         # accepted for compatibility; a sweep runs its seeds as lanes of
         # one integrator in this process, so it starts no worker

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import SystemCoefficients, _scale, _site_gradient, eigenpoly, lambda_poly, polylinear_H
-from .polynomials import CLUSTER_TOL, Polynomial, _distance, _ratio_json, is_exact
+from .polynomials import Polynomial, _distance, _ratio_json, is_exact
 from .polynomials import leading_wronskians, reduce_pair
 from .scalars import GaussianRational, exactify
 
@@ -42,9 +42,14 @@ __all__ = [
     "certify",
     "check_built",
     "GRADIENT_TOL",
+    "POSITION_TOL",
 ]
 
 GRADIENT_TOL = 1e-8
+# how far, relative to the largest fresh modulus, a stored inventory
+# position may lie from the rebuild's: roots can differ in the last bits
+# between numpy builds
+POSITION_TOL = 1e-8
 
 # the keys ``to_json`` writes, in the order ``certify`` compares them
 _DOC_KEYS = (
@@ -466,9 +471,8 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
 
 def _same_field(key, stored, fresh) -> bool:
     """Whether a field of the stored document equals the rebuild's.
-    Numeric roots may differ in the last bits between numpy builds, so
-    each inventory position may lie within reduce_pair's cluster
-    tolerance of the largest fresh modulus (the charges must be equal).
+    Each inventory position may lie within POSITION_TOL of the largest
+    fresh modulus (the charges must be equal).
     ``params`` and ``notes``, which ``from_json`` stores as given, are
     compared as JSON text, so that a value must also keep its JSON type
     (1, 1.0 and true, which == equates, differ)."""
@@ -477,7 +481,7 @@ def _same_field(key, stored, fresh) -> bool:
     if key == "inventory":
         charges = [[e["net_charge"] for e in doc] for doc in (stored, fresh)]
         old, new = ([complex(*e["position"]) for e in doc] for doc in (stored, fresh))
-        tol = CLUSTER_TOL * max(map(abs, new), default=0.0)
+        tol = POSITION_TOL * max(map(abs, new), default=0.0)
         return charges[0] == charges[1] and all(abs(s - f) <= tol for s, f in zip(old, new))
     return stored == fresh
 

@@ -9,10 +9,6 @@ class NonConvergence(ChargeflowError):
     """An iteration (root finder, ODE stepper) failed to converge."""
 
 
-class ClusterAmbiguity(ChargeflowError):
-    """Root clusters overlap at the working tolerance; cannot separate."""
-
-
 class DegreeViolation(ChargeflowError):
     """Polynomial degree exceeds what the operator's domain admits."""
 

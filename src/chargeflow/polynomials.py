@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ClusterAmbiguity, NonConvergence, ValidationError
+from .errors import NonConvergence, ValidationError
 from .scalars import EXACT, GaussianRational
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "jacobi",
     "monomial",
     "reduce_pair",
-    "cluster_points",
     "pair_matrix",
 ]
 
@@ -493,23 +492,24 @@ def _value_and_slope(rows, z):
     return acc
 
 
-CLUSTER_TOL = 1e-8  # relative root-cluster tolerance of reduce_pair
-
-
 def find_roots(p: Polynomial) -> tuple:
     """All complex roots, sorted: the eigenvalues of the monic float
     polynomial's companion matrix, polished by three Newton steps (a step
     longer than 1e-2 of the root scale is skipped).
 
-    Exact zero roots (vanishing low-order coefficients) are deflated first.
-    Raises NonConvergence when the eigenvalue solve fails, or unless the
-    largest backward error |p(z)| / sum |c_k| |z|^k is a finite number
-    within 1e-7.
+    Zero roots (vanishing low-order coefficients) are deflated first.
+    Raises ValidationError when an exact coefficient past the float range
+    would move a root: the float form of an exact p, past its zero roots,
+    must keep its degree and a nonzero constant term.  Raises
+    NonConvergence when the eigenvalue solve fails, or unless the largest
+    backward error |p(z)| / sum |c_k| |z|^k is a finite number within 1e-7.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("find_roots needs a nonzero polynomial of degree >= 1")
+    zero_mult, p = _low_power(p) if p.exact else (0, p)
     coeffs = list(p.to_float().coeffs)
-    zero_mult = 0
+    if p.exact and (len(coeffs) <= p.degree or not coeffs[0]):
+        raise ValidationError("an exact coefficient is past the float range")
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
         zero_mult += 1
@@ -661,7 +661,7 @@ def _residues(p: Polynomial):
 def _low_power(p: Polynomial):
     """(k, p / z**k) for the largest k with z**k dividing the nonzero exact p."""
     k = next(k for k, r in enumerate(p.re) if r or p.im and p.im[k])
-    return k, _canonical(p.den, p.re[k:], p.im and p.im[k:])
+    return k, _canonical(p.den, p.re[k:], p.im and p.im[k:]) if k else p
 
 
 def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
@@ -701,29 +701,28 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return a.monic().shift(min(vp, vq))
 
 
-def _components(near):
-    """The connected components of the symmetric boolean matrix ``near``
-    (diagonal True), in order of their smallest index, each ascending.  A
-    label falls to its neighbours' smallest and then to its label's label;
-    labels stay in their component, so they settle at its smallest index."""
-    n = len(near)
-    labels = np.arange(n)
-    while True:
-        new = np.where(near, labels, n).min(axis=1, initial=n)
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    groups = {}
-    for i, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(i)
-    return list(groups.values())
-
-
-def cluster_points(points, tol):
-    """Single-linkage clusters of complex points at absolute threshold tol,
-    as lists of indices, in order of their smallest index."""
-    return _components(pair_matrix(points, _distance) <= tol)
+def _square_free(f: Polynomial):
+    """[(a, i)] with f = c * prod a**i for a constant c, each a monic,
+    square-free and of degree >= 1, and no two a sharing a root: z**v
+    splits off first, then Yun's algorithm runs on the rest (D. Y. Y. Yun,
+    SYMSAC '76, 26-35)."""
+    v, f = _low_power(f)
+    out = [(monomial(1), v)] if v else []
+    if f.degree < 1:
+        return out
+    df = f.derivative()
+    g = poly_gcd(f, df)
+    if g.degree == 0:  # the usual case: no long divisions by 1
+        return out + [(f.monic(), 1)]
+    b, d = f.div_exact(g), df.div_exact(g)
+    i = 1
+    while b.degree > 0:
+        d = d - b.derivative()
+        a = poly_gcd(b, d)
+        if a.degree > 0:
+            out.append((a, i))
+        b, d, i = b.div_exact(a), d.div_exact(a), i + 1
+    return out
 
 
 def reduce_pair(p: Polynomial, q: Polynomial):
@@ -731,37 +730,23 @@ def reduce_pair(p: Polynomial, q: Polynomial):
 
     Returns ``(pbar, qbar, inventory)``: the monic p and q over their exact
     gcd, and the inventory of distinct positions with net charge
-    (multiplicity in p minus multiplicity in q), from numeric roots
-    clustered at CLUSTER_TOL relative.
+    (multiplicity in p minus multiplicity in q).  pbar and qbar are
+    coprime, so each root of a square-free factor a**i of pbar (of qbar)
+    is one site of charge +i (-i); the multiplicities are exact, and only
+    the positions are rounded, as ``find_roots`` of each factor.
 
-    Raises TypeError for a float input (``poly_gcd``), and
-    ClusterAmbiguity when clustering at CLUSTER_TOL and at CLUSTER_TOL/10
-    disagree, i.e. some root gaps fall in the gray zone where the
-    tolerance cannot tell clusters apart.
+    Raises TypeError for a float input (``poly_gcd``).
     """
     if p.is_zero or q.is_zero:
         raise ValueError("reduce_pair needs nonzero polynomials")
     g = poly_gcd(p, q)
     pbar = p.div_exact(g).monic() if g.degree > 0 else p.monic()
     qbar = q.div_exact(g).monic() if g.degree > 0 else q.monic()
-
-    proots = list(find_roots(p)) if p.degree >= 1 else []
-    qroots = list(find_roots(q)) if q.degree >= 1 else []
-    pts = proots + qroots
-    if not pts:
-        return (pbar, qbar, [])
-    scale = max(abs(z) for z in pts)
-    dist = pair_matrix(pts, _distance)
-    groups = _components(dist <= CLUSTER_TOL * scale)
-    if groups != _components(dist <= (CLUSTER_TOL / 10.0) * scale):
-        raise ClusterAmbiguity(
-            f"root clusters overlap between {CLUSTER_TOL/10:g} and {CLUSTER_TOL:g} relative"
-        )
-
-    sites = []  # (centroid, net charge) of each charged cluster, in cluster order
-    for grp in groups:
-        net = sum(1 if i < len(proots) else -1 for i in grp)
-        if net:
-            sites.append((sum(pts[i] for i in grp) / len(grp), net))
+    sites = [
+        (z, sign * i)
+        for f, sign in ((pbar, 1), (qbar, -1))
+        for a, i in _square_free(f)
+        for z in find_roots(a)
+    ]
     inventory = sorted(sites, key=lambda t: (round(t[0].real, 10), round(t[0].imag, 10)))
     return (pbar, qbar, inventory)

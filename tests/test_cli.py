@@ -11,6 +11,7 @@ import pytest
 
 from chargeflow import cli, conserved
 from chargeflow.dynamics import FlowSpec, Trajectory
+from chargeflow.equilibria import EquilibriumCertificate, certify
 from chargeflow.errors import NoReturnFound, ValidationError
 from chargeflow.operators import SystemCoefficients
 from chargeflow.polynomials import _distance, pair_matrix
@@ -644,15 +645,16 @@ def test_malformed_comma_list_flag_exits_validation(tmp_path, no_workers, capsys
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--recipe", "hermite", "--indices", "1,2", "--b", "1e200"],
         ["--recipe", "hermite", "--indices", "1,2", "--b", "1e400"],
         ["--recipe", "adler_moser", "--k", "2", "--ts", "1e400,1"],
         ["--recipe", "monomial", "--indices", "1,2", "--b", "1e400"],
     ],
-    ids=["hermite_b_1e200", "hermite_b_1e400", "adler_moser_ts_1e400", "monomial_b_1e400"],
+    ids=["hermite_b_1e400", "adler_moser_ts_1e400", "monomial_b_1e400"],
 )
 def test_rational_parameter_past_the_float_range_exits_validation(tmp_path, capsys, argv):
-    # the exact pair exists, but its float shadow (roots, gradient) does not
+    # the exact pair exists, but its float shadow (roots, gradient) does
+    # not: at b = 1e400 the monic p is z**2 - 1e-400, whose constant term
+    # rounds to 0
     assert cli.main(["equilibrium", *argv, "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation error: ")
 
@@ -667,17 +669,23 @@ def test_cylinder_pair_with_proportional_phases_exits_certification(tmp_path, ca
 
 
 def test_badly_scaled_hermite_pair_certifies(tmp_path):
-    # roots of size 1e-50 next to coefficients of 1e100: the companion
-    # eigenvalues start at the roots, where circle starts did not converge.
-    # p = 1e200 - 1e300 z^2 and q = -1e100 z: +1 at +-1e-50 and -1 at 0
-    # stay three charges however small the roots are
-    argv = ["equilibrium", "--recipe", "hermite", "--indices", "1,2", "--b", "1e100"]
-    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
-    doc = json.loads((tmp_path / "certificate.json").read_text())
-    assert doc["residual_exact_zero"]
-    charges = sorted((e["net_charge"], e["position"][0] * 1e50, e["position"][1]) for e in doc["inventory"])
-    assert [c for c, _, _ in charges] == [-1, 1, 1]
-    assert np.allclose([(x, y) for _, x, y in charges], [(0, 0), (-1, 0), (1, 0)], rtol=1e-12, atol=0)
+    # b = 10**e: p = b**2 - b**3 z^2 and q = -b z, so +1 at +-b**-1/2 and
+    # -1 at 0 stay three charges however small the roots are, and the
+    # companion eigenvalues start at the roots, where circle starts did
+    # not converge.  At b = 1e200 p has no float form; before, that
+    # exited 3, and now the sites are the roots of the reduced pair's
+    # monic factors
+    for e in (100, 200):
+        out = tmp_path / f"b1e{e}"
+        argv = ["equilibrium", "--recipe", "hermite", "--indices", "1,2", "--b", f"1e{e}"]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / "certificate.json").read_text())
+        assert doc["residual_exact_zero"] and doc["notes"]["gradient_max"] == 0.0
+        assert certify(EquilibriumCertificate.from_json(doc)).residual_exact_zero
+        scale = 10.0 ** (e // 2)
+        charges = sorted((s["net_charge"], s["position"][0] * scale, s["position"][1]) for s in doc["inventory"])
+        assert [c for c, _, _ in charges] == [-1, 1, 1]
+        assert np.allclose([(x, y) for _, x, y in charges], [(0, 0), (-1, 0), (1, 0)], rtol=1e-12, atol=0)
 
 
 def test_adler_moser_whose_horner_overflows_exits_nonconvergence(tmp_path, capsys):
@@ -881,9 +889,13 @@ def test_malformed_output_block_exits_validation(tmp_path, capsys, path, value, 
         (["equilibrium", "--svg"], "unrecognized arguments: --svg"),
         (["conserved", "--format", "csv"], "unrecognized arguments: --format csv"),
         (["verify-identities", "--svg"], "unrecognized arguments: --svg"),
+        # a prefix of a flag: before, argparse took --seed for --seeds and
+        # ran a one-seed sweep, and --ind for --indices
+        (["period", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["equilibrium", "--recipe", "hermite", "--ind", "1,2"], "unrecognized arguments: --ind 1,2"),
     ],
     ids=["recipe", "k", "trials", "jobs", "unknown_flag", "simulate_seed", "equilibrium_svg",
-         "conserved_format", "identities_svg"],
+         "conserved_format", "identities_svg", "period_seed_prefix", "indices_prefix"],
 )
 def test_malformed_flag_exits_validation(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_VALIDATION

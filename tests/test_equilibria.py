@@ -285,10 +285,8 @@ def test_circle_row_fits_the_classical_table(circle_pair, indices):
     assert cert.degrees == _CIRCLE_DEGREES[indices]
 
 
-# ROADMAP item 1: the float shadow splits the exact repeated roots at
-# z = +-1, and the gradient at the split sites reads 10.7 to 48.5
-@pytest.mark.xfail(raises=CertificationFailure, strict=True,
-                   reason="repeated roots split into separate charges (ROADMAP item 1)")
+# before, the float roots of p and q split the exact repeated roots at
+# z = +-1 into separate charges, and the gradient there read 10.7 to 48.5
 @pytest.mark.parametrize("indices", sorted(_CIRCLE_DEGREES))
 def test_circle_row_pairs_pass_check_built(circle_pair, indices):
     check_built(circle_pair(indices))

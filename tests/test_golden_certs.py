@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 
 import chargeflow
 from chargeflow import cli, equilibria
-from chargeflow.equilibria import EquilibriumCertificate, certify
+from chargeflow.equilibria import POSITION_TOL, EquilibriumCertificate, certify
 from chargeflow.errors import CertificationFailure
 from chargeflow.operators import polylinear_H
-from chargeflow.polynomials import CLUSTER_TOL
 
 DATA = pathlib.Path(__file__).parent / "data" / "certs"
 
@@ -170,10 +169,10 @@ def _fields(doc, path=()):
 
 
 def _tolerance(doc, path):
-    """How far certify lets this field move: positions within the
-    clustering tolerance of the largest inventory modulus."""
+    """How far certify lets this field move: positions within
+    ``POSITION_TOL`` of the largest inventory modulus."""
     if path[0] == "inventory":
-        return CLUSTER_TOL * max(math.hypot(*e["position"]) for e in doc["inventory"])
+        return POSITION_TOL * max(math.hypot(*e["position"]) for e in doc["inventory"])
     return 0.0
 
 
@@ -234,7 +233,7 @@ def test_golden_with_one_field_mutated_fails_certify(name, data):
     except where certify tolerates a change by design, which the search
     does not draw:
 
-    * inventory positions within ``CLUSTER_TOL`` of the largest inventory
+    * inventory positions within ``POSITION_TOL`` of the largest inventory
       modulus (numeric roots may differ in the last bits between builds);
     * ``notes.gradient_max``, which certify recomputes and overwrites.
 
@@ -302,7 +301,8 @@ def test_cylinder_golden_with_roots_moved_4_ulps_recertifies(name):
 
 @pytest.mark.parametrize("name", CYLINDERS)
 def test_cylinder_golden_with_reduced_off_by_one_fails_certify(name):
-    # before, a float reduced pair passed within CLUSTER_TOL of the rebuild
+    # before, a float reduced pair passed within the position tolerance of
+    # the rebuild
     doc = json.loads((DATA / name / "certificate.json").read_text())
     entry = doc["reduced"][0]["coeffs"][0]
     real = entry[0] if isinstance(entry[0], list) else entry  # [numerator, denominator]
@@ -359,7 +359,7 @@ def test_golden_bytes_do_not_depend_on_blas_threads_or_kernels(tmp_path, blas_en
     # count nor the CPU kernels a dynamic-arch OpenBLAS picks (SSE4.2, AVX,
     # AVX2 here, besides the machine's own) may move a bit of any
     # certificate.  Other numpy or LAPACK builds are not covered; certify
-    # compares the root-derived fields within the clustering tolerance.
+    # compares the inventory positions within ``POSITION_TOL``.
     paths = [str(pathlib.Path(chargeflow.__file__).parent.parent), str(pathlib.Path(__file__).parent)]
     env = {**os.environ, **blas_env,
            "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])}

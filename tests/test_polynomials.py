@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargeflow.errors import ClusterAmbiguity, NonConvergence
+from chargeflow.errors import NonConvergence, ValidationError
 from chargeflow.polynomials import (
     _GCD_I,
     _GCD_PRIME,
     Polynomial,
     _convolve,
-    _distance,
     _coprime_mod_prime,
     _horner_rows,
     _inverse,
     _value_and_slope,
-    cluster_points,
     find_roots,
     from_roots,
     hermite,
@@ -115,12 +113,12 @@ _DYADIC = 2**12
 
 
 @st.composite
-def _separated_roots(draw):
-    """1 to 30 distinct exact Gaussian-rational roots, one in each of n
+def _separated_roots(draw, max_size=30):
+    """1 to max_size distinct exact Gaussian-rational roots, one in each of n
     equal angular slots (jittered by up to a third of a slot) of an
     annulus 0.8 R .. 1.25 R, rounded to the 2**-12 grid: neighbours stay
     at least a third of a slot apart, so the roots are well conditioned."""
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, max_size))
     radius = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     turn = draw(st.floats(0, 1))
     jitter = draw(st.lists(st.tuples(st.floats(-1 / 3, 1 / 3), st.floats(0.8, 1.25)), min_size=n, max_size=n))
@@ -147,6 +145,23 @@ def test_find_roots_round_trip_from_the_exact_product(roots):
         scale = sum(abs(ck) * abs(g) ** k for k, ck in enumerate(c))
         assert abs(np.polyval(c[::-1], g)) <= 1e-12 * scale
     assert _hex(find_roots(p)) == _hex(got)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[Fraction(-1, 10**400), 1], [1, Fraction(1, 10**400)], [0, Fraction(1, 10**400), 0, 1]],
+    ids=["constant", "leading", "constant_past_a_zero_root"],
+)
+def test_find_roots_with_a_coefficient_below_the_float_range_raises_validation(coeffs):
+    # before, a constant term whose float form is 0 was deflated as an
+    # exact zero root, and a leading one cost the polynomial its degree
+    with pytest.raises(ValidationError, match="past the float range"):
+        find_roots(Polynomial(coeffs))
+
+
+def test_find_roots_lets_a_middle_coefficient_round_to_zero():
+    roots = find_roots(Polynomial([1, Fraction(1, 10**400), 1]))
+    assert np.allclose(roots, [-1j, 1j], rtol=0, atol=1e-15)
 
 
 def test_find_roots_whose_monic_form_overflows_raises_nonconvergence():
@@ -329,8 +344,8 @@ def test_reduce_pair_trivial():
 
 
 def test_reduce_pair_keeps_tiny_roots_apart():
-    # every root lies below 1e-30; the cluster tolerance is relative to
-    # them, so +1 at +-1e-50 and -1 at 0 stay three charges
+    # every root lies below 1e-30, and no tolerance merges them: +1 at
+    # +-1e-50 and -1 at 0 stay three charges
     pbar, qbar, inv = reduce_pair(P(10**200, 0, -(10**300)), P(0, -(10**100)))
     assert qbar == P(0, 1)
     assert sorted((net, z.real * 1e50) for z, net in inv) == [(-1, 0.0), (1, -1.0), (1, 1.0)]
@@ -345,134 +360,44 @@ def test_reduce_pair_rejects_float_input():
         reduce_pair(P(-1, 1), p)
 
 
-def test_cluster_points():
-    groups = cluster_points([0j, 1e-12 + 0j, 1.0 + 0j], 1e-6)
-    sizes = sorted(len(g) for g in groups)
-    assert sizes == [1, 2]
-
-
-def naive_clusters(points, tol):
-    """Union-find over every pair with |p_i - p_j| <= tol, groups keyed by
-    their first index."""
-    parent = list(range(len(points)))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if abs(points[i] - points[j]) <= tol:
-                parent[find(j)] = find(i)
-    groups = {}
-    for i in range(len(points)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-@pytest.mark.parametrize("size", [0, 1, 2, 7, 30])
-def test_cluster_points_matches_double_loop(size):
-    rng = np.random.default_rng(size)
-    centers = rng.normal(size=max(1, size // 3)) + 1j * rng.normal(size=max(1, size // 3))
-    pts = list(centers[rng.integers(len(centers), size=size)] + 1e-4 * rng.normal(size=size))
-    for tol in (0.0, 1e-6, 1e-3, 0.5, 10.0):
-        assert cluster_points(pts, tol) == naive_clusters(pts, tol)
-
-
-def test_cluster_points_threshold_inclusive():
-    pts = [0j, 1 + 0j, 2 + 0j, 3.5 + 0j]
-    assert cluster_points(pts, 1.0) == [[0, 1, 2], [3]]
-    assert cluster_points(pts, 0.999) == [[0], [1], [2], [3]]
-    assert cluster_points([2 + 0j, 5 + 0j, 0j, 3 + 0j], 1.0) == [[0, 3], [1], [2]]
-
-
-def _union_find_clusters(points, tol):
-    """The union-find that ``cluster_points`` used to run: path halving
-    over the near pairs of ``pair_matrix`` in row-major order, groups in
-    order of their first index."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    near = np.triu(pair_matrix(points, _distance, diagonal=np.inf) <= tol)
-    for i, j in zip(*np.nonzero(near)):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-_coordinate = st.floats(-50.0, 50.0, allow_nan=False)
-_center = st.builds(complex, _coordinate, _coordinate)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    centers=st.lists(_center, min_size=1, max_size=5),
-    stack=st.integers(30, 40),
-    offsets=st.lists(st.tuples(st.integers(0, 4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)), max_size=40),
-    data=st.data(),
-)
-def test_cluster_points_planted_clusters_match_union_find(centers, stack, offsets, data):
-    """Clusters planted around a few centers, one of them a stack of 30 or
-    more identical points (a monomial pair's roots at 0)."""
-    scale = max(1.0, max(abs(c) for c in centers))
-    tol = 1e-8 * scale
-    pts = [centers[0]] * stack + [centers[i % len(centers)] + complex(x, y) * tol for i, x, y in offsets]
-    pts = data.draw(st.permutations(pts))
-    for t in (tol, tol / 10, 0.0):
-        assert cluster_points(pts, t) == _union_find_clusters(pts, t)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    start=_center,
-    angle=st.floats(0.0, 2 * math.pi),
-    steps=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=25),
-    data=st.data(),
-)
-def test_cluster_points_transitive_chains_match_union_find(start, angle, steps, data):
-    """Chains whose ends are far apart and link only through their
-    neighbours, in shuffled order (min-label propagation needs several
-    rounds there)."""
-    tol = 1e-3
-    direction = complex(math.cos(angle), math.sin(angle))
-    pts = [start + direction * tol * sum(steps[:i]) for i in range(len(steps) + 1)]
-    pts = data.draw(st.permutations(pts + [start + 10 * tol * direction * (len(steps) + 1)]))
-    for t in (tol, 0.75 * tol, 0.5 * tol):
-        assert cluster_points(pts, t) == _union_find_clusters(pts, t)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    centers=st.lists(_center, min_size=1, max_size=6),
-    gaps=st.lists(st.floats(1e-9, 1e-8), min_size=1, max_size=6),
-    data=st.data(),
-)
-def test_cluster_points_gray_zone_gaps_match_union_find(centers, gaps, data):
-    """Gaps between 1e-9 and 1e-8 of the scale: the two tolerances of
-    ``reduce_pair`` disagree there, and both must group as before."""
-    scale = max(1.0, max(abs(c) for c in centers))
-    pts = list(centers) + [centers[i % len(centers)] + g * scale for i, g in enumerate(gaps)]
-    pts = data.draw(st.permutations(pts))
-    for t in (1e-8 * scale, 1e-9 * scale):
-        assert cluster_points(pts, t) == _union_find_clusters(pts, t)
-
-
-def test_reduce_pair_double_exact_root_is_ambiguous():
-    # the float roots of (z - 1/3)**2 split by about 1e-8.5 relative
+@pytest.mark.parametrize("k", [2, 3])
+def test_reduce_pair_repeated_exact_root_carries_multiplicity(k):
+    # before, the float roots of (z - 1/3)**k were clustered: at k = 2
+    # their split of about 1e-8.5 raised ClusterAmbiguity, and at k = 3
+    # they stayed three +1 charges near 1/3
     third = P(Fraction(-1, 3), 1)
-    with pytest.raises(ClusterAmbiguity):
-        reduce_pair(third * third * P(2, 1), P(5, 1))
+    _, _, inv = reduce_pair(third**k * P(2, 1), P(5, 1))
+    assert [c for _, c in inv] == [-1, 1, k]
+    assert np.allclose([z for z, _ in inv], [-5, -2, 1 / 3], rtol=1e-15, atol=0)
+
+
+_MULTIPLICITIES = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=_separated_roots(max_size=6),
+    zeros=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    leads=st.tuples(st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9)),
+    data=st.data(),
+)
+def test_reduce_pair_inventory_is_the_net_charge_multiset(roots, zeros, leads, data):
+    """Each root goes 1 to 4 times into p, into q or into both, and z = 0
+    up to 3 times into each: the inventory holds every point of nonzero
+    net charge once, with that charge, within 1e-12 of the largest
+    modulus."""
+    mults = data.draw(st.lists(_MULTIPLICITIES, min_size=len(roots), max_size=len(roots)))
+    p = P(*[0] * zeros[0], GaussianRational(leads[0], leads[1]))
+    q = P(*[0] * zeros[1], Fraction(leads[1], leads[2]) or 1)
+    for r, (mp, mq) in zip(roots, mults):
+        p, q = p * P(-r, 1) ** mp, q * P(-r, 1) ** mq
+    want = [(complex(r), mp - mq) for r, (mp, mq) in zip(roots, mults)] + [(0j, zeros[0] - zeros[1])]
+    want = [(z, c) for z, c in want if c]
+    _, _, inv = reduce_pair(p, q)
+    assert len(inv) == len(want)
+    tol = 1e-12 * max((abs(z) for z, _ in want + inv), default=1.0)
+    for z, c in want:
+        assert [net for at, net in inv if abs(at - z) <= tol] == [c]
 
 
 def test_json_roundtrip_exact():
