@@ -668,24 +668,30 @@ def test_cylinder_pair_with_proportional_phases_exits_certification(tmp_path, ca
     assert not (tmp_path / "certificate.json").exists()
 
 
-def test_badly_scaled_hermite_pair_certifies(tmp_path):
+def _assert_hermite_pair_certifies(out, e):
     # b = 10**e: p = b**2 - b**3 z^2 and q = -b z, so +1 at +-b**-1/2 and
-    # -1 at 0 stay three charges however small the roots are, and the
-    # companion eigenvalues start at the roots, where circle starts did
-    # not converge.  At b = 1e200 p has no float form; before, that
-    # exited 3, and now the sites are the roots of the reduced pair's
-    # monic factors
-    for e in (100, 200):
-        out = tmp_path / f"b1e{e}"
-        argv = ["equilibrium", "--recipe", "hermite", "--indices", "1,2", "--b", f"1e{e}"]
-        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
-        doc = json.loads((out / "certificate.json").read_text())
-        assert doc["residual_exact_zero"] and doc["notes"]["gradient_max"] == 0.0
-        assert certify(EquilibriumCertificate.from_json(doc)).residual_exact_zero
-        scale = 10.0 ** (e // 2)
-        charges = sorted((s["net_charge"], s["position"][0] * scale, s["position"][1]) for s in doc["inventory"])
-        assert [c for c, _, _ in charges] == [-1, 1, 1]
-        assert np.allclose([(x, y) for _, x, y in charges], [(0, 0), (-1, 0), (1, 0)], rtol=1e-12, atol=0)
+    # -1 at 0 stay three charges however small the roots are
+    argv = ["equilibrium", "--recipe", "hermite", "--indices", "1,2", "--b", f"1e{e}"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads((out / "certificate.json").read_text())
+    assert doc["residual_exact_zero"] and doc["notes"]["gradient_max"] == 0.0
+    assert certify(EquilibriumCertificate.from_json(doc)).residual_exact_zero
+    scale = 10.0 ** (e // 2)
+    charges = sorted((s["net_charge"], s["position"][0] * scale, s["position"][1]) for s in doc["inventory"])
+    assert [c for c, _, _ in charges] == [-1, 1, 1]
+    assert np.allclose([(x, y) for _, x, y in charges], [(0, 0), (-1, 0), (1, 0)], rtol=1e-12, atol=0)
+
+
+def test_badly_scaled_hermite_pair_certifies(tmp_path):
+    # roots of size 1e-50 next to coefficients of 1e100: the companion
+    # eigenvalues start at the roots, where circle starts did not converge
+    _assert_hermite_pair_certifies(tmp_path, 100)
+
+
+def test_hermite_pair_past_the_float_range_certifies(tmp_path):
+    # at b = 1e200 p has no float form; before, that exited 3, and now the
+    # sites are the roots of the reduced pair's monic factors
+    _assert_hermite_pair_certifies(tmp_path, 200)
 
 
 def test_adler_moser_whose_horner_overflows_exits_nonconvergence(tmp_path, capsys):
