@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import equilibria
+from ._schema import REQUIRED, Variants, list_of, one_of, such_that, typed, walk
 from .conserved import detect_period, has_lax_pair, integrals, period_multiples
 from .dynamics import (
     FlowSpec,
@@ -55,45 +56,8 @@ EXIT_CERTIFICATION = 5
 
 # -- config schema ------------------------------------------------------------
 #
-# Every config key is one row of the table below: key -> (converter, default).
-# A converter maps a JSON value, or a flag's string, to the typed value or
-# raises TypeError, ValueError or ArithmeticError.  A default is converted like
-# a given value; ``None`` leaves the key unset and ``_REQUIRED`` makes a
-# missing key an error.  A dict or ``_Variants`` in the converter slot is a
-# nested block, and a one-entry list holding one is a list of such blocks.
-
-_REQUIRED = object()
-
-
-class _Variants(NamedTuple):
-    """A block whose ``key`` (``default`` when missing) picks the schema of
-    its other keys."""
-
-    key: str
-    default: object
-    schemas: dict
-
-
-def _such_that(test, convert=lambda value: value):
-    """Converter: ``convert``, then reject a result that fails ``test``."""
-
-    def checked(value):
-        out = convert(value)
-        if not test(out):
-            raise ValueError(f"{out!r} is not allowed here")
-        return out
-
-    return checked
-
-
-_list = _such_that(lambda v: isinstance(v, list))
-_bool = _such_that(lambda v: isinstance(v, bool))
-_text = _such_that(lambda v: isinstance(v, str))
-
-
-def _list_of(convert):
-    """Converter of a JSON list, entry by entry."""
-    return lambda values: [convert(v) for v in _list(values)]
+# Every config key is one row of the table ``_SCHEMA`` below, which
+# ``_schema.walk`` reads; a converter also takes a flag's string.
 
 
 def _real(value) -> float:
@@ -114,14 +78,10 @@ def _integer(value) -> int:
 
 
 def _at_least(low, convert=_integer):
-    return _such_that(lambda v: v >= low, convert)
+    return such_that(lambda v: v >= low, convert)
 
 
-def _one_of(*options):
-    return _such_that(lambda v: v in options)
-
-
-_positive = _such_that(lambda v: v > 0, _real)
+_positive = such_that(lambda v: v > 0, _real)
 
 
 def _rational(value) -> Fraction:
@@ -130,7 +90,7 @@ def _rational(value) -> Fraction:
 
 def _point(value) -> complex:
     """An [re, im] pair."""
-    re, im = _list(value)
+    re, im = typed(list)(value)
     return complex(_real(re), _real(im))
 
 
@@ -144,23 +104,19 @@ _MODES = ("simulate", "equilibrium", "conserved", "period", "verify-identities")
 # below what np.linspace or the memory would refuse.
 MAX_SAMPLES = 1_000_000
 _SEED = (_at_least(0), 0)
-_SIZE = (_at_least(0), _REQUIRED)
-_COEFFS = (_list_of(_coeff), _REQUIRED)
+_SIZE = (_at_least(0), REQUIRED)
+_COEFFS = (list_of(_coeff), REQUIRED)
 _LAMBDA = (_real, 1.0)
-_EIGENCONSTANT = (_coeff, None)
-_INDICES = (_list_of(_integer), _REQUIRED)
+_INDICES = (list_of(_integer), REQUIRED)
 
-_SYSTEM = _Variants("kind", "rational_omega", {
+_SYSTEM = Variants("kind", "rational_omega", {
     "rational_omega": {"omega": (_real, 1.0), "Lambda": _LAMBDA, "n": _SIZE, "m": _SIZE},
     "angular": {"n": _SIZE, "m": _SIZE},
     "linear": {"P": _COEFFS, "U": _COEFFS, "n": _SIZE},
-    "bilinear": {
-        "P": _COEFFS, "U": _COEFFS, "lambda": _EIGENCONSTANT, "Lambda": _LAMBDA,
-        "n": _SIZE, "m": _SIZE,
-    },
+    "bilinear": {"P": _COEFFS, "U": _COEFFS, "Lambda": _LAMBDA, "n": _SIZE, "m": _SIZE},
     "polylinear": {
-        "P": _COEFFS, "U": _COEFFS, "lambda": _EIGENCONSTANT,
-        "charges": (_list_of(_real), _REQUIRED), "sizes": (_list_of(_at_least(0)), _REQUIRED),
+        "P": _COEFFS, "U": _COEFFS,
+        "charges": (list_of(_real), REQUIRED), "sizes": (list_of(_at_least(0)), REQUIRED),
     },
 })
 
@@ -170,75 +126,40 @@ _RECIPES = {
     "laguerre": (equilibria.laguerre_pair, {"indices": _INDICES, "b": (_rational, 1)}),
     "monomial": (equilibria.monomial_pair, {"indices": _INDICES, "b": (_rational, 1)}),
     "adler_moser": (
-        equilibria.adler_moser, {"k": (_integer, _REQUIRED), "ts": (_list_of(_rational), [])}
+        equilibria.adler_moser, {"k": (_integer, REQUIRED), "ts": (list_of(_rational), [])}
     ),
-    "cylinder": (equilibria.cylinder_pair, {"indices": _INDICES, "ts": (_list_of(_real), [])}),
+    "cylinder": (equilibria.cylinder_pair, {"indices": _INDICES, "ts": (list_of(_real), [])}),
 }
-_EQUILIBRIUM = _Variants("recipe", _REQUIRED, {name: keys for name, (_, keys) in _RECIPES.items()})
+_EQUILIBRIUM = Variants("recipe", REQUIRED, {name: keys for name, (_, keys) in _RECIPES.items()})
 
 _NEEDS = {"simulate": ("system", "initial"), "conserved": ("system", "initial"),
           "period": ("system", "initial"), "equilibrium": ("equilibrium",)}
 
 _SCHEMA = {
-    "mode": (_one_of(*_MODES), _REQUIRED),
+    "mode": (one_of(*_MODES), REQUIRED),
     "seed": _SEED,
     "system": (_SYSTEM, None),
     "initial": ({
-        "species": ([{"positions": (_list_of(_point), _REQUIRED), "charge": (_real, None)}], None),
+        "species": ([{"positions": (list_of(_point), REQUIRED), "charge": (_real, None)}], None),
         "random": ({"seed": _SEED, "scale": (_real, 1.0), "min_separation": (_real, 0.25)}, None),
     }, None),
     "integration": ({
         "t_end": (_real, None), "periods": (_real, None),
         "rtol": (_at_least(0.0, _real), 1e-10), "atol": (_positive, 1e-12),
         "samples_per_period": (_at_least(1), 128),
-        "samples": (_such_that(lambda v: 2 <= v <= MAX_SAMPLES, _integer), 257),
+        "samples": (such_that(lambda v: 2 <= v <= MAX_SAMPLES, _integer), 257),
     }, {}),
     "equilibrium": (_EQUILIBRIUM, None),
     "identities": ({
-        "phi": (_one_of("inverse", "coth"), "inverse"), "trials": (_at_least(0), 100),
+        "phi": (one_of("inverse", "coth"), "inverse"), "trials": (_at_least(0), 100),
         "n": (_at_least(2), 6), "m": (_at_least(1), 6),
     }, {}),
     "period": ({"base_period": (_positive, None), "tol": (_real, 1e-5)}, {}),
     "output": ({
-        "dir": (_text, "."), "prefix": (_text, ""), "svg": (_bool, False),
-        "formats": (_list_of(_one_of("csv", "json")), ["csv", "json"]),
+        "dir": (typed(str), "."), "prefix": (typed(str), ""), "svg": (typed(bool), False),
+        "formats": (list_of(one_of("csv", "json")), ["csv", "json"]),
     }, {}),
 }
-
-
-def _field(block: dict, key: str, convert, default, where: str):
-    """``block[key]``, or ``default`` when it is missing or null, through
-    ``convert``; errors name ``where`` the block sits."""
-    value = block.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValidationError(f"{where} block needs {key!r}")
-        if default is None:
-            return None
-        value = default
-    inner = key if where == "config" else f"{where} {key}"  # top-level blocks by name
-    try:
-        if isinstance(convert, list):
-            return [_walk(v, convert[0], f"{inner} {i}") for i, v in enumerate(_list(value))]
-        if isinstance(convert, (dict, _Variants)):
-            return _walk(value, convert, inner)
-        return convert(value)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ValidationError(f"{where} {key!r} is malformed: {value!r}") from exc
-
-
-def _walk(doc, schema, where: str) -> dict:
-    """``doc`` converted key by key through ``schema``, defaults filled in;
-    a key the schema does not list is an error."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be an object: {doc!r}")
-    if isinstance(schema, _Variants):
-        tag = (_one_of(*schema.schemas), schema.default)
-        schema = {schema.key: tag, **schema.schemas[_field(doc, schema.key, *tag, where)]}
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
-    return {key: _field(doc, key, convert, default, where) for key, (convert, default) in schema.items()}
 
 
 def validate_config(doc: dict) -> dict:
@@ -246,7 +167,7 @@ def validate_config(doc: dict) -> dict:
     table, with defaults filled in and absent blocks ``None``."""
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
-    doc = _walk(doc, _SCHEMA, "config")
+    doc = walk(doc, _SCHEMA, "config")
     for block in _NEEDS.get(doc["mode"], ()):
         if doc[block] is None:
             raise ValidationError(f"{doc['mode']} mode needs the {block} block")
@@ -263,13 +184,9 @@ def _build_flow(system: dict) -> FlowSpec:
     elif kind == "linear":
         sys_c = SystemCoefficients.linear(system["P"], system["U"])
     elif kind == "bilinear":
-        sys_c = SystemCoefficients.bilinear(
-            system["P"], system["U"], Lambda=system["Lambda"], lam=system["lambda"]
-        )
+        sys_c = SystemCoefficients.bilinear(system["P"], system["U"], Lambda=system["Lambda"])
     else:
-        sys_c = SystemCoefficients.polylinear(
-            system["P"], system["U"], system["charges"], lam=system["lambda"]
-        )
+        sys_c = SystemCoefficients.polylinear(system["P"], system["U"], system["charges"])
     sizes = system.get("sizes", [system[key] for key in ("n", "m") if key in system])
     flow = FlowSpec(sys_c, tuple(sizes))
     if not sum(flow.sizes):
@@ -647,7 +564,6 @@ def _seed_doc(doc: dict, seed: int) -> dict:
     """The config of one seed of a sweep; values that are not what the
     schema wants are left for validation to reject."""
     doc = json.loads(json.dumps(doc))
-    doc["seed"] = seed
     init = doc.get("initial")
     if isinstance(init, dict) and isinstance(init.get("random"), dict):
         init["random"]["seed"] = seed

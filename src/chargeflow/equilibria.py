@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _trig
+from ._schema import REQUIRED, list_of, such_that, typed, walk
 from .errors import (
     BadK,
     CertificationFailure,
@@ -28,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import SystemCoefficients, _scale, _site_gradient, eigenpoly, lambda_poly, polylinear_H
-from .polynomials import Polynomial, _distance, _ratio_json, is_exact
+from .polynomials import Polynomial, _distance, _ratio_from_json, _ratio_json
 from .polynomials import leading_wronskians, reduce_pair
 from .scalars import GaussianRational, exactify
 
@@ -51,13 +52,34 @@ GRADIENT_TOL = 1e-8
 # between numpy builds
 POSITION_TOL = 1e-8
 
-# the keys ``to_json`` writes, in the order ``certify`` compares them
-_DOC_KEYS = (
-    "P", "U", "lambda", "degrees", "p", "q", "residual_exact_zero", "residual_norm",
-    "bivariate", "notes", "reduced", "inventory", "recipe", "params",
-)
 # what a malformed document or recipe parameter raises
 _MALFORMED = (ChargeflowError, LookupError, TypeError, ValueError, ArithmeticError)
+
+# The document ``to_json`` writes, as a ``_schema`` table whose key order is
+# the order in which ``certify`` compares the keys.  A rational is written
+# as ``_ratio_json`` writes it, and a polynomial as ``Polynomial.to_json``
+# does; ``_exact`` reads it, which must be exact (older files wrote a zero
+# U as a float one, which reads as zero).
+_INTEGER, _FLOAT, _OBJECT = typed(int), typed(float), typed(dict)
+_RATIONAL = (lambda doc: Fraction(*_ratio_from_json(doc)), REQUIRED)
+_XY = such_that(lambda xy: type(xy) is list and list(map(type, xy)) == [float, float])  # [re, im]
+_POLYNOMIAL = {"exact": (typed(bool), REQUIRED), "coeffs": (typed(list), REQUIRED)}
+_DOCUMENT = {
+    "P": (_POLYNOMIAL, REQUIRED), "U": (_POLYNOMIAL, REQUIRED),
+    "lambda": ({"re": _RATIONAL, "im": _RATIONAL}, REQUIRED),
+    "degrees": (list_of(_INTEGER), REQUIRED),
+    "p": (_POLYNOMIAL, REQUIRED), "q": (_POLYNOMIAL, REQUIRED),
+    "residual_exact_zero": (typed(bool), REQUIRED), "residual_norm": (_FLOAT, REQUIRED),
+    "bivariate": ({
+        "degree_p": (_INTEGER, REQUIRED), "degree_q": (_INTEGER, REQUIRED),
+        "p_xy": (list_of(_XY), REQUIRED), "q_xy": (list_of(_XY), REQUIRED),
+    }, None),
+    "notes": (_OBJECT, REQUIRED),
+    "reduced": ([_POLYNOMIAL], None),
+    "inventory": ([{"position": (_XY, REQUIRED), "net_charge": (_INTEGER, REQUIRED)}], REQUIRED),
+    "recipe": (typed(str), REQUIRED), "params": (_OBJECT, REQUIRED),
+}
+_exact = such_that(lambda poly: poly.exact, Polynomial.from_json)
 
 
 @dataclass
@@ -107,37 +129,28 @@ class EquilibriumCertificate:
 
     @staticmethod
     def from_json(doc):
-        """The certificate of a ``to_json`` document; raises
-        CertificationFailure where ``to_json`` could not have written it:
-        a missing or malformed value, a key it never writes (at the top or
-        in a nested entry), or a value of another JSON type, such as a
-        float or flag for an integer, which certify's == would equate with
-        the value it compares."""
+        """The certificate of a ``to_json`` document, read through
+        ``_DOCUMENT``; raises CertificationFailure where ``to_json`` could
+        not have written it: a missing or malformed value, a key it never
+        writes, or a value of another JSON type, such as a float or flag for
+        an integer, which certify's == would equate with the value it
+        compares."""
         try:
-            unknown = set(doc) - set(_DOC_KEYS)
-            if unknown:
-                raise KeyError(f"unknown keys {sorted(unknown)}")
+            d = walk(doc, _DOCUMENT, "certificate")
+            P, U, p, q = (_exact(d[key]) for key in ("P", "U", "p", "q"))
             cert = EquilibriumCertificate(
-                recipe=doc["recipe"],
-                params=doc["params"],
-                p=_polynomial(doc["p"]),
-                q=_polynomial(doc["q"]),
-                degrees=tuple(_typed(d, int) for d in doc["degrees"]),
+                recipe=d["recipe"], params=d["params"], p=p, q=q, degrees=tuple(d["degrees"]),
                 # to_json writes no charge ratio: certify rejects a U or
                 # lambda that implies another one than the rebuild's
-                sys=SystemCoefficients.bilinear(
-                    _polynomial(doc["P"]), _polynomial(doc["U"]), Lambda=1
-                ),
-                lam=_scalar_from_json(doc["lambda"]),
-                inventory=[_site(entry) for entry in doc["inventory"]],
-                residual_exact_zero=_typed(doc["residual_exact_zero"], bool),
-                residual_norm=_typed(doc["residual_norm"], float),
-                bivariate=_bivariate(doc.get("bivariate")),
-                notes={**doc["notes"]},
+                sys=SystemCoefficients.bilinear(P, U, Lambda=1),
+                lam=GaussianRational(**d["lambda"]),
+                inventory=[(complex(*e["position"]), e["net_charge"]) for e in d["inventory"]],
+                residual_exact_zero=d["residual_exact_zero"], residual_norm=d["residual_norm"],
+                bivariate=d["bivariate"], notes={**d["notes"]},
             )
-            if "reduced" in doc:
-                p_bar, q_bar = doc["reduced"]
-                cert.reduced = (_polynomial(p_bar), _polynomial(q_bar))
+            if d["reduced"] is not None:
+                p_bar, q_bar = d["reduced"]
+                cert.reduced = (_exact(p_bar), _exact(q_bar))
             return cert
         except _MALFORMED as exc:
             raise CertificationFailure(f"malformed certificate document: {exc!r}") from exc
@@ -156,52 +169,6 @@ def _jsonify(obj):
 def _scalar_json(value):
     value = exactify(value)
     return {part: _ratio_json(*getattr(value, part).as_integer_ratio()) for part in ("re", "im")}
-
-
-def _typed(value, kind):
-    """``value``, which must be a ``kind``; a bool is no int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TypeError(f"{value!r} is not of type {kind.__name__}")
-    return value
-
-
-def _keys(entry, keys):
-    """Raises unless ``entry`` is a mapping with exactly the ``keys``."""
-    if set(_typed(entry, dict)) != set(keys):
-        raise KeyError(f"keys {sorted(entry)}, not {sorted(keys)}")
-
-
-def _polynomial(doc) -> Polynomial:
-    """``Polynomial.from_json`` of a document with exactly its two keys and
-    a flag for its ``exact`` tag."""
-    _keys(doc, ("exact", "coeffs"))
-    _typed(doc["exact"], bool)
-    return Polynomial.from_json(doc)
-
-
-# the keys of the cylinder payload and the type of each
-_BIVARIATE = {"degree_p": int, "degree_q": int, "p_xy": list, "q_xy": list}
-
-
-def _bivariate(doc) -> Optional[dict]:
-    """None, or a cylinder payload with exactly its keys, each typed."""
-    if doc is not None:
-        _keys(doc, _BIVARIATE)
-        for key, kind in _BIVARIATE.items():
-            _typed(doc[key], kind)
-    return doc
-
-
-def _site(entry) -> Tuple[complex, int]:
-    """An inventory entry: exactly a position and an integer net charge."""
-    _keys(entry, ("position", "net_charge"))
-    re, im = entry["position"]  # exactly two parts
-    return complex(re, im), _typed(entry["net_charge"], int)
-
-
-def _scalar_from_json(doc):
-    _keys(doc, ("re", "im"))
-    return GaussianRational(*(Fraction(*map(int, doc[part])) for part in ("re", "im")))
 
 
 # -- shared assembly ---------------------------------------------------------
@@ -449,11 +416,9 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
         raise
     except _MALFORMED as exc:
         raise CertificationFailure(f"no {cert.recipe!r} system for its params: {exc!r}") from exc
-    # an exact pair that differs from the rebuild: name the offending
-    # coefficient when it is no equilibrium at all (a stored float pair
-    # has no exact residual; the document comparison below rejects it)
-    exact_pair = cert.sys.exact and cert.p.exact and cert.q.exact and is_exact((cert.lam,))
-    if exact_pair and (cert.p, cert.q) != (fresh.p, fresh.q):
+    # a pair that differs from the rebuild: name the offending coefficient
+    # when it is no equilibrium at all
+    if (cert.p, cert.q) != (fresh.p, fresh.q):
         exact_zero, norm, idx = _exact_residual(cert.sys, cert.p, cert.q, cert.lam)
         if not exact_zero:
             raise CertificationFailure(
@@ -462,7 +427,7 @@ def certify(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     stored, rebuilt = cert.to_json(), fresh.to_json()
     for doc in (stored, rebuilt):
         doc["notes"].pop("gradient_max", None)  # recomputed, not stored
-    for key in dict.fromkeys([*_DOC_KEYS, *stored, *rebuilt]):
+    for key in dict.fromkeys([*_DOCUMENT, *stored, *rebuilt]):
         if not _same_field(key, stored.get(key), rebuilt.get(key)):
             raise CertificationFailure(f"stored {key!r} does not match the recipe params")
     cert.notes["gradient_max"] = fresh.notes["gradient_max"]

@@ -61,6 +61,21 @@ def _ratio_json(num: int, den: int):
     return [str(num // g), str(den // g)]
 
 
+_ZERO_JSON = ["0", "1"]  # 0 as ``_ratio_json`` writes it
+
+
+def _ratio_from_json(doc):
+    """(numerator, denominator) of a rational as ``_ratio_json`` writes it,
+    two decimal integer strings in lowest terms; anything else (a number,
+    " 7", "1_0", "+7", ["2", "4"], a zero denominator) raises ValueError."""
+    num_text, den_text = doc
+    num, den = int(num_text), int(den_text)
+    canonical = type(doc) is list and str(num) == num_text and str(den) == den_text
+    if not canonical or den <= 0 or math.gcd(num, den) != 1:
+        raise ValueError(f"{doc!r} is not a rational as _ratio_json writes it")
+    return num, den
+
+
 # the exact scalar types a float polynomial may not hold (an int may be
 # either ring's)
 _EXACT_ONLY = frozenset((Fraction, GaussianRational))
@@ -409,11 +424,16 @@ class Polynomial:
 
     @staticmethod
     def from_json(doc):
+        """The polynomial of a ``to_json`` document; raises ValueError for
+        an exact one that ``to_json`` could not have written."""
+        coeffs = doc["coeffs"]
         if not doc["exact"]:
-            return Polynomial([complex(re, im) for re, im in doc["coeffs"]])
-        # re0, im0, re1, ... over their lcm (a zero den raises ZeroDivisionError)
-        pairs = [c if isinstance(c[0], list) else (c, ("0", "1")) for c in doc["coeffs"]]
-        ratios = [(int(n), int(d)) for pair in pairs for n, d in pair]
+            return Polynomial([complex(re, im) for re, im in coeffs])
+        if coeffs[-1:] == [_ZERO_JSON] or any(c[1] == _ZERO_JSON for c in coeffs):
+            raise ValueError("a zero top coefficient or imaginary part is written")
+        # re0, im0, re1, ... over their lcm; an unwritten imaginary part is 0
+        pairs = [c if isinstance(c[0], list) else (c, _ZERO_JSON) for c in coeffs]
+        ratios = [(0, 1) if x is _ZERO_JSON else _ratio_from_json(x) for re, im in pairs for x in (re, im)]
         den = math.lcm(*(d for _, d in ratios))
         nums = [n * (den // d) for n, d in ratios]
         return _canonical(den, nums[::2], nums[1::2])

@@ -9,7 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from chargeflow import cli, conserved
+from chargeflow import _schema, cli, conserved
 from chargeflow.dynamics import FlowSpec, Trajectory
 from chargeflow.equilibria import EquilibriumCertificate, certify
 from chargeflow.errors import NoReturnFound, ValidationError
@@ -19,7 +19,7 @@ from chargeflow.polynomials import _distance, pair_matrix
 
 def build_flow(system):
     """``cli._build_flow`` of a system block checked against the schema."""
-    return cli._build_flow(cli._walk(system, cli._SYSTEM, "system"))
+    return cli._build_flow(_schema.walk(system, cli._SYSTEM, "system"))
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -413,17 +413,20 @@ def test_build_flow_of_each_system_kind(block, expected):
 
 
 @pytest.mark.parametrize(
-    "block,lam",
+    "block",
     [
-        ({"kind": "bilinear", "P": [1.0], "U": [0, -2.0], "Lambda": 1.0, "lambda": 3.0, "n": 2, "m": 1}, 3.0),
-        ({"kind": "polylinear", "P": [1.0], "U": [0.0, 1.0], "lambda": [-1.5, 0.5],
-          "charges": [1.0, 2.0, -1.0], "sizes": [1, 2, 2]}, -1.5 + 0.5j),
+        {"kind": "bilinear", "P": [1.0], "U": [0, -2.0], "Lambda": 1.0, "lambda": 3.0, "n": 2, "m": 1},
+        {"kind": "polylinear", "P": [1.0], "U": [0.0, 1.0], "lambda": [-1.5, 0.5],
+         "charges": [1.0, 2.0, -1.0], "sizes": [1, 2, 2]},
     ],
     ids=["bilinear", "polylinear"],
 )
-def test_build_flow_keeps_lambda(block, lam):
-    assert build_flow(block).sys.lam == lam
-    assert build_flow({**block, "lambda": None}).sys.lam is None
+def test_system_lambda_key_is_unknown(tmp_path, capsys, block):
+    # no flow read it: the residual monitor builds its system without one
+    doc = {"mode": "simulate", "system": block, "initial": {"random": {}},
+           "output": {"dir": str(tmp_path)}}
+    _assert_validation_exit(doc, capsys, "unknown keys in system: ['lambda']")
+    assert not any(tmp_path.iterdir())
 
 
 def test_jobs_seed_sweep(tmp_path):
@@ -581,6 +584,27 @@ def test_config_not_an_object_exits_validation(tmp_path, capsys, top):
     cfg = write_config(tmp_path, top)
     assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_VALIDATION
     assert "config must be a JSON object" in capsys.readouterr().err
+    assert cli.run(top) == cli.EXIT_VALIDATION
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{\"mode\": ", "{}}"], ids=["missing", "truncated", "trailing"])
+def test_unreadable_config_exits_validation(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: cannot read config")
+
+
+def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        cli._atomic_write(str(tmp_path / "out.json"), "{}")
+    assert not any(tmp_path.iterdir())
 
 
 def test_flag_into_non_object_block_exits_validation(tmp_path, capsys):
@@ -885,6 +909,7 @@ def test_malformed_output_block_exits_validation(tmp_path, capsys, path, value, 
     [
         (["equilibrium", "--recipe", "bogus"], "equilibrium 'recipe' is malformed"),
         (["equilibrium", "--recipe", "adler_moser", "--k", "x"], "equilibrium 'k' is malformed"),
+        (["equilibrium", "--recipe", "adler_moser", "--k", "-1"], "k must be >= 0"),
         (["verify-identities", "--trials", "x"], "identities 'trials' is malformed"),
         (["simulate", "--jobs", "x"], "argument --jobs"),
         (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
@@ -900,7 +925,7 @@ def test_malformed_output_block_exits_validation(tmp_path, capsys, path, value, 
         (["period", "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["equilibrium", "--recipe", "hermite", "--ind", "1,2"], "unrecognized arguments: --ind 1,2"),
     ],
-    ids=["recipe", "k", "trials", "jobs", "unknown_flag", "simulate_seed", "equilibrium_svg",
+    ids=["recipe", "k", "k_negative", "trials", "jobs", "unknown_flag", "simulate_seed", "equilibrium_svg",
          "conserved_format", "identities_svg", "period_seed_prefix", "indices_prefix"],
 )
 def test_malformed_flag_exits_validation(tmp_path, capsys, argv, message):
@@ -935,7 +960,7 @@ def test_rational_ts_flag(tmp_path):
 
 def _schema_names(schema):
     """Every key of a schema table and every kind or recipe name."""
-    if isinstance(schema, cli._Variants):
+    if isinstance(schema, _schema.Variants):
         yield schema.key
         for name, variant in schema.schemas.items():
             yield name
@@ -944,7 +969,7 @@ def _schema_names(schema):
     for key, (convert, _) in schema.items():
         yield key
         nested = convert[0] if isinstance(convert, list) else convert
-        if isinstance(nested, (dict, cli._Variants)):
+        if isinstance(nested, (dict, _schema.Variants)):
             yield from _schema_names(nested)
 
 

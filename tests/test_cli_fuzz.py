@@ -37,7 +37,7 @@ BASES = [
     {
         "mode": "simulate",
         "system": {"kind": "polylinear", "P": [1.0], "U": [0.0, [1.0, 0.0]],
-                   "lambda": [0.5, 0.0], "charges": [1.0, 2.0], "sizes": [1, 2]},
+                   "charges": [1.0, 2.0], "sizes": [1, 2]},
         "initial": {"random": {"seed": 1, "scale": 1.5, "min_separation": 0.3}},
         "integration": _INTEGRATION,
         "output": _OUTPUT,

@@ -25,6 +25,7 @@ from chargeflow import cli, equilibria
 from chargeflow.equilibria import POSITION_TOL, EquilibriumCertificate, certify
 from chargeflow.errors import CertificationFailure
 from chargeflow.operators import polylinear_H
+from chargeflow.polynomials import Polynomial
 
 DATA = pathlib.Path(__file__).parent / "data" / "certs"
 
@@ -71,6 +72,21 @@ def _top_three(poly):
     return {**poly, "coeffs": poly["coeffs"][:-1] + [["3", "1"] if poly["exact"] else [3.0, 0.0]]}
 
 
+def _top_real(change):
+    """A tamper of p's top coefficient: ``change`` of its real part's
+    [numerator, denominator]."""
+
+    def apply(coeff):
+        return [apply(coeff[0]), coeff[1]] if isinstance(coeff[0], list) else change(coeff)
+
+    return (("p", "coeffs", -1), apply)
+
+
+def _number(numerator):
+    """The numerator as a JSON number that ``int`` reads as its value."""
+    return int(numerator) + math.copysign(0.9, int(numerator))
+
+
 _SEVEN = {"re": ["7", "1"], "im": ["0", "1"]}
 _DROP = object()  # a change that deletes the key
 
@@ -104,11 +120,20 @@ TAMPERS = {
     "p_exact_tag_int": (("p", "exact"), int),
     "p_unknown_key": (("p", "comment"), lambda nothing: "checked by hand"),
     "inventory_unknown_key": (("inventory", 0, "extra"), lambda nothing: 0),
+    # a rational _ratio_json never writes, of the value int() reads from it
+    "lambda_number": (("lambda", "re"), lambda re: [_number(re[0]), int(re[1])]),
+    "p_top_number": _top_real(lambda ratio: [_number(ratio[0]), ratio[1]]),
+    "p_top_space": _top_real(lambda ratio: [" " + ratio[0], ratio[1]]),
+    "p_top_underscore": _top_real(lambda ratio: [ratio[0], "0_" + ratio[1]]),
+    "p_top_unreduced": _top_real(lambda ratio: [str(2 * int(x)) for x in ratio]),
+    # the float form of the exact p
+    "p_float": (("p",), lambda poly: Polynomial.from_json(poly).to_float().to_json()),
 }
 LOAD_TAMPERS = [
     "p_exact_tag", "missing_key", "malformed_value", "unknown_key", "degrees_float",
     "net_charge_flag", "net_charge_float", "residual_exact_zero_int", "residual_norm_int",
     "p_exact_tag_int", "p_unknown_key", "inventory_unknown_key",
+    "lambda_number", "p_top_number", "p_top_space", "p_top_underscore", "p_top_unreduced", "p_float",
 ]
 
 
@@ -150,6 +175,39 @@ def test_every_golden_with_a_foreign_document_fails_to_load(tamper):
 
 def _golden(name):
     return json.loads((DATA / name / "certificate.json").read_text())
+
+
+def _key_mismatches(schema, doc, path=()):
+    """The paths where ``doc`` has a key the schema table does not name, or
+    lacks one it requires, at every nesting level."""
+    for key in sorted(set(schema) ^ set(doc)):
+        if key not in schema or schema[key][1] is not None:
+            yield path + (key,)
+    for key, (convert, _) in schema.items():
+        nested = convert[0] if isinstance(convert, list) else convert
+        if isinstance(nested, dict) and key in doc:
+            entries = enumerate(doc[key]) if isinstance(convert, list) else [(None, doc[key])]
+            for i, entry in entries:
+                yield from _key_mismatches(nested, entry, path + (key, i))
+
+
+_FRESH = [
+    lambda: equilibria.hermite_pair([1, 2], -2),
+    lambda: equilibria.laguerre_pair([0, 1, 3, 4, 6], 1),
+    lambda: equilibria.monomial_pair([1, 2], Fraction(1, 2)),
+    lambda: equilibria.adler_moser(2, [Fraction(1, 3), 2]),
+    lambda: equilibria.cylinder_pair([1, 2], [0.3, 1.1]),
+]
+
+
+def test_certificate_table_names_exactly_the_keys_to_json_writes():
+    docs = [_golden(name) for name in sorted(CASES)] + [build().to_json() for build in _FRESH]
+    assert {fresh["recipe"] for fresh in docs[len(CASES):]} == set(equilibria._RECIPES)
+    for doc in docs:
+        assert not list(_key_mismatches(equilibria._DOCUMENT, doc)), doc["recipe"]
+    assert set().union(*docs) == set(equilibria._DOCUMENT)
+    for name in sorted(CASES):
+        assert EquilibriumCertificate.from_json(_golden(name)).to_json() == _golden(name), name
 
 
 def _fields(doc, path=()):

@@ -97,11 +97,13 @@ def test_find_roots_reduced_quartic_no_real():
 
 
 def test_find_roots_zero_deflation():
-    roots = list(find_roots(P(0, 0, 0, -1, 0, 1)))  # z^3 (z^2 - 1)
-    zeros = [r for r in roots if abs(r) < 1e-12]
-    assert len(zeros) == 3
-    others = sorted(r.real for r in roots if abs(r) > 0.5)
-    assert abs(others[0] + 1) < 1e-10 and abs(others[1] - 1) < 1e-10
+    p = P(0, 0, 0, -1, 0, 1)  # z^3 (z^2 - 1)
+    for poly in (p, p.to_float()):  # exact zeros split off exactly, float ones one by one
+        roots = list(find_roots(poly))
+        zeros = [r for r in roots if abs(r) < 1e-12]
+        assert len(zeros) == 3
+        others = sorted(r.real for r in roots if abs(r) > 0.5)
+        assert abs(others[0] + 1) < 1e-10 and abs(others[1] - 1) < 1e-10
 
 
 def test_find_roots_requires_nonconstant():
