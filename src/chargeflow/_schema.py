@@ -7,7 +7,9 @@ raises TypeError, ValueError or ArithmeticError.  A default is converted
 like a given value; ``None`` leaves the key unset and ``REQUIRED`` makes a
 missing key an error.  A dict or ``Variants`` in the converter slot is a
 nested block, and a one-entry list holding one is a list of such blocks.
-A key set to null counts as missing.
+A key set to null counts as missing, except that ``OPTIONAL`` leaves a
+missing key unset and rejects a null one, for a document that never
+writes null.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 
-REQUIRED = object()
+REQUIRED, OPTIONAL = object(), object()
 
 
 class Variants(NamedTuple):
@@ -67,7 +69,9 @@ def _field(block: dict, key: str, convert, default, where: str, prefix: str):
     if value is None:
         if default is REQUIRED:
             raise ValidationError(f"{where} block needs {key!r}")
-        if default is None:
+        if default is OPTIONAL and key in block:
+            raise ValidationError(f"{where} {key!r} is malformed: None")
+        if default is None or default is OPTIONAL:
             return None
         value = default
     inner = prefix + key

@@ -66,45 +66,14 @@ def trig_wronskian(indices: Sequence[int], nphases: int) -> Fourier:
     return Fourier(k, k * (k + 1) // 2 + 2 * k, amps)  # (-1)**k = i**(2k)
 
 
-def laplace_residual(wp: Fourier, wq: Fourier, indices: Sequence[int], n: int, m: int) -> Fourier:
-    """The nonzero amplitudes of q Lap(p) - 2 (grad q, grad p) + p Lap(q)
-    over r**(n+m-2), for p = r**n wp and q = r**m wq.  Each term of p and q
-    is a monomial z**a zbar**b; with Lap = 4 d dbar and (grad u, grad v) =
-    2 (du dbar v + dbar u dv) the pair of frequencies (f, g) contributes
-    a_f b_g [(n-m)**2 - (f-g)**2] e^{i (f+g) phi}.  The r**d e^{i h phi}
-    are a basis of the degree-d homogeneous polynomials, so this vanishes
-    exactly when the (X, Y) residual does.  Its unit is the product of the
-    two (nonzero) units, so the integer convolution decides the zero.
-    In w = e^{2 i phi} (``substitute``) it is 4/w times ``polylinear_H``
-    of the pair under the field P = -w**2, U = (n - m) w, lambda = 0: a
-    term w**a of p and w**b of q contribute ((n - m)**2 - (f - g)**2)
-    w**(a + b) / 4."""
-    out: Dict[Tuple[int, ...], int] = {}
-    q_terms = [(u, b, _freq(u, indices)) for u, b in wq.amps.items()]
-    for s, a in wp.amps.items():
-        f = _freq(s, indices)
-        for u, b, g in q_terms:
-            weight = (n - m) ** 2 - (f - g) ** 2
-            if weight:
-                e = tuple(x + y for x, y in zip(s, u))
-                out[e] = out.get(e, 0) + a * b * weight
-    return Fourier(wp.e + wq.e, (wp.r + wq.r) % 4, {e: c for e, c in out.items() if c})
-
-
 def substitute(terms: Fourier, indices: Sequence[int], total: int, ts: Sequence[float]) -> Polynomial:
     """The Fourier sum at the phases ts as an exact polynomial in
     w = exp(2 i phi): frequency f (f = total mod 2, |f| <= total) is its
     w**((f + total)/2) term.
 
     eps_j**+-1 are the doubles cmath.exp(+-i t_j), read exactly as Gaussian
-    integers over one shared 2**E, and eps**s is the product of the
-    |s_j|-th powers of the one of sign s_j.  Their product need not be 1,
-    yet in the residual of the two Wronskians a term's value depends on
-    its exponent vector s + u alone, which ``laplace_residual`` groups by:
-    s_j + u_j = 0 arises only as (1, -1) or (-1, 1), both eps_j eps_j**-1
-    (q's zero s_j pads the last phase, where p's is nonzero).  So when
-    that formal residual vanishes, the exact pair's ``polylinear_H`` does
-    too."""
+    integers over one shared 2**E (their product need not be 1), and eps**s
+    is the product of the |s_j|-th powers of the one of sign s_j."""
     units = [(cmath.exp(1j * t), cmath.exp(-1j * t)) for t in ts]
     big = max(x.as_integer_ratio()[1] for pair in units for c in pair for x in (c.real, c.imag))  # 2**E
     gauss = [[(_times(c.real, big), _times(c.imag, big)) for c in pair] for pair in units]

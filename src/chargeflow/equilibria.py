@@ -2,11 +2,12 @@
 
 Every constructor returns an exact pair (p, q) together with an exact
 governing system (P, U, charge ratio 1, eigenconstant lambda) for which
-the two-argument operator annihilates the pair bit-exactly.  The
+the two-argument operator annihilates the pair bit-exactly, and every
+certificate checks that on its stored pair (``_exact_residual``).  The
 cylinder constructor writes its two trigonometric Wronskians in closed
-form, as integer Fourier amplitudes on formal phase units (``_trig``);
-in w = exp(2 i phi), at the phases read exactly from their doubles, they
-are an exact pair of the monomial field P = -w**2, U = (n - m) w.
+form (``_trig``); in w = exp(2 i phi), at the phases read exactly from
+their doubles, they are an exact pair of the monomial field P = -w**2,
+U = (n - m) w.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _trig
-from ._schema import REQUIRED, list_of, such_that, typed, walk
+from ._schema import OPTIONAL, REQUIRED, list_of, such_that, typed, walk
 from .errors import (
     BadK,
     CertificationFailure,
@@ -73,9 +74,9 @@ _DOCUMENT = {
     "bivariate": ({
         "degree_p": (_INTEGER, REQUIRED), "degree_q": (_INTEGER, REQUIRED),
         "p_xy": (list_of(_XY), REQUIRED), "q_xy": (list_of(_XY), REQUIRED),
-    }, None),
+    }, OPTIONAL),
     "notes": (_OBJECT, REQUIRED),
-    "reduced": ([_POLYNOMIAL], None),
+    "reduced": ([_POLYNOMIAL], OPTIONAL),
     "inventory": ([{"position": (_XY, REQUIRED), "net_charge": (_INTEGER, REQUIRED)}], REQUIRED),
     "recipe": (typed(str), REQUIRED), "params": (_OBJECT, REQUIRED),
 }
@@ -132,9 +133,9 @@ class EquilibriumCertificate:
         """The certificate of a ``to_json`` document, read through
         ``_DOCUMENT``; raises CertificationFailure where ``to_json`` could
         not have written it: a missing or malformed value, a key it never
-        writes, or a value of another JSON type, such as a float or flag for
-        an integer, which certify's == would equate with the value it
-        compares."""
+        writes, an optional key set to null, or a value of another JSON
+        type, such as a float or flag for an integer, which certify's ==
+        would equate with the value it compares."""
         try:
             d = walk(doc, _DOCUMENT, "certificate")
             P, U, p, q = (_exact(d[key]) for key in ("P", "U", "p", "q"))
@@ -196,15 +197,14 @@ def _finish_planar(recipe, params, sys, degrees, eigenfunctions, prefactors=(1, 
         raise DegenerateWronskian(f"{recipe}: Wronskian vanished")
     if (p.degree, q.degree) != degrees:
         raise DegenerateWronskian(f"degree drop: got {(p.degree, q.degree)}, expected {degrees}")
-    lam = lambda_poly(degrees, sys)
-    return _certificate(recipe, params, sys, lam, degrees, p, q, _exact_residual(sys, p, q, lam), notes)
+    return _certificate(recipe, params, sys, lambda_poly(degrees, sys), degrees, p, q, notes)
 
 
-def _certificate(recipe, params, sys, lam, degrees, p, q, residual, notes=None, bivariate=None):
+def _certificate(recipe, params, sys, lam, degrees, p, q, notes=None, bivariate=None):
     """The certificate of the pair (p, q) under ``sys`` and ``lam``, with
     its residual status (``_exact_residual``), reduced pair and
     inventory."""
-    exact_zero, norm, idx = residual
+    exact_zero, norm, idx = _exact_residual(sys, p, q, lam)
     pbar, qbar, inventory = reduce_pair(p, q)
     cert = EquilibriumCertificate(
         recipe=recipe,
@@ -356,16 +356,14 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
 
     Builds the sin(i_j phi + t_j) Wronskians in closed form (``_trig``);
     with the radial powers r**n, r**m (n, m the index sums) they are
-    homogeneous (X, Y) polynomials, and the pair certifies
-    q Lap p - 2 (grad q, grad p) + p Lap q = 0.  The residual is checked,
-    with formal phases, on the Fourier amplitudes of the Wronskians, which
-    is equivalent to the (X, Y) form.  The stored pair is the Wronskians'
-    exact polynomials in w = exp(2 i phi), with each exp(+-i t_j) read
-    exactly from its double (``_trig.substitute``), under the monomial
-    field P = -w**2, U = (n - m) w, lambda = 0.  Their ``polylinear_H``
-    is zero whenever the formal residual is, so only a nonzero one is
-    evaluated on the pair.  The (X, Y) coefficients, each rounded once, go
-    into ``bivariate``.
+    homogeneous (X, Y) polynomials, and the pair solves
+    q Lap p - 2 (grad q, grad p) + p Lap q = 0.  The stored pair is the
+    Wronskians' exact polynomials in w = exp(2 i phi), with each
+    exp(+-i t_j) read exactly from its double (``_trig.substitute``); in w
+    that equation is 4/w times ``polylinear_H`` under the monomial field
+    P = -w**2, U = (n - m) w, lambda = 0, which is checked on the pair as
+    for every recipe.  The (X, Y) coefficients, each rounded once, go into
+    ``bivariate``.
     """
     indices = _check_index_set(indices)
     ts = [float(t) for t in ts]
@@ -373,22 +371,18 @@ def cylinder_pair(indices: Sequence[int], ts: Sequence[float]) -> EquilibriumCer
     if len(ts) != kp1:
         raise ValidationError(f"need {kp1} phases, got {len(ts)}")
     k = kp1 - 1
-    wp = _trig.trig_wronskian(indices, kp1)
-    wq = _trig.trig_wronskian(indices[:k], kp1)
     n, m = sum(indices), sum(indices[:k])
-    p_w = _trig.substitute(wp, indices, n, ts)
-    q_w = _trig.substitute(wq, indices, m, ts)
+    p_w = _trig.substitute(_trig.trig_wronskian(indices, kp1), indices, n, ts)
+    q_w = _trig.substitute(_trig.trig_wronskian(indices[:k], kp1), indices, m, ts)
     p_xy, q_xy = _trig.xy_coeffs(p_w, n), _trig.xy_coeffs(q_w, m)
     if max(map(abs, p_xy)) < 1e-14 or max(map(abs, q_xy)) < 1e-14:
         raise DegenerateWronskian("chosen phases collapse the Wronskian")
     sys = SystemCoefficients.bilinear([0, 0, -1], [0, n - m], Lambda=1)
     lam = lambda_poly((n, m), sys)
-    resid = _trig.laplace_residual(wp, wq, indices, n, m)
-    status = _exact_residual(sys, p_w, q_w, lam) if resid.amps else (True, 0.0, None)
     xy = {"degree_p": n, "degree_q": m, "p_xy": [[c.real, c.imag] for c in p_xy],
           "q_xy": [[c.real, c.imag] for c in q_xy]}
     params = {"indices": indices, "ts": ts}
-    return _certificate("cylinder_wronskian", params, sys, lam, (n, m), p_w, q_w, status, bivariate=xy)
+    return _certificate("cylinder_wronskian", params, sys, lam, (n, m), p_w, q_w, bivariate=xy)
 
 
 # each recipe's constructor, which ``certify`` calls with the stored params
@@ -456,19 +450,25 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     exactly zero residual and the float gradient cross-check at its
     inventory, whose largest value goes into ``notes["gradient_max"]``.
     Raises CertificationFailure, or ValidationError when the field has no
-    float form (``Polynomial.to_float``); returns ``cert``."""
+    float form (``Polynomial.to_float``); returns ``cert``.
+
+    The balance rule at a site of net charge c, where p has an a-fold and
+    q a b-fold root (c = a - b): with P != 0 there, a zero residual forces
+    (a - b)**2 = a + b (a and b consecutive triangular numbers), and the
+    next order of the residual is the gradient with the self coefficient
+    c - (a + b)/(2c) = c/2 on P'.  So c stands in for the species charge
+    in ``_site_gradient``'s c - Q/2."""
     if not cert.residual_exact_zero:
         raise CertificationFailure(
             f"bilinear residual nonzero (norm {cert.residual_norm:.3e})",
             coefficient_index=cert.notes.get("first_nonzero_residual_index"),
         )
-    # a site of net charge c is |c| charges of the species c / |c|; the +1
-    # species goes first, as a configuration lists it, which fixes the
-    # order of the row sums
+    # positive sites go first, as a configuration lists its +1 species,
+    # which fixes the order of the row sums
     sites = sorted(cert.inventory, key=lambda site: site[1] < 0)
     z = np.array([z for z, _ in sites], dtype=complex)
     c = np.array([c for _, c in sites], dtype=complex)
-    grad, size, Pz = _site_gradient(z, np.where(c.real > 0, 1.0, -1.0), c, cert.sys)
+    grad, size, Pz = _site_gradient(z, c, c, cert.sys)
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
     # Elsewhere the gradient must cancel to GRADIENT_TOL of its terms'

@@ -293,12 +293,8 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
             gap = Q[i] - Q[j]
             second = second - _product([dqs[i], dqs[j]] + others).scale(gap * gap)
 
-    return (
-        second * sys.P
-        + sym.scale(Fraction(1, 2)) * sys.P.derivative()
-        + anti * sys.U
-        + _product(qs).scale(lam)
-    )
+    H = second * sys.P + sym.scale(Fraction(1, 2)) * sys.P.derivative() + anti * sys.U
+    return H + _product(qs).scale(lam) if lam else H  # lam = 0 for cylinder and Adler-Moser pairs
 
 
 # -- eigenpolynomials of P d^2 + U d ------------------------------------------

@@ -115,19 +115,15 @@ def _same_ring(a, b):
 
 
 def _convolve(a, b):
-    """Coefficients of the product of integer polynomials a, b (nonempty),
-    multiplied from each one's first nonzero entry (all zero: no work)."""
-    n, m = len(a), len(b)
-    i = next((k for k, x in enumerate(a) if x), n)
-    j = next((k for k, x in enumerate(b) if x), m)
-    if i == n or j == m:
-        return [0] * (n + m - 1)
-    a, rb = a[i:], b[j:][::-1]
-    n, m = n - i, m - j
-    return [0] * (i + j) + [
-        sum(map(operator.mul, a[max(0, k - m + 1) : k + 1], rb[max(0, m - 1 - k) : m - 1 - k + n]))
-        for k in range(n + m - 1)
-    ]
+    """Coefficients of the product of integer polynomials a, b (nonempty);
+    zero entries of a, and an all-zero b, cost no multiplication."""
+    out = [0] * (len(a) + len(b) - 1)
+    if any(b):
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+    return out
 
 
 def _long_division(a, da, b, db):

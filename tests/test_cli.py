@@ -684,12 +684,32 @@ def test_rational_parameter_past_the_float_range_exits_validation(tmp_path, caps
 
 
 def test_cylinder_pair_with_proportional_phases_exits_certification(tmp_path, capsys):
-    # sin(phi + 0.1), sin(2 phi + 0.2), sin(3 phi + 0.3): the roots of p
-    # coincide in threes (ROADMAP item 1), and the gradient check refuses
+    # sin(phi + 0.1), sin(2 phi + 0.2), sin(3 phi + 0.3): the reduced p has
+    # 6 simple roots and q 3, all within 0.005 of w = exp(-0.2i), and their
+    # float positions are too ill-conditioned for the gradient bound
+    # (ROADMAP item 3)
     argv = ["equilibrium", "--recipe", "cylinder", "--indices", "1,2,3", "--ts", "0.1,0.2,0.3"]
     assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_CERTIFICATION
     assert "certification failure: equilibrium gradient" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "indices,sites",
+    [("1,2,3", [(1.0, 3)]), ("1,2,3,4", [(1.0, 4)]), ("2,4,6", [(-1.0, 3), (1.0, 3)])],
+)
+def test_cylinder_pair_at_zero_phases_certifies_its_multiple_sites(tmp_path, indices, sites):
+    # a free site of net charge c balances with the self term c/2 on P';
+    # before, c - sign(c)/2 left "equilibrium gradient 2.000e+00" at the
+    # +3 of 1,2,3, which exited 5
+    zeros = ",".join("0" * len(indices.split(",")))
+    argv = ["equilibrium", "--recipe", "cylinder", "--indices", indices, "--ts", zeros]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    assert [(e["position"][0], e["net_charge"]) for e in doc["inventory"]] == sites
+    assert all(e["position"][1] == 0.0 for e in doc["inventory"])
+    assert doc["notes"]["gradient_max"] == 0.0
+    assert certify(EquilibriumCertificate.from_json(doc)).residual_exact_zero
 
 
 def _assert_hermite_pair_certifies(out, e):

@@ -32,7 +32,7 @@ from chargeflow.operators import (
     lambda_poly,
     polylinear_H,
 )
-from chargeflow.polynomials import Polynomial, hermite
+from chargeflow.polynomials import Polynomial, hermite, leading_wronskians
 from chargeflow.scalars import GaussianRational
 
 
@@ -373,8 +373,8 @@ def test_cylinder_pair_12():
 
 def test_cylinder_pairs_are_equilibria_of_their_stored_field():
     # before, the float pair left max |H| / max |p q| up to 2.1e-13; the
-    # phases' doubles need not lie on the unit circle, and the formal zero
-    # still holds at them (_trig.substitute)
+    # phases' doubles need not lie on the unit circle, and the exact
+    # residual of the pair still vanishes at them (_trig.substitute)
     rng = np.random.default_rng(27)
     for _ in range(40):
         k = int(rng.integers(1, 6))
@@ -396,14 +396,44 @@ def _exact_substitute(terms, indices, total, eps):
     return Polynomial(coeffs)
 
 
-def _unit_phase(s):
-    """The Gaussian rational exp(i t) at tan(t/2) = s."""
-    return GaussianRational(1 - s * s, 2 * s) / (1 + s * s)
+def _laurent_mode(i, big, eps):
+    """u**big sin(i phi + t) as an exact polynomial in u = exp(i phi), with
+    eps = (exp(i t), exp(-i t)): (eps[0] u**(big+i) - eps[1] u**(big-i)) / 2i."""
+    coeffs = [GaussianRational(0)] * (big + i + 1)
+    half = GaussianRational(0, Fraction(-1, 2))  # 1 / 2i
+    coeffs[big + i] += half * eps[0]
+    coeffs[big - i] -= half * eps[1]
+    return Polynomial(coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    indices=st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_cylinder_pair_matches_the_wronskians_of_its_exact_laurent_modes(indices, data):
+    """With d/dphi = i u d/du, W_u[u**N f_j, j < K] is
+    u**(K N) (i u)**(-K(K-1)/2) W_phi[f_j], and W_phi = u**-n p_w(u**2) for
+    the degree-n w-form p_w: so leading_wronskians of the exact modes
+    u**N sin(i_j phi + t_j), at the exact images of the doubles that
+    substitute reads, is that multiple of cylinder_pair's p_w and q_w."""
+    kp1 = len(indices)
+    ts = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=kp1, max_size=kp1))
+    cert = cylinder_pair(indices, ts)
+    eps = [tuple(GaussianRational(*map(Fraction, (c.real, c.imag))) for c in (cmath.exp(1j * t), cmath.exp(-1j * t)))
+           for t in ts]
+    big = indices[-1]
+    *_, wq, wp = leading_wronskians([_laurent_mode(i, big, e) for i, e in zip(indices, eps)])
+    for w, form, K in ((wp, cert.p, kp1), (wq, cert.q, kp1 - 1)):
+        n = sum(indices[:K])
+        squared = Polynomial([form.coeff(j // 2) if j % 2 == 0 else 0 for j in range(2 * n + 1)])  # p_w(u**2)
+        expected = squared.shift(K * big - K * (K - 1) // 2 - n).scale(_i_times(-K * (K - 1) // 2, 1))
+        assert w == expected, (indices, K)
 
 
 def test_cylinder_pair_with_a_wrong_amplitude_reports_its_exact_residual(monkeypatch):
-    # fault injection, the only way to a nonzero formal residual, which is
-    # then evaluated on the exact pair
+    # a wrong amplitude in p's closed form: the stored pair's exact
+    # residual is nonzero
     build = _trig.trig_wronskian
 
     def wrong(indices, nphases):
@@ -418,29 +448,6 @@ def test_cylinder_pair_with_a_wrong_amplitude_reports_its_exact_residual(monkeyp
     assert not cert.residual_exact_zero and cert.residual_norm > 0
     with pytest.raises(CertificationFailure, match="bilinear residual nonzero"):
         check_built(cert)
-
-
-def test_laplace_residual_is_4_over_w_times_the_w_fields_polylinear_H():
-    # with any integer amplitudes, not only a Wronskian pair's, so that
-    # the residual is mostly nonzero
-    rng = np.random.default_rng(2027)
-    nonzero = 0
-    for _ in range(30):
-        k = int(rng.integers(1, 5))
-        indices = sorted(int(i) for i in rng.choice(np.arange(1, 8), size=k + 1, replace=False))
-        n, m = sum(indices), sum(indices[:k])
-        wp, wq = _trig.trig_wronskian(indices, k + 1), _trig.trig_wronskian(indices[:k], k + 1)
-        wp = wp._replace(amps={s: int(rng.integers(-5, 6)) for s in wp.amps})
-        wq = wq._replace(amps={s: int(rng.integers(-5, 6)) for s in wq.amps})
-        units = [_unit_phase(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))) for _ in indices]
-        eps = [(u, 1 / u) for u in units]
-        resid = _trig.laplace_residual(wp, wq, indices, n, m)
-        nonzero += bool(resid.amps)
-        sys = SystemCoefficients.bilinear([0, 0, -1], [0, n - m], Lambda=1)
-        p, q = _exact_substitute(wp, indices, n, eps), _exact_substitute(wq, indices, m, eps)
-        H = polylinear_H(sys, [p, q], lam=lambda_poly((n, m), sys))
-        assert H == _exact_substitute(resid, indices, n + m - 2, eps).shift(1).scale(Fraction(1, 4))
-    assert nonzero >= 20
 
 
 def test_cylinder_degree_formula():
@@ -477,7 +484,9 @@ def _xy_poly(sp, coeffs, X, Y):
     ids=["equilibrium", "sine_1_degree_1", "sine_2_degree_4"],
 )
 def test_cylinder_fourier_residual_matches_xy_oracle(q_mode, m):
-    """The Fourier-amplitude residual, times r**(n+m-2) e^{i h phi}, equals
+    """4/w times polylinear_H of the substituted pair under the field
+    P = -w**2, U = (n - m) w, whose w**j term is the Fourier term of
+    frequency h = 2j - (n+m-2), times r**(n+m-2) e^{i h phi}, equals
     q Lap p - 2 (grad q, grad p) + p Lap q of the (X, Y) polynomials."""
     import sympy as sp
 
@@ -495,13 +504,15 @@ def test_cylinder_fourier_residual_matches_xy_oracle(q_mode, m):
         wq = single._replace(
             amps={tuple(s[0] if i == j else 0 for i in range(len(indices))): a for s, a in single.amps.items()}
         )
-    resid = _trig.laplace_residual(wp, wq, indices, n, m)
-    assert (not resid.amps) == (q_mode is None)
-    amps = _trig.substitute(resid, indices, n + m - 2, ts).to_float().floats  # w**j: frequency 2j - (n+m-2)
+    p_w, q_w = _trig.substitute(wp, indices, n, ts), _trig.substitute(wq, indices, m, ts)
+    sys = SystemCoefficients.bilinear([0, 0, -1], [0, n - m], Lambda=1)
+    H = polylinear_H(sys, [p_w, q_w], lam=lambda_poly((n, m), sys))
+    assert H.is_zero == (q_mode is None) and H.coeff(0) == 0
+    amps = [4 * c for c in H.to_float().floats[1:]]  # 4 H / w
 
     X, Y = sp.symbols("X Y", real=True)
-    P = _xy_poly(sp, _trig.xy_coeffs(_trig.substitute(wp, indices, n, ts), n), X, Y)
-    Q = _xy_poly(sp, _trig.xy_coeffs(_trig.substitute(wq, indices, m, ts), m), X, Y)
+    P = _xy_poly(sp, _trig.xy_coeffs(p_w, n), X, Y)
+    Q = _xy_poly(sp, _trig.xy_coeffs(q_w, m), X, Y)
     parts = [
         Q * (sp.diff(P, X, 2) + sp.diff(P, Y, 2)),
         -2 * (sp.diff(Q, X) * sp.diff(P, X) + sp.diff(Q, Y) * sp.diff(P, Y)),
@@ -562,6 +573,17 @@ def _bits(values):
     return [(c.real.hex(), c.imag.hex()) for c in values]
 
 
+def _formal_product(a, b):
+    """The Fourier sum a b: the exponent vectors add, so eps_j eps_j**-1
+    gives exponent 0 and eps_j eps_j exponent 2."""
+    amps = {}
+    for s, x in a.amps.items():
+        for u, y in b.amps.items():
+            e = tuple(i + j for i, j in zip(s, u))
+            amps[e] = amps.get(e, 0) + x * y
+    return _trig.Fourier(a.e + b.e, (a.r + b.r) % 4, {e: c for e, c in amps.items() if c})
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     indices=st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True).map(sorted),
@@ -571,15 +593,14 @@ def test_trig_substitute_matches_gaussian_rational_oracle(indices, data):
     """substitute is the GaussianRational sum of the terms at the doubles
     exp(+-i t_j), read exactly, and xy_coeffs rounds each exact (X, Y)
     coefficient once, bit for bit with a +0.0 zero part; for the two
-    Wronskians and a nonzero residual (wrong m, exponents up to 2)."""
+    Wronskians and their formal product (exponents up to 2)."""
     k = len(indices)
     ts = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=k, max_size=k))
     eps = [tuple(GaussianRational(*map(Fraction, (c.real, c.imag))) for c in (cmath.exp(1j * t), cmath.exp(-1j * t)))
            for t in ts]
     wp, wq = _trig.trig_wronskian(indices, k), _trig.trig_wronskian(indices[:-1], k)
     n, m = sum(indices), sum(indices[:-1])
-    resid = _trig.laplace_residual(wp, wq, indices, n, m + 2)
-    for terms, total in ((wp, n), (wq, m), (resid, n + m)):
+    for terms, total in ((wp, n), (wq, m), (_formal_product(wp, wq), n + m)):
         got = _trig.substitute(terms, indices, total, ts)
         assert got == _exact_substitute(terms, indices, total, eps)
         assert _bits(_trig.xy_coeffs(got, total)) == _bits(_xy_oracle(got, total))

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chargeflow
-from chargeflow import cli, equilibria
+from chargeflow import _schema, cli, equilibria
 from chargeflow.equilibria import POSITION_TOL, EquilibriumCertificate, certify
 from chargeflow.errors import CertificationFailure
 from chargeflow.operators import polylinear_H
@@ -128,12 +128,16 @@ TAMPERS = {
     "p_top_unreduced": _top_real(lambda ratio: [str(2 * int(x)) for x in ratio]),
     # the float form of the exact p
     "p_float": (("p",), lambda poly: Polynomial.from_json(poly).to_float().to_json()),
+    # an optional key written out as null, which to_json never writes
+    "bivariate_null": (("bivariate",), lambda xy: None),
+    "reduced_null": (("reduced",), lambda pair: None),
 }
 LOAD_TAMPERS = [
     "p_exact_tag", "missing_key", "malformed_value", "unknown_key", "degrees_float",
     "net_charge_flag", "net_charge_float", "residual_exact_zero_int", "residual_norm_int",
     "p_exact_tag_int", "p_unknown_key", "inventory_unknown_key",
     "lambda_number", "p_top_number", "p_top_space", "p_top_underscore", "p_top_unreduced", "p_float",
+    "bivariate_null", "reduced_null",
 ]
 
 
@@ -167,7 +171,9 @@ def test_every_golden_with_a_foreign_document_fails_to_load(tamper):
     # ZeroDivisionError (cylinder_12), a missing key KeyError, and an
     # unknown key loaded and certified; so did a degree 4.0, a net charge
     # true (where it is 1), a residual flag 1 or an unknown key in p or in
-    # an inventory entry, and the certificate wrote those values back
+    # an inventory entry, and the certificate wrote those values back; a
+    # null bivariate or reduced read as missing, so hermite_124 with
+    # "bivariate": null loaded and certified
     for name in sorted(CASES):
         with pytest.raises(CertificationFailure, match="malformed certificate document"):
             EquilibriumCertificate.from_json(_tampered(name, tamper))
@@ -181,7 +187,7 @@ def _key_mismatches(schema, doc, path=()):
     """The paths where ``doc`` has a key the schema table does not name, or
     lacks one it requires, at every nesting level."""
     for key in sorted(set(schema) ^ set(doc)):
-        if key not in schema or schema[key][1] is not None:
+        if key not in schema or schema[key][1] is _schema.REQUIRED:
             yield path + (key,)
     for key, (convert, _) in schema.items():
         nested = convert[0] if isinstance(convert, list) else convert
