@@ -302,10 +302,9 @@ def trajectory_csv(traj: Trajectory, mon: dict) -> str:
     if "conserved" in mon:
         header.extend(f"I{k+1}" for k in range(mon["conserved"].shape[1]))
         columns.append(mon["conserved"])
-    lines = [",".join(header)]
-    for row in np.column_stack(columns).tolist():
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1])
+    return "\n".join([",".join(header)] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
 
 def conserved_report(times: np.ndarray, traces, period_info=None) -> dict:
@@ -338,11 +337,8 @@ def plot_svg(traj: Trajectory) -> str:
     lo_x, lo_y = lo_x - pad, lo_y - pad
     span += 2 * pad
 
-    def sx(v):
-        return (v - lo_x) / span * (_SVG_SIZE - 20) + 10
-
-    def sy(v):
-        return _SVG_SIZE - ((v - lo_y) / span * (_SVG_SIZE - 20) + 10)
+    X = (Z.real - lo_x) / span * (_SVG_SIZE - 20) + 10
+    Y = _SVG_SIZE - ((Z.imag - lo_y) / span * (_SVG_SIZE - 20) + 10)
 
     styles = [
         'stroke="black" fill="none" stroke-width="1.2"',
@@ -357,18 +353,13 @@ def plot_svg(traj: Trajectory) -> str:
     for s_idx, size in enumerate(traj.flow.sizes):
         style = styles[min(s_idx, len(styles) - 1)]
         for _ in range(size):
-            zs = Z[:, col]
+            zs, xs, ys = Z[:, col], X[:, col], Y[:, col]
             col += 1
             if len(zs) == 1 or np.max(np.abs(zs - zs[0])) < 1e-12:
                 dot_style = style.replace('fill="none"', 'fill="black"')
-                parts.append(
-                    f'<circle cx="{sx(zs[0].real):.3f}" cy="{sy(zs[0].imag):.3f}" '
-                    f'r="3" {dot_style}/>'
-                )
+                parts.append(f'<circle cx="{xs[0]:.3f}" cy="{ys[0]:.3f}" r="3" {dot_style}/>')
                 continue
-            pts = " ".join(
-                f"{sx(z.real):.3f},{sy(z.imag):.3f}" for z in zs
-            )
+            pts = " ".join(map("%.3f,%.3f".__mod__, zip(xs.tolist(), ys.tolist())))
             parts.append(f'<polyline points="{pts}" {style}/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -150,14 +150,20 @@ def lax(z: np.ndarray, flow: FlowSpec) -> np.ndarray:
 
 def integrals(z: np.ndarray, flow: FlowSpec) -> np.ndarray:
     """|Tr L^k|^2, k = 1 .. 2N-1, of the block Lax matrix: a float array
-    (K,) for one flattened state (N,), (S, K) for a stack (S, N)."""
+    (K,) for one flattened state (N,), (S, K) for a stack (S, N).
+
+    L is block-diagonal by species, so Tr L^k is the sum over the species
+    blocks of Tr B^k, each block's powers taken on its own."""
     L = lax(z, flow)
-    traces = np.empty(L.shape[:-2] + (max(2 * L.shape[-1] - 1, 0),), dtype=complex)
-    power = L
-    for k in range(traces.shape[-1]):
-        if k:
-            power = power @ L
-        traces[..., k] = np.trace(power, axis1=-2, axis2=-1)
+    traces = np.zeros(L.shape[:-2] + (max(2 * L.shape[-1] - 1, 0),), dtype=complex)
+    ends = np.cumsum(flow.sizes)
+    for a, b in zip(ends - flow.sizes, ends):
+        block = L[..., a:b, a:b]
+        power = block
+        for k in range(traces.shape[-1]):
+            if k:
+                power = power @ block
+            traces[..., k] += np.trace(power, axis1=-2, axis2=-1)
     return _distance(traces) ** 2
 
 

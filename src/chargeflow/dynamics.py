@@ -49,7 +49,7 @@ from .errors import (
     SymmetryViolation,
     ValidationError,
 )
-from .operators import ChargeConfiguration, SystemCoefficients, _product, polylinear_H
+from .operators import ChargeConfiguration, SystemCoefficients, _product, lambda_poly, polylinear_H
 from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
 
 __all__ = [
@@ -184,15 +184,19 @@ def rhs_flat(flow: FlowSpec, z: np.ndarray) -> np.ndarray:
     """Velocities for the flattened positions (N,) or a stack (S, N), by
     the shared formula in the module docstring.
 
-    The pair sum is one product of the kernel matrix with the charges.
+    The pair sum is one product of the kernel matrix with the charges;
+    the matrix's diagonal is inf while 1/d is taken, so it reads +0 and
+    adds nothing.  The pair sum's array is then scaled and reduced in
+    place, each product keeping the factor order -2 P(z) times the sum.
     Each polynomial is a Horner loop from its leading coefficient.  A term
     whose polynomial is zero is left out: U = 0 (angular flows) and
     P' = 0 (constant P, every harmonic-trap flow) would subtract zeros."""
-    v = -2.0 * _horner(flow.P, z) * (pair_matrix(z, flow.kernel) @ flow.q)
+    v = pair_matrix(z, flow.kernel) @ flow.q
+    np.multiply(-2.0 * _horner(flow.P, z), v, out=v)
     if flow.U.floats:
-        v = v - _horner(flow.U, z)
+        v -= _horner(flow.U, z)
     if flow.dP.floats:
-        v = v - flow.w * _horner(flow.dP, z)
+        v -= flow.w * _horner(flow.dP, z)
     return v
 
 
@@ -578,26 +582,29 @@ def _coeff_velocity(roots, velocities):
 
     dp/dt = -sum_i v_i * p / (z - root_i); each division is a synthetic
     deflation, so the result is exact in coefficients.  Roots and
-    velocities may be (S,) arrays, giving a batch of S polynomials.
+    velocities are (n,) arrays, or (n, S) arrays giving a batch of S
+    polynomials.  The terms v_i * quotient_i are subtracted in root order
+    from -0, which rounds as adding their negations one by one and keeps
+    the first term's signed zeros.
     """
     p = from_roots(roots)
-    total = Polynomial.zero()
-    for r, v in zip(roots, velocities):
-        quotient, _ = _deflate(p, r)
-        total = total - quotient.scale(v)
-    return p, total
+    terms = _deflate(p, roots)
+    terms *= velocities[:, None]
+    return p, Polynomial(np.subtract.reduce(terms, axis=0, initial=-0j))
 
 
-def _deflate(p: Polynomial, root):
-    """Synthetic division of a float polynomial by (z - root)."""
-    coeffs = p.coeffs
-    n = len(coeffs) - 1
-    out = [0] * n
-    acc = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = acc
-        acc = coeffs[k] + acc * root
-    return Polynomial(out), acc
+def _deflate(p: Polynomial, roots: np.ndarray) -> np.ndarray:
+    """Synthetic division of a float polynomial by (z - r) for every root
+    r of ``roots`` (n, ...) at once: the quotients' ascending
+    coefficients, an (n, degree, ...) array."""
+    coeffs = p.floats
+    d = len(coeffs) - 1
+    out = np.empty((len(roots), d) + roots.shape[1:], dtype=complex)
+    acc = coeffs[d]
+    for k in range(d - 1, -1, -1):
+        out[:, k] = acc
+        acc = coeffs[k] + acc * roots
+    return out
 
 
 def _coeff_norm(p: Polynomial, samples: int) -> np.ndarray:
@@ -634,11 +641,13 @@ def state_residual(flow: FlowSpec, Z: np.ndarray):
         polys.append(p)
         dpolys.append(dp)
     charges = flow.charges
-    H = polylinear_H(SystemCoefficients.polylinear(flow.P, flow.U, charges), polys)
+    sys = SystemCoefficients.polylinear(flow.P, flow.U, charges)
+    prod = _product(polys)  # the normalizer, and the factor of H's lam term
+    H = polylinear_H(sys, polys, lam=0) + prod.scale(lambda_poly([p.degree for p in polys], sys))
     lhs = Polynomial.zero()
     for i, dq in enumerate(dpolys):
         lhs = lhs + _product([dq.scale(charges[i])] + polys[:i] + polys[i + 1 :])
-    return _coeff_norm(lhs - H, len(Z)) / _coeff_norm(_product(polys), len(Z))
+    return _coeff_norm(lhs - H, len(Z)) / _coeff_norm(prod, len(Z))
 
 
 # -- symmetric reduction ----------------------------------------------------------

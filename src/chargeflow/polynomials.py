@@ -126,6 +126,15 @@ def _convolve(a, b):
     return out
 
 
+def _rows(floats, shape):
+    """Float coefficients, scalars or arrays broadcast to ``shape``, as the
+    rows of one (len(floats), *shape) complex array."""
+    rows = np.empty((len(floats),) + shape, dtype=complex)
+    for k, c in enumerate(floats):
+        rows[k] = c
+    return rows
+
+
 def _long_division(a, da, b, db):
     """Quotient and remainder of (a / da) by (b / db) for integer lists a,
     b with len(a) >= len(b) and b[-1] != 0.  The remainder's numerators
@@ -282,11 +291,16 @@ class Polynomial:
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
         if not _same_ring(self, other):
+            # one row update per coefficient of a, so each output
+            # coefficient sums its products a_i * b_j in ascending i.  The
+            # row A[i : i + 1] has B's ndim: numpy multiplies a (1,) by a
+            # (1, 1) in another loop, which rounds differently
             a, b = self.floats, other.floats
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y
+            shape = np.broadcast_shapes(*map(np.shape, a + b))
+            A, B = _rows(a, shape), _rows(b, shape)
+            out = np.zeros((len(a) + len(b) - 1,) + shape, dtype=complex)
+            for i in range(len(a)):
+                out[i : i + len(b)] += A[i : i + 1] * B
             return Polynomial(out)
         ar, br, den = self.re, other.re, self.den * other.den
         if self.im is None and other.im is None:
@@ -461,9 +475,11 @@ def pair_matrix(z, kernel=_inverse, diagonal=0.0) -> np.ndarray:
     of each state (n,) in ``z``, which may be a stack (..., n).
 
     The kernel (default 1/d) acts elementwise on the complex differences.
-    It never sees the zero differences on the diagonal: they read 1 while
-    it runs, and the result's diagonal is set to ``diagonal`` (a scalar or
-    (..., n) array) afterwards.  With the default 0 a row sum is a sum
+    It never sees the zero differences on the diagonal.  The default
+    kernel divides in place into the difference matrix, whose diagonal
+    reads inf, so 1/inf leaves it +0; any other kernel sees 1 there.  A
+    nonzero ``diagonal`` (a scalar or (..., n) array) is then written
+    over the result's diagonal.  With the default 0 a row sum is a sum
     over j != i; with ``np.inf`` a minimum is over distinct pairs.
     """
     z = np.asarray(z, dtype=complex)
@@ -471,9 +487,11 @@ def pair_matrix(z, kernel=_inverse, diagonal=0.0) -> np.ndarray:
     # each diagonal is every (n + 1)-th entry of its block's flat view
     flat = z.shape[:-1] + (n * n,)
     diff = z[..., :, None] - z[..., None, :]
-    diff.reshape(flat)[..., :: n + 1] = 1.0
-    out = kernel(diff)
-    out.reshape(flat)[..., :: n + 1] = diagonal
+    inverse = kernel is _inverse
+    diff.reshape(flat)[..., :: n + 1] = np.inf if inverse else 1.0
+    out = np.divide(1.0, diff, out=diff) if inverse else kernel(diff)
+    if not inverse or isinstance(diagonal, np.ndarray) or diagonal != 0.0:
+        out.reshape(flat)[..., :: n + 1] = diagonal
     return out
 
 

@@ -8,6 +8,8 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeflow import _schema, cli, conserved
 from chargeflow.dynamics import FlowSpec, Trajectory
@@ -107,6 +109,112 @@ def test_svg_species_styles_and_point_markers(tmp_path):
     trajeq = integrate(floweq, initeq, 0.5, rtol=1e-12, atol=1e-14, n_samples=9)
     svgeq = plot_svg(trajeq)
     assert svgeq.count("<circle") == 4
+
+
+def _trajectory_csv_by_value(traj, mon):
+    """``cli.trajectory_csv`` formatting one value at a time."""
+    header = ["t"]
+    for s_idx, size in enumerate(traj.flow.sizes):
+        for p_idx in range(size):
+            header.append(f"s{s_idx}_p{p_idx}_re")
+            header.append(f"s{s_idx}_p{p_idx}_im")
+    Z = traj.positions
+    columns = [traj.times, np.stack([Z.real, Z.imag], axis=2).reshape(len(Z), -1)]
+    if "bilinear_residual" in mon:
+        header.append("residual")
+        columns.append(mon["bilinear_residual"])
+    header.append("min_sep")
+    columns.append(mon["min_separation"])
+    if "conserved" in mon:
+        header.extend(f"I{k+1}" for k in range(mon["conserved"].shape[1]))
+        columns.append(mon["conserved"])
+    lines = [",".join(header)]
+    for row in np.column_stack(columns).tolist():
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _plot_svg_by_point(traj):
+    """``cli.plot_svg`` mapping and formatting one point at a time."""
+    size_px = cli._SVG_SIZE
+    Z = traj.positions
+    lo_x, hi_x = float(Z.real.min()), float(Z.real.max())
+    lo_y, hi_y = float(Z.imag.min()), float(Z.imag.max())
+    span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
+    pad = 0.08 * span
+    lo_x, lo_y = lo_x - pad, lo_y - pad
+    span += 2 * pad
+
+    def sx(v):
+        return (v - lo_x) / span * (size_px - 20) + 10
+
+    def sy(v):
+        return size_px - ((v - lo_y) / span * (size_px - 20) + 10)
+
+    styles = [
+        'stroke="black" fill="none" stroke-width="1.2"',
+        'stroke="gray" fill="none" stroke-width="2.0"',
+        'stroke="black" fill="none" stroke-width="1.0" stroke-dasharray="4 3"',
+    ]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size_px}" '
+        f'height="{size_px}" viewBox="0 0 {size_px} {size_px}">'
+    ]
+    col = 0
+    for s_idx, size in enumerate(traj.flow.sizes):
+        style = styles[min(s_idx, len(styles) - 1)]
+        for _ in range(size):
+            zs = Z[:, col]
+            col += 1
+            if len(zs) == 1 or np.max(np.abs(zs - zs[0])) < 1e-12:
+                dot_style = style.replace('fill="none"', 'fill="black"')
+                parts.append(
+                    f'<circle cx="{sx(zs[0].real):.3f}" cy="{sy(zs[0].imag):.3f}" '
+                    f'r="3" {dot_style}/>'
+                )
+                continue
+            pts = " ".join(f"{sx(z.real):.3f},{sy(z.imag):.3f}" for z in zs)
+            parts.append(f'<polyline points="{pts}" {style}/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+_coordinates = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([0.0, -0.0, 5e-324, 1e-13])
+)
+_monitor_values = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+)
+
+
+@st.composite
+def _trajectory_tables(draw):
+    """A trajectory of 1-3 species (S samples) with its monitor columns;
+    one particle may rest, which draws it as a dot."""
+    sizes = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any)))
+    S, N = draw(st.integers(1, 5)), sum(sizes)
+    parts = st.lists(_coordinates, min_size=S * N, max_size=S * N).map(np.array)
+    Z = (draw(parts) + 1j * draw(parts)).reshape(S, N)
+    resting = draw(st.none() | st.integers(0, N - 1))
+    if resting is not None:
+        Z[:, resting] = Z[0, resting]
+    times = np.cumsum(draw(st.lists(st.floats(0.0, 10.0), min_size=S, max_size=S)))
+    column = st.lists(_monitor_values, min_size=S, max_size=S).map(np.array)
+    mon = {"min_separation": draw(column)}
+    if draw(st.booleans()):
+        mon["bilinear_residual"] = draw(column)
+    if draw(st.booleans()):
+        mon["conserved"] = np.column_stack([draw(column) for _ in range(2 * N - 1)])
+    sys = SystemCoefficients.polylinear([1.0], [0.0], [1.0, -1.0, 0.5][: len(sizes)])
+    return Trajectory(times, Z, FlowSpec.polylinear(sys, sizes)), mon
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trajectory_tables())
+def test_csv_and_svg_writers_match_their_per_value_forms(table):
+    traj, mon = table
+    assert cli.trajectory_csv(traj, mon) == _trajectory_csv_by_value(traj, mon)
+    assert cli.plot_svg(traj) == _plot_svg_by_point(traj)
 
 
 def test_simulate_replay_byte_identical(tmp_path):

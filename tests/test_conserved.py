@@ -20,7 +20,7 @@ from chargeflow.operators import (
     energy,
     equilibrium_gradient,
 )
-from chargeflow.polynomials import hermite, find_roots
+from chargeflow.polynomials import _distance, find_roots, hermite
 
 BASE = 2 * math.pi
 
@@ -318,6 +318,39 @@ def test_integrals_on_a_stack_match_rows():
     for stacked in (integrals(Z, flow), over_samples(lambda B: integrals(B, flow), Z)):
         assert stacked.shape == (S, 13)
         assert np.all(np.abs(stacked - rows) <= 1e-15 * rows)
+
+
+def _integrals_of_the_full_matrix(z, flow):
+    """|Tr L^k|^2 from the powers of the whole (N, N) Lax matrix."""
+    L = lax(z, flow)
+    traces = np.empty(L.shape[:-2] + (max(2 * L.shape[-1] - 1, 0),), dtype=complex)
+    power = L
+    for k in range(traces.shape[-1]):
+        if k:
+            power = power @ L
+        traces[..., k] = np.trace(power, axis1=-2, axis2=-1)
+    return _distance(traces) ** 2
+
+
+def _lattice_states(rng, n, m, samples):
+    """States of n + m points jittered about a square lattice of spacing
+    0.6, so every pair stays more than 0.3 apart."""
+    side = math.ceil(math.sqrt(n + m))
+    grid = 0.6 * (np.arange(n + m) % side + 1j * (np.arange(n + m) // side))
+    grid -= grid.mean()
+    jitter = rng.uniform(-0.15, 0.15, size=(samples, n + m, 2)) @ np.array([1, 1j])
+    return grid + jitter
+
+
+@pytest.mark.parametrize(
+    "n,m,samples", [(20, 10, 3), (4, 3, _SAMPLE_BLOCK + 6), (6, 1, 5), (1, 0, 4)]
+)
+def test_integrals_per_species_block_match_the_full_matrix_powers(n, m, samples):
+    flow = FlowSpec.rational_omega(1.0, 1.0, n, m)
+    Z = _lattice_states(np.random.default_rng(n + 7 * m), n, m, samples)
+    got, want = integrals(Z, flow), _integrals_of_the_full_matrix(Z, flow)
+    assert got.shape == want.shape == (samples, 2 * (n + m) - 1)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 def test_integrals_conserved_n2_m1():

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeflow.conserved import integrals, multiset_distance
 from chargeflow.dynamics import (
     FlowSpec,
+    _coeff_velocity,
     _min_separation,
     integrate,
     integrate_lanes,
@@ -21,7 +24,7 @@ from chargeflow.dynamics import (
 )
 from chargeflow.errors import Collision, SymmetryViolation, ValidationError
 from chargeflow.operators import ChargeConfiguration, Species, SystemCoefficients
-from chargeflow.polynomials import find_roots, hermite
+from chargeflow.polynomials import Polynomial, find_roots, from_roots, hermite
 
 BASE = 2 * math.pi
 
@@ -491,6 +494,62 @@ def test_stacked_state_residual_matches_rows_bit_for_bit(flow):
     rows = [state_residual(flow, z) for z in Z]
     assert all(isinstance(r, float) for r in rows)
     assert stacked.tolist() == rows
+
+
+def _deflate_by_one_root(p, root):
+    """Synthetic division of a float polynomial by (z - root), one
+    coefficient at a time: the quotient and the remainder."""
+    coeffs = p.coeffs
+    n = len(coeffs) - 1
+    out = [0] * n
+    acc = coeffs[n]
+    for k in range(n - 1, -1, -1):
+        out[k] = acc
+        acc = coeffs[k] + acc * root
+    return Polynomial(out), acc
+
+
+def _coeff_velocity_by_root(roots, velocities):
+    """``_coeff_velocity`` as a fold over the roots in Polynomial
+    arithmetic: dp/dt = -sum_i v_i p / (z - root_i)."""
+    p = from_roots(roots)
+    total = Polynomial.zero()
+    for r, v in zip(roots, velocities):
+        quotient, _ = _deflate_by_one_root(p, r)
+        total = total - quotient.scale(v)
+    return p, total
+
+
+# finite values with the signed zeros, so a resting root and exact zero
+# products come up
+_entries = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([0.0, -0.0])
+)
+
+
+@st.composite
+def _root_stacks(draw):
+    """(n, S) roots and velocities: the columns of S states of one species."""
+    n, S = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    table = st.lists(st.builds(complex, _entries, _entries), min_size=n * S, max_size=n * S)
+    roots, velocities = (np.array(draw(table), dtype=complex).reshape(n, S) for _ in range(2))
+    return roots, velocities
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_stacks())
+def test_coeff_velocity_matches_the_fold_over_roots_bit_for_bit(stack):
+    roots, velocities = stack
+    p, dp = _coeff_velocity(roots, velocities)
+    p_ref, dp_ref = _coeff_velocity_by_root(roots, velocities)
+    assert dp.exact == dp_ref.exact and len(dp.floats) == len(dp_ref.floats)
+    # the fold skips a root at rest in every state (its term is the zero
+    # polynomial), the whole-array sum adds its signed zeros: the sign of
+    # a zero may differ then, and nothing else
+    resting = not np.all(np.any(velocities != 0, axis=1))
+    for got, want in zip(dp.floats, dp_ref.floats):
+        got, want = np.broadcast_arrays(got, want)
+        assert np.array_equal(got, want) if resting else got.tobytes() == want.tobytes()
 
 
 def test_charge_moment_oscillates_with_base_frequency():

@@ -25,7 +25,7 @@ from chargeflow import _schema, cli, equilibria
 from chargeflow.equilibria import POSITION_TOL, EquilibriumCertificate, certify
 from chargeflow.errors import CertificationFailure
 from chargeflow.operators import polylinear_H
-from chargeflow.polynomials import Polynomial
+from chargeflow.polynomials import Polynomial, _square_free, find_roots
 
 DATA = pathlib.Path(__file__).parent / "data" / "certs"
 
@@ -405,6 +405,37 @@ def test_cylinder_golden_with_a_site_moved_1e6_relative_fails_the_gradient_bound
             equilibria.check_built(cert)
     with pytest.raises(CertificationFailure, match="stored 'inventory'"):
         certify(cert)
+
+
+def _order_at(f, z):
+    """The order of the exact f's root at z: the i of the square-free
+    factor a**i of f with a root within POSITION_TOL of z, or 0."""
+    tol = POSITION_TOL * max(1.0, abs(z))
+    orders = [i for a, i in _square_free(f) if any(abs(r - z) <= tol for r in find_roots(a))]
+    assert len(orders) <= 1
+    return orders[0] if orders else 0
+
+
+# cylinder pairs at zero phases, whose free sites carry |c| = 3 and 4
+ZERO_PHASE_CYLINDERS = {"cylinder_0_123": [1, 2, 3], "cylinder_0_1234": [1, 2, 3, 4], "cylinder_0_246": [2, 4, 6]}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(ZERO_PHASE_CYLINDERS))
+def test_every_free_site_has_consecutive_triangular_orders(name):
+    # ROADMAP item 1: where P != 0, a zero residual needs (a - b)**2 = a + b
+    # for the orders a of p and b of q at a site of net charge c = a - b
+    if name in ZERO_PHASE_CYLINDERS:
+        indices = ZERO_PHASE_CYLINDERS[name]
+        cert = equilibria.cylinder_pair(indices, [0.0] * len(indices))
+    else:
+        cert = EquilibriumCertificate.from_json(_golden(name))
+    P = cert.sys.P.to_float()
+    scale = max(1.0, max(abs(z) for z, _ in cert.inventory))
+    free = [(z, c) for z, c in cert.inventory if abs(P(z)) > 1e-10 * scale]
+    assert free or name == "monomial_134"  # its one site, z = 0, is P's zero
+    for z, c in free:
+        a, b = _order_at(cert.p, z), _order_at(cert.q, z)
+        assert a - b == c and (a - b) ** 2 == a + b, (z, a, b, c)
 
 
 # the writer in a fresh interpreter: builds every case under argv[1]

@@ -251,6 +251,35 @@ def test_pair_matrix_on_a_stack_equals_its_rows(n):
         assert np.array_equal(np.diag(block), d)
 
 
+def _pair_matrix_steps(z, kernel=_inverse, diagonal=0.0):
+    """``pair_matrix`` as separate steps: the kernel of the differences
+    with 1 on the diagonal, then ``diagonal`` written over it."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    flat = z.shape[:-1] + (n * n,)
+    diff = z[..., :, None] - z[..., None, :]
+    diff.reshape(flat)[..., :: n + 1] = 1.0
+    out = kernel(diff)
+    out.reshape(flat)[..., :: n + 1] = diagonal
+    return out
+
+
+def test_pair_matrix_equals_its_separate_steps_bit_for_bit():
+    # the default 1/d divides in place over an inf diagonal; its bytes,
+    # and every other kernel's, are those of the separate steps
+    rng = np.random.default_rng(8)
+    Z = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+    D = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+    cases = [(Z[0], 0.0), (Z, 0.0), (Z, D), (Z[1], D[1]), (Z, np.inf), (Z[2], 1.0)]
+    for kernel in (_inverse, np.abs, np.square):
+        for z, diagonal in cases:
+            if kernel is np.abs:  # a real kernel takes a real diagonal
+                diagonal = np.real(diagonal)
+            got, want = pair_matrix(z, kernel, diagonal), _pair_matrix_steps(z, kernel, diagonal)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2), st.integers(-6, 6))
 def test_wronskian_alternating_and_scaling(swap_pos, c):
@@ -600,6 +629,43 @@ def test_convolve_matches_a_double_loop(a, b):
 @given(_product_factors, _product_factors)
 def test_exact_product_matches_a_double_loop(p, q):
     assert _fields(p * q) == _fields(Polynomial(_double_loop(p.coeffs, q.coeffs, GaussianRational(0))))
+
+
+_complexes = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _float_factor_pair(draw):
+    """Two float polynomials, the first a batch of S: its coefficients
+    are (S,) arrays, the second's are (S,) arrays or scalars.  Each
+    product of coefficients then involves an array, as in a batch."""
+    S = draw(st.integers(1, 4))
+    batch = st.lists(st.lists(_complexes, min_size=S, max_size=S).map(np.array), min_size=1, max_size=6)
+    other = st.one_of(batch, st.lists(_complexes, min_size=1, max_size=6))
+    a, b = draw(batch), draw(other)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_factor_pair())
+def test_batched_float_product_matches_a_double_loop_bit_for_bit(pair):
+    a, b = (Polynomial(c) for c in pair)
+    got = a * b
+    want = Polynomial(_double_loop(a.floats, b.floats, 0)) if a.floats and b.floats else Polynomial.zero()
+    assert got.exact == want.exact and len(got.floats) == len(want.floats)
+    for x, y in zip(got.floats, want.floats):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_unbatched_float_product_matches_a_double_loop_to_rounding():
+    # scalar products round as numpy's complex multiply, not Python's
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        a, b = (list(rng.normal(size=k) + 1j * rng.normal(size=k)) for k in rng.integers(1, 8, size=2))
+        got, want = Polynomial(a) * Polynomial(b), Polynomial(_double_loop(a, b, 0))
+        assert all(type(c) is complex for c in got.floats)
+        scale = max(map(abs, a)) * max(map(abs, b)) * len(a)
+        assert np.max(np.abs(np.subtract(got.floats, want.floats))) <= 1e-15 * scale
 
 
 @settings(max_examples=80, deadline=None)
