@@ -42,7 +42,7 @@ from .errors import (
     NonConvergence,
     ValidationError,
 )
-from .operators import ChargeConfiguration, Species, SystemCoefficients
+from .operators import SystemCoefficients
 from .polynomials import _distance, pair_matrix
 
 __all__ = ["main", "run", "plot_svg", "validate_config"]
@@ -200,10 +200,10 @@ _DRAW_ATTEMPTS = 1000
 _DRAW_PAIRS = 2**15
 
 
-def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
+def _random_initial(flow: FlowSpec, options: dict) -> np.ndarray:
     """The first of up to 1000 Gaussian draws (real parts, then imaginary
     parts, times ``scale``) whose pair distances all exceed
-    ``min_separation * scale``.
+    ``min_separation * scale``: a start (N,) in ``flow.sizes`` order.
 
     Attempts are drawn in blocks, one ``rng.normal(size=(m, 2, N))`` call
     each.  That consumes the same normals in the same order as drawing
@@ -221,16 +221,14 @@ def _random_initial(flow: FlowSpec, options: dict) -> ChargeConfiguration:
         dist = pair_matrix(pts, _distance, diagonal=np.inf)
         separated = np.all(dist > min_sep, axis=(-2, -1))
         if separated.any():
-            pts = pts[separated.argmax()]
-            break
-    else:
-        raise ValidationError("could not draw separated initial conditions")
-    parts = np.split(pts, np.cumsum(flow.sizes)[:-1])
-    species = (Species(q, tuple(p)) for q, p in zip(flow.charges, parts))
-    return ChargeConfiguration(tuple(species))
+            return pts[separated.argmax()]
+    raise ValidationError("could not draw separated initial conditions")
 
 
-def _build_initial(flow: FlowSpec, initial: dict) -> ChargeConfiguration:
+def _build_initial(flow: FlowSpec, initial: dict) -> np.ndarray:
+    """The start (N,) of a validated ``initial`` block, in ``flow.sizes``
+    order; each listed species must have its flow size and, where given,
+    the flow's charge."""
     if initial["random"] is not None:
         return _random_initial(flow, initial["random"])
     species_doc = initial["species"]
@@ -241,7 +239,7 @@ def _build_initial(flow: FlowSpec, initial: dict) -> ChargeConfiguration:
             f"initial conditions have {len(species_doc)} species, "
             f"flow expects {len(flow.sizes)}"
         )
-    species = []
+    positions = []
     for idx, (sp, q, size) in enumerate(zip(species_doc, flow.charges, flow.sizes)):
         if len(sp["positions"]) != size:
             raise ValidationError(
@@ -251,8 +249,8 @@ def _build_initial(flow: FlowSpec, initial: dict) -> ChargeConfiguration:
             raise ValidationError(
                 f"initial species {idx} charge {sp['charge']!r} differs from the flow's {q}"
             )
-        species.append(Species(q, tuple(sp["positions"])))
-    return ChargeConfiguration(tuple(species))
+        positions.extend(sp["positions"])
+    return np.array(positions, dtype=complex)
 
 
 # -- artifact writers ---------------------------------------------------------
@@ -373,7 +371,7 @@ class _Plan(NamedTuple):
     and tolerances), sample ``grid`` and base period (None without one)."""
 
     flow: FlowSpec
-    init: ChargeConfiguration
+    init: np.ndarray
     settings: dict
     grid: np.ndarray
     base: Optional[float]
@@ -599,7 +597,7 @@ def _lanes(plans: list) -> list:
     codes = []
     for lo in range(0, len(plans), chunk):
         part = plans[lo : lo + chunk]
-        starts = np.array([plan.init.all_positions() for _, plan in part], dtype=complex)
+        starts = np.array([plan.init for _, plan in part])
         for (doc, plan), out in zip(part, integrate_lanes(flow, starts, **settings)):
             try:
                 if isinstance(out, ChargeflowError):

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NoReturnFound, ValidationError
-from .operators import ChargeConfiguration, SystemCoefficients, _check_sites, _scale
+from .operators import SystemCoefficients, _check_sites, _scale
 from .dynamics import FlowSpec, Trajectory, rhs_flat
 from .polynomials import _distance, pair_matrix
 
@@ -46,11 +46,12 @@ def _inverse_square(d):
 
 
 def hamiltonians(
-    state: ChargeConfiguration,
-    sys: SystemCoefficients,
+    z: np.ndarray,
+    flow: FlowSpec,
     velocities: Sequence[complex],
 ) -> HamiltonianValues:
-    """Split and total Hamiltonians evaluated at one phase-space point.
+    """Split and total Hamiltonians evaluated at one phase-space point: the
+    positions ``z`` (N,) in ``flow.sizes`` order, with their velocities.
 
     For charge ratio 1 the cross-species coupling amplitude vanishes and
     the value splits into independently conserved (h_plus, h_minus) with
@@ -66,16 +67,16 @@ def hamiltonians(
     reported times i for the harmonic-trap system (P = i, U = i*omega*z)
     so that it reads kinetic-plus-potential with real coefficients.
     """
-    if sys.charges is None:
+    sys = flow.sys
+    if sys is None or sys.charges is None:
         raise ValidationError("hamiltonians needs a charged (two-species+) system")
-    P, U = sys.P.to_float(), sys.U.to_float()
-    dP = P.derivative()
-
-    z, q, _ = state.sites()
+    z, q = np.asarray(z, dtype=complex), flow.q
+    if z.shape != q.shape:
+        raise ValidationError(f"a state of shape {z.shape} for a flow of {len(q)} positions")
     v = np.array(velocities, dtype=complex)
-    pz = P(z)
+    pz = flow.P(z)
     _check_sites(z, 1e-13, pz)
-    uq = U(z) + q * dP(z) / 2.0
+    uq = flow.U(z) + q * flow.dP(z) / 2.0
     total = np.sum(q / (2.0 * pz) * v * v - q * uq * uq / (2.0 * pz))
     total -= np.sum(np.outer(q, q) * (q[:, None] + q[None, :]) * _field_pairs(z, pz))
 
@@ -83,13 +84,11 @@ def hamiltonians(
     h_total = complex(1j * total if is_trap else total)
 
     h_plus = h_minus = None
-    if len(sys.charges) == 2 and len(state.species) == 2:
-        lam_val = -complex(sys.charges[1]) / complex(sys.charges[0])
-        if abs(lam_val - 1.0) < 1e-12:
-            n = len(state.species[0].positions)
-            (vx, vy), (px, py) = np.split(v, [n]), np.split(pz, [n])
-            h_plus = complex(np.sum(vx * vx / (2.0 * px))) - split_potential(z[:n], sys, +1.0)
-            h_minus = -complex(np.sum(vy * vy / (2.0 * py))) + split_potential(z[n:], sys, -1.0)
+    if len(flow.charges) == 2 and abs(-flow.charges[1] / flow.charges[0] - 1.0) < 1e-12:
+        n = flow.sizes[0]
+        (vx, vy), (px, py) = np.split(v, [n]), np.split(pz, [n])
+        h_plus = complex(np.sum(vx * vx / (2.0 * px))) - split_potential(z[:n], sys, +1.0)
+        h_minus = -complex(np.sum(vy * vy / (2.0 * py))) + split_potential(z[n:], sys, -1.0)
     return HamiltonianValues(h_plus, h_minus, h_total)
 
 

@@ -49,13 +49,13 @@ from .errors import (
     SymmetryViolation,
     ValidationError,
 )
-from .operators import ChargeConfiguration, SystemCoefficients, _product, lambda_poly, polylinear_H
+from .operators import SystemCoefficients, _product, lambda_poly, polylinear_H
 from .polynomials import Polynomial, _distance, _inverse, from_roots, pair_matrix
 
 __all__ = [
     "FlowSpec",
     "Trajectory",
-    "rhs",
+    "rhs_flat",
     "integrate",
     "uniform_grid",
     "integrate_lanes",
@@ -164,10 +164,6 @@ class Trajectory:
 # -- right-hand sides ----------------------------------------------------------
 
 
-def _flatten(config: ChargeConfiguration):
-    return np.array(config.all_positions(), dtype=complex)
-
-
 def _horner(p: Polynomial, z: np.ndarray):
     """A float polynomial at the points ``z``, rounded as ``Polynomial.__call__``
     rounds it, without its ring test (the integrator's hot path).  It
@@ -198,12 +194,6 @@ def rhs_flat(flow: FlowSpec, z: np.ndarray) -> np.ndarray:
     if flow.dP.floats:
         v -= flow.w * _horner(flow.dP, z)
     return v
-
-
-def rhs(flow: FlowSpec, state: ChargeConfiguration):
-    """Velocities per species for a configuration (list of complex)."""
-    z = _flatten(state)
-    return list(rhs_flat(flow, z))
 
 
 # -- separation measure ---------------------------------------------------------
@@ -283,14 +273,15 @@ def _scale(z):
 
 def integrate(
     flow: FlowSpec,
-    init: ChargeConfiguration,
+    z0: np.ndarray,
     t_end: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
     n_samples: int = 257,
     fixed_step: Optional[float] = None,
 ) -> Trajectory:
-    """Integrate a flow and sample it on a uniform output grid.
+    """Integrate a flow from the start ``z0`` (N,), its positions in
+    ``flow.sizes`` order, and sample it on a uniform output grid.
 
     Local error per step is held below ``rtol * |y| + atol`` component-wise
     (weighted rms).  ``fixed_step`` disables adaptivity (used by the
@@ -302,7 +293,7 @@ def integrate(
     ``integrate_lanes`` on ``uniform_grid(t_end, n_samples)``.
     """
     times = uniform_grid(t_end, n_samples)
-    (out,) = integrate_lanes(flow, _flatten(init)[None, :], times, rtol, atol, fixed_step)
+    (out,) = integrate_lanes(flow, [z0], times, rtol, atol, fixed_step)
     if isinstance(out, ChargeflowError):
         raise out
     return out
@@ -324,7 +315,9 @@ def integrate_lanes(
 ) -> list:
     """Integrate B starts ``Z0`` (B, N) of one flow as lanes of one stepper
     from t = 0 to t_end = ``times[-1]``, with output at the strictly
-    increasing ``times`` (S,), which start at 0.
+    increasing ``times`` (S,), which start at 0.  Each start holds the
+    N = sum(flow.sizes) positions in ``flow.sizes`` order; any other shape
+    raises ValidationError.
 
     Each lane keeps its own time, step size and step control, error norm,
     collision check and localization, step cap and output cursor; each
@@ -364,6 +357,10 @@ def integrate_lanes(
     checks, the start's included).
     """
     Z = np.array(Z0, dtype=complex)
+    if Z.ndim != 2 or Z.shape[1] != sum(flow.sizes):
+        raise ValidationError(
+            f"starts of shape {Z.shape} for a flow of {sum(flow.sizes)} positions"
+        )
     t_out = np.array(times, dtype=float)
     grid = t_out.tolist()
     t_end = grid[-1]

@@ -29,7 +29,7 @@ from .errors import (
     DegenerateWronskian,
     ValidationError,
 )
-from .operators import SystemCoefficients, _scale, _site_gradient, eigenpoly, lambda_poly, polylinear_H
+from .operators import SystemCoefficients, _scale, eigenpoly, equilibrium_gradient, lambda_poly, polylinear_H
 from .polynomials import Polynomial, _distance, _ratio_from_json, _ratio_json
 from .polynomials import leading_wronskians, reduce_pair
 from .scalars import GaussianRational, exactify
@@ -456,19 +456,19 @@ def check_built(cert: EquilibriumCertificate) -> EquilibriumCertificate:
     q a b-fold root (c = a - b): with P != 0 there, a zero residual forces
     (a - b)**2 = a + b (a and b consecutive triangular numbers), and the
     next order of the residual is the gradient with the self coefficient
-    c - (a + b)/(2c) = c/2 on P'.  So c stands in for the species charge
-    in ``_site_gradient``'s c - Q/2."""
+    c - (a + b)/(2c) = c/2 on P'.  So the gradient runs on the site triple
+    (z, q, c) = (z, c, c): c stands in for the species charge q of
+    ``equilibrium_gradient``'s c - q/2."""
     if not cert.residual_exact_zero:
         raise CertificationFailure(
             f"bilinear residual nonzero (norm {cert.residual_norm:.3e})",
             coefficient_index=cert.notes.get("first_nonzero_residual_index"),
         )
-    # positive sites go first, as a configuration lists its +1 species,
-    # which fixes the order of the row sums
+    # positive sites go first, which fixes the order of the row sums
     sites = sorted(cert.inventory, key=lambda site: site[1] < 0)
     z = np.array([z for z, _ in sites], dtype=complex)
     c = np.array([c for _, c in sites], dtype=complex)
-    grad, size, Pz = _site_gradient(z, c, c, cert.sys)
+    grad, size, Pz = equilibrium_gradient(z, c, c, cert.sys)
     # Sites where P vanishes are pinned by the field's zero, not by the
     # free-charge balance; the velocity-form criterion applies elsewhere.
     # Elsewhere the gradient must cancel to GRADIENT_TOL of its terms'

@@ -34,15 +34,12 @@ from .scalars import exactify
 
 __all__ = [
     "SystemCoefficients",
-    "Species",
-    "ChargeConfiguration",
     "linear_L",
     "hypergeometric_L",
     "lambda_poly",
     "polylinear_H",
     "eigenpoly",
     "equilibrium_gradient",
-    "gradient_with_scale",
     "energy",
 ]
 
@@ -53,7 +50,7 @@ def _as_poly(value):
 
 @dataclass(frozen=True)
 class SystemCoefficients:
-    """P, U, the charge structure, and the eigenconstant of one system.
+    """P, U and the charge structure of one system.
 
     Modes:
       * linear     -- single species; P up to quartic, U up to cubic with
@@ -68,7 +65,6 @@ class SystemCoefficients:
     P: Polynomial
     U: Polynomial
     charges: Optional[Tuple] = None  # None => linear mode
-    lam: Optional[object] = None  # explicit eigenconstant, else derived
     omega: Optional[float] = None  # set for the harmonic-trap rational case
 
     def __post_init__(self):
@@ -101,12 +97,12 @@ class SystemCoefficients:
         return SystemCoefficients(_as_poly(P), _as_poly(U))
 
     @staticmethod
-    def bilinear(P, U, Lambda=1, lam=None):
-        return SystemCoefficients.polylinear(P, U, (1, -Lambda), lam)
+    def bilinear(P, U, Lambda=1):
+        return SystemCoefficients.polylinear(P, U, (1, -Lambda))
 
     @staticmethod
-    def polylinear(P, U, charges, lam=None):
-        return SystemCoefficients(_as_poly(P), _as_poly(U), tuple(charges), lam)
+    def polylinear(P, U, charges):
+        return SystemCoefficients(_as_poly(P), _as_poly(U), tuple(charges))
 
     @staticmethod
     def rational_omega(omega, Lambda=1.0):
@@ -129,50 +125,6 @@ class SystemCoefficients:
         if self.charges is None or len(self.charges) != 2:
             raise ValidationError("Lambda is defined for two species only")
         return -self.charges[1]
-
-
-@dataclass(frozen=True)
-class Species:
-    charge: object  # real number (or exact scalar)
-    positions: Tuple[complex, ...]
-    multiplicities: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(complex(z) for z in self.positions))
-        if self.multiplicities is not None:
-            if len(self.multiplicities) != len(self.positions):
-                raise ValidationError("multiplicities must match positions")
-            object.__setattr__(
-                self, "multiplicities", tuple(int(m) for m in self.multiplicities)
-            )
-
-    @property
-    def mults(self):
-        return self.multiplicities or (1,) * len(self.positions)
-
-
-@dataclass(frozen=True)
-class ChargeConfiguration:
-    """Labeled complex positions grouped by species."""
-
-    species: Tuple[Species, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "species", tuple(self.species))
-
-    def all_positions(self):
-        return [z for s in self.species for z in s.positions]
-
-    def sites(self):
-        """Complex arrays (z, q, c), one entry per site: the positions, the
-        species charges and the multiplicity-weighted charges."""
-        z = np.array(self.all_positions(), dtype=complex)
-        q = np.array([complex(s.charge) for s in self.species for _ in s.positions], dtype=complex)
-        c = q * np.array([m for s in self.species for m in s.mults], dtype=int)
-        return z, q, c
-
-    def scale(self):
-        return float(_scale(np.array(self.all_positions(), dtype=complex)))
 
 
 def _scale(z: np.ndarray):
@@ -273,8 +225,6 @@ def polylinear_H(sys: SystemCoefficients, qs: Sequence[Polynomial], lam=None) ->
             f"got {len(qs)} polynomials for {len(sys.charges)} species"
         )
     if lam is None:
-        lam = sys.lam
-    if lam is None:
         lam = lambda_poly([q.degree for q in qs], sys)
     l = len(qs)
     Q = sys.charges
@@ -362,22 +312,33 @@ def eigenpoly(sys: SystemCoefficients, n: int, leading=1) -> Polynomial:
 # -- equilibrium gradient and energy ------------------------------------------
 
 
-def gradient_with_scale(cfg: ChargeConfiguration, sys: SystemCoefficients):
-    """``equilibrium_gradient`` as a complex array (n,), with the size its
-    terms cancel from at each site as a float array (n,):
+def _sites(z, q, c):
+    """The site arrays of a weighted configuration as complex arrays (n,):
+    positions ``z``, species charges ``q`` and multiplicity-weighted
+    charges ``c``; ArityMismatch unless all three are one such array."""
+    z, q, c = (np.asarray(a, dtype=complex) for a in (z, q, c))
+    if z.ndim != 1 or q.shape != z.shape or c.shape != z.shape:
+        raise ArityMismatch(f"site arrays of shapes {z.shape}, {q.shape}, {c.shape}")
+    return z, q, c
+
+
+def equilibrium_gradient(z, q, c, sys: SystemCoefficients):
+    """Velocity-style stationarity test for the weighted configuration
+    (z, q, c) (``_sites``):
+
+        g_r = -2 P(z_r) sum_{s != r} c_s / (z_r - z_s)
+              - U(z_r) - (c_r - q_r/2) P'(z_r)
+
+    All-zero g is equivalent to the configuration being a fixed point
+    (residue criterion of the governing bilinear identity).  Returns g,
+    the size its terms cancel from at each site,
 
         2 |P(z_r)| sum_{s != r} |c_s / (z_r - z_s)|
-              + |U(z_r)| + |(c_r - Q_r/2) P'(z_r)|
+              + |U(z_r)| + |(c_r - q_r/2) P'(z_r)|,
 
-    A gradient at rounding level is a tiny multiple of this size, however
-    the pair is scaled."""
-    return _site_gradient(*cfg.sites(), sys)[:2]
-
-
-def _site_gradient(z: np.ndarray, q: np.ndarray, c: np.ndarray, sys: SystemCoefficients):
-    """``gradient_with_scale`` of the site arrays (z, q, c) that
-    ``ChargeConfiguration.sites`` reads, with P at the sites as a third
-    array."""
+    and P at the sites, as arrays (n,).  A gradient at rounding level is a
+    tiny multiple of its size, however the pair is scaled."""
+    z, q, c = _sites(z, q, c)
     _check_sites(z, 1e-14)
     P, U = sys.P.to_float(), sys.U.to_float()
     # row sums rather than ``@``: BLAS starts threads for n >= 64 or so
@@ -386,20 +347,6 @@ def _site_gradient(z: np.ndarray, q: np.ndarray, c: np.ndarray, sys: SystemCoeff
     g = -2.0 * Pz * pulls.sum(axis=1) - Uz - self_term
     size = 2.0 * np.abs(Pz) * np.abs(pulls).sum(axis=1) + np.abs(Uz) + np.abs(self_term)
     return g, size, Pz
-
-
-def equilibrium_gradient(cfg: ChargeConfiguration, sys: SystemCoefficients):
-    """Velocity-style stationarity test for a multiplicity-weighted
-    configuration:
-
-        g_r = -2 P(z_r) sum_{s != r} c_s / (z_r - z_s)
-              - U(z_r) - (c_r - Q_r/2) P'(z_r)
-
-    with c_r the multiplicity-weighted charge and Q_r the species charge.
-    All-zero output is equivalent to the configuration being a fixed point
-    (residue criterion of the governing bilinear identity).
-    """
-    return gradient_with_scale(cfg, sys)[0].tolist()
 
 
 def _external_term(P: Polynomial, U: Polynomial, kappa: complex, z: complex):
@@ -436,18 +383,19 @@ def _external_term(P: Polynomial, U: Polynomial, kappa: complex, z: complex):
     return A1 * cmath.log(z - r1) + A2 * cmath.log(z - r2)
 
 
-def energy(cfg: ChargeConfiguration, sys: SystemCoefficients) -> complex:
-    """Log-interaction energy with species-dependent external terms.
+def energy(z, q, c, sys: SystemCoefficients) -> complex:
+    """Log-interaction energy of the weighted configuration (z, q, c)
+    (``_sites``) with species-dependent external terms.
 
     H = sum_{r<s} c_r c_s ln((z_r - z_s)^2 / (P(z_r) P(z_s)))
-        + sum_r c_r u_{species(r)}(z_r)
+        + sum_r c_r u_r(z_r)
 
-    where u_s' = (U + (C_tot - Q_s/2) P') / P and C_tot is the total
+    where u_r' = (U + (C_tot - q_r/2) P') / P and C_tot is the total
     weighted charge.  Diagnostic only (principal-branch logarithms); the
     gradient relation d H / d z_r = -c_r g_r / P(z_r) ties it to
     ``equilibrium_gradient``.
     """
-    z, q, c = cfg.sites()
+    z, q, c = _sites(z, q, c)
     P, U = sys.P.to_float(), sys.U.to_float()
     pz = P(z)
     _check_sites(z, 1e-14, pz)

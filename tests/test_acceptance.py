@@ -30,8 +30,6 @@ from chargeflow.equilibria import adler_moser, cylinder_pair, laguerre_pair
 from chargeflow.errors import BadK
 from chargeflow.conserved import multiset_distance
 from chargeflow.operators import (
-    ChargeConfiguration,
-    Species,
     SystemCoefficients,
     hypergeometric_L,
     polylinear_H,
@@ -39,14 +37,6 @@ from chargeflow.operators import (
 from chargeflow.polynomials import Polynomial, hermite, jacobi, laguerre
 
 BASE = 2 * math.pi
-
-
-def config(flow, z):
-    """The configuration of one trajectory row, for ``hamiltonians``."""
-    parts = np.split(z, np.cumsum(flow.sizes)[:-1])
-    return ChargeConfiguration(
-        tuple(Species(q, tuple(p)) for q, p in zip(flow.charges, parts))
-    )
 
 
 def report(num, ok, detail):
@@ -68,10 +58,6 @@ def proportional(p, q):
             elif r != ratio:
                 return False
     return True
-
-
-def two_species(xs, ys, q2=-1.0):
-    return ChargeConfiguration((Species(1.0, tuple(xs)), Species(q2, tuple(ys))))
 
 
 def separated_random(rng, count, scale, min_sep):
@@ -242,8 +228,7 @@ def test_criterion_06_identity_lemma():
 @pytest.mark.parametrize("Lam", [1.0, 1.213579])
 def test_criterion_07_residual_monitor(Lam):
     rng = np.random.default_rng(11)
-    pts = separated_random(rng, 7, 1.2, 0.4)
-    init = two_species(pts[:6], pts[6:], q2=-Lam)
+    init = separated_random(rng, 7, 1.2, 0.4)
     flow = FlowSpec.rational_omega(1.0, Lam, 6, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-10, atol=1e-12,
                      n_samples=2 * 128 + 1)
@@ -255,8 +240,7 @@ def test_criterion_07_residual_monitor(Lam):
 def test_criterion_08_conservation_ratio_one():
     rng = np.random.default_rng(23)
     rtol = 1e-10
-    pts = separated_random(rng, 5, 1.2, 0.45)
-    init = two_species(pts[:3], pts[3:])
+    init = separated_random(rng, 5, 1.2, 0.45)
     flow = FlowSpec.rational_omega(1.0, 1.0, 3, 2)
     traj = integrate(flow, init, 3 * BASE, rtol=rtol, atol=1e-12,
                      n_samples=3 * 64 + 1)
@@ -264,7 +248,7 @@ def test_criterion_08_conservation_ratio_one():
     for z in traj.positions:
         v = rhs_flat(flow, z)
         iks.append(integrals(z, flow))
-        H = hamiltonians(config(flow, z), flow.sys, v)
+        H = hamiltonians(z, flow, v)
         hps.append(H.h_plus)
         hms.append(H.h_minus)
     iks = np.array(iks)
@@ -289,8 +273,7 @@ def test_criterion_09_hamiltonian_embedding_fd():
     # charge-ratio-1 constant field: d2x/dt2 = dV+/dx, d2y/dt2 = dV-/dy
     sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 3, 2)
-    pts = np.array([1.5 + 0.2j, -1.3 + 0.5j, 0.1 - 1.2j, 2.2 - 0.8j, -1.9 - 1.1j])
-    init = two_species(pts[:3], pts[3:])
+    init = np.array([1.5 + 0.2j, -1.3 + 0.5j, 0.1 - 1.2j, 2.2 - 0.8j, -1.9 - 1.1j])
     traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
     Z = traj.positions
     mid = 5
@@ -319,8 +302,7 @@ def test_criterion_09_hamiltonian_embedding_fd():
     )
     flowl = FlowSpec.linear(sysl, n)
     ptsl = np.array([1.1 + 0.3j, -0.9 + 0.6j, 0.2 - 1.0j, -0.3 + 1.4j])
-    initl = ChargeConfiguration((Species(1.0, tuple(ptsl)),))
-    trajl = integrate(flowl, initl, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
+    trajl = integrate(flowl, ptsl, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
     Z = trajl.positions
     xdd = (Z[mid + 1] - 2 * Z[mid] + Z[mid - 1]) / h**2
     xd = (Z[mid + 1] - Z[mid - 1]) / (2 * h)
@@ -347,14 +329,13 @@ def test_criterion_10_periodicity_figure_parameters():
     ok = True
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        pts = separated_random(rng, 7, 1.8, 1.6)
-        init = two_species(pts[:6], pts[6:], q2=-1.213579)
+        init = separated_random(rng, 7, 1.8, 1.6)
         t0 = time.perf_counter()
         traj = integrate(flow, init, 4 * BASE, rtol=1e-10, atol=1e-12,
                          n_samples=4 * 128 + 1)
         k, mismatch = detect_period(traj, BASE, tol=1e-5)
         elapsed = time.perf_counter() - t0
-        good = k <= 4 and mismatch < 1e-5 * init.scale() and elapsed < 60.0
+        good = k <= 4 and mismatch < 1e-5 * np.abs(init).max() and elapsed < 60.0
         ok = ok and good
         results.append((seed, k, f"{mismatch:.1e}", f"{elapsed:.1f}s"))
     report(10, ok, f"5 seeds return: {results}")
@@ -364,9 +345,7 @@ def test_criterion_11_symmetric_reduction():
     rng = np.random.default_rng(4)
     Lam = 1.213579
     xs = rng.normal(size=2) * 0.9 + 1j * rng.normal(size=2) * 0.5 + 0.7
-    init = ChargeConfiguration(
-        (Species(1.0, tuple(np.concatenate([xs, -xs]))), Species(-Lam, (0j,)))
-    )
+    init = np.concatenate([xs, -xs, [0j]])
     flow = FlowSpec.rational_omega(1.0, Lam, 4, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-11, atol=1e-13,
                      n_samples=2 * 64 + 1)
@@ -383,7 +362,7 @@ def test_criterion_11_symmetric_reduction():
 
 def test_criterion_12_single_particle_closed_form():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
-    init = two_species([1.0], [])
+    init = np.array([1.0 + 0j])
     traj = integrate(flow, init, BASE, rtol=1e-10, atol=1e-12, n_samples=65)
     endpoint = abs(traj.positions[-1, 0] - 1.0)
     errs = []

@@ -88,14 +88,12 @@ def test_simulate_writes_artifacts(tmp_path):
 def test_svg_species_styles_and_point_markers(tmp_path):
     from chargeflow.cli import plot_svg
     from chargeflow.dynamics import FlowSpec, integrate
-    from chargeflow.operators import ChargeConfiguration, Species, SystemCoefficients
+    from chargeflow.operators import SystemCoefficients
     from chargeflow.polynomials import find_roots, hermite
 
     # moving two-species run: second species rendered gray
     flow = FlowSpec.rational_omega(1.0, 1.213579, 2, 1)
-    init = ChargeConfiguration(
-        (Species(1.0, (1.2 + 0j, -0.9 + 0.4j)), Species(-1.213579, (0.1 - 1.1j,)))
-    )
+    init = np.array([1.2 + 0j, -0.9 + 0.4j, 0.1 - 1.1j])
     traj = integrate(flow, init, 3.0, rtol=1e-9, atol=1e-11, n_samples=33)
     svg = plot_svg(traj)
     assert svg.count("<polyline") == 3
@@ -104,9 +102,8 @@ def test_svg_species_styles_and_point_markers(tmp_path):
     # equilibrium run degenerates to point markers
     sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     floweq = FlowSpec.bilinear(sysb, 4, 0)
-    roots = list(find_roots(hermite(4)))
-    initeq = ChargeConfiguration((Species(1.0, tuple(roots)), Species(-1.0, ())))
-    trajeq = integrate(floweq, initeq, 0.5, rtol=1e-12, atol=1e-14, n_samples=9)
+    roots = find_roots(hermite(4))
+    trajeq = integrate(floweq, roots, 0.5, rtol=1e-12, atol=1e-14, n_samples=9)
     svgeq = plot_svg(trajeq)
     assert svgeq.count("<circle") == 4
 
@@ -1136,5 +1133,5 @@ def test_block_draws_equal_one_attempt_at_a_time(sizes, min_separation):
             with pytest.raises(ValidationError, match="could not draw"):
                 cli._random_initial(flow, options)
             continue
-        got = np.array(cli._random_initial(flow, options).all_positions(), dtype=complex)
+        got = cli._random_initial(flow, options)
         assert got.tobytes() == expected.tobytes()

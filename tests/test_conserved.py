@@ -13,46 +13,25 @@ from chargeflow.conserved import (
 )
 from chargeflow.dynamics import _SAMPLE_BLOCK, FlowSpec, integrate, over_samples, rhs_flat
 from chargeflow.errors import CoincidentPositions, NoReturnFound, PZero, ValidationError
-from chargeflow.operators import (
-    ChargeConfiguration,
-    Species,
-    SystemCoefficients,
-    energy,
-    equilibrium_gradient,
-)
+from chargeflow.operators import SystemCoefficients, energy, equilibrium_gradient
 from chargeflow.polynomials import _distance, find_roots, hermite
 
 BASE = 2 * math.pi
 
 
-def two_species(xs, ys, q2=-1.0):
-    return ChargeConfiguration((Species(1.0, tuple(xs)), Species(q2, tuple(ys))))
+def two_species(xs, ys):
+    """A two-species state: the positions xs, then ys."""
+    return np.array([*xs, *ys], dtype=complex)
 
 
-def rand_state(rng, n, m, q2=-1.0, scale=1.2):
+def rand_state(rng, n, m, scale=1.2):
     while True:
         pts = rng.normal(size=n + m) * scale + 1j * rng.normal(size=n + m) * scale * 0.7
         seps = [
             abs(pts[i] - pts[j]) for i in range(n + m) for j in range(i + 1, n + m)
         ]
         if not seps or min(seps) > 0.35 * scale:
-            return two_species(pts[:n], pts[n:], q2)
-
-
-def flat(state):
-    return np.array(state.all_positions(), dtype=complex)
-
-
-def config(flow, z):
-    """The configuration of one trajectory row, for ``hamiltonians``."""
-    parts = np.split(z, np.cumsum(flow.sizes)[:-1])
-    return ChargeConfiguration(
-        tuple(Species(q, tuple(p)) for q, p in zip(flow.charges, parts))
-    )
-
-
-def velocities(flow, state):
-    return rhs_flat(flow, flat(state))
+            return pts
 
 
 # -- hamiltonians ----------------------------------------------------------------
@@ -62,7 +41,7 @@ def test_hamiltonian_cross_term_vanishes_at_ratio_one():
     rng = np.random.default_rng(1)
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 2)
     state = rand_state(rng, 2, 2)
-    H = hamiltonians(state, flow.sys, velocities(flow, state))
+    H = hamiltonians(state, flow, rhs_flat(flow, state))
     assert H.h_plus is not None and H.h_minus is not None
     assert abs(1j * (H.h_plus + H.h_minus) - H.h_total) < 1e-12 * max(1, abs(H.h_total))
 
@@ -74,7 +53,7 @@ def test_hamiltonian_single_particle_constant():
                          rtol=1e-11, atol=1e-13, n_samples=17)
         vals = []
         for z in traj.positions:
-            H = hamiltonians(config(flow, z), flow.sys, rhs_flat(flow, z))
+            H = hamiltonians(z, flow, rhs_flat(flow, z))
             vals.append(H.h_total)
         assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
@@ -87,7 +66,7 @@ def test_split_hamiltonians_conserved():
                      n_samples=61)
     hp, hm = [], []
     for z in traj.positions:
-        H = hamiltonians(config(flow, z), flow.sys, rhs_flat(flow, z))
+        H = hamiltonians(z, flow, rhs_flat(flow, z))
         hp.append(H.h_plus)
         hm.append(H.h_minus)
     assert max(abs(v - hp[0]) for v in hp) / abs(hp[0]) < 1e-7
@@ -115,13 +94,13 @@ def test_split_potential_value():
     assert abs(split_potential(xs, sysb, +1.0) - 4.0) < 1e-14
 
 
-def naive_hamiltonians(state, sys, vel):
+def naive_hamiltonians(state, flow, vel):
     """Site-by-site double loops of the total and split Hamiltonians."""
+    sys = flow.sys
     P, U = sys.P.to_float(), sys.U.to_float()
     dP = P.derivative()
-    sites = [
-        (complex(z), complex(sp.charge)) for sp in state.species for z in sp.positions
-    ]
+    charges = [q for q, size in zip(flow.charges, flow.sizes) for _ in range(size)]
+    sites = [(complex(z), complex(q)) for z, q in zip(state, charges)]
     total = 0j
     for (z, q), v in zip(sites, vel):
         uq = U(z) + q * dP(z) / 2.0
@@ -140,7 +119,7 @@ def naive_hamiltonians(state, sys, vel):
                 pot += 2.0 * (P(zs[a]) + P(zs[b])) / (zs[a] - zs[b]) ** 2
         return kin, pot
 
-    n = len(state.species[0].positions)
+    n = flow.sizes[0]
     z = [s[0] for s in sites]
     kx, vx = split_part(z[:n], vel[:n], +1.0)
     ky, vy = split_part(z[n:], vel[n:], -1.0)
@@ -171,10 +150,9 @@ def test_hamiltonians_match_double_loops(flow):
     rng = np.random.default_rng(sum(flow.sizes))
     n, m = flow.sizes
     pts = rng.normal(size=n + m) * 2.0 + 1j * rng.normal(size=n + m)
-    state = two_species(pts[:n], pts[n:], q2=flow.charges[1])
-    vel = velocities(flow, state)
-    H = hamiltonians(state, flow.sys, vel)
-    h_total, h_plus, h_minus = naive_hamiltonians(state, flow.sys, vel)
+    vel = rhs_flat(flow, pts)
+    H = hamiltonians(pts, flow, vel)
+    h_total, h_plus, h_minus = naive_hamiltonians(pts, flow, vel)
     assert _close(H.h_total, h_total)
     if flow.charges[1] == -1.0:
         assert _close(H.h_plus, h_plus) and _close(H.h_minus, h_minus)
@@ -187,10 +165,17 @@ def test_hamiltonians_of_an_exact_system_equal_the_float_systems():
     # refused: a TypeError before
     state = two_species([1.0, -1.0 + 0.5j], [0.3 - 1.0j])
     vel = [0.1, 0.2, 0.3]
-    exact = hamiltonians(state, SystemCoefficients.bilinear([1], [0, -2], Lambda=1), vel)
-    floats = hamiltonians(state, SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0), vel)
+    exact = FlowSpec.bilinear(SystemCoefficients.bilinear([1], [0, -2], Lambda=1), 2, 1)
+    floats = FlowSpec.bilinear(SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0), 2, 1)
+    exact, floats = hamiltonians(state, exact, vel), hamiltonians(state, floats, vel)
     assert exact == floats
     assert abs(floats.h_total - (-6.1704498 + 0.3570934j)) < 1e-7
+
+
+def test_hamiltonians_refuse_a_state_of_the_wrong_width():
+    flow = FlowSpec.rational_omega(1.0, 1.0, 2, 2)
+    with pytest.raises(ValidationError, match=r"a state of shape \(3,\) for a flow of 4 positions"):
+        hamiltonians(two_species([1.0, -1.0 + 0.5j], [0.3 - 1.0j]), flow, np.zeros(3))
 
 
 def test_split_potential_matches_double_loop():
@@ -213,7 +198,7 @@ def test_split_potential_matches_double_loop():
 def test_lax_single_particle():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     state = two_species([0.7 + 0.3j], [])
-    L = lax(flat(state), flow)
+    L = lax(state, flow)
     assert L.shape == (1, 1)
     assert abs(L[0, 0] - 1.0 * (0.7 + 0.3j)) < 1e-14
 
@@ -221,7 +206,7 @@ def test_lax_single_particle():
 def test_lax_symmetric_pair_trace_zero():
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 0)
     state = two_species([0.8, -0.8], [])
-    L = lax(flat(state), flow)
+    L = lax(state, flow)
     assert abs(np.trace(L)) < 1e-14
 
 
@@ -230,9 +215,9 @@ def test_lax_generic_trace_oracle():
     flow = FlowSpec.rational_omega(1.3, 1.0, 2, 1)
     rng = np.random.default_rng(5)
     state = rand_state(rng, 2, 1)
-    v = velocities(flow, state)
-    L = lax(flat(state), flow)
-    zs = state.all_positions()
+    v = rhs_flat(flow, state)
+    L = lax(state, flow)
+    zs = state
     expected = sum(0.5 * (1j * v[k] + 1.3 * zs[k]) for k in range(3))
     assert abs(np.trace(L) - expected) < 1e-12
 
@@ -240,15 +225,15 @@ def test_lax_generic_trace_oracle():
 def test_lax_requires_ratio_one():
     flow = FlowSpec.rational_omega(1.0, 1.25, 2, 1)
     rng = np.random.default_rng(6)
-    state = rand_state(rng, 2, 1, q2=-1.25)
+    state = rand_state(rng, 2, 1)
     with pytest.raises(ValidationError):
-        lax(flat(state), flow)
+        lax(state, flow)
 
 
 def test_lax_on_a_stack_is_block_diagonal_per_state():
     flow = FlowSpec.rational_omega(1.3, 1.0, 3, 2)
     rng = np.random.default_rng(8)
-    Z = np.array([flat(rand_state(rng, 3, 2)) for _ in range(4)])
+    Z = np.array([rand_state(rng, 3, 2) for _ in range(4)])
     L = lax(Z, flow)
     assert L.shape == (4, 5, 5)
     assert np.all(L[:, :3, 3:] == 0) and np.all(L[:, 3:, :3] == 0)
@@ -275,20 +260,22 @@ def test_positions_5e_14_of_the_scale_apart_coincide_at_1e_13_only():
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 1)
     state = two_species([1.0, 1.0 + 5e-14], [-0.5 + 0.5j])
     with pytest.raises(CoincidentPositions, match="positions 0 and 1 coincide"):
-        hamiltonians(state, flow.sys, np.zeros(3))
+        hamiltonians(state, flow, np.zeros(3))
     with pytest.raises(CoincidentPositions, match="positions 0 and 1 coincide"):
-        lax(flat(state), flow)
-    assert np.all(np.isfinite(equilibrium_gradient(state, flow.sys)))
-    assert np.isfinite(energy(state, flow.sys))
+        lax(state, flow)
+    assert np.all(np.isfinite(equilibrium_gradient(state, flow.q, flow.q, flow.sys)[0]))
+    assert np.isfinite(energy(state, flow.q, flow.q, flow.sys))
 
 
 @pytest.mark.parametrize(
-    "check", [lambda state, sys: hamiltonians(state, sys, np.zeros(3)), energy], ids=["hamiltonians", "energy"]
+    "check",
+    [lambda z, flow: hamiltonians(z, flow, np.zeros(3)), lambda z, flow: energy(z, flow.q, flow.q, flow.sys)],
+    ids=["hamiltonians", "energy"],
 )
 def test_a_site_on_a_zero_of_p_raises_pzero(check):
-    sys = SystemCoefficients.bilinear([0.0, 1.0], [0.0, 1.0], Lambda=1.0)  # P = z
+    flow = FlowSpec.bilinear(SystemCoefficients.bilinear([0.0, 1.0], [0.0, 1.0], Lambda=1.0), 2, 1)  # P = z
     with pytest.raises(PZero, match="P vanishes at position 0j"):
-        check(two_species([0.0, 1.0], [-0.5 + 0.5j]), sys)
+        check(two_species([0.0, 1.0], [-0.5 + 0.5j]), flow)
 
 
 # -- trace integrals ----------------------------------------------------------------
@@ -312,7 +299,7 @@ def test_integrals_on_a_stack_match_rows():
     flow = FlowSpec.rational_omega(1.0, 1.0, 4, 3)
     rng = np.random.default_rng(17)
     S = _SAMPLE_BLOCK + 6
-    Z = np.array([flat(rand_state(rng, 4, 3)) for _ in range(S)])
+    Z = np.array([rand_state(rng, 4, 3) for _ in range(S)])
     rows = np.array([integrals(z, flow) for z in Z])
     assert rows.shape == (S, 13)
     for stacked in (integrals(Z, flow), over_samples(lambda B: integrals(B, flow), Z)):
@@ -372,9 +359,8 @@ def test_integrals_highest_symbol_limit():
     state = rand_state(rng, 2, 1, scale=2.0)
     omega = 1e6
     flow = FlowSpec.rational_omega(omega, 1.0, 2, 1)
-    vals = integrals(flat(state), flow)
-    xs = state.species[0].positions
-    ys = state.species[1].positions
+    vals = integrals(state, flow)
+    xs, ys = state[:2], state[2:]
     for k in (1, 2, 3):
         power_sum = sum(z**k for z in xs) + sum(z**k for z in ys)
         expected = abs(power_sum) ** 2
@@ -387,7 +373,7 @@ def test_integrals_jacobian_full_rank():
     rng = np.random.default_rng(13)
     flow = FlowSpec.rational_omega(1.0, 1.0, 2, 2)
     state = rand_state(rng, 2, 2)
-    z0 = np.array(state.all_positions(), dtype=complex)
+    z0 = state
     kmax = 2 * 4 - 1
 
     def ivals(z):
@@ -443,7 +429,7 @@ def test_detect_period_equilibrium_trivial():
 def test_detect_period_no_return():
     flow = FlowSpec.rational_omega(1.0, 1.213579, 3, 1)
     rng = np.random.default_rng(3)
-    init = rand_state(rng, 3, 1, q2=-1.213579, scale=0.8)
+    init = rand_state(rng, 3, 1, scale=0.8)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-9, atol=1e-11,
                      n_samples=2 * 64 + 1)
     with pytest.raises(NoReturnFound):
@@ -466,7 +452,7 @@ def test_detect_period_other_charge_ratios(Lam, n, m, seed):
                      n_samples=6 * 64 + 1)
     k, mismatch = detect_period(traj, BASE, tol=1e-5)
     assert k <= 6
-    assert mismatch < 1e-5 * init.scale()
+    assert mismatch < 1e-5 * np.abs(init).max()
 
 
 def test_detect_period_multiset_return_generic_ratio():
@@ -478,9 +464,9 @@ def test_detect_period_multiset_return_generic_ratio():
         seps = [abs(pts[i] - pts[j]) for i in range(5) for j in range(i + 1, 5)]
         if min(seps) > 1.5:
             break
-    init = two_species(pts[:4], pts[4:], q2=-1.213579)
+    init = two_species(pts[:4], pts[4:])
     traj = integrate(flow, init, 4 * BASE, rtol=1e-10, atol=1e-12,
                      n_samples=4 * 128 + 1)
     k, mismatch = detect_period(traj, BASE, tol=1e-5)
     assert k <= 4
-    assert mismatch < 1e-5 * init.scale()
+    assert mismatch < 1e-5 * np.abs(init).max()

@@ -17,27 +17,23 @@ from chargeflow.dynamics import (
     phi_identity_i1,
     phi_identity_i2,
     reduced_velocity_residual,
-    rhs,
     rhs_flat,
     state_residual,
     symmetric_reduce,
 )
 from chargeflow.errors import Collision, SymmetryViolation, ValidationError
-from chargeflow.operators import ChargeConfiguration, Species, SystemCoefficients
+from chargeflow.operators import SystemCoefficients
 from chargeflow.polynomials import Polynomial, find_roots, from_roots, hermite
 
 BASE = 2 * math.pi
 
 
-def two_species(xs, ys, q2=-1.0):
-    return ChargeConfiguration((Species(1.0, tuple(xs)), Species(q2, tuple(ys))))
+def two_species(xs, ys):
+    """A two-species state: the positions xs, then ys."""
+    return np.array([*xs, *ys], dtype=complex)
 
 
-def flat(state):
-    return np.array(state.all_positions(), dtype=complex)
-
-
-def rand_state(rng, n, m, q2=-1.0, scale=1.0):
+def rand_state(rng, n, m, scale=1.0):
     while True:
         pts = rng.normal(size=n + m) * scale + 1j * rng.normal(size=n + m) * scale
         seps = [
@@ -46,7 +42,7 @@ def rand_state(rng, n, m, q2=-1.0, scale=1.0):
             for j in range(i + 1, n + m)
         ]
         if not seps or min(seps) > 0.3 * scale:
-            return two_species(pts[:n], pts[n:], q2)
+            return pts
 
 
 # -- right-hand sides -----------------------------------------------------------
@@ -55,15 +51,15 @@ def rand_state(rng, n, m, q2=-1.0, scale=1.0):
 def test_rhs_linear_single_root():
     sys = SystemCoefficients.linear([1.0], [0.0, -2.0])
     flow = FlowSpec.linear(sys, 1)
-    state = ChargeConfiguration((Species(1.0, (0.37 + 0.11j,)),))
-    (v,) = rhs(flow, state)
+    state = np.array([0.37 + 0.11j])
+    (v,) = rhs_flat(flow, state)
     assert abs(v - 2 * (0.37 + 0.11j)) < 1e-15
 
 
 def test_rhs_rational_omega_single():
     flow = FlowSpec.rational_omega(1.3, 1.0, 1, 0)
     state = two_species([0.5 + 0.2j], [])
-    (v,) = rhs(flow, state)
+    (v,) = rhs_flat(flow, state)
     # i dx/dt = omega x
     assert abs(1j * v - 1.3 * (0.5 + 0.2j)) < 1e-15
 
@@ -72,7 +68,7 @@ def test_rhs_angular_two_body():
     flow = FlowSpec.angular(1, 1)
     phi0, th0 = 1.1, 0.3
     state = two_species([phi0], [th0])
-    vphi, vth = rhs(flow, state)
+    vphi, vth = rhs_flat(flow, state)
     rate = 2.0 / math.tan(phi0 - th0)
     assert abs(vphi - rate) < 1e-14
     assert abs(vth - rate) < 1e-14
@@ -83,8 +79,7 @@ def test_rhs_bilinear_agrees_with_polylinear():
     Lam = 1.7
     sysb = SystemCoefficients.bilinear([0.5, 0.2, 1.0], [0.1, -2.0], Lambda=Lam)
     sysp = SystemCoefficients.polylinear([0.5, 0.2, 1.0], [0.1, -2.0], [1.0, -Lam])
-    state = rand_state(rng, 4, 2, q2=-Lam)
-    z = np.array(state.all_positions())
+    z = rand_state(rng, 4, 2)
     va = rhs_flat(FlowSpec.bilinear(sysb, 4, 2), z)
     vb = rhs_flat(FlowSpec.polylinear(sysp, (4, 2)), z)
     assert np.max(np.abs(va - vb)) == 0.0
@@ -97,8 +92,7 @@ def test_rhs_rational_omega_agrees_with_polylinear():
     sysp = SystemCoefficients.polylinear(
         [1j], [0.0, 1j * omega], [1.0, -Lam]
     )
-    state = rand_state(rng, 3, 2, q2=-Lam)
-    z = np.array(state.all_positions())
+    z = rand_state(rng, 3, 2)
     va = rhs_flat(flow, z)
     vb = rhs_flat(FlowSpec.polylinear(sysp, (3, 2)), z)
     assert np.max(np.abs(va - vb)) == 0.0
@@ -241,6 +235,35 @@ def test_rhs_collision_guard():
 # -- integrator ----------------------------------------------------------------
 
 
+def test_a_start_of_the_wrong_width_is_a_validation_error():
+    # a width-3 start under a (2, 2) flow failed inside numpy's matmul
+    # with a ValueError; a stack of them does too
+    flow = FlowSpec.rational_omega(1.0, 1.0, 2, 2)
+    z0 = np.array([1.0 + 0.2j, -0.8 + 0.9j, 0.3 - 1.1j])
+    with pytest.raises(ValidationError, match=r"starts of shape \(1, 3\) for a flow of 4 positions"):
+        integrate(flow, z0, 1.0)
+    with pytest.raises(ValidationError, match=r"starts of shape \(2, 3\) for a flow of 4 positions"):
+        integrate_lanes(flow, np.array([z0, -z0]), [0.0, 1.0])
+    with pytest.raises(ValidationError, match=r"starts of shape \(4,\)"):
+        integrate_lanes(flow, np.append(z0, 2.0), [0.0, 1.0])
+
+
+def test_the_flow_splits_and_charges_a_start():
+    # A start is its positions only, so a split or charges of its own have
+    # nowhere to go: sizes (3, 1) with a second charge of 7 once rode along
+    # and were ignored.  The same four positions integrate under the (2, 2)
+    # flow's charges (+1, +1, -1, -1): with P' = 0 the pair terms cancel in
+    # the charge moment M = sum q_i z_i, which obeys dM/dt = -i omega M.
+    flow = FlowSpec.rational_omega(1.0, 1.0, 2, 2)
+    z0 = np.array([1.0 + 0.2j, -0.8 + 0.9j, 0.3 - 1.1j, 1.5 + 1.4j])
+    traj = integrate(flow, z0, 1.0, rtol=1e-12, atol=1e-14, n_samples=5)
+    moment = traj.positions @ np.array([1.0, 1.0, -1.0, -1.0])
+    assert np.max(np.abs(moment - moment[0] * np.exp(-1j * traj.times))) < 1e-10
+    # the (3, 1) split's charges (+1, +1, +1, -1) are not what moved them
+    other = traj.positions @ np.array([1.0, 1.0, 1.0, -1.0])
+    assert np.max(np.abs(other - other[0] * np.exp(-1j * traj.times))) > 1e-2
+
+
 def test_integrate_single_particle_period():
     flow = FlowSpec.rational_omega(1.0, 1.0, 1, 0)
     init = two_species([1.0], [])
@@ -266,7 +289,7 @@ def test_integrate_zero_time_shape():
     traj = integrate(flow, init, 0.0)
     assert traj.positions.shape == (1, 5)
     assert np.array_equal(traj.times, [0.0])
-    assert np.array_equal(traj.positions[0], flat(init))
+    assert np.array_equal(traj.positions[0], init)
 
 
 def test_integrate_hermite_equilibrium_stationary():
@@ -277,7 +300,7 @@ def test_integrate_hermite_equilibrium_stationary():
     init = two_species(roots, [])
     traj = integrate(flow, init, 1.0, rtol=1e-12, atol=1e-14, n_samples=9)
     drift = max(
-        multiset_distance(init.species[0].positions, z[:6])
+        multiset_distance(init[:6], z[:6])
         for z in traj.positions
     )
     assert drift < 1e-9
@@ -388,8 +411,8 @@ def test_residual_random_states(Lam):
     rng = np.random.default_rng(21)
     flow = FlowSpec.rational_omega(1.0, Lam, 3, 2)
     for _ in range(3):
-        state = rand_state(rng, 3, 2, q2=-Lam)
-        assert state_residual(flow, flat(state)) < 1e-10
+        state = rand_state(rng, 3, 2)
+        assert state_residual(flow, state) < 1e-10
 
 
 def test_residual_hermite_field_random_state():
@@ -397,13 +420,13 @@ def test_residual_hermite_field_random_state():
     sysb = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     flow = FlowSpec.bilinear(sysb, 3, 2)
     state = rand_state(rng, 3, 2)
-    assert state_residual(flow, flat(state)) < 1e-10
+    assert state_residual(flow, state) < 1e-10
 
 
 def test_residual_along_trajectory_monitor():
     flow = FlowSpec.rational_omega(1.0, 1.213579, 6, 1)
     rng = np.random.default_rng(2)
-    init = rand_state(rng, 6, 1, q2=-1.213579)
+    init = rand_state(rng, 6, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-10, atol=1e-12, n_samples=2 * 128 + 1)
     worst = max(monitors(traj)["bilinear_residual"])
     assert worst < 1e-8
@@ -416,7 +439,7 @@ def test_residual_zero_at_equilibrium_state():
     flow = FlowSpec.bilinear(sysb, 6, 0)
     roots = sorted(find_roots(hermite(6)), key=lambda z: z.real)
     state = two_species(roots, [])
-    assert state_residual(flow, flat(state)) < 1e-12
+    assert state_residual(flow, state) < 1e-12
 
 
 def test_bilinear_residual_sample_api():
@@ -556,7 +579,7 @@ def test_charge_moment_oscillates_with_base_frequency():
     # M = sum x - Lambda sum y obeys i dM/dt = omega M exactly
     flow = FlowSpec.rational_omega(1.0, 0.75, 3, 2)
     rng = np.random.default_rng(14)
-    init = rand_state(rng, 3, 2, q2=-0.75)
+    init = rand_state(rng, 3, 2)
     traj = integrate(flow, init, BASE, rtol=1e-11, atol=1e-13, n_samples=33)
     moments = monitors(traj)["charge_moment"]
     m0 = moments[0]
@@ -577,45 +600,37 @@ def test_angular_center_of_mass_conserved():
 # -- symmetric reduction ----------------------------------------------------------
 
 
-def symmetric_init(rng, l, Lam):
+def symmetric_init(rng, l):
     xs = rng.normal(size=l) * 0.9 + 1j * rng.normal(size=l) * 0.5 + 0.6
     pts = np.concatenate([xs, -xs])
-    return ChargeConfiguration(
-        (Species(1.0, tuple(pts)), Species(-Lam, (0j,)))
-    )
+    return np.concatenate([pts, [0j]])
 
 
 def test_symmetric_reduce_single_pair():
-    state = ChargeConfiguration(
-        (Species(1.0, (0.8 + 0.1j, -0.8 - 0.1j)), Species(-0.7, (0j,)))
-    )
+    state = np.array([0.8 + 0.1j, -0.8 - 0.1j, 0j])
     flow = FlowSpec.rational_omega(1.0, 0.7, 2, 1)
-    (z,) = symmetric_reduce(flat(state), flow)
+    (z,) = symmetric_reduce(state, flow)
     assert abs(z - (0.8 + 0.1j) ** 2) < 1e-14
     # single pair: i dz/dt = 2(1 - 2 Lambda) + 2 omega z exactly
-    assert reduced_velocity_residual(flow, flat(state)) < 1e-12
+    assert reduced_velocity_residual(flow, state) < 1e-12
 
 
 def test_symmetric_reduce_asymmetric_rejected():
-    state = ChargeConfiguration(
-        (Species(1.0, (0.8, -0.7)), Species(-1.0, (0j,)))
-    )
+    state = np.array([0.8, -0.7, 0j])
     with pytest.raises(SymmetryViolation):
-        symmetric_reduce(flat(state), FlowSpec.rational_omega(1.0, 1.0, 2, 1))
+        symmetric_reduce(state, FlowSpec.rational_omega(1.0, 1.0, 2, 1))
 
 
 def test_symmetric_reduce_offset_second_species_rejected():
-    state = ChargeConfiguration(
-        (Species(1.0, (0.8, -0.8)), Species(-1.0, (0.5 + 0j,)))
-    )
+    state = np.array([0.8, -0.8, 0.5 + 0j])
     with pytest.raises(SymmetryViolation):
-        symmetric_reduce(flat(state), FlowSpec.rational_omega(1.0, 1.0, 2, 1))
+        symmetric_reduce(state, FlowSpec.rational_omega(1.0, 1.0, 2, 1))
 
 
 def test_symmetry_preserved_and_reduction_matches():
     rng = np.random.default_rng(8)
     Lam = 0.8
-    init = symmetric_init(rng, 2, Lam)
+    init = symmetric_init(rng, 2)
     flow = FlowSpec.rational_omega(1.0, Lam, 4, 1)
     traj = integrate(flow, init, 2 * BASE, rtol=1e-11, atol=1e-13, n_samples=65)
     for z in traj.positions:
@@ -629,7 +644,7 @@ def test_symmetry_preserved_and_reduction_matches():
 def test_symmetry_persists_five_periods():
     rng = np.random.default_rng(15)
     Lam = 1.3
-    init = symmetric_init(rng, 2, Lam)
+    init = symmetric_init(rng, 2)
     flow = FlowSpec.rational_omega(1.0, Lam, 4, 1)
     traj = integrate(flow, init, 5 * BASE, rtol=1e-11, atol=1e-13, n_samples=5 * 32 + 1)
     worst = max(
@@ -782,9 +797,8 @@ def test_embedding_quartic_linear_newton():
     )
     flow = FlowSpec.linear(sysl, n)
     pts = np.array([1.1 + 0.3j, -0.9 + 0.6j, 0.2 - 1.0j, -0.3 + 1.4j])
-    init = ChargeConfiguration((Species(1.0, tuple(pts)),))
     h = 1e-3
-    traj = integrate(flow, init, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
+    traj = integrate(flow, pts, 10 * h, rtol=1e-13, atol=1e-15, n_samples=11)
     Z = traj.positions
     mid = 5
     xdd = (Z[mid + 1] - 2 * Z[mid] + Z[mid - 1]) / h**2

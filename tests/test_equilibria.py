@@ -24,11 +24,9 @@ from chargeflow.equilibria import (
 )
 from chargeflow.errors import BadK, CertificationFailure, ValidationError
 from chargeflow.operators import (
-    ChargeConfiguration,
-    Species,
     SystemCoefficients,
     eigenpoly,
-    gradient_with_scale,
+    equilibrium_gradient,
     lambda_poly,
     polylinear_H,
 )
@@ -180,15 +178,13 @@ def test_check_built_rejects_a_nonzero_planar_residual():
 
 
 def _configuration_gradient_max(cert):
-    """The gradient check's largest value through a ChargeConfiguration: a
-    site of net charge c as |c| charges of the species +-1, the +1 species
+    """The gradient check's largest value through species charges: a site
+    of net charge c as |c| charges of the species +-1, the +1 species
     listed first, and a scalar test of P at each site."""
-    species = []
-    for q in (1.0, -1.0):
-        sites = [(z, abs(c)) for z, c in cert.inventory if c * q > 0]
-        species.append(Species(q, tuple(z for z, _ in sites), tuple(m for _, m in sites)))
-    grad = gradient_with_scale(ChargeConfiguration(species), cert.sys)[0].tolist()
-    sites = [z for s in species for z in s.positions]
+    sites = [(z, q, q * abs(c)) for q in (1.0, -1.0) for z, c in cert.inventory if c * q > 0]
+    z, q, c = (np.array(column, dtype=complex) for column in zip(*sites))
+    grad = equilibrium_gradient(z, q, c, cert.sys)[0].tolist()
+    sites = z.tolist()
     scale = max([1.0] + [abs(z) for z in sites])
     P = cert.sys.P.to_float()
     return max([0.0] + [abs(g) for z, g in zip(sites, grad) if abs(P(z)) > 1e-10 * scale])
@@ -458,6 +454,20 @@ def test_cylinder_degree_formula():
         cert = cylinder_pair(indices, ts)
         assert cert.degrees == (sum(indices), sum(indices[:-1]))
         assert cert.residual_exact_zero
+
+
+# Index 0 stays out of the draw: the zero-frequency mode at phase 0 is the
+# zero function, so a set holding 0 raises DegenerateWronskian ("chosen
+# phases collapse the Wronskian") before there is a pair to certify
+# (test_cylinder_degenerate_phases_rejected).
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True).map(sorted))
+def test_cylinder_index_sets_at_zero_phases_certify_and_recertify(indices):
+    # ROADMAP item 1: at ts = 0 the free sites carry |c| > 1, balanced by
+    # the self term c/2; each of the 381 such sets passed when drawn in full
+    cert = check_built(cylinder_pair(indices, [0.0] * len(indices)))
+    assert cert.residual_exact_zero
+    assert certify(cert) is cert
 
 
 def test_cylinder_phase_count_validation():

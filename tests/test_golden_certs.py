@@ -438,6 +438,37 @@ def test_every_free_site_has_consecutive_triangular_orders(name):
         assert a - b == c and (a - b) ** 2 == a + b, (z, a, b, c)
 
 
+def _order_at_zero(f):
+    """The order of the exact f's root at z = 0, by exact division by z."""
+    z, order = Polynomial([0, 1]), 0
+    while True:
+        quotient, remainder = f.divmod(z)
+        if not remainder.is_zero:
+            return order
+        f, order = quotient, order + 1
+
+
+@pytest.mark.parametrize(
+    "indices, b, orders",
+    [([1, 2, 4, 5, 7], "2", (9, 6)), ([1, 2, 4, 5, 7], "-3/2", (9, 6)),
+     ([0, 2, 3, 4, 6], "1", (4, 2)), ([0, 1, 2, 3, 5], "3", (4, 2))],
+    ids=["laguerre_12457", "b_-3/2", "02346", "01235"],
+)
+def test_laguerre_site_on_the_zero_of_p_balances_exactly(indices, b, orders):
+    # ROADMAP item 1: where P = 0 (z0 = 0 of P = z), the residual's order
+    # x^(a+b-1) term alone must vanish: [c**2 - (a+b)/2] P'(0) + c U(0) = 0,
+    # with a, b the orders of p and q at z0 and c = a - b
+    cert = equilibria.laguerre_pair(indices, Fraction(b))
+    if {"recipe": "laguerre", "indices": indices, "b": b} == CASES["laguerre_12457"]:
+        cert = EquilibriumCertificate.from_json(_golden("laguerre_12457"))
+    P, U = cert.sys.P, cert.sys.U
+    assert P == Polynomial([0, 1])
+    a, q_order = _order_at_zero(cert.p), _order_at_zero(cert.q)
+    assert (a, q_order) == orders
+    c = a - q_order
+    assert (c * c - Fraction(a + q_order, 2)) * P.derivative()(0) + c * U(0) == 0
+
+
 # the writer in a fresh interpreter: builds every case under argv[1]
 _WRITE_ALL = "import pathlib, sys; import test_golden_certs as g; [g._write(n, pathlib.Path(sys.argv[1]) / n) for n in g.CASES]"
 

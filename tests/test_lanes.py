@@ -11,17 +11,11 @@ from scipy.integrate import solve_ivp
 from chargeflow import cli, dynamics
 from chargeflow.dynamics import FlowSpec, integrate, integrate_lanes
 from chargeflow.errors import ChargeflowError, Collision, ValidationError
-from chargeflow.operators import ChargeConfiguration, Species
-
-
-def _config(flow, z):
-    parts = np.split(np.asarray(z), np.cumsum(flow.sizes)[:-1])
-    return ChargeConfiguration(tuple(Species(q, tuple(p)) for q, p in zip(flow.charges, parts)))
 
 
 def _solo(flow, z, t_end, **settings):
     try:
-        return integrate(flow, _config(flow, z), t_end, **settings)
+        return integrate(flow, z, t_end, **settings)
     except ChargeflowError as exc:
         return exc
 

@@ -15,9 +15,7 @@ from chargeflow.errors import (
     ValidationError,
 )
 from chargeflow.operators import (
-    ChargeConfiguration,
     _product,
-    Species,
     SystemCoefficients,
     eigenpoly,
     eigenvalue_of,
@@ -185,9 +183,9 @@ def test_eigenvalue_formula():
 
 def test_bilinear_reduces_to_gauss_form():
     # g = 1: P f'' + (U + P'/2) f' + lam f
-    sys = SystemCoefficients.bilinear([0, 1], [1, 2], Lambda=1, lam=Fraction(3))
+    sys = SystemCoefficients.bilinear([0, 1], [1, 2], Lambda=1)
     f = P(1, -2, 1)
-    out = polylinear_H(sys, [f, P(1)])
+    out = polylinear_H(sys, [f, P(1)], lam=Fraction(3))
     expected = (
         sys.P * f.derivative().derivative()
         + (sys.U + sys.P.derivative().scale(Fraction(1, 2))) * f.derivative()
@@ -197,10 +195,10 @@ def test_bilinear_reduces_to_gauss_form():
 
 
 def test_bilinear_free_chain_pair():
-    sys = SystemCoefficients.bilinear([1], [0], Lambda=1, lam=0)
+    sys = SystemCoefficients.bilinear([1], [0], Lambda=1)
     for tau in (Fraction(0), Fraction(2, 3), Fraction(-5)):
         f = Polynomial([tau, 0, 0, 1])
-        assert polylinear_H(sys, [f, P(0, 1)]).is_zero
+        assert polylinear_H(sys, [f, P(0, 1)], lam=0).is_zero
 
 
 def test_bilinear_hermite_eigen():
@@ -210,9 +208,9 @@ def test_bilinear_hermite_eigen():
 
 
 def test_bilinear_symmetric_when_u_zero():
-    sys = SystemCoefficients.bilinear([1, 2, -1], [0], Lambda=1, lam=Fraction(1))
+    sys = SystemCoefficients.bilinear([1, 2, -1], [0], Lambda=1)
     f, g = P(1, 2, 3), P(-1, 0, 0, 2)
-    assert polylinear_H(sys, [f, g]) == polylinear_H(sys, [g, f])
+    assert polylinear_H(sys, [f, g], lam=Fraction(1)) == polylinear_H(sys, [g, f], lam=Fraction(1))
 
 
 # -- lambda formulas ----------------------------------------------------------
@@ -305,8 +303,6 @@ def _paper_form_H(sys, qs, lam=None):
             f"got {len(qs)} polynomials for {len(sys.charges)} species"
         )
     if lam is None:
-        lam = sys.lam
-    if lam is None:
         lam = lambda_poly([q.degree for q in qs], sys)
     l = len(qs)
     Q = sys.charges
@@ -354,8 +350,8 @@ _eigenconstants = st.one_of(st.none(), _exact_scalars)
     _exact_polys(8), _exact_polys(8),
 )
 def test_polylinear_equals_the_paper_form_on_exact_pairs(P_, U_, Lam, lam, f, g):
-    sys = SystemCoefficients.bilinear(P_, U_, Lambda=Lam, lam=lam)
-    assert polylinear_H(sys, [f, g]) == _paper_form_H(sys, [f, g])
+    sys = SystemCoefficients.bilinear(P_, U_, Lambda=Lam)
+    assert polylinear_H(sys, [f, g], lam=lam) == _paper_form_H(sys, [f, g], lam=lam)
 
 
 _THREE_CHARGES = [
@@ -371,8 +367,8 @@ _THREE_CHARGES = [
     st.lists(_exact_polys(5), min_size=3, max_size=3),
 )
 def test_polylinear_equals_the_paper_form_with_three_species(charges, P_, U_, lam, qs):
-    sys = SystemCoefficients.polylinear(P_, U_, charges, lam=lam)
-    assert polylinear_H(sys, qs) == _paper_form_H(sys, qs)
+    sys = SystemCoefficients.polylinear(P_, U_, charges)
+    assert polylinear_H(sys, qs, lam=lam) == _paper_form_H(sys, qs, lam=lam)
 
 
 def _abs_poly(p):
@@ -411,7 +407,7 @@ def test_polylinear_agrees_with_the_paper_form_on_float_stacks(sys, degrees):
 
 
 def test_polylinear_single_species():
-    sys = SystemCoefficients.polylinear([0, 1], [2, 1], [1], lam=Fraction(5))
+    sys = SystemCoefficients.polylinear([0, 1], [2, 1], [1])
     f = P(1, 1, 1)
     expected = (
         sys.P * f.derivative().derivative()
@@ -419,12 +415,12 @@ def test_polylinear_single_species():
         + sys.U * f.derivative()
         + f.scale(5)
     )
-    assert polylinear_H(sys, [f]) == expected
+    assert polylinear_H(sys, [f], lam=Fraction(5)) == expected
 
 
 def test_polylinear_constants():
-    sys = SystemCoefficients.polylinear([1, 1], [0, 1], [1, 2, -1], lam=Fraction(9))
-    out = polylinear_H(sys, [P(1), P(1), P(1)])
+    sys = SystemCoefficients.polylinear([1, 1], [0, 1], [1, 2, -1])
+    out = polylinear_H(sys, [P(1), P(1), P(1)], lam=Fraction(9))
     assert out == P(9)
 
 
@@ -451,39 +447,49 @@ def test_mode_degree_limits():
 # -- equilibrium gradient and energy ------------------------------------------
 
 
-def _single(charge, *positions):
-    return Species(charge, tuple(positions))
+def _sites(*species):
+    """The site arrays (z, q, c) of species given as (charge, positions)
+    or (charge, positions, multiplicities)."""
+    z, q, c = [], [], []
+    for charge, positions, *mults in species:
+        for pos, m in zip(positions, mults[0] if mults else [1] * len(positions)):
+            z.append(pos)
+            q.append(charge)
+            c.append(charge * m)
+    return tuple(np.array(a, dtype=complex) for a in (z, q, c))
 
 
 def test_gradient_single_charge_at_origin():
-    cfg = ChargeConfiguration((_single(1.0, 0.0), _single(-1.0)))
     sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
-    (g,) = equilibrium_gradient(cfg, sys)
+    (g,), _, _ = equilibrium_gradient(*_sites((1.0, [0.0]), (-1.0, [])), sys)
     assert abs(g) < 1e-14
 
 
 def test_gradient_two_body_nonzero():
-    cfg = ChargeConfiguration((_single(1.0, 0.7), _single(-1.0, -0.3)))
     sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
-    gx, gy = equilibrium_gradient(cfg, sys)
+    (gx, gy), _, _ = equilibrium_gradient(*_sites((1.0, [0.7]), (-1.0, [-0.3])), sys)
     assert abs(gx - 2.0 / (0.7 - (-0.3))) < 1e-14
     assert abs(gx) > 1e-3
 
 
 def test_gradient_coincident_positions():
-    cfg = ChargeConfiguration((_single(1.0, 0.5, 0.5), _single(-1.0)))
     sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     with pytest.raises(CoincidentPositions):
-        equilibrium_gradient(cfg, sys)
+        equilibrium_gradient(*_sites((1.0, [0.5, 0.5]), (-1.0, [])), sys)
 
 
-def naive_gradient(cfg, sys):
+@pytest.mark.parametrize("check", [equilibrium_gradient, energy], ids=["gradient", "energy"])
+def test_site_arrays_of_different_lengths_raise_arity_mismatch(check):
+    sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
+    z, q, c = _sites((1.0, [0.5, -0.5]), (-1.0, [1j]))
+    for args in ((z, q[:2], c), (z, q, c[:1]), (z[:, None], q, c), (z, 1.0, c)):
+        with pytest.raises(ArityMismatch, match="site arrays of shapes"):
+            check(*args, sys)
+
+
+def naive_gradient(z, q, c, sys):
     """Site-by-site double loop of the multiplicity-weighted gradient."""
-    sites = [
-        (z, complex(sp.charge), complex(sp.charge) * m)
-        for sp in cfg.species
-        for z, m in zip(sp.positions, sp.mults)
-    ]
+    sites = list(zip(z.tolist(), q.tolist(), c.tolist()))
     P, U = sys.P.to_float(), sys.U.to_float()
     dP = P.derivative()
     out = []
@@ -496,7 +502,7 @@ def naive_gradient(cfg, sys):
 def _random_species(rng, charge, size, max_mult):
     pts = rng.normal(size=size) * 1.5 + 1j * rng.normal(size=size)
     mults = rng.integers(1, max_mult + 1, size=size)
-    return Species(charge, tuple(pts), tuple(mults))
+    return charge, pts, mults
 
 
 @pytest.mark.parametrize(
@@ -505,59 +511,37 @@ def _random_species(rng, charge, size, max_mult):
 def test_gradient_matches_double_loop_with_multiplicities(sizes):
     rng = np.random.default_rng(sum(sizes))
     sys = SystemCoefficients.bilinear([0.4, -0.2, 1.0], [0.3, -2.0], Lambda=1.5)
-    cfg = ChargeConfiguration(
-        (_random_species(rng, 1.0, sizes[0], 3), _random_species(rng, -1.5, sizes[1], 3))
-    )
-    got = np.array(equilibrium_gradient(cfg, sys), dtype=complex)
-    ref = np.array(naive_gradient(cfg, sys), dtype=complex)
+    sites = _sites(_random_species(rng, 1.0, sizes[0], 3), _random_species(rng, -1.5, sizes[1], 3))
+    got, _, _ = equilibrium_gradient(*sites, sys)
+    ref = np.array(naive_gradient(*sites, sys), dtype=complex)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
 
 
 def test_gradient_coincidence_names_first_pair():
-    cfg = ChargeConfiguration((_single(1.0, 0.1, 0.5, 0.9), _single(-1.0, 0.5)))
     sys = SystemCoefficients.bilinear([1.0], [0.0], Lambda=1.0)
     with pytest.raises(CoincidentPositions, match="positions 1 and 3 coincide"):
-        equilibrium_gradient(cfg, sys)
-
-
-def test_sites_are_the_site_by_site_arrays_bit_for_bit():
-    cfg = ChargeConfiguration((
-        Species(Fraction(3, 2), (0.5 + 1j, -0.25, 2.0 - 0.5j), (2, 1, 3)),
-        Species(Fraction(-1, 3), (0.1 - 0.7j, 1.3j)),
-        Species(GaussianRational(Fraction(2, 7), 0), ()),
-    ))
-    # the arrays as built from (position, species charge, multiplicity) triples
-    triples = [(z, complex(s.charge), m) for s in cfg.species for z, m in zip(s.positions, s.mults)]
-    z = np.array([t[0] for t in triples], dtype=complex)
-    q = np.array([t[1] for t in triples], dtype=complex)
-    c = q * np.array([t[2] for t in triples], dtype=int)
-    for got, want in zip(cfg.sites(), (z, q, c)):
-        assert got.dtype == complex and got.tobytes() == want.tobytes()
+        equilibrium_gradient(*_sites((1.0, [0.1, 0.5, 0.9]), (-1.0, [0.5])), sys)
 
 
 def test_energy_two_charges():
-    cfg = ChargeConfiguration((_single(1.0, 1.0, -1.0),))
     sys = SystemCoefficients.polylinear([1.0], [0.0], [1.0])
-    assert abs(energy(cfg, sys) - cmath.log(4)) < 1e-14
+    assert abs(energy(*_sites((1.0, [1.0, -1.0])), sys) - cmath.log(4)) < 1e-14
 
 
 def test_energy_reflection_symmetric():
     sys = SystemCoefficients.bilinear([1.0], [0.0, -2.0], Lambda=1.0)
     pos = (0.4 + 0.1j, -1.2 + 0.7j)
     neg = (0.9 - 0.3j,)
-    a = ChargeConfiguration((_single(1.0, *pos), _single(-1.0, *neg)))
-    b = ChargeConfiguration(
-        (_single(1.0, *(-z for z in pos)), _single(-1.0, *(-z for z in neg)))
-    )
-    assert abs(energy(a, sys) - energy(b, sys)) < 1e-12
+    a = _sites((1.0, pos), (-1.0, neg))
+    b = _sites((1.0, [-z for z in pos]), (-1.0, [-z for z in neg]))
+    assert abs(energy(*a, sys) - energy(*b, sys)) < 1e-12
 
 
 def test_energy_pzero():
-    cfg = ChargeConfiguration((_single(1.0, 0.0, 1.0),))
     sys = SystemCoefficients.polylinear([0.0, 1.0], [0.0, 1.0], [1.0])
     with pytest.raises(PZero):
-        energy(cfg, sys)
+        energy(*_sites((1.0, [0.0, 1.0])), sys)
 
 
 def test_energy_stationary_at_certified_configuration():
@@ -573,18 +557,16 @@ def test_energy_stationary_at_certified_configuration():
     def config(shift):
         pos = [z for z, _ in plus]
         pos[1] += shift
-        return ChargeConfiguration(
-            (
-                Species(1.0, tuple(pos), tuple(c for _, c in plus)),
-                Species(-1.0, tuple(z for z, _ in minus), tuple(c for _, c in minus)),
-            )
+        return _sites(
+            (1.0, pos, [c for _, c in plus]),
+            (-1.0, [z for z, _ in minus], [c for _, c in minus]),
         )
 
     # compare real parts: the imaginary part of the principal-branch log
     # can jump by 2 pi under perturbation, the modulus part cannot
-    base = energy(config(0.0), sys).real
+    base = energy(*config(0.0), sys).real
     for eps in (1e-4, 1e-5):
-        delta = abs(energy(config(eps * (0.6 + 0.8j)), sys).real - base)
+        delta = abs(energy(*config(eps * (0.6 + 0.8j)), sys).real - base)
         assert delta < 50 * eps**2
 
 
@@ -603,30 +585,14 @@ def test_gradient_is_energy_gradient(P_coeffs, U_coeffs):
     rng = np.random.default_rng(17)
     pos = tuple(2.0 + rng.normal(size=2) * 0.4 + 1j * rng.normal(size=2) * 0.4)
     neg = tuple(4.0 + rng.normal(size=1) * 0.4 + 1j * rng.normal(size=1) * 0.4)
-    mults_pos = (2, 1)
-    cfg = ChargeConfiguration(
-        (Species(1.0, pos, mults_pos), Species(-1.0, neg))
-    )
-    grads = equilibrium_gradient(cfg, sys)
-    Pf = sys.P
-    sites = [(z, 1.0, m) for z, m in zip(pos, mults_pos)] + [
-        (z, -1.0, 1) for z in neg
-    ]
+    z, q, c = _sites((1.0, pos, (2, 1)), (-1.0, neg))
+    grads, _, Pz = equilibrium_gradient(z, q, c, sys)
     eps = 1e-6
-    for r, (zr, q, mult) in enumerate(sites):
-        def shifted(delta, idx=r):
-            new_pos = list(pos)
-            new_neg = list(neg)
-            if idx < len(pos):
-                new_pos[idx] += delta
-            else:
-                new_neg[idx - len(pos)] += delta
-            return ChargeConfiguration(
-                (Species(1.0, tuple(new_pos), mults_pos), Species(-1.0, tuple(new_neg)))
-            )
-
-        fd = (energy(shifted(eps), sys) - energy(shifted(-eps), sys)) / (2 * eps)
-        expected = -q * mult * grads[r] / Pf(zr)
+    for r in range(len(z)):
+        step = np.zeros_like(z)
+        step[r] = eps
+        fd = (energy(z + step, q, c, sys) - energy(z - step, q, c, sys)) / (2 * eps)
+        expected = -c[r] * grads[r] / Pz[r]
         assert abs(fd - expected) <= 1e-6 * max(1.0, abs(expected))
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from chargeflow import cli, dynamics
 from chargeflow.dynamics import FlowSpec, integrate, integrate_lanes
 from chargeflow.errors import ChargeflowError, Collision, NonConvergence
-from chargeflow.operators import ChargeConfiguration, Species, SystemCoefficients
+from chargeflow.operators import SystemCoefficients
 from chargeflow.polynomials import _distance, pair_matrix
 
 
@@ -136,11 +136,6 @@ def oracle(flow, z0, times, rtol=1e-10, atol=1e-12, fixed_step=None):
     return t_grid, samples
 
 
-def _config(flow, z):
-    parts = np.split(np.asarray(z), np.cumsum(flow.sizes)[:-1])
-    return ChargeConfiguration(tuple(Species(q, tuple(p)) for q, p in zip(flow.charges, parts)))
-
-
 def _assert_matches(expected, got):
     if isinstance(expected, ChargeflowError):
         assert type(got) is type(expected)
@@ -155,7 +150,7 @@ def _assert_matches(expected, got):
 
 def _solo(flow, z, t_end, **settings):
     try:
-        return integrate(flow, _config(flow, z), t_end, **settings)
+        return integrate(flow, z, t_end, **settings)
     except ChargeflowError as exc:
         return exc
 
@@ -172,8 +167,7 @@ def _separated(rng, count, n, scale, min_sep):
 def _sweep_starts(seeds):
     flow = FlowSpec.rational_omega(1.0, 1.213579, 6, 1)
     options = {"scale": 1.8, "min_separation": 0.8889}
-    Z = [cli._random_initial(flow, {**options, "seed": s}).all_positions() for s in seeds]
-    return flow, np.array(Z, dtype=complex)
+    return flow, np.array([cli._random_initial(flow, {**options, "seed": s}) for s in seeds])
 
 
 def _three_species():
@@ -313,7 +307,7 @@ def test_stats_count_the_lanes_work():
         assert s["rhs_evals"] == 1 + 6 * (s["accepted"] + s["rejected"])
         assert 0 < s["h_min"] <= s["h_max"]
         assert 1 <= s["sep_checks"] <= s["accepted"] + 1
-    fixed = integrate(flow, _config(flow, starts[0]), 0.1, fixed_step=0.01, n_samples=3)
+    fixed = integrate(flow, starts[0], 0.1, fixed_step=0.01, n_samples=3)
     assert fixed.stats["rejected"] == 0 and fixed.stats["h_max"] == 0.01
     assert fixed.stats["accepted"] >= 10
 
@@ -321,7 +315,7 @@ def test_stats_count_the_lanes_work():
 def test_stats_ride_on_the_errors_that_end_lanes():
     flow, starts, t_end, settings = _collisions()[0]
     with pytest.raises(Collision) as err:
-        integrate(flow, _config(flow, starts[0]), t_end, **settings)
+        integrate(flow, starts[0], t_end, **settings)
     assert err.value.stats["accepted"] > 0
     touching = np.array([[0.2, 0.2 + 1e-9, 1.6, 2.6, 3.9]], dtype=complex)
     (initial,) = integrate_lanes(flow, touching, *_on_grid(t_end, settings))
